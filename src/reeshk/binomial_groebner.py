@@ -1,20 +1,36 @@
-"""Buchberger completion for one binomial X_u^a - X_v^a plus monomials.
+"""Initial ideals of one binomial X_u^a - X_v^a plus monomials.
 
-Under lex order with X_u greatest, the S-polynomial of the binomial
-with a monomial is again a monomial (replace the X_u^a block by
-X_v^a), and reducing a monomial keeps it a monomial.  Every
-coefficient that can arise is +1 or -1, so the computation, and hence
-the initial ideal, is independent of the characteristic; the module
-never touches a coefficient field.  Monomial-monomial S-pairs vanish
-identically and are skipped; the completeness check re-verifies every
-binomial-monomial pair.
+Under lex order with X_u greatest, the binomial rewrites X_u^a to
+X_v^a, so modulo the binomial every monomial equals, with coefficient
++1, its residue-class normal form
+
+    NF(X_u^i X_v^j rest) = X_u^(i mod a) X_v^(j + a floor(i/a)) rest.
+
+Hence (binomial) + (g_1..g_k) is the binomial plus the span of the
+normal forms of all monomial multiples of the g's, and its initial
+ideal is generated by X_u^a, every NF(g), and NF(X_u^(a - i mod a) g)
+for each g whose X_u exponent i is not a multiple of a: multiplying g
+by X_u^c only cycles i through the residues mod a, raising the X_v
+exponent by a at each wrap.  No coefficient field is involved, so the
+result is independent of the characteristic.  `initial_ideal` gives
+quotient lengths (`quotient_colength`) and decides equality of two
+such ideals (`ideals_equal`), since both are fixed by their initial
+ideals.
+
+`buchberger` is an independent S-pair completion of the same basis.
+It serves `hk oracle groebner` and the tests' cross-check of the
+normal forms.  Under lex the S-polynomial of the binomial with a
+monomial is again a monomial, and reducing a monomial keeps it a
+monomial.  Monomial-monomial S-pairs vanish identically and are
+skipped; the completeness check re-verifies every binomial-monomial
+pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .monomial_algebra import Monomial, MonomialIdeal, minimalize
+from .monomial_algebra import Monomial, MonomialIdeal, _minimal_vectors, minimalize
 
 GenLike = Union[Monomial, Sequence[int]]
 
@@ -209,12 +225,49 @@ def buchberger(rel: BinomialRelation, gens: Iterable[GenLike]) -> GroebnerBasisB
     return GroebnerBasisBM(rel, mons.gens, complete=True)
 
 
+def _initial_vectors(
+    rel: BinomialRelation, gens: Iterable[GenLike]
+) -> list[tuple[int, ...]]:
+    """Sorted minimal generators of the initial ideal of (binomial) + (gens).
+
+    The generators are validated here: a nonempty set of nonnegative
+    integer exponent tuples of the relation's ambient dimension.
+    """
+    exponents = [
+        g.exponents if isinstance(g, Monomial) else Monomial(tuple(g)).exponents
+        for g in gens
+    ]
+    if not exponents:
+        raise ValueError("generator set must be nonempty")
+    if any(len(g) != rel.ambient_dim for g in exponents):
+        raise ValueError("generators do not match ambient_dim")
+    u, v, a = rel.index_u, rel.index_v, rel.exponent
+    vectors = [rel.lead_exponents()]
+    for g in exponents:
+        nf = list(g)
+        r = g[u] % a
+        nf[u] = r
+        nf[v] += g[u] - r
+        vectors.append(tuple(nf))
+        if r:
+            # X_u^(a - r) g wraps to the next residue class: X_u^0, one more X_v^a
+            nf[u] = 0
+            nf[v] += a
+            vectors.append(tuple(nf))
+    return sorted(_minimal_vectors(vectors))
+
+
+def initial_ideal(rel: BinomialRelation, gens: Iterable[GenLike]) -> MonomialIdeal:
+    """Initial ideal of (binomial) + (gens) from residue-class normal forms."""
+    vectors = _initial_vectors(rel, gens)
+    return MonomialIdeal(rel.ambient_dim, tuple(Monomial(v) for v in vectors))
+
+
 def quotient_colength(
     rel: BinomialRelation, gens: Iterable[GenLike], box_cap: Optional[int] = None
 ) -> int:
     """Length of the quotient by (binomial + monomials): colength of the initial ideal."""
-    gb = buchberger(rel, gens)
-    return gb.initial_ideal().colength(box_cap=box_cap)
+    return initial_ideal(rel, gens).colength(box_cap=box_cap)
 
 
 def ideals_equal(
@@ -222,13 +275,7 @@ def ideals_equal(
 ) -> bool:
     """Whether (binomial) + A and (binomial) + B are the same ideal.
 
-    The binomial is common to both sides, so mutual membership of the
-    monomial generators decides equality.
+    Each ideal is the binomial plus the span of the standard monomials
+    in its initial ideal, so equal initial ideals mean equal ideals.
     """
-    gb_a = buchberger(rel, gens_a)
-    gb_b = buchberger(rel, gens_b)
-    index_a = gb_a._index()
-    index_b = gb_b._index()
-    return all(
-        _reduce(m.exponents, rel, index_b) is None for m in gb_a.monomials
-    ) and all(_reduce(m.exponents, rel, index_a) is None for m in gb_b.monomials)
+    return _initial_vectors(rel, gens_a) == _initial_vectors(rel, gens_b)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 
@@ -28,7 +29,8 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(e < 0 or not isinstance(e, int) for e in self.exponents):
+        # type(e) is int, not isinstance: bool is an int subclass
+        if any(type(e) is not int or e < 0 for e in self.exponents):
             raise ValueError("exponents must be nonnegative integers")
 
     @property
@@ -127,8 +129,15 @@ class MonomialIdeal:
             raise ValueError("mixed ambient dimensions")
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.ambient_dim)
-        raw = [a * b for a in self.gens for b in other.gens]
-        return minimalize(raw, ambient_dim=self.ambient_dim)
+        # (*map(...),) sizes each tuple exactly; tuple(map(...)) over-allocates
+        # and shrinks, which fragments the heap and raises peak RSS
+        raw = [
+            (*map(add, a.exponents, b.exponents),)
+            for a in self.gens
+            for b in other.gens
+        ]
+        kept = sorted(_minimal_vectors(raw))
+        return MonomialIdeal(self.ambient_dim, tuple(Monomial(v) for v in kept))
 
     def power(self, k: int) -> "MonomialIdeal":
         if k < 0:

@@ -195,3 +195,38 @@ class TestIdealsEqual:
         # modulo X^3 - Y^3, (X^3, Y^5) and (Y^3, Y^5) generate the same ideal
         rel = BinomialRelation(2, 0, 1, 3)
         assert ideals_equal(rel, [(3, 0), (0, 5)], [(0, 3)])
+
+
+class TestBoundaryValidation:
+    """quotient_colength and ideals_equal validate their generators at the boundary."""
+
+    BAD_GENERATORS = {
+        "empty": [],
+        "wrong_length": [(8, 0), (0, 8, 0), (0, 0, 8)],
+        "negative": [(8, 0, 0), (0, 8, 0), (0, 0, -1)],
+        "bool": [(True, 0, 0), (0, 8, 0), (0, 0, 8)],
+    }
+    GOOD = [(8, 0, 0), (0, 8, 0), (0, 0, 8)]
+
+    @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+    def test_quotient_colength_rejects(self, case):
+        with pytest.raises(ValueError):
+            quotient_colength(REL5, self.BAD_GENERATORS[case])
+
+    @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+    def test_ideals_equal_rejects_either_side(self, case):
+        with pytest.raises(ValueError):
+            ideals_equal(REL5, self.BAD_GENERATORS[case], self.GOOD)
+        with pytest.raises(ValueError):
+            ideals_equal(REL5, self.GOOD, self.BAD_GENERATORS[case])
+
+    def test_box_cap_trips_at_the_buchberger_box(self):
+        from math import prod
+
+        from reeshk.monomial_algebra import ResourceCapExceeded
+
+        box = buchberger(REL5, self.GOOD).initial_ideal().primary_box()
+        assert box == (5, 8, 8)
+        with pytest.raises(ResourceCapExceeded):
+            quotient_colength(REL5, self.GOOD, box_cap=prod(box) - 1)
+        assert quotient_colength(REL5, self.GOOD, box_cap=prod(box)) == 272

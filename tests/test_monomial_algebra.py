@@ -57,6 +57,10 @@ class TestMinimalize:
         with pytest.raises(ValueError):
             Monomial((1, -1))
 
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Monomial((True, 2))
+
 
 class TestProductPower:
     def test_square_of_maximal(self):
