@@ -27,7 +27,6 @@ from .hilbert_samuel import (
 from .hk_formulas import (
     Dim1Input,
     PeriodicSequence,
-    PiecewiseHKFormula,
     QuasiPolynomialHK,
     cm_sop_hk,
     cm_sop_hk_polynomial,
@@ -35,14 +34,11 @@ from .hk_formulas import (
     cordim1_hk,
     dim1_hk,
     ehk_cm_sop,
-    ehk_rees_dim1,
-    eto_yoshida_bound,
     sop_dim1_hk,
     stanley_reisner_ehk,
 )
 from .monomial_algebra import (
     InfiniteColength,
-    Monomial,
     MonomialIdeal,
     ResourceCapExceeded,
     colength_by_inclusion_exclusion,

@@ -17,6 +17,11 @@ quotient lengths (`quotient_colength`) and decides equality of two
 such ideals (`ideals_equal`), since both are fixed by their initial
 ideals.
 
+Generators are plain exponent tuples, checked once at the public
+entry points (`initial_ideal`, `quotient_colength`, `ideals_equal`,
+`buchberger`): a nonempty set of nonnegative integer tuples of the
+relation's ambient dimension.
+
 `buchberger` is an independent S-pair completion of the same basis.
 It serves `hk oracle groebner` and the tests' cross-check of the
 normal forms.  Under lex the S-polynomial of the binomial with a
@@ -28,11 +33,16 @@ pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .monomial_algebra import Monomial, MonomialIdeal, _minimal_vectors, minimalize
-
-GenLike = Union[Monomial, Sequence[int]]
+from .monomial_algebra import (
+    MonomialIdeal,
+    Vector,
+    _divisible,
+    _minimal_vectors,
+    _validated,
+    minimalize,
+)
 
 
 @dataclass(frozen=True)
@@ -60,76 +70,25 @@ class BinomialRelation:
         return tuple(exps)
 
 
-class _DivIndex:
-    """Divisibility tests against a growing monomial set.
-
-    Two-variable sets keep, for each exponent of the first variable,
-    the least second exponent of any generator at or below it, which
-    makes each test O(1); other dimensions fall back to a scan.
-    """
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self.mons: list[tuple[int, ...]] = []
-        self._steps: Optional[dict[int, int]] = {} if dim == 2 else None
-        self._prefix: Optional[list[int]] = None
-
-    def add(self, m: tuple[int, ...]) -> None:
-        self.mons.append(m)
-        if self._steps is not None:
-            u, v = m
-            if v < self._steps.get(u, v + 1):
-                self._steps[u] = v
-            self._prefix = None
-
-    def divides(self, t: Sequence[int]) -> bool:
-        if self._steps is not None:
-            if not self._steps:
-                return False
-            if self._prefix is None:
-                top = max(self._steps)
-                prefix: list[int] = []
-                best = None
-                for u in range(top + 1):
-                    here = self._steps.get(u)
-                    if here is not None and (best is None or here < best):
-                        best = here
-                    prefix.append(best if best is not None else -1)
-                self._prefix = prefix
-            u, v = t
-            cut = self._prefix[min(u, len(self._prefix) - 1)]
-            return cut >= 0 and v >= cut
-        return any(all(a <= b for a, b in zip(g, t)) for g in self.mons)
-
-
 @dataclass(frozen=True)
 class GroebnerBasisBM:
     """Completed basis: the binomial plus a minimal set of monomials."""
 
     relation: BinomialRelation
-    monomials: tuple[Monomial, ...]
-    complete: bool
-
-    def _index(self) -> _DivIndex:
-        index = _DivIndex(self.relation.ambient_dim)
-        for m in self.monomials:
-            index.add(m.exponents)
-        return index
+    monomials: tuple[Vector, ...]
 
     def normal_form(
-        self, mon: GenLike, strategy: str = "monomial-first"
-    ) -> Optional[Monomial]:
+        self, mon: Sequence[int], strategy: str = "monomial-first"
+    ) -> Optional[Vector]:
         """Reduce a monomial to its normal form; None means it reduced to zero.
 
         Both strategies terminate and, on a complete basis, agree:
         'monomial-first' looks for a monomial divisor before applying
         the binomial step, 'binomial-first' the other way round.
         """
-        exps = mon.exponents if isinstance(mon, Monomial) else tuple(mon)
-        nf = _reduce(exps, self.relation, self._index(), strategy)
-        return None if nf is None else Monomial(nf)
+        return _reduce(tuple(mon), self.relation, self.monomials, strategy)
 
-    def contains_monomial(self, mon: GenLike) -> bool:
+    def contains_monomial(self, mon: Sequence[int]) -> bool:
         return self.normal_form(mon) is None
 
     def spairs_reduce_to_zero(self) -> bool:
@@ -139,22 +98,19 @@ class GroebnerBasisBM:
         only pairs with the binomial carry content.
         """
         rel = self.relation
-        index = self._index()
-        for m in self.monomials:
-            sp = _binomial_spair(m.exponents, rel)
-            if _reduce(sp, rel, index, "monomial-first") is not None:
-                return False
-        return True
+        return all(
+            _reduce(_binomial_spair(m, rel), rel, self.monomials) is None
+            for m in self.monomials
+        )
 
     def initial_ideal(self) -> MonomialIdeal:
         """Ideal of leading terms: X_u^a together with the basis monomials."""
-        if not self.complete:
-            raise ValueError("basis is not complete")
-        gens = [Monomial(self.relation.lead_exponents()), *self.monomials]
-        return minimalize(gens, ambient_dim=self.relation.ambient_dim)
+        rel = self.relation
+        vectors = _minimal_vectors([rel.lead_exponents(), *self.monomials])
+        return MonomialIdeal(rel.ambient_dim, vectors)
 
 
-def _binomial_spair(m: tuple[int, ...], rel: BinomialRelation) -> tuple[int, ...]:
+def _binomial_spair(m: Vector, rel: BinomialRelation) -> Vector:
     """S-polynomial of the binomial with a monomial: a single monomial.
 
     lcm(X_u^a, m) with the X_u^a block swapped for X_v^a; the
@@ -167,32 +123,30 @@ def _binomial_spair(m: tuple[int, ...], rel: BinomialRelation) -> tuple[int, ...
 
 
 def _reduce(
-    t: tuple[int, ...],
+    t: Vector,
     rel: BinomialRelation,
-    index: _DivIndex,
+    mons: Sequence[Vector],
     strategy: str = "monomial-first",
-) -> Optional[tuple[int, ...]]:
+) -> Optional[Vector]:
     """Division algorithm on a monomial; each binomial step drops the X_u degree."""
     if strategy not in ("monomial-first", "binomial-first"):
         raise ValueError(f"unknown strategy {strategy!r}")
     u, v, a = rel.index_u, rel.index_v, rel.exponent
     cur = list(t)
     while True:
-        if strategy == "monomial-first" and index.divides(cur):
+        if strategy == "monomial-first" and _divisible(cur, mons):
             return None
         if cur[u] >= a:
             cur[u] -= a
             cur[v] += a
             continue
-        if strategy == "binomial-first" and index.divides(cur):
+        if strategy == "binomial-first" and _divisible(cur, mons):
             return None
-        if strategy == "monomial-first":
-            return tuple(cur)
-        # binomial-first: no binomial step applies anymore, result is final
+        # no binomial step applies anymore, the result is final
         return tuple(cur)
 
 
-def buchberger(rel: BinomialRelation, gens: Iterable[GenLike]) -> GroebnerBasisBM:
+def buchberger(rel: BinomialRelation, gens: Iterable[Sequence[int]]) -> GroebnerBasisBM:
     """Complete the basis of (X_u^a - X_v^a) + (monomial generators).
 
     Only S-pairs of the binomial with a monomial are processed; pairs
@@ -201,49 +155,28 @@ def buchberger(rel: BinomialRelation, gens: Iterable[GenLike]) -> GroebnerBasisB
     monomial not yet in the span of the current ones, so the ascending
     chain of monomial ideals forces termination.
     """
-    start = minimalize(
-        [g if isinstance(g, Monomial) else Monomial(tuple(g)) for g in gens],
-        ambient_dim=rel.ambient_dim,
-    )
+    start = minimalize(gens, ambient_dim=rel.ambient_dim)
     if start.is_zero:
         raise ValueError("generator set must be nonempty")
-    index = _DivIndex(rel.ambient_dim)
-    basis: list[tuple[int, ...]] = []
-    for g in start.gens:
-        basis.append(g.exponents)
-        index.add(g.exponents)
+    basis = list(start.gens)
     queue = [m for m in basis if m[rel.index_u] > 0]
     while queue:
         m = queue.pop()
-        nf = _reduce(_binomial_spair(m, rel), rel, index)
+        nf = _reduce(_binomial_spair(m, rel), rel, basis)
         if nf is not None:
             basis.append(nf)
-            index.add(nf)
             if nf[rel.index_u] > 0:
                 queue.append(nf)
-    mons = minimalize([Monomial(b) for b in basis], ambient_dim=rel.ambient_dim)
-    return GroebnerBasisBM(rel, mons.gens, complete=True)
+    return GroebnerBasisBM(rel, _minimal_vectors(basis))
 
 
 def _initial_vectors(
-    rel: BinomialRelation, gens: Iterable[GenLike]
-) -> list[tuple[int, ...]]:
-    """Sorted minimal generators of the initial ideal of (binomial) + (gens).
-
-    The generators are validated here: a nonempty set of nonnegative
-    integer exponent tuples of the relation's ambient dimension.
-    """
-    exponents = [
-        g.exponents if isinstance(g, Monomial) else Monomial(tuple(g)).exponents
-        for g in gens
-    ]
-    if not exponents:
-        raise ValueError("generator set must be nonempty")
-    if any(len(g) != rel.ambient_dim for g in exponents):
-        raise ValueError("generators do not match ambient_dim")
+    rel: BinomialRelation, gens: Iterable[Sequence[int]]
+) -> tuple[Vector, ...]:
+    """Sorted minimal generators of the initial ideal of (binomial) + (gens)."""
     u, v, a = rel.index_u, rel.index_v, rel.exponent
     vectors = [rel.lead_exponents()]
-    for g in exponents:
+    for g in _validated(gens, rel.ambient_dim, nonempty=True):
         nf = list(g)
         r = g[u] % a
         nf[u] = r
@@ -254,24 +187,29 @@ def _initial_vectors(
             nf[u] = 0
             nf[v] += a
             vectors.append(tuple(nf))
-    return sorted(_minimal_vectors(vectors))
+    return _minimal_vectors(vectors)
 
 
-def initial_ideal(rel: BinomialRelation, gens: Iterable[GenLike]) -> MonomialIdeal:
+def initial_ideal(
+    rel: BinomialRelation, gens: Iterable[Sequence[int]]
+) -> MonomialIdeal:
     """Initial ideal of (binomial) + (gens) from residue-class normal forms."""
-    vectors = _initial_vectors(rel, gens)
-    return MonomialIdeal(rel.ambient_dim, tuple(Monomial(v) for v in vectors))
+    return MonomialIdeal(rel.ambient_dim, _initial_vectors(rel, gens))
 
 
 def quotient_colength(
-    rel: BinomialRelation, gens: Iterable[GenLike], box_cap: Optional[int] = None
+    rel: BinomialRelation,
+    gens: Iterable[Sequence[int]],
+    box_cap: Optional[int] = None,
 ) -> int:
     """Length of the quotient by (binomial + monomials): colength of the initial ideal."""
     return initial_ideal(rel, gens).colength(box_cap=box_cap)
 
 
 def ideals_equal(
-    rel: BinomialRelation, gens_a: Iterable[GenLike], gens_b: Iterable[GenLike]
+    rel: BinomialRelation,
+    gens_a: Iterable[Sequence[int]],
+    gens_b: Iterable[Sequence[int]],
 ) -> bool:
     """Whether (binomial) + A and (binomial) + B are the same ideal.
 

@@ -178,13 +178,6 @@ def sop_dim1_hk(e0J: int, alphaJ: PeriodicSequence, p: int) -> QuasiPolynomialHK
     return QuasiPolynomialHK(polys, prime=p)
 
 
-def ehk_rees_dim1(e0J: int) -> int:
-    """Hilbert-Kunz multiplicity of (J, It)R(I) in dimension 1: e0(J) itself."""
-    if e0J < 1:
-        raise ValueError("e0J must be positive")
-    return e0J
-
-
 def _validate_cm_args(d: int, e0: int, s: int) -> None:
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -248,14 +241,12 @@ def ehk_cm_sop(d: int, e0: int) -> Fraction:
     return c_of_d(d) * e0
 
 
-def eto_yoshida_bound(d: int, e0: int) -> Fraction:
-    """Upper bound c(d) e0 for the multiplicity of the Rees algebra."""
-    return ehk_cm_sop(d, e0)
-
-
 def compare_to_eto_yoshida(value: Fraction, d: int, e0: int) -> str:
-    """Classify a computed multiplicity against the bound: 'equal', 'below' or 'violation'."""
-    bound = eto_yoshida_bound(d, e0)
+    """Classify a computed multiplicity against the Eto-Yoshida bound c(d) e0.
+
+    Returns 'equal', 'below' or 'violation'.
+    """
+    bound = ehk_cm_sop(d, e0)
     if value == bound:
         return "equal"
     if value < bound:
@@ -270,35 +261,3 @@ def stanley_reisner_ehk(d: int, facets: int) -> Fraction:
     if facets < 1:
         raise ValueError("facet count must be positive")
     return c_of_d(d) * facets
-
-
-@dataclass(frozen=True)
-class PiecewiseHKFormula:
-    """Branch-aware evaluator for the dimension >= 2 parameter-ideal formula."""
-
-    d: int
-    e0: int
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError("d must be at least 2")
-        if self.e0 < 1:
-            raise ValueError("e0 must be positive")
-
-    def branch(self, s: int) -> tuple[str, int, int]:
-        """Branch label and the division data (k1, k2) of d = k1 s + k2."""
-        if s < 1:
-            raise ValueError("s must be positive")
-        k1, k2 = divmod(self.d, s)
-        if s >= self.d:
-            return ("s>=d", k1, k2)
-        return ("s<d,k2=0" if k2 == 0 else "s<d,k2!=0", k1, k2)
-
-    def value(self, s: int) -> int:
-        return cm_sop_hk(self.d, self.e0, s)
-
-    def polynomial(self) -> Poly:
-        return cm_sop_hk_polynomial(self.d, self.e0)
-
-    def multiplicity(self) -> Fraction:
-        return ehk_cm_sop(self.d, self.e0)

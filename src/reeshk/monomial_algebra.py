@@ -1,10 +1,15 @@
 """Monomial ideals with exact staircase colengths.
 
-Ideals are kept in minimal generating form.  Colength is computed by
-walking the bounding box given by the pure-power generators, slicing
-one variable at a time and pruning slices that are already inside the
-ideal; an independent inclusion-exclusion count is provided as a
-cross-check oracle.
+A monomial is its exponent tuple, and an ideal keeps its minimal
+generators as a lexicographically sorted tuple of such tuples.
+Exponent tuples from outside the module are checked once, by
+`_validated`, at the public constructors (`minimalize`,
+`MonomialIdeal.from_exponents`, `parse_ideal`); products, powers and
+bracket powers of ideals already built pass their tuples straight on.
+Colength is computed by walking the bounding box given by the
+pure-power generators, slicing one variable at a time and pruning
+slices that are already inside the ideal; an independent
+inclusion-exclusion count is provided as a cross-check oracle.
 """
 from __future__ import annotations
 
@@ -12,6 +17,8 @@ from dataclasses import dataclass
 from math import prod
 from operator import add
 from typing import Iterable, Optional, Sequence
+
+Vector = tuple[int, ...]
 
 
 class InfiniteColength(Exception):
@@ -22,45 +29,42 @@ class ResourceCapExceeded(Exception):
     """A bounding box exceeded the caller-supplied lattice point cap."""
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """A monomial given by its exponent vector."""
+def _validated(
+    gens: Iterable[Sequence[int]],
+    ambient_dim: Optional[int] = None,
+    nonempty: bool = False,
+) -> list[Vector]:
+    """Exponent tuples from outside, checked: nonnegative ints of one length.
 
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        # type(e) is int, not isinstance: bool is an int subclass
-        if any(type(e) is not int or e < 0 for e in self.exponents):
-            raise ValueError("exponents must be nonnegative integers")
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exponents) != len(other.exponents):
-            raise ValueError("mixed ambient dimensions")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def scaled(self, s: int) -> "Monomial":
-        return Monomial(tuple(s * e for e in self.exponents))
+    The length is ambient_dim if given, else that of the first tuple;
+    nonempty rejects an empty generator set.
+    """
+    vectors = [tuple(g) for g in gens]
+    if nonempty and not vectors:
+        raise ValueError("generator set must be nonempty")
+    if ambient_dim is None and vectors:
+        ambient_dim = len(vectors[0])
+    if any(len(v) != ambient_dim for v in vectors):
+        raise ValueError(f"generators must all have {ambient_dim} exponents")
+    # type(e) is int, not isinstance: bool is an int subclass
+    if any(type(e) is not int or e < 0 for v in vectors for e in v):
+        raise ValueError("exponents must be nonnegative integers")
+    return vectors
 
 
-def _minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Minimal elements of a set of exponent vectors under divisibility.
+def _divisible(t: Sequence[int], gens: Iterable[Vector]) -> bool:
+    """Whether some exponent tuple in gens divides t."""
+    return any(all(a <= b for a, b in zip(g, t)) for g in gens)
+
+
+def _minimal_vectors(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
+    """Minimal elements of a set of exponent vectors under divisibility, sorted.
 
     Vectors of equal degree never divide one another, so divisibility
     is only tested against kept vectors of strictly smaller degree.
     """
     ordered = sorted(set(vectors), key=lambda v: (sum(v), v))
-    kept: list[tuple[int, ...]] = []
+    kept: list[Vector] = []
     kept_degrees: list[int] = []
     for v in ordered:
         deg = sum(v)
@@ -74,7 +78,7 @@ def _minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]
         if not divisible:
             kept.append(v)
             kept_degrees.append(deg)
-    return kept
+    return tuple(sorted(kept))
 
 
 @dataclass(frozen=True)
@@ -82,14 +86,13 @@ class MonomialIdeal:
     """Finitely generated monomial ideal, stored with minimal generators."""
 
     ambient_dim: int
-    gens: tuple[Monomial, ...]
+    gens: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
-        for g in self.gens:
-            if g.ambient_dim != self.ambient_dim:
-                raise ValueError("mixed ambient dimensions")
+        if any(len(g) != self.ambient_dim for g in self.gens):
+            raise ValueError("mixed ambient dimensions")
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "MonomialIdeal":
@@ -97,14 +100,13 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, ambient_dim: int) -> "MonomialIdeal":
-        return cls(ambient_dim, (Monomial((0,) * ambient_dim),))
+        return cls(ambient_dim, ((0,) * ambient_dim,))
 
     @classmethod
     def from_exponents(
         cls, ambient_dim: int, exponents: Iterable[Sequence[int]]
     ) -> "MonomialIdeal":
-        gens = [Monomial(tuple(e)) for e in exponents]
-        return minimalize(gens, ambient_dim=ambient_dim)
+        return minimalize(exponents, ambient_dim=ambient_dim)
 
     @property
     def is_zero(self) -> bool:
@@ -112,17 +114,11 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return any(g.degree == 0 for g in self.gens)
-
-    def exponent_vectors(self) -> list[tuple[int, ...]]:
-        return [g.exponents for g in self.gens]
-
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        return any(not any(g) for g in self.gens)
 
     def contains(self, other: "MonomialIdeal") -> bool:
         """Ideal containment: every generator of other lies in self."""
-        return all(self.contains_monomial(g) for g in other.gens)
+        return all(_divisible(h, self.gens) for h in other.gens)
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.ambient_dim != other.ambient_dim:
@@ -131,13 +127,8 @@ class MonomialIdeal:
             return MonomialIdeal.zero(self.ambient_dim)
         # (*map(...),) sizes each tuple exactly; tuple(map(...)) over-allocates
         # and shrinks, which fragments the heap and raises peak RSS
-        raw = [
-            (*map(add, a.exponents, b.exponents),)
-            for a in self.gens
-            for b in other.gens
-        ]
-        kept = sorted(_minimal_vectors(raw))
-        return MonomialIdeal(self.ambient_dim, tuple(Monomial(v) for v in kept))
+        raw = [(*map(add, a, b),) for a in self.gens for b in other.gens]
+        return MonomialIdeal(self.ambient_dim, _minimal_vectors(raw))
 
     def power(self, k: int) -> "MonomialIdeal":
         if k < 0:
@@ -148,24 +139,28 @@ class MonomialIdeal:
         return result
 
     def frobenius(self, s: int) -> "MonomialIdeal":
-        """Bracket power: each stored minimal generator raised to the s-th power."""
+        """Bracket power: each stored minimal generator raised to the s-th power.
+
+        Scaling by s >= 1 preserves divisibility and lexicographic order,
+        so the scaled generators are again minimal and sorted.
+        """
         if s < 1:
             raise ValueError("s must be positive")
-        return minimalize(
-            [g.scaled(s) for g in self.gens], ambient_dim=self.ambient_dim
+        return MonomialIdeal(
+            self.ambient_dim, tuple((*(s * e for e in g),) for g in self.gens)
         )
 
-    def primary_box(self) -> Optional[tuple[int, ...]]:
+    def primary_box(self) -> Optional[Vector]:
         """Minimal pure-power exponent per variable, or None if some variable has none."""
         box: list[Optional[int]] = [None] * self.ambient_dim
         for g in self.gens:
-            support = [i for i, e in enumerate(g.exponents) if e > 0]
+            support = [i for i, e in enumerate(g) if e > 0]
             if len(support) == 0:
                 # unit monomial is a pure power of every variable
                 return (0,) * self.ambient_dim
             if len(support) == 1:
                 i = support[0]
-                e = g.exponents[i]
+                e = g[i]
                 if box[i] is None or e < box[i]:
                     box[i] = e
         if any(b is None for b in box):
@@ -181,31 +176,25 @@ class MonomialIdeal:
             raise ResourceCapExceeded(
                 f"bounding box {box} has {prod(box)} points, cap is {box_cap}"
             )
-        return _count_standard(self.exponent_vectors(), box)
+        return _count_standard(self.gens, box)
 
     def __str__(self) -> str:
         return format_ideal(self)
 
 
 def minimalize(
-    gens: Iterable[Monomial], ambient_dim: Optional[int] = None
+    gens: Iterable[Sequence[int]], ambient_dim: Optional[int] = None
 ) -> MonomialIdeal:
     """Drop every generator divisible by another; idempotent."""
-    gens = list(gens)
-    dims = {g.ambient_dim for g in gens}
-    if len(dims) > 1:
-        raise ValueError(f"mixed ambient dimensions {sorted(dims)}")
+    vectors = _validated(gens, ambient_dim)
     if ambient_dim is None:
-        if not dims:
+        if not vectors:
             raise ValueError("ambient_dim required for an empty generator set")
-        ambient_dim = dims.pop()
-    elif dims and dims.pop() != ambient_dim:
-        raise ValueError("generators do not match ambient_dim")
-    minimal = _minimal_vectors(g.exponents for g in gens)
-    return MonomialIdeal(ambient_dim, tuple(Monomial(v) for v in sorted(minimal)))
+        ambient_dim = len(vectors[0])
+    return MonomialIdeal(ambient_dim, _minimal_vectors(vectors))
 
 
-def _count_standard(gens: list[tuple[int, ...]], box: tuple[int, ...]) -> int:
+def _count_standard(gens: Sequence[Vector], box: Vector) -> int:
     """Count points u with 0 <= u_i < box_i not componentwise above any generator.
 
     Walks the first coordinate in runs between consecutive generator
@@ -242,7 +231,7 @@ def colength_by_inclusion_exclusion(ideal: MonomialIdeal) -> int:
     box = ideal.primary_box()
     if box is None:
         raise InfiniteColength(f"no pure power of every variable in {ideal}")
-    gens = ideal.exponent_vectors()
+    gens = ideal.gens
     total = prod(box)
     divisible = 0
     for mask in range(1, 1 << len(gens)):
@@ -267,13 +256,12 @@ def parse_ideal(text: str, ambient_dim: Optional[int] = None) -> MonomialIdeal:
     gens = []
     for chunk in text.split(";"):
         try:
-            exps = tuple(int(part) for part in chunk.split(","))
+            gens.append(tuple(int(part) for part in chunk.split(",")))
         except ValueError as exc:
             raise ValueError(f"bad exponent tuple {chunk!r}") from exc
-        gens.append(Monomial(exps))
     return minimalize(gens, ambient_dim=ambient_dim)
 
 
 def format_ideal(ideal: MonomialIdeal) -> str:
     """Inverse of parse_ideal; the zero ideal formats as ''."""
-    return ";".join(",".join(str(e) for e in g.exponents) for g in ideal.gens)
+    return ";".join(",".join(str(e) for e in g) for g in ideal.gens)

@@ -88,13 +88,12 @@ class ReesInstanceDim1:
     variant 'rees_of_x' measures (m, It)^[q] in R(I) for I = (x),
     realized as the 3-variable quotient by (X^a - Y^a, X^q, Y^q, Z^q);
     variant 'rees_of_m' measures (m, mt)^[q] in R(m) via the graded
-    decomposition.  Only ideal = 'maximal' is supported.
+    decomposition.
     """
 
     a: int
     p: int
     variant: str
-    ideal: str = "maximal"
 
     def __post_init__(self) -> None:
         if self.a < 2:
@@ -103,8 +102,6 @@ class ReesInstanceDim1:
             raise ValueError(f"p = {self.p} is not prime")
         if self.variant not in ("rees_of_x", "rees_of_m"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.ideal != "maximal":
-            raise ValueError(f"unsupported ideal selector {self.ideal!r}")
 
 
 def rees_colength_monomial(
@@ -296,7 +293,7 @@ def fit_quasi_polynomial(
                     f"residue class {c}: held-out sample at e={e} does not match"
                 )
         polys.append(poly)
-    # pad classes to a common degree for the container invariant
+    # QuasiPolynomialHK holds one degree across residue classes
     top = max(p.degree for p in polys)
     if any(p.degree != top for p in polys):
         raise InconsistentSamples("residue classes fit polynomials of mixed degree")

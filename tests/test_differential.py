@@ -2,8 +2,8 @@
 
 The residue-class initial ideal behind quotient_colength and
 ideals_equal is compared with the initial ideal of an independent
-Buchberger completion; the tuple-native MonomialIdeal.product with
-minimalize over Monomial products.
+Buchberger completion; MonomialIdeal.product and frobenius with
+minimalize over the summed or scaled exponent tuples.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,12 +102,15 @@ class TestIdealsEqual:
         assert ideals_equal(rel, basis, gens)
 
 
+def monomial_ideals(d):
+    mono = st.tuples(*[st.integers(0, 6)] * d)
+    return st.lists(mono, max_size=8).map(lambda gens: MonomialIdeal.from_exponents(d, gens))
+
+
 @st.composite
 def ideal_pairs(draw):
     d = draw(st.integers(1, 4))
-    mono = st.tuples(*[st.integers(0, 6)] * d)
-    a, b = (draw(st.lists(mono, max_size=8)) for _ in range(2))
-    return MonomialIdeal.from_exponents(d, a), MonomialIdeal.from_exponents(d, b)
+    return draw(monomial_ideals(d)), draw(monomial_ideals(d))
 
 
 class TestProduct:
@@ -115,5 +118,14 @@ class TestProduct:
     @given(ideal_pairs())
     def test_matches_minimalized_monomial_products(self, pair):
         a, b = pair
-        expected = minimalize([x * y for x in a.gens for y in b.gens], ambient_dim=a.ambient_dim)
-        assert a.product(b) == expected
+        sums = [tuple(p + q for p, q in zip(x, y)) for x in a.gens for y in b.gens]
+        assert a.product(b) == minimalize(sums, ambient_dim=a.ambient_dim)
+
+
+class TestFrobenius:
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(monomial_ideals), st.integers(1, 5))
+    def test_matches_minimalized_scaled_generators(self, ideal, s):
+        # frobenius skips minimalize: scaling keeps the generators minimal and sorted
+        scaled = [tuple(s * e for e in g) for g in ideal.gens]
+        assert ideal.frobenius(s) == minimalize(scaled, ambient_dim=ideal.ambient_dim)

@@ -6,7 +6,6 @@ import pytest
 from reeshk.hk_formulas import (
     Dim1Input,
     PeriodicSequence,
-    PiecewiseHKFormula,
     QuasiPolynomialHK,
     cm_sop_hk,
     cm_sop_hk_polynomial,
@@ -14,12 +13,9 @@ from reeshk.hk_formulas import (
     cordim1_hk,
     dim1_hk,
     ehk_cm_sop,
-    ehk_rees_dim1,
-    eto_yoshida_bound,
     sop_dim1_hk,
     stanley_reisner_ehk,
 )
-from reeshk.hilbert_samuel import c_of_d
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import ReesInstanceMonomial, rees_colength_monomial
 
@@ -253,19 +249,12 @@ class TestCmSop:
 
 
 class TestMultiplicities:
-    def test_ehk_rees_dim1(self):
-        assert ehk_rees_dim1(5) == 5
-        assert ehk_rees_dim1(1) == 1
-        # 6 is the colength of (x^2, y^3), the e0 fed in by callers
-        assert ehk_rees_dim1(6) == 6
-
     def test_ehk_cm_sop(self):
         assert ehk_cm_sop(3, 4) == Fraction(13, 2)
         assert ehk_cm_sop(2, 3) == 4
         assert ehk_cm_sop(1, 5) == 5  # c(1) = 1, consistent with the dim-1 predictor
 
     def test_bound_and_verdicts(self):
-        assert eto_yoshida_bound(2, 3) == 4
         assert compare_to_eto_yoshida(Fraction(4), 2, 3) == "equal"
         assert compare_to_eto_yoshida(Fraction(7, 2), 2, 3) == "below"
         assert compare_to_eto_yoshida(Fraction(9, 2), 2, 3) == "violation"
@@ -283,28 +272,7 @@ class TestMultiplicities:
         values = {e: rees_colength_dim1(inst, e) for e in range(2, 8)}
         qp = fit_quasi_polynomial(SampleSet.from_values(2, values), 2, 2, holdout=0)
         for poly in qp.polys:
-            assert poly.coefficient(2) == ehk_rees_dim1(5)
-
-
-class TestPiecewise:
-    def test_branch_selection_total(self):
-        for d in (2, 3, 5, 7):
-            formula = PiecewiseHKFormula(d, 1)
-            for s in range(1, 31):
-                label, k1, k2 = formula.branch(s)
-                assert d == k1 * s + k2
-                if s >= d:
-                    assert label == "s>=d"
-                elif k2 == 0:
-                    assert label == "s<d,k2=0"
-                else:
-                    assert label == "s<d,k2!=0"
-
-    def test_value_delegates(self):
-        formula = PiecewiseHKFormula(3, 2)
-        assert formula.value(2) == 46
-        assert formula.polynomial() == cm_sop_hk_polynomial(3, 2)
-        assert formula.multiplicity() == c_of_d(3) * 2
+            assert poly.coefficient(2) == 5
 
 
 class TestQuasiPolynomialType:

@@ -35,8 +35,6 @@ class TestInstances:
             ReesInstanceDim1(5, 4, "rees_of_x")  # p not prime
         with pytest.raises(ValueError):
             ReesInstanceDim1(5, 2, "rees_of_t")
-        with pytest.raises(ValueError):
-            ReesInstanceDim1(5, 2, "rees_of_x", ideal="principal_x")
 
 
 class TestMonomialOracle:
