@@ -22,13 +22,13 @@ entry points (`initial_ideal`, `quotient_colength`, `ideals_equal`,
 `buchberger`): a nonempty set of nonnegative integer tuples of the
 relation's ambient dimension.
 
-`buchberger` is an independent S-pair completion of the same basis.
-It serves `hk oracle groebner` and the tests' cross-check of the
-normal forms.  Under lex the S-polynomial of the binomial with a
-monomial is again a monomial, and reducing a monomial keeps it a
-monomial.  Monomial-monomial S-pairs vanish identically and are
-skipped; the completeness check re-verifies every binomial-monomial
-pair.
+`initial_ideal` is the one production path, `hk oracle groebner`
+included.  `buchberger` is an independent S-pair completion of the same
+basis, kept as the tests' reference for the normal forms.  Under lex
+the S-polynomial of the binomial with a monomial is again a monomial,
+and reducing a monomial keeps it a monomial.  Monomial-monomial S-pairs
+vanish identically and are skipped; the completeness check re-verifies
+every binomial-monomial pair.
 """
 from __future__ import annotations
 

@@ -12,12 +12,12 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .hk_formulas import (
     Dim1Input,
     PeriodicSequence,
+    QuasiPolynomialHK,
     cm_sop_hk,
     compare_to_eto_yoshida,
     cordim1_hk,
@@ -26,7 +26,7 @@ from .hk_formulas import (
     sop_dim1_hk,
     stanley_reisner_ehk,
 )
-from .binomial_groebner import BinomialRelation, buchberger
+from .binomial_groebner import BinomialRelation, initial_ideal
 from .monomial_algebra import (
     InfiniteColength,
     ResourceCapExceeded,
@@ -34,9 +34,7 @@ from .monomial_algebra import (
     parse_ideal,
 )
 from .rees_oracle import (
-    InconsistentSamples,
     InsufficientSamples,
-    NonPolynomialSamples,
     OracleError,
     ReesInstanceDim1,
     ReesInstanceMonomial,
@@ -50,80 +48,68 @@ from .rees_oracle import (
 
 BOX_CAP = 10**8
 Q_CAP = 2**8
+VARIANTS = ["rees-of-x", "rees-of-m"]
 
-# Invariants of the Fermat quintic example ring k[[X,Y]]/(X^5-Y^5), p = +-2 mod 5.
-FERMAT5 = {
-    "a": 5,
-    "p": 2,
-    "e0": 5,
-    "e1": 10,
-    "r": 4,
-    "lengths": (0, 1, 3, 6),
-    "alpha": ((-4, -6), (-3, -5), (-2, -3), (-1, -1)),
-    "sop_alpha": (-4, -6),
-}
-
-
-def fermat5_input() -> Dim1Input:
-    """Known invariants of the Fermat quintic maximal ideal."""
-    return Dim1Input(
-        e0=FERMAT5["e0"],
-        e1=FERMAT5["e1"],
-        r=FERMAT5["r"],
-        rho=None,
-        lengths=FERMAT5["lengths"],
-        alpha=tuple(PeriodicSequence(vals) for vals in FERMAT5["alpha"]),
-        p=FERMAT5["p"],
-    )
-
-
-@dataclass
-class Row:
-    point: dict[str, str]
-    formula: Optional[str] = None
-    oracle: Optional[str] = None
-    match: Optional[bool] = None
+# Known invariants of the maximal ideal of the Fermat quintic ring
+# k[[X,Y]]/(X^5-Y^5), p = +-2 mod 5.  Its multiplicity e0 is the exponent a = 5.
+FERMAT5 = Dim1Input(
+    e0=5,
+    e1=10,
+    r=4,
+    rho=None,
+    lengths=(0, 1, 3, 6),
+    alpha=tuple(
+        PeriodicSequence(vals) for vals in ((-4, -6), (-3, -5), (-2, -3), (-1, -1))
+    ),
+    p=2,
+)
 
 
 @dataclass
 class RunReport:
+    """What a command found.
+
+    Each row is already in its JSON form: a point, then a formula and an
+    oracle value where the row has them, then whether they match (None
+    unless both are there).
+    """
+
     instance: dict[str, str]
     mode: str
-    rows: list[Row] = field(default_factory=list)
+    rows: list[dict[str, object]] = field(default_factory=list)
 
     @property
     def verdict(self) -> bool:
-        return all(row.match is not False for row in self.rows)
+        return all(row["match"] is not False for row in self.rows)
 
     def add(
         self,
         point: dict[str, object],
         formula: object = None,
         oracle: object = None,
-    ) -> Row:
-        row = Row({k: _fmt(v) for k, v in point.items()})
+    ) -> None:
+        # Fractions render as 'num/den', everything else as decimal text
+        row: dict[str, object] = {"point": {k: str(v) for k, v in point.items()}}
         if formula is not None:
-            row.formula = _fmt(formula)
+            row["formula"] = str(formula)
         if oracle is not None:
-            row.oracle = _fmt(oracle)
-        if row.formula is not None and row.oracle is not None:
-            row.match = row.formula == row.oracle
+            row["oracle"] = str(oracle)
+        both = formula is not None and oracle is not None
+        row["match"] = row["formula"] == row["oracle"] if both else None
         self.rows.append(row)
-        return row
 
 
-def _fmt(value: object) -> str:
-    # Fractions render as 'num/den', everything else as decimal text
-    return str(value)
-
-
-def _point_keys(report: RunReport) -> list[str]:
-    keys: list[str] = []
+def _grid(report: RunReport) -> list[list[str]]:
+    """Header and one line per row: the point keys in order of first use, then the values."""
+    keys = list(dict.fromkeys(k for row in report.rows for k in row["point"]))
+    grid = [keys + ["formula", "oracle", "match"]]
     for row in report.rows:
-        for k in row.point:
-            if k not in keys:
-                keys.append(k)
-    return keys
+        match = "" if row["match"] is None else str(row["match"]).lower()
+        grid.append(
+            [row["point"].get(k, "") for k in keys]
+            + [row.get("formula", ""), row.get("oracle", ""), match]
+        )
+    return grid
 
 
 def render_table(report: RunReport) -> str:
@@ -131,19 +117,8 @@ def render_table(report: RunReport) -> str:
     print(f"# mode: {report.mode}", file=out)
     for key, value in report.instance.items():
         print(f"# {key}: {value}", file=out)
-    keys = _point_keys(report)
-    headers = keys + ["formula", "oracle", "match"]
-    grid = [headers]
-    for row in report.rows:
-        grid.append(
-            [row.point.get(k, "") for k in keys]
-            + [
-                row.formula or "",
-                row.oracle or "",
-                "" if row.match is None else str(row.match).lower(),
-            ]
-        )
-    widths = [max(len(line[i]) for line in grid) for i in range(len(headers))]
+    grid = _grid(report)
+    widths = [max(map(len, column)) for column in zip(*grid)]
     for line in grid:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip(), file=out)
     print(f"verdict: {'pass' if report.verdict else 'fail'}", file=out)
@@ -152,35 +127,15 @@ def render_table(report: RunReport) -> str:
 
 def render_csv(report: RunReport) -> str:
     out = io.StringIO()
-    keys = _point_keys(report)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(keys + ["formula", "oracle", "match"])
-    for row in report.rows:
-        writer.writerow(
-            [row.point.get(k, "") for k in keys]
-            + [
-                row.formula or "",
-                row.oracle or "",
-                "" if row.match is None else str(row.match).lower(),
-            ]
-        )
+    csv.writer(out, lineterminator="\n").writerows(_grid(report))
     return out.getvalue()
 
 
 def render_json(report: RunReport) -> str:
-    rows = []
-    for row in report.rows:
-        item: dict[str, object] = {"point": row.point}
-        if row.formula is not None:
-            item["formula"] = row.formula
-        if row.oracle is not None:
-            item["oracle"] = row.oracle
-        item["match"] = row.match
-        rows.append(item)
     doc = {
         "instance": report.instance,
         "mode": report.mode,
-        "rows": rows,
+        "rows": report.rows,
         "verdict": "pass" if report.verdict else "fail",
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -204,36 +159,55 @@ def parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _check_q_cap(p: int, es: Sequence[int], force: bool) -> None:
+def _report(args: argparse.Namespace, *echo: str, **fields: object) -> RunReport:
+    """An empty report of the command in args.
+
+    The mode is the command's group.  The instance opens with group: name,
+    then the arguments named in echo, then the fields, all as text.
+    """
+    values = {name: getattr(args, name) for name in echo} | fields
+    instance = {k: str(v) for k, v in values.items()}
+    return RunReport({args.command: args.which, **instance}, args.command)
+
+
+def _box_cap(args: argparse.Namespace) -> Optional[int]:
+    return None if args.force else BOX_CAP
+
+
+def _dim1_setup(
+    a: int, p: int, variant: str, e_text: str, force: bool
+) -> tuple[ReesInstanceDim1, list[int]]:
+    """The dimension-1 instance and its e range, refused past the q cap unless forced."""
+    inst = ReesInstanceDim1(a, p, variant.replace("-", "_"))
+    es = parse_range(e_text)
     q = p ** max(es)
     if q > Q_CAP and not force:
         raise ResourceCapExceeded(f"q = {q} exceeds the cap {Q_CAP}; rerun with --force")
+    return inst, es
 
 
-# ---------------------------------------------------------------------------
-# formula
+def _residue_rows(report: RunReport, qp: QuasiPolynomialHK) -> RunReport:
+    """One formula row per residue class of the quasi-polynomial."""
+    for residue, poly in enumerate(qp.format("q")):
+        report.add({"residue": residue}, formula=poly)
+    return report
 
 
 def cmd_formula_cm_sop(args: argparse.Namespace) -> RunReport:
-    report = RunReport(
-        {"formula": "cm-sop", "d": str(args.d), "e0": str(args.e0)}, "formula"
-    )
+    report = _report(args, "d", "e0")
     for s in parse_range(args.s):
         report.add({"s": s}, formula=cm_sop_hk(args.d, args.e0, s))
     return report
 
 
 def cmd_formula_ehk(args: argparse.Namespace) -> RunReport:
-    report = RunReport({"formula": "ehk", "d": str(args.d), "e0": str(args.e0)}, "formula")
+    report = _report(args, "d", "e0")
     report.add({"d": args.d, "e0": args.e0}, formula=ehk_cm_sop(args.d, args.e0))
     return report
 
 
 def cmd_formula_stanley_reisner(args: argparse.Namespace) -> RunReport:
-    report = RunReport(
-        {"formula": "stanley-reisner", "d": str(args.d), "facets": str(args.facets)},
-        "formula",
-    )
+    report = _report(args, "d", "facets")
     report.add(
         {"d": args.d, "facets": args.facets},
         formula=stanley_reisner_ehk(args.d, args.facets),
@@ -243,10 +217,8 @@ def cmd_formula_stanley_reisner(args: argparse.Namespace) -> RunReport:
 
 def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
     if args.preset is not None:
-        if args.preset != "fermat5":
-            raise ValueError(f"unknown preset {args.preset!r}")
-        inp = fermat5_input()
-        instance = {"formula": "dim1", "preset": args.preset}
+        inp = FERMAT5
+        report = _report(args, "preset")
     else:
         required = {"--e0": args.e0, "--e1": args.e1, "--r": args.r}
         missing = [flag for flag, value in required.items() if value is None]
@@ -266,53 +238,29 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
             alpha=alpha,
             p=args.p,
         )
-        instance = {"formula": "dim1", "e0": str(args.e0), "e1": str(args.e1),
-                    "r": str(args.r)}
+        report = _report(args, "e0", "e1", "r")
     qp = dim1_hk(inp) if inp.rho is not None else cordim1_hk(inp)
-    instance["period"] = str(qp.period)
-    report = RunReport(instance, "formula")
-    for residue, poly in enumerate(qp.polys):
-        report.add({"residue": residue}, formula=poly.format("q"))
-    return report
+    report.instance["period"] = str(qp.period)
+    return _residue_rows(report, qp)
 
 
 def cmd_formula_sop_dim1(args: argparse.Namespace) -> RunReport:
     alpha = PeriodicSequence(parse_int_tuple(args.alpha))
     qp = sop_dim1_hk(args.e0, alpha, args.p)
-    report = RunReport(
-        {"formula": "sop-dim1", "e0": str(args.e0), "period": str(qp.period)}, "formula"
-    )
-    for residue, poly in enumerate(qp.polys):
-        report.add({"residue": residue}, formula=poly.format("q"))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# oracle
-
-
-def _box_cap(args: argparse.Namespace) -> Optional[int]:
-    return None if args.force else BOX_CAP
+    return _residue_rows(_report(args, "e0", period=qp.period), qp)
 
 
 def cmd_oracle_monomial(args: argparse.Namespace) -> RunReport:
     inst = ReesInstanceMonomial(parse_int_tuple(args.exponents))
-    report = RunReport(
-        {"oracle": "monomial", "exponents": args.exponents, "e0": str(inst.e0)}, "oracle"
-    )
+    report = _report(args, "exponents", e0=inst.e0)
     for s in parse_range(args.s):
         report.add({"s": s}, oracle=rees_colength_monomial(inst, s, box_cap=_box_cap(args)))
     return report
 
 
 def cmd_oracle_dim1(args: argparse.Namespace) -> RunReport:
-    inst = ReesInstanceDim1(args.a, args.p, args.variant.replace("-", "_"))
-    es = parse_range(args.e)
-    _check_q_cap(args.p, es, args.force)
-    report = RunReport(
-        {"oracle": "dim1", "a": str(args.a), "p": str(args.p), "variant": args.variant},
-        "oracle",
-    )
+    inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
+    report = _report(args, "a", "p", "variant")
     for e in es:
         report.add(
             {"e": e, "q": args.p**e},
@@ -324,32 +272,16 @@ def cmd_oracle_dim1(args: argparse.Namespace) -> RunReport:
 def cmd_oracle_groebner(args: argparse.Namespace) -> RunReport:
     ideal = parse_ideal(args.gens, ambient_dim=args.vars)
     rel = BinomialRelation(args.vars, args.u, args.v, args.a)
-    gb = buchberger(rel, ideal.gens)
-    initial = gb.initial_ideal()
-    report = RunReport(
-        {
-            "oracle": "groebner",
-            "a": str(args.a),
-            "vars": str(args.vars),
-            "gens": format_ideal(ideal),
-        },
-        "oracle",
-    )
+    initial = initial_ideal(rel, ideal.gens)
+    report = _report(args, "a", "vars", gens=format_ideal(ideal))
     report.add({"result": "initial-ideal"}, oracle=format_ideal(initial))
     report.add({"result": "colength"}, oracle=initial.colength(box_cap=_box_cap(args)))
     return report
 
 
-# ---------------------------------------------------------------------------
-# compare
-
-
 def cmd_compare_cm_sop(args: argparse.Namespace) -> RunReport:
     inst = ReesInstanceMonomial(parse_int_tuple(args.exponents))
-    report = RunReport(
-        {"compare": "cm-sop", "exponents": args.exponents, "d": str(inst.d), "e0": str(inst.e0)},
-        "compare",
-    )
+    report = _report(args, "exponents", d=inst.d, e0=inst.e0)
     for s in parse_range(args.s):
         report.add(
             {"s": s},
@@ -360,65 +292,39 @@ def cmd_compare_cm_sop(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
-    variant = args.variant.replace("-", "_")
-    inst = ReesInstanceDim1(args.a, args.p, variant)
-    es = parse_range(args.e)
-    _check_q_cap(args.p, es, args.force)
-    report = RunReport(
-        {"compare": "dim1", "a": str(args.a), "p": str(args.p), "variant": args.variant},
-        "compare",
-    )
-    if variant == "rees_of_x":
+    inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
+    report = _report(args, "a", "p", "variant")
+    if inst.variant == "rees_of_x":
         # formula side: q^2 e0(m) + q alpha(e), alpha taken from the
         # plane quotient lengths, independent of the 3-variable count
         table = alpha_table(args.a, args.p, 0, es, box_cap=_box_cap(args))
-        for e in es:
-            q = args.p**e
-            formula = args.a * q * q + table[0][e] * q
-            oracle = rees_colength_dim1(inst, e, box_cap=_box_cap(args))
-            report.add({"e": e, "q": q}, formula=formula, oracle=oracle)
-        return report
-    if (args.a, args.p) != (FERMAT5["a"], FERMAT5["p"]):
+        formula = {e: args.a * args.p ** (2 * e) + table[0][e] * args.p**e for e in es}
+    elif (args.a, args.p) == (FERMAT5.e0, FERMAT5.p):
+        qp = cordim1_hk(FERMAT5)
+        formula = {e: qp.value_at(e) for e in es}
+    else:
         raise ValueError(
             "compare dim1 --variant rees-of-m needs the known invariant set; "
             "only --a 5 --p 2 is supported"
         )
-    qp = cordim1_hk(fermat5_input())
     for e in es:
         report.add(
             {"e": e, "q": args.p**e},
-            formula=qp.value_at(e),
+            formula=formula[e],
             oracle=rees_colength_dim1(inst, e, box_cap=_box_cap(args)),
         )
     return report
 
 
-# ---------------------------------------------------------------------------
-# fit
-
-
 def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
-    variant = args.variant.replace("-", "_")
-    inst = ReesInstanceDim1(args.a, args.p, variant)
-    es = parse_range(args.e)
-    _check_q_cap(args.p, es, args.force)
+    inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
     values = {e: rees_colength_dim1(inst, e, box_cap=_box_cap(args)) for e in es}
     samples = SampleSet.from_values(args.p, values)
     qp = fit_quasi_polynomial(samples, args.degree, args.period, holdout=args.holdout)
-    report = RunReport(
-        {
-            "fit": "dim1",
-            "a": str(args.a),
-            "p": str(args.p),
-            "variant": args.variant,
-            "degree": str(args.degree),
-            "period": str(args.period),
-            "valid_from_e": str(qp.valid_from_e),
-        },
-        "fit",
+    report = _report(
+        args, "a", "p", "variant", "degree", "period", valid_from_e=qp.valid_from_e
     )
-    for residue, poly in enumerate(qp.polys):
-        report.add({"residue": residue}, formula=poly.format("q"))
+    _residue_rows(report, qp)
     for e in es:
         report.add({"e": e, "q": args.p**e}, formula=qp.value_at(e), oracle=values[e])
     return report
@@ -439,16 +345,8 @@ def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
         source = "formula"
     estimate = estimate_ehk(values, d)
     verdict = compare_to_eto_yoshida(estimate, d, e0)
-    report = RunReport(
-        {
-            "fit": "ehk",
-            "source": source,
-            "d": str(d),
-            "e0": str(e0),
-            "estimate": _fmt(estimate),
-            "eto-yoshida": verdict,
-        },
-        "fit",
+    report = _report(
+        args, source=source, d=d, e0=e0, estimate=estimate, **{"eto-yoshida": verdict}
     )
     for s in ss:
         report.add({"s": s}, **{source: values[s]})
@@ -456,61 +354,43 @@ def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
     return report
 
 
-# ---------------------------------------------------------------------------
-# example presets
-
-
 def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
-    es = parse_range(args.e)
-    _check_q_cap(FERMAT5["p"], es, args.force)
-    a, p = FERMAT5["a"], FERMAT5["p"]
-    report = RunReport(
-        {"example": "fermat5", "ring": "k[[X,Y]]/(X^5-Y^5)", "p": str(p)}, "example"
-    )
+    a, p = FERMAT5.e0, FERMAT5.p
+    inst_m, es = _dim1_setup(a, p, "rees-of-m", args.e, args.force)
+    inst_x = ReesInstanceDim1(a, p, "rees_of_x")
+    report = _report(args, ring="k[[X,Y]]/(X^5-Y^5)", p=p)
     cap = _box_cap(args)
     # alpha table vs the known periodic values
-    golden_alpha = [PeriodicSequence(vals) for vals in FERMAT5["alpha"]]
-    table = alpha_table(a, p, len(golden_alpha) - 1, es, box_cap=cap)
-    for n, seq in enumerate(golden_alpha):
+    table = alpha_table(a, p, len(FERMAT5.alpha) - 1, es, box_cap=cap)
+    for n, seq in enumerate(FERMAT5.alpha):
         for e in es:
             report.add(
                 {"check": "alpha", "n": n, "e": e},
                 formula=seq.value_at(e),
                 oracle=table[n][e],
             )
-    # quasi-polynomial of (m, mt) in R(m) vs the known 5q^2 / 5q^2 - 10
-    qp_m = cordim1_hk(fermat5_input())
-    golden_m = {0: "5*q^2", 1: "5*q^2 - 10"}
-    for residue, poly in enumerate(qp_m.polys):
-        report.add(
-            {"check": "rees-of-m-poly", "residue": residue},
-            formula=poly.format("q"),
-            oracle=golden_m[residue],
-        )
-    # quasi-polynomial of (m, It) in R(I) vs the known 5q^2 - 4q / 5q^2 - 6q
-    qp_x = sop_dim1_hk(FERMAT5["e0"], PeriodicSequence(FERMAT5["sop_alpha"]), p)
-    golden_x = {0: "5*q^2 - 4*q", 1: "5*q^2 - 6*q"}
-    for residue, poly in enumerate(qp_x.polys):
-        report.add(
-            {"check": "rees-of-x-poly", "residue": residue},
-            formula=poly.format("q"),
-            oracle=golden_x[residue],
-        )
-    # oracle lengths against both quasi-polynomials
-    inst_m = ReesInstanceDim1(a, p, "rees_of_m")
-    inst_x = ReesInstanceDim1(a, p, "rees_of_x")
+    # (m, mt) in R(m) and (m, It) in R(I): each quasi-polynomial against
+    # its known residue polynomials, then the oracle lengths against it
+    qp_m = cordim1_hk(FERMAT5)
+    qp_x = sop_dim1_hk(FERMAT5.e0, FERMAT5.alpha[0], p)
+    legs = (
+        ("rees-of-m", inst_m, qp_m, ("5*q^2", "5*q^2 - 10")),
+        ("rees-of-x", inst_x, qp_x, ("5*q^2 - 4*q", "5*q^2 - 6*q")),
+    )
+    for check, _, qp, golden in legs:
+        for residue, poly in enumerate(qp.format("q")):
+            report.add(
+                {"check": f"{check}-poly", "residue": residue},
+                formula=poly,
+                oracle=golden[residue],
+            )
     for e in es:
-        q = p**e
-        report.add(
-            {"check": "rees-of-m", "e": e, "q": q},
-            formula=qp_m.value_at(e),
-            oracle=rees_colength_dim1(inst_m, e, box_cap=cap),
-        )
-        report.add(
-            {"check": "rees-of-x", "e": e, "q": q},
-            formula=qp_x.value_at(e),
-            oracle=rees_colength_dim1(inst_x, e, box_cap=cap),
-        )
+        for check, inst, qp, _ in legs:
+            report.add(
+                {"check": check, "e": e, "q": p**e},
+                formula=qp.value_at(e),
+                oracle=rees_colength_dim1(inst, e, box_cap=cap),
+            )
     return report
 
 
@@ -519,16 +399,10 @@ def cmd_example_three_vars(args: argparse.Namespace) -> RunReport:
     if len(exps) != 3:
         raise ValueError("--n takes three exponents n1,n2,n3")
     inst = ReesInstanceMonomial(exps)
-    report = RunReport(
-        {"example": "three-vars", "n": args.n, "e0": str(inst.e0)}, "example"
-    )
+    report = _report(args, "n", e0=inst.e0)
     cap = _box_cap(args)
     # known value at s = 2: 23 n1 n2 n3
-    report.add(
-        {"check": "golden", "s": 2},
-        formula=cm_sop_hk(3, inst.e0, 2),
-        oracle=23 * inst.e0,
-    )
+    report.add({"check": "golden", "s": 2}, formula=cm_sop_hk(3, inst.e0, 2), oracle=23 * inst.e0)
     for s in parse_range(args.s):
         report.add(
             {"check": "oracle", "s": s},
@@ -542,19 +416,73 @@ def cmd_example_xy_zn(args: argparse.Namespace) -> RunReport:
     ss = parse_range(args.s)
     if min(ss) < 2:
         raise ValueError("the closed form holds for s >= 2")
-    report = RunReport({"example": "xy-zn", "e0": str(args.e0)}, "example")
+    report = _report(args, "e0")
     for s in ss:
-        golden = Fraction(4, 3) * s**3 - Fraction(1, 3) * s
-        golden *= args.e0
-        assert golden.denominator == 1
-        report.add(
-            {"s": s}, formula=cm_sop_hk(2, args.e0, s), oracle=int(golden)
-        )
+        # e0 (4 s^3 - s) / 3; one of 2s - 1, 2s, 2s + 1 is divisible by 3
+        golden = args.e0 * s * (2 * s - 1) * (2 * s + 1) // 3
+        report.add({"s": s}, formula=cm_sop_hk(2, args.e0, s), oracle=golden)
     return report
 
+# A flag maps to int or str for a required flag of that type, to its
+# default for an optional one, or to the keyword arguments of add_argument.
+INT = {"type": int}
+DIM1 = {"--a": int, "--p": int, "--variant": {"choices": VARIANTS, "required": True}, "--e": str}
 
-# ---------------------------------------------------------------------------
-# wiring
+GROUPS = {
+    "formula": "evaluate closed forms",
+    "oracle": "run brute-force oracles",
+    "compare": "formula vs oracle",
+    "fit": "fit quasi-polynomials and multiplicities",
+    "example": "reproduce the worked examples",
+}
+
+# (group, name) -> (handler, flags)
+COMMANDS = {
+    ("formula", "cm-sop"): (cmd_formula_cm_sop, {"--d": int, "--e0": int, "--s": str}),
+    ("formula", "ehk"): (cmd_formula_ehk, {"--d": int, "--e0": int}),
+    ("formula", "stanley-reisner"): (cmd_formula_stanley_reisner, {"--d": int, "--facets": int}),
+    ("formula", "dim1"): (cmd_formula_dim1, {
+        "--preset": {"choices": ["fermat5"]},
+        "--e0": INT,
+        "--e1": INT,
+        "--r": INT,
+        "--rho": INT,
+        "--lengths": {"help": "lengths of R/I^n from n = 0, e.g. 0,1,3,6"},
+        "--alpha": {"help": "one periodic tuple per n, e.g. --alpha=-4,-6;-3,-5"},
+        "--p": 2,
+    }),
+    ("formula", "sop-dim1"): (cmd_formula_sop_dim1, {
+        "--e0": int,
+        "--alpha": {"required": True, "help": "periodic values, e.g. --alpha=-4,-6"},
+        "--p": 2,
+    }),
+    ("oracle", "monomial"): (cmd_oracle_monomial, {"--exponents": str, "--s": str}),
+    ("oracle", "dim1"): (cmd_oracle_dim1, DIM1),
+    ("oracle", "groebner"): (cmd_oracle_groebner, {
+        "--a": int,
+        "--vars": int,
+        "--gens": {"required": True, "help": "ideal text form, e.g. '8,0,0;0,8,0;0,0,8'"},
+        "--u": 0,
+        "--v": 1,
+    }),
+    ("compare", "cm-sop"): (cmd_compare_cm_sop, {"--exponents": str, "--s": str}),
+    ("compare", "dim1"): (cmd_compare_dim1, DIM1),
+    ("fit", "dim1"): (cmd_fit_dim1, {**DIM1, "--degree": 2, "--period": 2, "--holdout": 1}),
+    ("fit", "ehk"): (cmd_fit_ehk, {"--exponents": {}, "--d": INT, "--e0": INT, "--s": str}),
+    ("example", "fermat5"): (cmd_example_fermat5, {"--e": "2..5"}),
+    ("example", "three-vars"): (cmd_example_three_vars, {"--n": "1,1,1", "--s": "2"}),
+    ("example", "xy-zn"): (cmd_example_xy_zn, {"--e0": 2, "--s": "2..5"}),
+}
+
+# Exit code of each error; the first class the error is an instance of wins,
+# so InsufficientSamples (an OracleError) counts as invalid input.
+EXIT_CODES = {
+    ResourceCapExceeded: 3,
+    ValueError: 2,
+    InsufficientSamples: 2,
+    InfiniteColength: 2,
+    OracleError: 1,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,98 +496,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--force", action="store_true", help="bypass resource caps")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def leaf(group, name: str, handler) -> argparse.ArgumentParser:
-        p = group.add_parser(name, parents=[common])
-        p.set_defaults(handler=handler)
-        return p
-
-    formula = sub.add_parser("formula", help="evaluate closed forms").add_subparsers(
-        dest="which", required=True
-    )
-    p = leaf(formula, "cm-sop", cmd_formula_cm_sop)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--e0", type=int, required=True)
-    p.add_argument("--s", "--s-range", dest="s", required=True)
-    p = leaf(formula, "ehk", cmd_formula_ehk)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--e0", type=int, required=True)
-    p = leaf(formula, "stanley-reisner", cmd_formula_stanley_reisner)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--facets", type=int, required=True)
-    p = leaf(formula, "dim1", cmd_formula_dim1)
-    p.add_argument("--preset")
-    p.add_argument("--e0", type=int)
-    p.add_argument("--e1", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--rho", type=int)
-    p.add_argument("--lengths", help="lengths of R/I^n from n = 0, e.g. 0,1,3,6")
-    p.add_argument("--alpha", help="one periodic tuple per n, e.g. --alpha=-4,-6;-3,-5")
-    p.add_argument("--p", type=int, default=2)
-    p = leaf(formula, "sop-dim1", cmd_formula_sop_dim1)
-    p.add_argument("--e0", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="periodic values, e.g. --alpha=-4,-6")
-    p.add_argument("--p", type=int, default=2)
-
-    oracle = sub.add_parser("oracle", help="run brute-force oracles").add_subparsers(
-        dest="which", required=True
-    )
-    p = leaf(oracle, "monomial", cmd_oracle_monomial)
-    p.add_argument("--exponents", required=True)
-    p.add_argument("--s", "--s-range", dest="s", required=True)
-    p = leaf(oracle, "dim1", cmd_oracle_dim1)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--variant", choices=["rees-of-x", "rees-of-m"], required=True)
-    p.add_argument("--e", "--e-range", dest="e", required=True)
-    p = leaf(oracle, "groebner", cmd_oracle_groebner)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--gens", required=True, help="ideal text form, e.g. '8,0,0;0,8,0;0,0,8'")
-    p.add_argument("--u", type=int, default=0)
-    p.add_argument("--v", type=int, default=1)
-
-    compare = sub.add_parser("compare", help="formula vs oracle").add_subparsers(
-        dest="which", required=True
-    )
-    p = leaf(compare, "cm-sop", cmd_compare_cm_sop)
-    p.add_argument("--exponents", required=True)
-    p.add_argument("--s", "--s-range", dest="s", required=True)
-    p = leaf(compare, "dim1", cmd_compare_dim1)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--variant", choices=["rees-of-x", "rees-of-m"], required=True)
-    p.add_argument("--e", "--e-range", dest="e", required=True)
-
-    fit = sub.add_parser("fit", help="fit quasi-polynomials and multiplicities").add_subparsers(
-        dest="which", required=True
-    )
-    p = leaf(fit, "dim1", cmd_fit_dim1)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--variant", choices=["rees-of-x", "rees-of-m"], required=True)
-    p.add_argument("--e", "--e-range", dest="e", required=True)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--period", type=int, default=2)
-    p.add_argument("--holdout", type=int, default=1)
-    p = leaf(fit, "ehk", cmd_fit_ehk)
-    p.add_argument("--exponents")
-    p.add_argument("--d", type=int)
-    p.add_argument("--e0", type=int)
-    p.add_argument("--s", "--s-range", dest="s", required=True)
-
-    example = sub.add_parser("example", help="reproduce the worked examples").add_subparsers(
-        dest="which", required=True
-    )
-    p = leaf(example, "fermat5", cmd_example_fermat5)
-    p.add_argument("--e", "--e-range", dest="e", default="2..5")
-    p = leaf(example, "three-vars", cmd_example_three_vars)
-    p.add_argument("--n", default="1,1,1")
-    p.add_argument("--s", "--s-range", dest="s", default="2")
-    p = leaf(example, "xy-zn", cmd_example_xy_zn)
-    p.add_argument("--e0", type=int, default=2)
-    p.add_argument("--s", "--s-range", dest="s", default="2..5")
-
+    groups = {
+        group: sub.add_parser(group, help=text).add_subparsers(dest="which", required=True)
+        for group, text in GROUPS.items()
+    }
+    for (group, name), (handler, flags) in COMMANDS.items():
+        leaf = groups[group].add_parser(name, parents=[common])
+        leaf.set_defaults(handler=handler)
+        for flag, spec in flags.items():
+            if isinstance(spec, dict):
+                leaf.add_argument(flag, **spec)
+            elif isinstance(spec, type):
+                leaf.add_argument(flag, type=spec, required=True)
+            else:
+                leaf.add_argument(flag, type=type(spec), default=spec)
     return parser
 
 
@@ -671,15 +521,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         report = args.handler(args)
-    except ResourceCapExceeded as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, InsufficientSamples, InfiniteColength) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InconsistentSamples, NonPolynomialSamples, OracleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     sys.stdout.write(RENDERERS[args.format](report))
     return 0 if report.verdict else 1
 

@@ -2,6 +2,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from reeshk.cli import RunReport, main, render_csv, render_json
 
@@ -234,10 +240,63 @@ class TestFormats:
         assert [r["s"] for r in csv_rows(out)] == ["1", "2", "3", "4", "5"]
 
 
+# (argv, exit code, a fragment of stderr): one case per exception class
+EXIT_CODE_MATRIX = {
+    "q_cap": (
+        ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "9"],
+        3, "q = 512 exceeds the cap 256",
+    ),
+    "box_cap": (
+        ["oracle", "monomial", "--exponents", "300,300,300", "--s", "2"],
+        3, "cap is 100000000",
+    ),
+    "value_error": (
+        ["oracle", "monomial", "--exponents", "1,1", "--s", "3..2"], 2, "empty range",
+    ),
+    "insufficient_samples": (
+        ["fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "2..3"],
+        2, "need 4 samples, have 1",
+    ),
+    "infinite_colength": (
+        ["oracle", "groebner", "--vars", "3", "--a", "5", "--gens", "8,0,0;0,8,0"],
+        2, "no pure power of every variable",
+    ),
+    "inconsistent_samples": (
+        ["fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "2..9",
+         "--degree", "1", "--force"],
+        1, "does not match",
+    ),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(EXIT_CODE_MATRIX))
+    def test_exit_code_matrix(self, capsys, case):
+        argv, expected, fragment = EXIT_CODE_MATRIX[case]
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+        assert out == ""
+        assert err.startswith("error: ") and fragment in err
+
+    def test_exit_code_reaches_the_process(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "reeshk.cli", "oracle", "dim1", "--a", "5", "--p", "2",
+             "--variant", "rees-of-x", "--e", "9"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+
     def test_invalid_arguments(self, capsys):
-        code, _, _ = run(capsys, "formula", "cm-sop", "--d", "3", "--e0", "1")
+        code, out, err = run(capsys, "formula", "cm-sop", "--d", "3", "--e0", "1")
         assert code == 2
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert "error: the following arguments are required: --s" in err
 
     def test_invalid_dimension(self, capsys):
         code, _, err = run(

@@ -1,4 +1,4 @@
-"""The --format json output of fixed hk commands stays byte-identical to tests/golden/."""
+"""The output of fixed hk commands stays byte-identical to tests/golden/, in every format."""
 from pathlib import Path
 
 import pytest
@@ -8,23 +8,42 @@ from reeshk.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
-    "oracle_groebner.json": [
+    "oracle_groebner": [
         "oracle", "groebner", "--vars", "3", "--a", "5", "--gens", "8,0,0;0,8,0;0,0,8",
     ],
-    "compare_dim1.json": [
+    "compare_dim1": [
         "compare", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "2..6",
     ],
-    "example_fermat5.json": ["example", "fermat5", "--e", "2..5"],
-    "compare_cm_sop.json": ["compare", "cm-sop", "--exponents", "1,2,3", "--s", "1..5"],
-    "example_three_vars.json": ["example", "three-vars", "--n", "2,2,3", "--s", "2..4"],
-    "fit_ehk.json": ["fit", "ehk", "--exponents", "1,1", "--s", "2..9"],
-    "oracle_groebner_2vars.json": [
+    "example_fermat5": ["example", "fermat5", "--e", "2..5"],
+    "compare_cm_sop": ["compare", "cm-sop", "--exponents", "1,2,3", "--s", "1..5"],
+    "example_three_vars": ["example", "three-vars", "--n", "2,2,3", "--s", "2..4"],
+    "fit_ehk": ["fit", "ehk", "--exponents", "1,1", "--s", "2..9"],
+    "oracle_groebner_2vars": [
         "oracle", "groebner", "--vars", "2", "--a", "5", "--gens", "9,2;2,9;0,14;14,0",
     ],
+    "formula_dim1_fermat5": ["formula", "dim1", "--preset", "fermat5"],
+    "formula_cm_sop": ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s", "2..5"],
 }
 
+# golden file extension -> --format
+FORMATS = {"json": "json", "csv": "csv", "txt": "table"}
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_json_output_is_byte_identical(capsys, name):
-    assert main(COMMANDS[name] + ["--format", "json"]) == 0
-    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+def golden_files(*extensions):
+    return sorted(f"{stem}.{ext}" for stem in COMMANDS for ext in extensions)
+
+
+def check(capsys, golden):
+    stem, ext = golden.rsplit(".", 1)
+    assert main(COMMANDS[stem] + ["--format", FORMATS[ext]]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden", golden_files("json"))
+def test_json_output_is_byte_identical(capsys, golden):
+    check(capsys, golden)
+
+
+@pytest.mark.parametrize("golden", golden_files("csv", "txt"))
+def test_table_and_csv_output_is_byte_identical(capsys, golden):
+    check(capsys, golden)

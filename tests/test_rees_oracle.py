@@ -93,11 +93,11 @@ class TestDim1Oracle:
             assert rees_colength_dim1(inst, e) == qp.value_at(e)
 
     def test_rees_of_m_matches_quasi_polynomial(self):
-        from reeshk.cli import fermat5_input
+        from reeshk.cli import FERMAT5
         from reeshk.hk_formulas import cordim1_hk
 
         inst = ReesInstanceDim1(5, 2, "rees_of_m")
-        qp = cordim1_hk(fermat5_input())
+        qp = cordim1_hk(FERMAT5)
         for e in range(3, 7):
             assert rees_colength_dim1(inst, e) == qp.value_at(e)
 
