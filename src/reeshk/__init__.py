@@ -41,7 +41,6 @@ from .monomial_algebra import (
     InfiniteColength,
     MonomialIdeal,
     ResourceCapExceeded,
-    colength_by_inclusion_exclusion,
     minimalize,
     parse_ideal,
 )

@@ -217,6 +217,10 @@ def cmd_formula_stanley_reisner(args: argparse.Namespace) -> RunReport:
 
 def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
     if args.preset is not None:
+        flags = ("e0", "e1", "r", "rho", "lengths", "alpha", "p")
+        given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"--preset fixes the instance; drop {', '.join(given)}")
         inp = FERMAT5
         report = _report(args, "preset")
     else:
@@ -236,7 +240,7 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
             rho=args.rho,
             lengths=parse_int_tuple(args.lengths) if args.lengths else (),
             alpha=alpha,
-            p=args.p,
+            p=2 if args.p is None else args.p,
         )
         report = _report(args, "e0", "e1", "r")
     qp = dim1_hk(inp) if inp.rho is not None else cordim1_hk(inp)
@@ -449,7 +453,7 @@ COMMANDS = {
         "--rho": INT,
         "--lengths": {"help": "lengths of R/I^n from n = 0, e.g. 0,1,3,6"},
         "--alpha": {"help": "one periodic tuple per n, e.g. --alpha=-4,-6;-3,-5"},
-        "--p": 2,
+        "--p": {"type": int, "help": "the characteristic, default 2; not with --preset"},
     }),
     ("formula", "sop-dim1"): (cmd_formula_sop_dim1, {
         "--e0": int,

@@ -6,16 +6,16 @@ Exponent tuples from outside the module are checked once, by
 `_validated`, at the public constructors (`minimalize`,
 `MonomialIdeal.from_exponents`, `parse_ideal`); products, powers and
 bracket powers of ideals already built pass their tuples straight on.
-Colength is computed by walking the bounding box given by the
-pure-power generators, slicing one variable at a time and pruning
-slices that are already inside the ideal; an independent
-inclusion-exclusion count is provided as a cross-check oracle.
+Minimal generators come from bitset divisibility masks; colength from
+a staircase walk over the box of the pure-power generators whose
+slices see growing prefixes of the sorted generators.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from math import prod
-from operator import add
+from operator import add, and_
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -60,25 +60,25 @@ def _divisible(t: Sequence[int], gens: Iterable[Vector]) -> bool:
 def _minimal_vectors(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
     """Minimal elements of a set of exponent vectors under divisibility, sorted.
 
-    Vectors of equal degree never divide one another, so divisibility
-    is only tested against kept vectors of strictly smaller degree.
+    Bit j stands for vs[j] of the distinct sorted vectors.  A divisor of
+    vs[j] precedes it, which settles the first coordinate; for each other
+    one, below[e] marks the vectors with that exponent at most e.  The AND
+    marks the divisors of vs[j], itself included, so vs[j] is minimal iff
+    that is its own bit.
     """
-    ordered = sorted(set(vectors), key=lambda v: (sum(v), v))
-    kept: list[Vector] = []
-    kept_degrees: list[int] = []
-    for v in ordered:
-        deg = sum(v)
-        divisible = False
-        for k, kdeg in zip(kept, kept_degrees):
-            if kdeg >= deg:
-                break
-            if all(a <= b for a, b in zip(k, v)):
-                divisible = True
-                break
-        if not divisible:
-            kept.append(v)
-            kept_degrees.append(deg)
-    return tuple(sorted(kept))
+    vs = sorted(set(vectors))
+    bits = [1 << j for j in range(len(vs))]
+    divisors = [(bit << 1) - 1 for bit in bits]
+    for column in list(zip(*vs))[1:]:
+        at: dict[int, int] = {}
+        for e, bit in zip(column, bits):
+            at[e] = at.get(e, 0) | bit
+        below, running = {}, 0
+        for e in sorted(at):
+            running |= at[e]
+            below[e] = running
+        divisors = list(map(and_, divisors, map(below.__getitem__, column)))
+    return tuple(v for v, mask, bit in zip(vs, divisors, bits) if mask == bit)
 
 
 @dataclass(frozen=True)
@@ -197,53 +197,49 @@ def minimalize(
 def _count_standard(gens: Sequence[Vector], box: Vector) -> int:
     """Count points u with 0 <= u_i < box_i not componentwise above any generator.
 
-    Walks the first coordinate in runs between consecutive generator
-    exponents (the active generator set is constant on each run) and
-    recurses on the projection; the last coordinate is counted in one
-    step as the smallest active exponent.
+    gens must be lexicographically sorted, as MonomialIdeal.gens are.  The
+    slice at u_1 = t is the staircase of the tails of the generators with
+    first exponent at most t, a growing prefix of gens; it is counted by
+    a recursive call only when the prefix has grown, and the walk stops
+    at the first tail that is the zero vector, past which every slice is
+    inside the ideal.  In two variables a slice is a column whose height
+    is the running minimum of the second exponents.
     """
-    if not gens:
-        raise InfiniteColength("no generators")
-    n = len(box)
-    if n == 1:
-        # every point below the smallest active pure power survives
-        return min(g[0] for g in gens)
-    thresholds = sorted({g[0] for g in gens if g[0] < box[0]} | {0, box[0]})
-    total = 0
-    for lo, hi in zip(thresholds, thresholds[1:]):
-        active = [g[1:] for g in gens if g[0] <= lo]
-        if any(all(e == 0 for e in g) for g in active):
-            continue  # slice fully inside the ideal
-        if active:
-            slice_count = _count_standard(active, box[1:])
-        else:
-            slice_count = prod(box[1:])
-        total += (hi - lo) * slice_count
-    return total
-
-
-def colength_by_inclusion_exclusion(ideal: MonomialIdeal) -> int:
-    """Independent colength via inclusion-exclusion over generator subsets.
-
-    Exponential in the number of generators; retained as a cross-check
-    oracle for the staircase walk.
-    """
-    box = ideal.primary_box()
-    if box is None:
-        raise InfiniteColength(f"no pure power of every variable in {ideal}")
-    gens = ideal.gens
-    total = prod(box)
-    divisible = 0
-    for mask in range(1, 1 << len(gens)):
-        lcm = [0] * ideal.ambient_dim
-        bits = 0
-        for i, g in enumerate(gens):
-            if mask >> i & 1:
-                bits += 1
-                lcm = [max(a, b) for a, b in zip(lcm, g)]
-        count = prod(max(0, b - l) for b, l in zip(box, lcm))
-        divisible += count if bits % 2 == 1 else -count
-    return total - divisible
+    first = box[0]
+    if len(box) == 1:
+        return first
+    if len(box) == 2:
+        lo, height, total = 0, box[1], 0
+        for a, b in gens:
+            if a >= first:
+                break
+            if b < height:
+                total += (a - lo) * height
+                lo, height = a, b
+                if not b:
+                    return total
+        return total + (first - lo) * height
+    rest = box[1:]
+    active: list[Vector] = []
+    lo, count, total = 0, prod(rest), 0
+    grown = False
+    for g in gens:
+        a = g[0]
+        if a >= first:
+            break
+        if a > lo:
+            if grown:
+                count, grown = _count_standard(active, rest), False
+            total += (a - lo) * count
+            lo = a
+        tail = g[1:]
+        if not any(tail):
+            return total
+        insort(active, tail)
+        grown = True
+    if grown:
+        count = _count_standard(active, rest)
+    return total + (first - lo) * count
 
 
 def parse_ideal(text: str, ambient_dim: Optional[int] = None) -> MonomialIdeal:

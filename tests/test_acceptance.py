@@ -25,10 +25,7 @@ from reeshk.hilbert_samuel import (
     middle_branch_sum,
 )
 from reeshk.hk_formulas import cm_sop_hk, compare_to_eto_yoshida
-from reeshk.monomial_algebra import (
-    MonomialIdeal,
-    colength_by_inclusion_exclusion,
-)
+from reeshk.monomial_algebra import MonomialIdeal
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
     InconsistentSamples,
@@ -41,6 +38,8 @@ from reeshk.rees_oracle import (
     rees_colength_dim1,
     rees_colength_monomial,
 )
+
+from reference import colength_by_inclusion_exclusion
 
 
 def report(number: int, label: str, failures: list, started: float, budget: float):

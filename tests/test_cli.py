@@ -267,6 +267,14 @@ EXIT_CODE_MATRIX = {
         1, "does not match",
     ),
 }
+# the preset fixes every invariant, p included, so any instance flag is refused
+EXIT_CODE_MATRIX |= {
+    f"preset_with_{flag}_{value}": (
+        ["formula", "dim1", "--preset", "fermat5", f"--{flag}={value}"], 2, f"--{flag}",
+    )
+    for flag, value in [("e0", 5), ("e1", 10), ("r", 4), ("rho", 1), ("lengths", "0,1,3,6"),
+                        ("alpha", "-4,-6"), ("p", 3), ("p", 2)]
+}
 
 
 class TestExitCodes:

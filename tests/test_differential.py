@@ -3,11 +3,18 @@
 The residue-class initial ideal behind quotient_colength and
 ideals_equal is compared with the initial ideal of an independent
 Buchberger completion; MonomialIdeal.product and frobenius with
-minimalize over the summed or scaled exponent tuples.
+minimalize over the summed or scaled exponent tuples; the bitset
+minimalisation with a pairwise scan; the staircase walk with
+inclusion-exclusion; and the graded-sum monomial oracle with the
+closed form cm_sop_hk on all three of its branches.
 """
-from hypothesis import given, settings
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reeshk import monomial_algebra
 from reeshk.binomial_groebner import (
     BinomialRelation,
     buchberger,
@@ -15,7 +22,16 @@ from reeshk.binomial_groebner import (
     initial_ideal,
     quotient_colength,
 )
-from reeshk.monomial_algebra import InfiniteColength, MonomialIdeal, minimalize
+from reeshk.hk_formulas import cm_sop_hk
+from reeshk.monomial_algebra import (
+    InfiniteColength,
+    MonomialIdeal,
+    _minimal_vectors,
+    minimalize,
+)
+from reeshk.rees_oracle import ReesInstanceMonomial, rees_colength_monomial
+
+from reference import colength_by_inclusion_exclusion, minimal_vectors_reference
 
 
 @st.composite
@@ -129,3 +145,104 @@ class TestFrobenius:
         # frobenius skips minimalize: scaling keeps the generators minimal and sorted
         scaled = [tuple(s * e for e in g) for g in ideal.gens]
         assert ideal.frobenius(s) == minimalize(scaled, ambient_dim=ideal.ambient_dim)
+
+
+def long_vector_lists(d):
+    """65 to 130 tuples on or just above the plane x_1 + ... + x_d = 80.
+
+    No two points of the plane divide one another, so many survive; a
+    point above it is divisible by the plane points within its offset.
+    """
+    top = 80 // (d - 1)
+    plane = st.tuples(*[st.integers(0, top)] * (d - 1)).map(lambda t: (*t, 80 - sum(t)))
+    above = st.tuples(plane, st.tuples(*[st.integers(0, 3)] * d)).map(
+        lambda pair: tuple(map(sum, zip(*pair)))
+    )
+    return st.lists(st.one_of(plane, above), min_size=65, max_size=130)
+
+
+class TestMinimalVectors:
+    @settings(max_examples=300)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(st.tuples(*[st.integers(0, 4)] * d))))
+    @example([])
+    @example([(3, 1)])
+    @example([(0, 0, 0)])
+    @example([(2, 1), (0, 0), (2, 1), (1, 3)])
+    @example([(1, 2), (2, 1), (1, 2)])
+    def test_matches_reference(self, vectors):
+        # a small range makes duplicates, the zero vector and ties common
+        assert _minimal_vectors(vectors) == minimal_vectors_reference(vectors)
+
+    @settings(max_examples=15)
+    @given(st.integers(2, 4).flatmap(long_vector_lists))
+    def test_masks_past_one_machine_word(self, vectors):
+        # more than 64 vectors, so each mask spans several words
+        assert _minimal_vectors(vectors) == minimal_vectors_reference(vectors)
+
+
+@st.composite
+def primary_generators(draw):
+    """A dimension d <= 4 and generators with a pure power of every variable.
+
+    A pure power of exponent 0 makes the unit ideal.  Extra pure powers
+    need not be the smallest in their variable, and mixed generators may
+    reach past the box the smallest pure powers span.
+    """
+    d = draw(st.integers(1, 4))
+    tops = draw(st.tuples(*[st.integers(0, 6)] * d))
+    gens = [tuple(t if j == i else 0 for j in range(d)) for i, t in enumerate(tops)]
+    for i, t in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(1, 9)), max_size=2)):
+        gens.append(tuple(t if j == i else 0 for j in range(d)))
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 9)] * d), max_size=5))
+    return d, gens
+
+
+def walked_colength(ideal):
+    """ideal.colength(), checking every recursive call of the staircase walk.
+
+    Each call gets its generators sorted, and the walk stops before a
+    slice inside the ideal, so no recursive call sees the zero vector.
+    """
+    count_standard = monomial_algebra._count_standard
+
+    def checked(gens, box):
+        assert list(gens) == sorted(gens)
+        if len(box) < ideal.ambient_dim:
+            assert all(any(g) for g in gens)
+        return count_standard(gens, box)
+
+    with mock.patch.object(monomial_algebra, "_count_standard", checked):
+        return ideal.colength()
+
+
+class TestColength:
+    @settings(max_examples=300)
+    @given(primary_generators())
+    @example((3, [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]))
+    @example((1, [(5,), (3,), (7,)]))
+    @example((4, [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3), (1, 1, 0, 0)]))
+    @example((2, [(4, 0), (0, 5), (7, 0), (0, 6), (9, 1), (1, 9)]))
+    def test_matches_inclusion_exclusion(self, case):
+        d, gens = case
+        ideal = MonomialIdeal.from_exponents(d, gens)
+        expected = colength_by_inclusion_exclusion(ideal)
+        assert walked_colength(ideal) == expected
+        # the walk's slices hold unminimised tails, so it must not need minimal generators
+        raw = MonomialIdeal(d, tuple(sorted(set(gens))))
+        assert walked_colength(raw) == expected
+
+
+class TestMonomialOracle:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("branch", ["s<d", "s=d", "s>d"])
+    @settings(max_examples=3)
+    @given(data=st.data())
+    def test_matches_closed_form(self, d, branch, data):
+        # s <= 6 on the branch; d = 4, s = 6 takes about 0.4 s
+        s = data.draw({
+            "s<d": st.integers(1, d - 1),
+            "s=d": st.just(d),
+            "s>d": st.integers(d + 1, 6),
+        }[branch])
+        inst = ReesInstanceMonomial(data.draw(st.tuples(*[st.integers(1, 4)] * d)))
+        assert rees_colength_monomial(inst, s) == cm_sop_hk(d, inst.e0, s)

@@ -8,11 +8,12 @@ from reeshk.monomial_algebra import (
     InfiniteColength,
     MonomialIdeal,
     ResourceCapExceeded,
-    colength_by_inclusion_exclusion,
     format_ideal,
     minimalize,
     parse_ideal,
 )
+
+from reference import colength_by_inclusion_exclusion
 
 
 def ideal(*exps):
