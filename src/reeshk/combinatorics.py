@@ -12,6 +12,10 @@ from fractions import Fraction
 from .polynomials import Poly
 
 
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the vanishing convention C(n, k) = 0 for n < k or n < 0.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .combinatorics import binomial, binomial_poly_expand
+from .combinatorics import _is_prime, binomial, binomial_poly_expand
 from .hilbert_samuel import c_of_d
 from .polynomials import Poly
 
@@ -39,10 +39,6 @@ class PeriodicSequence:
 
     def value_at(self, e: int) -> int:
         return self.values[e % self.period]
-
-    @classmethod
-    def constant(cls, value: int) -> "PeriodicSequence":
-        return cls((value,))
 
 
 @dataclass(frozen=True)
@@ -110,6 +106,8 @@ class Dim1Input:
             raise ValueError("e0 must be positive")
         if self.r < 0:
             raise ValueError("reduction number must be nonnegative")
+        if not _is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
         if len(self.alpha) != self.r:
             raise ValueError(f"need exactly r={self.r} alpha sequences, got {len(self.alpha)}")
         needed = max(self.r - 1, self.rho if self.rho is not None else -1) + 1
@@ -172,6 +170,8 @@ def sop_dim1_hk(e0J: int, alphaJ: PeriodicSequence, p: int) -> QuasiPolynomialHK
     """Length of R(I)/(J, It)^[q] for parameter I: q^2 e0(J) + q alpha_J(e)."""
     if e0J < 1:
         raise ValueError("e0J must be positive")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     polys = tuple(
         Poly([0, alphaJ.value_at(residue), e0J]) for residue in range(alphaJ.period)
     )

@@ -1,23 +1,35 @@
 """Brute-force length oracles for Rees algebra quotients, plus exact fitting.
 
-The oracles never consult the closed forms they are meant to check:
-lengths come from staircase counts of monomial ideals, or from Groebner
-initial ideals in the binomial-hypersurface case, summed over the
-graded decomposition of the Rees algebra.  Truncation points are
-detected by explicit ideal-equality tests rather than taken from
-theory.
+The oracles never consult the closed forms they are meant to check.
+One routine, `_graded_length`, sums lengths over the graded
+decomposition of the Rees algebra and detects where the sum stops by
+an explicit ideal-equality test rather than taking it from theory.  It
+works in a ring R given by two plug-ins: the colength of a monomial
+ideal in R and ideal equality in R.  The monomial oracle plugs in
+staircase counts and equality of monomial ideals in a polynomial ring;
+the dimension-1 oracle plugs in Groebner initial ideals and equality
+in the hypersurface ring k[X, Y]/(X^a - Y^a).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import prod
-from typing import Mapping, Optional, Sequence
+from operator import eq
+from typing import Callable, Mapping, Optional, Sequence
 
 from .binomial_groebner import BinomialRelation, ideals_equal, quotient_colength
+from .combinatorics import _is_prime
 from .hk_formulas import QuasiPolynomialHK
 from .monomial_algebra import MonomialIdeal
 from .polynomials import Poly, interpolate
+
+# the maximal ideal (x, y) of k[X, Y]
+_PLANE_MAXIMAL = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
+# the two plug-ins of _graded_length: colength and ideal equality in a ring R
+Colength = Callable[[MonomialIdeal], int]
+Equal = Callable[[MonomialIdeal, MonomialIdeal], bool]
 
 
 class OracleError(Exception):
@@ -38,17 +50,6 @@ class NonPolynomialSamples(OracleError):
 
 class StabilizationNotReached(OracleError):
     """The graded tail did not stabilize within the probed window."""
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -104,84 +105,61 @@ class ReesInstanceDim1:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
+def _graded_length(
+    ideal: MonomialIdeal, q: int, colength: Colength, equal: Equal, tail_cap: int
+) -> int:
+    """Length of R(I)/(I, It)^[q] summed over the graded pieces, in a ring R.
+
+    Sums colength(I^[q] I^n) - colength(I^n) for n < q, then
+    colength(I^[q] I^t) - colength(I^(q+t)) for t = 0, 1, ... until
+    equal(I^[q] I^t, I^(q+t)).  The equality is tested, not assumed; a
+    piece past t = tail_cap that still differs raises.  Powers advance by
+    one product per step, and the tail reuses the head's colengths of
+    I^[q] I^t for t < q.
+    """
+    frob = ideal.frobenius(q)
+    power = MonomialIdeal.unit(ideal.ambient_dim)  # I^n, then I^(q+t)
+    # colength(I^[q] I^n) for n < q; sized once, since growing it between
+    # colength walks fragmented the heap and raised peak RSS
+    head = [0] * q
+    total = 0
+    for n in range(q):
+        head[n] = colength(frob.product(power))
+        total += head[n] - colength(power)
+        power = power.product(ideal)
+    shifted = MonomialIdeal.unit(ideal.ambient_dim)  # I^t
+    for t in count():
+        piece = frob.product(shifted)
+        if equal(piece, power):
+            return total
+        if t > tail_cap:
+            raise StabilizationNotReached(f"I^[q] I^t != I^(q+t) for all t <= {tail_cap} at q={q}")
+        total += (head[t] if t < q else colength(piece)) - colength(power)
+        shifted = shifted.product(ideal)
+        power = power.product(ideal)
+
+
 def rees_colength_monomial(
     inst: ReesInstanceMonomial, s: int, box_cap: Optional[int] = None
 ) -> int:
-    """Length of R(I)/(I, It)^[s] by summing graded pieces.
+    """Length of R(I)/(I, It)^[s] by summing graded pieces in the polynomial ring.
 
-    Sums colength(I^[s] I^n) - colength(I^n) for n < s, then
-    colength(I^[s] I^(n-s)) - colength(I^n) until the two ideals are
-    literally equal; equality is checked, not assumed, and must occur
-    by n = d*s.
+    The tail cap is (d-1)*s: I^[s] I^t must equal I^(s+t) by t = (d-1)*s + 1.
     """
     if s < 1:
         raise ValueError("s must be positive")
-    ideal = inst.ideal()
-    frob = ideal.frobenius(s)
-    total = 0
-    power = MonomialIdeal.unit(inst.d)  # I^0, colength 0
-    for n in range(s):
-        total += frob.product(power).colength(box_cap=box_cap) - power.colength(
-            box_cap=box_cap
-        )
-        power = power.product(ideal)
-    # now power = I^s
-    shifted = MonomialIdeal.unit(inst.d)  # I^(n-s)
-    n = s
-    while True:
-        piece = frob.product(shifted)
-        if piece == power:
-            break
-        if n > inst.d * s:
-            raise StabilizationNotReached(
-                f"I^[s] I^(n-s) != I^n beyond n = d*s for {inst} at s={s}"
-            )
-        total += piece.colength(box_cap=box_cap) - power.colength(box_cap=box_cap)
-        shifted = shifted.product(ideal)
-        power = power.product(ideal)
-        n += 1
-    return total
+    return _graded_length(
+        inst.ideal(), s, lambda ideal: ideal.colength(box_cap=box_cap), eq, (inst.d - 1) * s
+    )
 
 
-class _HypersurfaceLengths:
-    """Cached quotient lengths in k[X, Y]/(X^a - Y^a) for powers of (x, y)."""
-
-    def __init__(self, a: int, box_cap: Optional[int] = None) -> None:
-        self.rel = BinomialRelation(2, 0, 1, a)
-        self.box_cap = box_cap
-        self.m = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
-        self._powers = [MonomialIdeal.unit(2)]
-        self._len_power: dict[int, int] = {}
-        self._len_frob_power: dict[tuple[int, int], int] = {}
-
-    def power(self, n: int) -> MonomialIdeal:
-        while len(self._powers) <= n:
-            self._powers.append(self._powers[-1].product(self.m))
-        return self._powers[n]
-
-    def _quotient_len(self, ideal: MonomialIdeal) -> int:
-        if ideal.is_unit:
-            return 0
-        return quotient_colength(self.rel, ideal.gens, box_cap=self.box_cap)
-
-    def len_power(self, n: int) -> int:
-        """Length of R/m^n."""
-        if n not in self._len_power:
-            self._len_power[n] = self._quotient_len(self.power(n))
-        return self._len_power[n]
-
-    def len_frob_times_power(self, q: int, n: int) -> int:
-        """Length of R/(m^[q] m^n)."""
-        key = (q, n)
-        if key not in self._len_frob_power:
-            ideal = self.m.frobenius(q).product(self.power(n))
-            self._len_frob_power[key] = self._quotient_len(ideal)
-        return self._len_frob_power[key]
-
-    def frob_times_power_equals_power(self, q: int, t: int, n: int) -> bool:
-        """Whether m^[q] m^t and m^n agree as ideals of the hypersurface ring."""
-        lhs = self.m.frobenius(q).product(self.power(t))
-        return ideals_equal(self.rel, lhs.gens, self.power(n).gens)
+def _hypersurface(a: int, box_cap: Optional[int]) -> tuple[Colength, Equal]:
+    """Colength and ideal equality in k[X, Y]/(X^a - Y^a), for monomial ideals of k[X, Y]."""
+    rel = BinomialRelation(2, 0, 1, a)
+    return (
+        lambda ideal: 0 if ideal.is_unit else quotient_colength(rel, ideal.gens, box_cap=box_cap),
+        lambda lhs, rhs: ideals_equal(rel, lhs.gens, rhs.gens),
+    )
 
 
 def rees_colength_dim1(
@@ -195,19 +173,8 @@ def rees_colength_dim1(
         rel = BinomialRelation(3, 0, 1, inst.a)
         gens = [(q, 0, 0), (0, q, 0), (0, 0, q)]
         return quotient_colength(rel, gens, box_cap=box_cap)
-    lengths = _HypersurfaceLengths(inst.a, box_cap=box_cap)
-    total = 0
-    for n in range(q):
-        total += lengths.len_frob_times_power(q, n) - lengths.len_power(n)
-    t = 0
-    while not lengths.frob_times_power_equals_power(q, t, q + t):
-        if t > 2 * inst.a:
-            raise StabilizationNotReached(
-                f"m^[q] m^t != m^(q+t) for all t <= {2 * inst.a} at q={q}"
-            )
-        total += lengths.len_frob_times_power(q, t) - lengths.len_power(q + t)
-        t += 1
-    return total
+    colength, equal = _hypersurface(inst.a, box_cap)
+    return _graded_length(_PLANE_MAXIMAL, q, colength, equal, 2 * inst.a)
 
 
 def alpha_table(
@@ -228,13 +195,14 @@ def alpha_table(
         raise ValueError("e_range must be nonempty")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    lengths = _HypersurfaceLengths(a, box_cap=box_cap)
-    table: dict[int, dict[int, int]] = {n: {} for n in range(n_max + 1)}
-    for e in e_range:
-        q = p**e
-        for n in range(n_max + 1):
-            module_len = lengths.len_frob_times_power(q, n) - lengths.len_power(n)
-            table[n][e] = module_len - a * q
+    colength, _ = _hypersurface(a, box_cap)
+    frobs = {e: _PLANE_MAXIMAL.frobenius(p**e) for e in e_range}
+    table: dict[int, dict[int, int]] = {}
+    power = MonomialIdeal.unit(2)  # m^n
+    for n in range(n_max + 1):
+        base = colength(power)
+        table[n] = {e: colength(f.product(power)) - base - a * p**e for e, f in frobs.items()}
+        power = power.product(_PLANE_MAXIMAL)
     return table
 
 

@@ -41,3 +41,18 @@ def colength_by_inclusion_exclusion(ideal: MonomialIdeal) -> int:
         count = prod(max(0, b - l) for b, l in zip(box, lcm))
         divisible += count if bits % 2 == 1 else -count
     return total - divisible
+
+
+def graded_length_by_window(ideal: MonomialIdeal, q: int, colength, window: int) -> int:
+    """Graded sum for R(I)/(I, It)^[q] over the pieces n < q + window, no equality test.
+
+    Piece n is colength(I^[q] I^n) - colength(I^n) for n < q and
+    colength(I^[q] I^(n-q)) - colength(I^n) from n = q on.  Once
+    I^[q] I^(n-q) = I^n every later piece is 0, so a window past the
+    truncation point gives the whole length.
+    """
+    frob = ideal.frobenius(q)
+    return sum(
+        colength(frob.product(ideal.power(n if n < q else n - q))) - colength(ideal.power(n))
+        for n in range(q + window)
+    )

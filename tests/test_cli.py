@@ -267,6 +267,16 @@ EXIT_CODE_MATRIX = {
         1, "does not match",
     ),
 }
+# p is the characteristic, so a non-prime --p is refused on both dim1 formula paths
+EXIT_CODE_MATRIX |= {
+    f"{name}_p_{p}": (argv + ["--p", p], 2, f"p = {p} is not prime")
+    for name, argv in [
+        ("formula_dim1", ["formula", "dim1", "--e0", "5", "--e1", "10", "--r", "4",
+                          "--lengths", "0,1,3,6", "--alpha=-4,-6;-3,-5;-2,-3;-1,-1"]),
+        ("formula_sop_dim1", ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6"]),
+    ]
+    for p in ("4", "1")
+}
 # the preset fixes every invariant, p included, so any instance flag is refused
 EXIT_CODE_MATRIX |= {
     f"preset_with_{flag}_{value}": (

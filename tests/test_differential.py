@@ -5,8 +5,9 @@ ideals_equal is compared with the initial ideal of an independent
 Buchberger completion; MonomialIdeal.product and frobenius with
 minimalize over the summed or scaled exponent tuples; the bitset
 minimalisation with a pairwise scan; the staircase walk with
-inclusion-exclusion; and the graded-sum monomial oracle with the
-closed form cm_sop_hk on all three of its branches.
+inclusion-exclusion; the graded-sum monomial oracle with the
+closed form cm_sop_hk on all three of its branches; and parse_ideal
+with format_ideal.
 """
 from unittest import mock
 
@@ -27,7 +28,9 @@ from reeshk.monomial_algebra import (
     InfiniteColength,
     MonomialIdeal,
     _minimal_vectors,
+    format_ideal,
     minimalize,
+    parse_ideal,
 )
 from reeshk.rees_oracle import ReesInstanceMonomial, rees_colength_monomial
 
@@ -145,6 +148,17 @@ class TestFrobenius:
         # frobenius skips minimalize: scaling keeps the generators minimal and sorted
         scaled = [tuple(s * e for e in g) for g in ideal.gens]
         assert ideal.frobenius(s) == minimalize(scaled, ambient_dim=ideal.ambient_dim)
+
+
+class TestIdealText:
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(monomial_ideals))
+    @example(MonomialIdeal.zero(3))
+    @example(MonomialIdeal.unit(1))
+    def test_parse_inverts_format(self, ideal):
+        # the zero ideal formats as '', which carries no dimension
+        dim = ideal.ambient_dim if ideal.is_zero else None
+        assert parse_ideal(format_ideal(ideal), ambient_dim=dim) == ideal
 
 
 def long_vector_lists(d):

@@ -23,6 +23,16 @@ COMMANDS = {
     ],
     "formula_dim1_fermat5": ["formula", "dim1", "--preset", "fermat5"],
     "formula_cm_sop": ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s", "2..5"],
+    # graded tail cap 2a = 14; the dim1-fermat5 benchmark runs this command
+    "fit_dim1_a7": [
+        "fit", "dim1", "--a", "7", "--p", "2", "--variant", "rees-of-m", "--e", "2..7",
+        "--holdout", "0",
+    ],
+    "oracle_dim1_p3": [
+        "oracle", "dim1", "--a", "3", "--p", "3", "--variant", "rees-of-m", "--e", "1..3",
+    ],
+    # at s = 3 the graded tail runs past t = s - 1, beyond the pieces the head counted
+    "oracle_monomial_d4": ["oracle", "monomial", "--exponents", "2,1,1,1", "--s", "1..3"],
 }
 
 # golden file extension -> --format

@@ -143,6 +143,9 @@ class TestDim1:
             Dim1Input(1, 0, 3, None, (0, 2, 1), (PeriodicSequence((0,)),) * 3, 2)
         with pytest.raises(ValueError):
             dim1_hk(fermat_input(rho=None))  # rho required here
+        for p in (4, 1, 0):
+            with pytest.raises(ValueError, match="not prime"):
+                Dim1Input(4, 0, 0, None, (), (), p)
 
 
 class TestCorDim1:
@@ -174,6 +177,11 @@ class TestSopDim1:
     def test_zero_alpha(self):
         qp = sop_dim1_hk(9, PeriodicSequence((0,)), 5)
         assert qp.polys[0] == Poly([0, 0, 9])
+
+    def test_p_must_be_prime(self):
+        for p in (4, 1, 0):
+            with pytest.raises(ValueError, match="not prime"):
+                sop_dim1_hk(5, PeriodicSequence((-4, -6)), p)
 
     def test_cubic_hypersurface_alpha_from_oracle(self):
         # alpha for k[[X,Y]]/(X^3-Y^3) at p = 2 is constantly -2

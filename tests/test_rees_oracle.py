@@ -3,21 +3,29 @@ import itertools
 
 import pytest
 
+from reeshk.binomial_groebner import BinomialRelation, quotient_colength
 from reeshk.hk_formulas import PeriodicSequence, cm_sop_hk, sop_dim1_hk
+from reeshk.monomial_algebra import MonomialIdeal
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
+    _PLANE_MAXIMAL,
     InconsistentSamples,
     InsufficientSamples,
     NonPolynomialSamples,
     ReesInstanceDim1,
     ReesInstanceMonomial,
     SampleSet,
+    StabilizationNotReached,
+    _graded_length,
+    _hypersurface,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
     rees_colength_dim1,
     rees_colength_monomial,
 )
+
+from reference import graded_length_by_window
 
 
 class TestInstances:
@@ -100,6 +108,46 @@ class TestDim1Oracle:
         qp = cordim1_hk(FERMAT5)
         for e in range(3, 7):
             assert rees_colength_dim1(inst, e) == qp.value_at(e)
+
+
+class TestGradedLength:
+    """The shared graded sum: its tail cap, its stop rule, and a fixed-window reference."""
+
+    # (ideal, q, colength, equal, first tail index t with I^[q] I^t = I^(q+t))
+    CASES = {
+        "monomial": (
+            ReesInstanceMonomial((2, 1, 1, 1)).ideal(), 3,
+            lambda ideal: ideal.colength(), lambda a, b: a == b, 6,
+        ),
+        "hypersurface": (_PLANE_MAXIMAL, 8, *_hypersurface(7, None), 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cap_below_truncation_raises(self, case):
+        ideal, q, colength, equal, t = self.CASES[case]
+        # a piece past the cap that still differs raises, so cap t - 2 fails and t - 1 holds
+        with pytest.raises(StabilizationNotReached):
+            _graded_length(ideal, q, colength, equal, t - 2)
+        full = _graded_length(ideal, q, colength, equal, t + 10)
+        assert _graded_length(ideal, q, colength, equal, t - 1) == full
+
+    @pytest.mark.parametrize("exps", [(1, 1), (2, 3), (1, 1, 1), (1, 2, 2)])
+    def test_monomial_matches_fixed_window(self, exps):
+        inst = ReesInstanceMonomial(exps)
+        for s in range(1, 5):
+            window = (inst.d - 1) * s + 2  # tail pieces t = 0 .. cap + 1
+            expected = graded_length_by_window(inst.ideal(), s, MonomialIdeal.colength, window)
+            assert rees_colength_monomial(inst, s) == expected, s
+
+    @pytest.mark.parametrize("a", [3, 5, 7])
+    def test_rees_of_m_matches_fixed_window(self, a):
+        rel = BinomialRelation(2, 0, 1, a)
+        inst = ReesInstanceDim1(a, 2, "rees_of_m")
+        for e in range(1, 6):
+            expected = graded_length_by_window(
+                _PLANE_MAXIMAL, 2**e, lambda ideal: quotient_colength(rel, ideal.gens), 2 * a + 2
+            )
+            assert rees_colength_dim1(inst, e) == expected, e
 
 
 class TestAlphaTable:
