@@ -17,6 +17,14 @@ quotient lengths (`quotient_colength`) and decides equality of two
 such ideals (`ideals_equal`), since both are fixed by their initial
 ideals.
 
+The dimension selects the path.  In two variables the initial ideal is
+fixed by its staircase heights h[0..a-1], where h[c] is the smallest Y
+exponent among the normal forms with X exponent at most c; one pass
+over the generators gives them, with no tuples and no sort.  The
+colength is sum(h) and equality compares heights.  Otherwise, and for
+`initial_ideal` in any dimension, the normal forms are minimalised and
+the staircase walk counts them.
+
 Generators are plain exponent tuples, checked once at the public
 entry points (`initial_ideal`, `quotient_colength`, `ideals_equal`,
 `buchberger`): a nonempty set of nonnegative integer tuples of the
@@ -33,11 +41,13 @@ every binomial-monomial pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .monomial_algebra import (
     MonomialIdeal,
     Vector,
+    _check_box,
     _divisible,
     _minimal_vectors,
     _validated,
@@ -170,6 +180,31 @@ def buchberger(rel: BinomialRelation, gens: Iterable[Sequence[int]]) -> Groebner
     return GroebnerBasisBM(rel, _minimal_vectors(basis))
 
 
+def _plane_heights(
+    rel: BinomialRelation, gens: Iterable[Sequence[int]]
+) -> list[int]:
+    """Staircase heights h[0..a-1] of the initial ideal in two variables.
+
+    h[c] is the smallest Y exponent among the normal forms with X
+    exponent at most c: the lowest per residue class, then a running
+    minimum.  Every generator has a normal form with X exponent 0 (its
+    own or its wrap), so the first one's wrap bounds h[0] and can stand
+    for "none yet" in every class.
+    """
+    a = rel.exponent
+    vectors = _validated(gens, 2, nonempty=True)
+    i, j = vectors[0]
+    lowest = [j + i - i % a + a] * a
+    for i, j in vectors:
+        r = i % a
+        y = j + i - r
+        if y < lowest[r]:
+            lowest[r] = y
+        if r and y + a < lowest[0]:
+            lowest[0] = y + a
+    return list(accumulate(lowest, min))
+
+
 def _initial_vectors(
     rel: BinomialRelation, gens: Iterable[Sequence[int]]
 ) -> tuple[Vector, ...]:
@@ -202,8 +237,16 @@ def quotient_colength(
     gens: Iterable[Sequence[int]],
     box_cap: Optional[int] = None,
 ) -> int:
-    """Length of the quotient by (binomial + monomials): colength of the initial ideal."""
-    return initial_ideal(rel, gens).colength(box_cap=box_cap)
+    """Length of the quotient by (binomial + monomials): colength of the initial ideal.
+
+    In two variables that is the sum of the staircase heights, inside
+    the box of X^(first c with h[c] = 0, else a) and Y^h[0].
+    """
+    if rel.ambient_dim != 2:
+        return initial_ideal(rel, gens).colength(box_cap=box_cap)
+    h = _plane_heights(rel, gens)
+    _check_box((h.index(0) if h[-1] == 0 else rel.exponent, h[0]), box_cap)
+    return sum(h)
 
 
 def ideals_equal(
@@ -214,6 +257,8 @@ def ideals_equal(
     """Whether (binomial) + A and (binomial) + B are the same ideal.
 
     Each ideal is the binomial plus the span of the standard monomials
-    in its initial ideal, so equal initial ideals mean equal ideals.
+    in its initial ideal, so equal initial ideals mean equal ideals; in
+    two variables the staircase heights fix the initial ideal.
     """
-    return _initial_vectors(rel, gens_a) == _initial_vectors(rel, gens_b)
+    key = _plane_heights if rel.ambient_dim == 2 else _initial_vectors
+    return key(rel, gens_a) == key(rel, gens_b)

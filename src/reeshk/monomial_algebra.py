@@ -6,14 +6,17 @@ Exponent tuples from outside the module are checked once, by
 `_validated`, at the public constructors (`minimalize`,
 `MonomialIdeal.from_exponents`, `parse_ideal`); products, powers and
 bracket powers of ideals already built pass their tuples straight on.
-Minimal generators come from bitset divisibility masks; colength from
-a staircase walk over the box of the pure-power generators whose
-slices see growing prefixes of the sorted generators.
+Minimal generators come from bitset divisibility masks, or in two
+variables from a running minimum of the second exponent over the
+sorted tuples; colength from a staircase walk over the box of the
+pure-power generators whose slices see growing prefixes of the sorted
+generators.
 """
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 from operator import add, and_
 from typing import Iterable, Optional, Sequence
@@ -39,15 +42,17 @@ def _validated(
     The length is ambient_dim if given, else that of the first tuple;
     nonempty rejects an empty generator set.
     """
-    vectors = [tuple(g) for g in gens]
+    vectors = list(map(tuple, gens))
     if nonempty and not vectors:
         raise ValueError("generator set must be nonempty")
     if ambient_dim is None and vectors:
         ambient_dim = len(vectors[0])
-    if any(len(v) != ambient_dim for v in vectors):
+    # each check is one pass in C over all tuples or all exponents
+    if not set(map(len, vectors)) <= {ambient_dim}:
         raise ValueError(f"generators must all have {ambient_dim} exponents")
-    # type(e) is int, not isinstance: bool is an int subclass
-    if any(type(e) is not int or e < 0 for v in vectors for e in v):
+    flat = list(chain.from_iterable(vectors))
+    # the type, not isinstance: bool is an int subclass; min only sees ints
+    if not set(map(type, flat)) <= {int} or min(flat, default=0) < 0:
         raise ValueError("exponents must be nonnegative integers")
     return vectors
 
@@ -60,13 +65,22 @@ def _divisible(t: Sequence[int], gens: Iterable[Vector]) -> bool:
 def _minimal_vectors(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
     """Minimal elements of a set of exponent vectors under divisibility, sorted.
 
-    Bit j stands for vs[j] of the distinct sorted vectors.  A divisor of
-    vs[j] precedes it, which settles the first coordinate; for each other
-    one, below[e] marks the vectors with that exponent at most e.  The AND
-    marks the divisors of vs[j], itself included, so vs[j] is minimal iff
-    that is its own bit.
+    A divisor of a vector precedes it among the distinct sorted vectors,
+    which settles the first coordinate.  With two coordinates a vector is
+    then minimal iff its second exponent is below the running minimum of
+    those before it.  Otherwise bit j stands for vs[j]; for each later
+    coordinate, below[e] marks the vectors with that exponent at most e.
+    The AND marks the divisors of vs[j], itself included, so vs[j] is
+    minimal iff that is its own bit.
     """
     vs = sorted(set(vectors))
+    if vs and len(vs[0]) == 2:
+        kept, low = [], vs[0][1] + 1
+        for v in vs:
+            if v[1] < low:
+                kept.append(v)
+                low = v[1]
+        return tuple(kept)
     bits = [1 << j for j in range(len(vs))]
     divisors = [(bit << 1) - 1 for bit in bits]
     for column in list(zip(*vs))[1:]:
@@ -91,7 +105,7 @@ class MonomialIdeal:
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:
             raise ValueError("ambient_dim must be positive")
-        if any(len(g) != self.ambient_dim for g in self.gens):
+        if not set(map(len, self.gens)) <= {self.ambient_dim}:
             raise ValueError("mixed ambient dimensions")
 
     @classmethod
@@ -111,10 +125,6 @@ class MonomialIdeal:
     @property
     def is_zero(self) -> bool:
         return not self.gens
-
-    @property
-    def is_unit(self) -> bool:
-        return any(not any(g) for g in self.gens)
 
     def contains(self, other: "MonomialIdeal") -> bool:
         """Ideal containment: every generator of other lies in self."""
@@ -172,10 +182,7 @@ class MonomialIdeal:
         box = self.primary_box()
         if box is None:
             raise InfiniteColength(f"no pure power of every variable in {self}")
-        if box_cap is not None and prod(box) > box_cap:
-            raise ResourceCapExceeded(
-                f"bounding box {box} has {prod(box)} points, cap is {box_cap}"
-            )
+        _check_box(box, box_cap)
         return _count_standard(self.gens, box)
 
     def __str__(self) -> str:
@@ -192,6 +199,12 @@ def minimalize(
             raise ValueError("ambient_dim required for an empty generator set")
         ambient_dim = len(vectors[0])
     return MonomialIdeal(ambient_dim, _minimal_vectors(vectors))
+
+
+def _check_box(box: Vector, box_cap: Optional[int]) -> None:
+    """Raise ResourceCapExceeded if the box has more lattice points than box_cap."""
+    if box_cap is not None and prod(box) > box_cap:
+        raise ResourceCapExceeded(f"bounding box {box} has {prod(box)} points, cap is {box_cap}")
 
 
 def _count_standard(gens: Sequence[Vector], box: Vector) -> int:

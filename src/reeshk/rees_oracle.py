@@ -157,7 +157,7 @@ def _hypersurface(a: int, box_cap: Optional[int]) -> tuple[Colength, Equal]:
     """Colength and ideal equality in k[X, Y]/(X^a - Y^a), for monomial ideals of k[X, Y]."""
     rel = BinomialRelation(2, 0, 1, a)
     return (
-        lambda ideal: 0 if ideal.is_unit else quotient_colength(rel, ideal.gens, box_cap=box_cap),
+        lambda ideal: quotient_colength(rel, ideal.gens, box_cap=box_cap),
         lambda lhs, rhs: ideals_equal(rel, lhs.gens, rhs.gens),
     )
 

@@ -18,6 +18,7 @@ def exps(gb):
 
 
 REL5 = BinomialRelation(3, 0, 1, 5)
+REL_PLANE = BinomialRelation(2, 0, 1, 5)
 
 
 class TestRelation:
@@ -198,6 +199,19 @@ class TestBoundaryValidation:
         "negative": [(8, 0, 0), (0, 8, 0), (0, 0, -1)],
         "bool": [(True, 0, 0), (0, 8, 0), (0, 0, 8)],
         "float": [(2.0, 0, 0), (0, 8, 0), (0, 0, 8)],
+        "str": [("8", 0, 0), (0, 8, 0), (0, 0, 8)],
+        "none": [(None, 0, 0), (0, 8, 0), (0, 0, 8)],
+    }
+    # the same cases in two variables, where the staircase heights path runs
+    PLANE_BAD_GENERATORS = {
+        "empty": [],
+        "wrong_length": [(8,), (0, 8)],
+        "mixed_length": [(8, 0, 0), (0, 8)],
+        "negative": [(8, 0), (0, -1)],
+        "bool": [(True, 0), (0, 8)],
+        "float": [(2.0, 0), (0, 8)],
+        "str": [("8", 0), (0, 8)],
+        "none": [(None, 0), (0, 8)],
     }
     GOOD = [(8, 0, 0), (0, 8, 0), (0, 0, 8)]
     # the entry points besides quotient_colength and ideals_equal, which
@@ -205,8 +219,9 @@ class TestBoundaryValidation:
     # and the monomial ideal constructors take the empty set as the zero ideal
     ENTRY_POINTS = {
         "from_exponents": lambda gens: MonomialIdeal.from_exponents(3, gens),
+        # repr, so that the string "8" stays a quoted, unparsable exponent
         "parse_ideal": lambda gens: parse_ideal(
-            ";".join(",".join(map(str, g)) for g in gens), ambient_dim=3
+            ";".join(",".join(map(repr, g)) for g in gens), ambient_dim=3
         ),
         "minimalize": lambda gens: minimalize(gens, ambient_dim=3),
         "initial_ideal": lambda gens: initial_ideal(REL5, gens),
@@ -239,6 +254,42 @@ class TestBoundaryValidation:
             ideals_equal(REL5, self.BAD_GENERATORS[case], self.GOOD)
         with pytest.raises(ValueError):
             ideals_equal(REL5, self.GOOD, self.BAD_GENERATORS[case])
+
+    @pytest.mark.parametrize("case", sorted(PLANE_BAD_GENERATORS))
+    def test_plane_entry_points_reject(self, case):
+        gens = self.PLANE_BAD_GENERATORS[case]
+        good = [(8, 0), (0, 8)]
+        for call in (
+            lambda: quotient_colength(REL_PLANE, gens),
+            lambda: initial_ideal(REL_PLANE, gens),
+            lambda: ideals_equal(REL_PLANE, gens, good),
+            lambda: ideals_equal(REL_PLANE, good, gens),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize(
+        "gens,box",
+        [
+            # X^2 X^3 = X^5 = Y^5, so Y^5 is in the ideal: a box narrower than a
+            ([(3, 0), (0, 9)], (3, 5)),
+            # no pure X power below X^5: the box is (a, h[0])
+            ([(8, 0), (0, 8)], (5, 8)),
+        ],
+    )
+    def test_plane_box_cap_trips_at_the_buchberger_box(self, gens, box):
+        from math import prod
+
+        from reeshk.monomial_algebra import ResourceCapExceeded
+
+        initial = buchberger(REL_PLANE, gens).initial_ideal()
+        assert initial.primary_box() == box
+        with pytest.raises(ResourceCapExceeded) as general:
+            initial.colength(box_cap=prod(box) - 1)
+        with pytest.raises(ResourceCapExceeded) as plane:
+            quotient_colength(REL_PLANE, gens, box_cap=prod(box) - 1)
+        assert str(plane.value) == str(general.value)
+        assert quotient_colength(REL_PLANE, gens, box_cap=prod(box)) == initial.colength()
 
     def test_box_cap_trips_at_the_buchberger_box(self):
         from math import prod

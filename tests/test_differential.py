@@ -1,13 +1,14 @@
 """Property-based differential tests of the fast paths against their references.
 
 The residue-class initial ideal behind quotient_colength and
-ideals_equal is compared with the initial ideal of an independent
-Buchberger completion; MonomialIdeal.product and frobenius with
-minimalize over the summed or scaled exponent tuples; the bitset
+ideals_equal, and in two variables its staircase heights, are compared
+with the initial ideal of an independent Buchberger completion;
+MonomialIdeal.product and frobenius with minimalize over the summed or
+scaled exponent tuples; the bitset and two-column running-minimum
 minimalisation with a pairwise scan; the staircase walk with
-inclusion-exclusion; the graded-sum monomial oracle with the
-closed form cm_sop_hk on all three of its branches; and parse_ideal
-with format_ideal.
+inclusion-exclusion; the graded-sum monomial oracle with the closed
+form cm_sop_hk on all three of its branches; and parse_ideal with
+format_ideal.
 """
 from unittest import mock
 
@@ -39,17 +40,22 @@ from reference import colength_by_inclusion_exclusion, minimal_vectors_reference
 
 @st.composite
 def relations(draw):
-    """X_u^a - X_v^a in 2 to 4 variables, any u < v, a <= 7."""
+    """X_u^a - X_v^a in 2 to 4 variables, any u < v, a <= 7 (a <= 9 in two)."""
     d = draw(st.integers(2, 4))
     u = draw(st.integers(0, d - 2))
     v = draw(st.integers(u + 1, d - 1))
-    return BinomialRelation(d, u, v, draw(st.integers(2, 7)))
+    return BinomialRelation(d, u, v, draw(st.integers(2, 9 if d == 2 else 7)))
 
 
 def generators(d, primary):
-    """1 to 5 random monomials; if primary, also a pure power of every variable."""
-    mono = st.tuples(*[st.integers(0, 9)] * d)
-    gens = st.lists(mono, min_size=1, max_size=5)
+    """1 to 5 random monomials; if primary, also a pure power of every variable.
+
+    In two variables 1 to 12 with exponents up to 40, so that the normal
+    forms wrap through several residue classes.
+    """
+    top, size = (40, 12) if d == 2 else (9, 5)
+    mono = st.tuples(*[st.integers(0, top)] * d)
+    gens = st.lists(mono, min_size=1, max_size=size)
     if not primary:
         return gens
     powers = st.tuples(*[st.integers(1, 9)] * d).map(
@@ -63,6 +69,12 @@ def instances(draw):
     """A relation and generators, primary or not."""
     rel = draw(relations())
     return rel, draw(generators(rel.ambient_dim, draw(st.booleans())))
+
+
+def plane_power_product(a, q, n):
+    """X^a - Y^a with the generators of m^[q] m^n, m = (X, Y): the rees_of_m inputs."""
+    m = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
+    return BinomialRelation(2, 0, 1, a), m.frobenius(q).product(m.power(n)).gens
 
 
 def reference_colength(rel, gens):
@@ -89,6 +101,13 @@ class TestResidueInitialIdeal:
 
     @settings(max_examples=150)
     @given(instances())
+    # the rees_of_m inputs m^[q] m^n, and plane inputs whose only pure Y
+    # power comes from a wrap
+    @example(plane_power_product(5, 8, 3))
+    @example(plane_power_product(7, 16, 9))
+    @example(plane_power_product(9, 8, 12))
+    @example((BinomialRelation(2, 0, 1, 5), [(7, 3)]))
+    @example((BinomialRelation(2, 0, 1, 9), [(1, 40), (13, 2), (30, 0)]))
     def test_colength_matches_buchberger(self, instance):
         # non-primary inputs must raise InfiniteColength on both sides
         rel, gens = instance
@@ -119,6 +138,20 @@ class TestIdealsEqual:
         basis = buchberger(rel, gens).monomials
         assert ideals_equal(rel, gens, basis)
         assert ideals_equal(rel, basis, gens)
+
+    @pytest.mark.parametrize("a,q", [(5, 8), (7, 8), (3, 16), (9, 4)])
+    def test_tail_equalities_match_mutual_membership(self, a, q):
+        # m^[q] m^t = m^(q+t) turns true at some t: both answers occur
+        m = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
+        rel = BinomialRelation(2, 0, 1, a)
+        answers = set()
+        for t in range(2 * a):
+            lhs = m.frobenius(q).product(m.power(t)).gens
+            rhs = m.power(q + t).gens
+            answer = ideals_equal(rel, lhs, rhs)
+            assert answer == mutually_contained(rel, lhs, rhs), t
+            answers.add(answer)
+        assert answers == {False, True}
 
 
 def monomial_ideals(d):

@@ -2,6 +2,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeshk.binomial_groebner import BinomialRelation, quotient_colength
 from reeshk.hk_formulas import PeriodicSequence, cm_sop_hk, sop_dim1_hk
@@ -108,6 +110,15 @@ class TestDim1Oracle:
         qp = cordim1_hk(FERMAT5)
         for e in range(3, 7):
             assert rees_colength_dim1(inst, e) == qp.value_at(e)
+
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_unit_ideal_has_colength_zero(self, cap):
+        # the hypersurface plug-in needs no unit-ideal guard, even under the tightest cap
+        colength, _ = _hypersurface(5, cap)
+        assert colength(MonomialIdeal.unit(2)) == 0
+        assert quotient_colength(BinomialRelation(2, 0, 1, 5), [(0, 0)], box_cap=cap) == 0
+        assert quotient_colength(BinomialRelation(3, 0, 1, 5), [(0, 0, 0)], box_cap=cap) == 0
 
 
 class TestGradedLength:
@@ -237,6 +248,57 @@ class TestFitQuasiPolynomial:
             fit_quasi_polynomial(self.fermat_x_samples(8), degree=-1, period=2)
         with pytest.raises(ValueError):
             fit_quasi_polynomial(self.fermat_x_samples(8), degree=2, period=0)
+
+
+@st.composite
+def planted_samples(draw):
+    """Exact samples of a random quasi-polynomial in q, wrong below a planted e.
+
+    Period 1-3, degree 0-2, integer coefficients with a nonzero leading
+    one in every residue class.  Every e below the truncation point t is
+    perturbed; from t on, each class has exactly the samples the fit
+    and its holdout need, plus up to one more.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    period, degree, holdout = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    coeffs = st.integers(-20, 20)
+    lead = coeffs.filter(bool)
+    polys = tuple(
+        Poly([*draw(st.lists(coeffs, min_size=degree, max_size=degree)), draw(lead)])
+        for _ in range(period)
+    )
+    t = draw(st.integers(1, 4))
+    last = t - 1 + period * (degree + 1 + holdout) + draw(st.integers(0, period))
+    values = {e: int(polys[e % period](p**e)) for e in range(1, last + 1)}
+    for e in range(1, t):
+        values[e] += draw(lead)
+    return SampleSet.from_values(p, values), polys, degree, holdout, t
+
+
+class TestFitRoundTrip:
+    """fit_quasi_polynomial recovers random quasi-polynomials and their truncation point."""
+
+    @settings(max_examples=150)
+    @given(planted_samples())
+    def test_recovers_polynomials_and_threshold(self, case):
+        samples, polys, degree, holdout, t = case
+        qp = fit_quasi_polynomial(samples, degree, len(polys), holdout)
+        assert qp.polys == polys
+        assert qp.valid_from_e == t
+
+    @settings(max_examples=100)
+    @given(planted_samples(), st.data())
+    def test_perturbed_holdout_raises(self, case, data):
+        samples, polys, degree, holdout, _ = case
+        period = len(polys)
+        c = data.draw(st.integers(0, period - 1))
+        es = [e for e, _, _ in samples.entries if e % period == c]
+        # the holdout of class c: the samples just before its newest degree + 1
+        e = data.draw(st.sampled_from(es[-(degree + 1 + holdout) : -(degree + 1)]))
+        values = {k: value for k, _, value in samples.entries}
+        values[e] += data.draw(st.integers(-20, 20).filter(bool))
+        with pytest.raises(InconsistentSamples):
+            fit_quasi_polynomial(SampleSet.from_values(samples.prime, values), degree, period, holdout)
 
 
 class TestEstimateEhk:
