@@ -5,31 +5,13 @@ brute-force staircase and Groebner oracles to verify them, all in
 exact integer and rational arithmetic.
 """
 
-from .combinatorics import (
-    StirlingTable,
-    binomial,
-    binomial_poly_expand,
-    cycle_count,
-    alternating_binomial_sum,
-    alternating_binomial_sum_closed_form,
-    stirling_first,
-    stirling_second,
-)
-from .hilbert_samuel import (
-    AsymptoticCoefficients,
-    HilbertContext,
-    asymptotic_coefficients,
-    c_of_d,
-    hilbert_F,
-    hilbert_H,
-    reduction_number_power,
-)
+from .combinatorics import binomial
+from .hilbert_samuel import HilbertContext, c_of_d, hilbert_F, hilbert_H
 from .hk_formulas import (
     Dim1Input,
     PeriodicSequence,
     QuasiPolynomialHK,
     cm_sop_hk,
-    cm_sop_hk_polynomial,
     compare_to_eto_yoshida,
     cordim1_hk,
     dim1_hk,

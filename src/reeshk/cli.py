@@ -1,8 +1,9 @@
 """Command line front end: evaluate formulas, run oracles, compare and fit.
 
 Exit codes: 0 all rows match, 1 mismatch or golden failure, 2 invalid
-input, 3 resource cap exceeded.  All numbers are emitted as exact
-decimal strings; rationals as 'num/den'.
+input, 3 resource cap exceeded, 4 internal error (traceback on stderr,
+nothing on stdout).  All numbers are emitted as exact decimal strings;
+rationals as 'num/den'.
 """
 from __future__ import annotations
 
@@ -174,6 +175,13 @@ def _box_cap(args: argparse.Namespace) -> Optional[int]:
     return None if args.force else BOX_CAP
 
 
+def _refuse_beside(args: argparse.Namespace, owner: str, fixes: str, *flags: str) -> None:
+    """Refuse each of `flags` given beside the flag `owner`, which fixes their values."""
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise ValueError(f"{owner} fixes {fixes}; drop {', '.join(given)}")
+
+
 def _dim1_setup(
     a: int, p: int, variant: str, e_text: str, force: bool
 ) -> tuple[ReesInstanceDim1, list[int]]:
@@ -217,10 +225,9 @@ def cmd_formula_stanley_reisner(args: argparse.Namespace) -> RunReport:
 
 def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
     if args.preset is not None:
-        flags = ("e0", "e1", "r", "rho", "lengths", "alpha", "p")
-        given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
-        if given:
-            raise ValueError(f"--preset fixes the instance; drop {', '.join(given)}")
+        _refuse_beside(
+            args, "--preset", "the instance", "e0", "e1", "r", "rho", "lengths", "alpha", "p"
+        )
         inp = FERMAT5
         report = _report(args, "preset")
     else:
@@ -337,6 +344,7 @@ def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
 def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
     ss = parse_range(args.s)
     if args.exponents:
+        _refuse_beside(args, "--exponents", "d and e0", "d", "e0")
         inst = ReesInstanceMonomial(parse_int_tuple(args.exponents))
         d, e0 = inst.d, inst.e0
         values = {s: rees_colength_monomial(inst, s, box_cap=_box_cap(args)) for s in ss}
@@ -479,7 +487,8 @@ COMMANDS = {
 }
 
 # Exit code of each error; the first class the error is an instance of wins,
-# so InsufficientSamples (an OracleError) counts as invalid input.
+# so InsufficientSamples (an OracleError) counts as invalid input.  Any
+# other exception is a bug in the program and exits 4.
 EXIT_CODES = {
     ResourceCapExceeded: 3,
     ValueError: 2,
@@ -525,10 +534,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         report = args.handler(args)
+        text = RENDERERS[args.format](report)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
-    sys.stdout.write(RENDERERS[args.format](report))
+    except Exception:
+        import traceback  # here, not at the top: startup time stays as it was
+
+        traceback.print_exc()
+        return 4
+    sys.stdout.write(text)
     return 0 if report.verdict else 1
 
 

@@ -6,10 +6,10 @@ multiplicity e0 = e_0(I):
     H(n)    = e0 * C(n+d-1, d)    = length of R / I^n          (n >= 1)
     F(s, n) = length of I^[s] / I^[s] I^n
 
-F is evaluated through its piecewise closed form; the two available
-case splits (the refined one, used by default, and the coarser
-original) agree on their overlap and both are kept so tests can
-compare them.
+F is evaluated through the refined piecewise closed form, whose third
+branch starts at n = s(d-1)-d+1.  The original split, the middle-branch
+sum on the boundary window, the reduction numbers of powers and the
+large-s coefficients cross-check it from `tests/reference.py`.
 """
 from __future__ import annotations
 
@@ -34,27 +34,11 @@ class HilbertContext:
             raise ValueError("e0 must be positive")
 
 
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """Top three coefficients (s^(d+1), s^d, s^(d-1)) of the large-s expansion."""
-
-    c_lead: Fraction
-    c_sub: Fraction
-    c_subsub: Fraction
-
-
 def hilbert_H(ctx: HilbertContext, n: int) -> int:
     """e0 * C(n+d-1, d); zero for n <= 0."""
     if n <= 0:
         return 0
     return ctx.e0 * binomial(n + ctx.d - 1, ctx.d)
-
-
-def _check_F_args(ctx: HilbertContext, s: int) -> None:
-    if ctx.d < 2:
-        raise ValueError("F(s, n) requires dimension d >= 2")
-    if s < 1:
-        raise ValueError("s must be positive")
 
 
 def hilbert_F(ctx: HilbertContext, s: int, n: int) -> int:
@@ -66,64 +50,21 @@ def hilbert_F(ctx: HilbertContext, s: int, n: int) -> int:
 
     Terms H(m) with m <= 0 vanish, which makes the middle sum safe.
     """
-    _check_F_args(ctx, s)
+    if ctx.d < 2:
+        raise ValueError("F(s, n) requires dimension d >= 2")
+    if s < 1:
+        raise ValueError("s must be positive")
     if n <= 0:
         return 0
     d = ctx.d
     if n <= s:
         return d * hilbert_H(ctx, n)
     if n <= s * (d - 1) - d:
-        return _middle_sum(ctx, s, n)
+        return sum(
+            (-1) ** (i + 1) * binomial(d, i) * hilbert_H(ctx, n - (i - 1) * s)
+            for i in range(1, d)
+        )
     return hilbert_H(ctx, n + s) - s**d * ctx.e0
-
-
-def hilbert_F_unrefined(ctx: HilbertContext, s: int, n: int) -> int:
-    """F(s, n) by the original case split (third branch from n = (d-1)s).
-
-    Retained for cross-checking only; agrees with hilbert_F everywhere.
-    """
-    _check_F_args(ctx, s)
-    if n <= 0:
-        return 0
-    d = ctx.d
-    if n <= s:
-        return d * hilbert_H(ctx, n)
-    if n <= (d - 1) * s - 1:
-        return _middle_sum(ctx, s, n)
-    return hilbert_H(ctx, n + s) - s**d * ctx.e0
-
-
-def _middle_sum(ctx: HilbertContext, s: int, n: int) -> int:
-    return sum(
-        (-1) ** (i + 1) * binomial(ctx.d, i) * hilbert_H(ctx, n - (i - 1) * s)
-        for i in range(1, ctx.d)
-    )
-
-
-def middle_branch_sum(ctx: HilbertContext, s: int, n: int) -> int:
-    """The middle-branch alternating sum evaluated outside its own range.
-
-    Used to check that it coincides with H(n+s) - s^d e0 on the boundary
-    window s(d-1)-d+1 <= n <= s(d-1).
-    """
-    _check_F_args(ctx, s)
-    return _middle_sum(ctx, s, n)
-
-
-def reduction_number_power(d: int, s: int) -> int:
-    """Reduction number of the s-th power of a parameter ideal.
-
-    Equals d-1 once s >= d; below that, writing d = k1*s + k2 with
-    0 <= k2 < s, it is d-k1 when k2 = 0 and d-k1-1 otherwise.
-    """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if s < 1:
-        raise ValueError("s must be positive")
-    if s >= d:
-        return d - 1
-    k1, k2 = divmod(d, s)
-    return d - k1 if k2 == 0 else d - k1 - 1
 
 
 def c_of_d(d: int) -> Fraction:
@@ -132,22 +73,3 @@ def c_of_d(d: int) -> Fraction:
         raise ValueError("d must be positive")
     return Fraction(d, 2) + Fraction(d, factorial(d + 1))
 
-
-def asymptotic_coefficients(ctx: HilbertContext) -> AsymptoticCoefficients:
-    """Top three large-s coefficients of the length of R(I)/(I, It)^[s].
-
-    c_lead    = c(d) * e0
-    c_sub     = e0 * (d-2)/2 * (1/(d-1)! - 1)
-    c_subsub  = e0 * d(d-1)(3d-10) / (24 (d-1)!)
-
-    For d = 2 the third value is the coefficient of s^1; lower-order
-    coefficients come from the exact polynomial expansion, not from
-    this triple.
-    """
-    if ctx.d < 2:
-        raise ValueError("d must be at least 2")
-    d, e0 = ctx.d, ctx.e0
-    lead = c_of_d(d) * e0
-    sub = e0 * Fraction(d - 2, 2) * (Fraction(1, factorial(d - 1)) - 1)
-    subsub = e0 * Fraction(d * (d - 1) * (3 * d - 10), 24 * factorial(d - 1))
-    return AsymptoticCoefficients(lead, sub, subsub)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .combinatorics import _is_prime, binomial, binomial_poly_expand
+from .combinatorics import _is_prime, binomial
 from .hilbert_samuel import c_of_d
 from .polynomials import Poly
 
@@ -63,10 +63,6 @@ class QuasiPolynomialHK:
     @property
     def period(self) -> int:
         return len(self.polys)
-
-    @property
-    def degree(self) -> int:
-        return self.polys[0].degree
 
     def poly_for(self, e: int) -> Poly:
         return self.polys[e % self.period]
@@ -216,20 +212,6 @@ def cm_sop_hk(d: int, e0: int, s: int) -> int:
     for i in range(d):
         total -= (-1) ** i * binomial(d, i) * binomial((d - i - k1 + off) * s + d - 1, d + 1)
     return e0 * total
-
-
-def cm_sop_hk_polynomial(d: int, e0: int) -> Poly:
-    """The s >= d closed form expanded exactly as a polynomial in s."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if e0 < 1:
-        raise ValueError("e0 must be positive")
-    poly = (
-        Poly.term(Fraction(d, 2), d + 1)
-        - Poly.term(Fraction(d - 2, 2), d)
-        + binomial_poly_expand(d) * d
-    )
-    return poly * e0
 
 
 def ehk_cm_sop(d: int, e0: int) -> Fraction:

@@ -4,8 +4,8 @@ A monomial is its exponent tuple, and an ideal keeps its minimal
 generators as a lexicographically sorted tuple of such tuples.
 Exponent tuples from outside the module are checked once, by
 `_validated`, at the public constructors (`minimalize`,
-`MonomialIdeal.from_exponents`, `parse_ideal`); products, powers and
-bracket powers of ideals already built pass their tuples straight on.
+`MonomialIdeal.from_exponents`, `parse_ideal`); products and bracket
+powers of ideals already built pass their tuples straight on.
 Minimal generators come from bitset divisibility masks, or in two
 variables from a running minimum of the second exponent over the
 sorted tuples; colength from a staircase walk over the box of the
@@ -126,10 +126,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def contains(self, other: "MonomialIdeal") -> bool:
-        """Ideal containment: every generator of other lies in self."""
-        return all(_divisible(h, self.gens) for h in other.gens)
-
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("mixed ambient dimensions")
@@ -139,14 +135,6 @@ class MonomialIdeal:
         # and shrinks, which fragments the heap and raises peak RSS
         raw = [(*map(add, a, b),) for a in self.gens for b in other.gens]
         return MonomialIdeal(self.ambient_dim, _minimal_vectors(raw))
-
-    def power(self, k: int) -> "MonomialIdeal":
-        if k < 0:
-            raise ValueError("negative power")
-        result = MonomialIdeal.unit(self.ambient_dim)
-        for _ in range(k):
-            result = result.product(self)
-        return result
 
     def frobenius(self, s: int) -> "MonomialIdeal":
         """Bracket power: each stored minimal generator raised to the s-th power.

@@ -25,13 +25,6 @@ class Poly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def term(cls, coeff: Scalar, power: int) -> "Poly":
-        """The monomial coeff * x^power."""
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -41,9 +34,6 @@ class Poly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return Fraction(0)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
@@ -56,15 +46,6 @@ class Poly:
         return Poly(
             [self.coefficient(k) + other.coefficient(k) for k in range(n)]
         )
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coefficient(k) - other.coefficient(k) for k in range(n)]
-        )
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):

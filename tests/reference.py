@@ -1,11 +1,130 @@
 """Slow, obviously correct references that the tests check the package against.
 
 Nothing here is fast; each function is written to be read, not run at
-scale.
-"""
-from math import prod
+scale.  Two kinds live here:
 
+* independent versions of package kernels: inclusion-exclusion
+  colength, pairwise minimalisation, a fixed-window graded sum;
+* the paper's side results that no `hk` command needs but the tests
+  keep checking: Stirling numbers, the alternating-sum identity, the
+  s >= d branch of the parameter-ideal closed form as a polynomial,
+  the original case split of F(s, n), the reduction numbers and
+  large-s coefficients of powers, and ideal powers and containment.
+
+Only tests call these, so they check no arguments.
+"""
+from fractions import Fraction
+from math import factorial, prod
+
+from reeshk.combinatorics import binomial
+from reeshk.hilbert_samuel import c_of_d, hilbert_H
 from reeshk.monomial_algebra import InfiniteColength, MonomialIdeal
+from reeshk.polynomials import Poly
+
+
+def stirling_first(n, k):
+    """Signed Stirling number of the first kind, s(m, j) = s(m-1, j-1) - (m-1) s(m-1, j)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [left - (m - 1) * mid for left, mid in zip([0, *row], [*row, 0])]
+    return row[k]
+
+
+def cycle_count(n, k):
+    """Number of permutations of n elements with exactly k cycles."""
+    s = stirling_first(n, k)
+    return s if (n - k) % 2 == 0 else -s
+
+
+def stirling_second(n, k):
+    """Partitions of an n-set into k blocks, S(m, j) = S(m-1, j-1) + j S(m-1, j); 0 when k > n."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [left + j * mid for j, (left, mid) in enumerate(zip([0, *row], [*row, 0]))]
+    return row[k] if k <= n else 0
+
+
+def alternating_binomial_sum(d, s):
+    """Direct summation of sum_{i=0}^{d} (-1)^(d-i) C(d,i) C(is, d+1)."""
+    return sum((-1) ** (d - i) * binomial(d, i) * binomial(i * s, d + 1) for i in range(d + 1))
+
+
+def alternating_binomial_sum_closed_form(d, s):
+    """Closed form d * s^d * (s - 1) / 2 of the same alternating sum."""
+    return d * s**d * (s - 1) // 2
+
+
+def binomial_poly_expand(d):
+    """C(s+d-1, d+1) as a polynomial in s: (s-1) s (s+1) ... (s+d-1) / (d+1)!."""
+    poly = Poly([1])
+    for j in range(-1, d):
+        poly = poly * Poly([j, 1])
+    return poly * Fraction(1, factorial(d + 1))
+
+
+def cm_sop_hk_polynomial(d, e0):
+    """The s >= d branch e0 [d s^(d+1)/2 - s^d (d-2)/2 + d C(s+d-1, d+1)] as a polynomial in s."""
+    top = Poly([0] * d + [Fraction(2 - d, 2), Fraction(d, 2)])
+    return (top + binomial_poly_expand(d) * d) * e0
+
+
+def middle_branch_sum(ctx, s, n):
+    """sum_{i=1}^{d-1} (-1)^(i+1) C(d,i) H(n-(i-1)s), at any n."""
+    return sum(
+        (-1) ** (i + 1) * binomial(ctx.d, i) * hilbert_H(ctx, n - (i - 1) * s)
+        for i in range(1, ctx.d)
+    )
+
+
+def hilbert_F_unrefined(ctx, s, n):
+    """F(s, n) by the original case split, whose third branch starts at n = (d-1)s."""
+    if n <= 0:
+        return 0
+    if n <= s:
+        return ctx.d * hilbert_H(ctx, n)
+    if n <= (ctx.d - 1) * s - 1:
+        return middle_branch_sum(ctx, s, n)
+    return hilbert_H(ctx, n + s) - s**ctx.d * ctx.e0
+
+
+def reduction_number_power(d, s):
+    """Reduction number of the s-th power of a parameter ideal.
+
+    d-1 once s >= d; below that, with d = k1*s + k2 and 0 <= k2 < s,
+    d-k1 when k2 = 0 and d-k1-1 otherwise.
+    """
+    if s >= d:
+        return d - 1
+    k1, k2 = divmod(d, s)
+    return d - k1 if k2 == 0 else d - k1 - 1
+
+
+def asymptotic_coefficients(ctx):
+    """Coefficients of s^(d+1), s^d and s^(d-1) in the length of R(I)/(I, It)^[s].
+
+        c(d) e0,  e0 (d-2)/2 (1/(d-1)! - 1),  e0 d(d-1)(3d-10) / (24 (d-1)!)
+    """
+    d, e0 = ctx.d, ctx.e0
+    return (
+        c_of_d(d) * e0,
+        e0 * Fraction(d - 2, 2) * (Fraction(1, factorial(d - 1)) - 1),
+        e0 * Fraction(d * (d - 1) * (3 * d - 10), 24 * factorial(d - 1)),
+    )
+
+
+def power(ideal, k):
+    """I^k as k products, from the unit ideal."""
+    result = MonomialIdeal.unit(ideal.ambient_dim)
+    for _ in range(k):
+        result = result.product(ideal)
+    return result
+
+
+def contains(ideal, other):
+    """Whether every generator of other is a multiple of a generator of ideal."""
+    return all(
+        any(all(a <= b for a, b in zip(g, h)) for g in ideal.gens) for h in other.gens
+    )
 
 
 def minimal_vectors_reference(vectors):
@@ -53,6 +172,6 @@ def graded_length_by_window(ideal: MonomialIdeal, q: int, colength, window: int)
     """
     frob = ideal.frobenius(q)
     return sum(
-        colength(frob.product(ideal.power(n if n < q else n - q))) - colength(ideal.power(n))
+        colength(frob.product(power(ideal, n if n < q else n - q))) - colength(power(ideal, n))
         for n in range(q + window)
     )

