@@ -6,10 +6,9 @@ exact integer and rational arithmetic.
 """
 
 from .combinatorics import binomial
-from .hilbert_samuel import HilbertContext, c_of_d, hilbert_F, hilbert_H
+from .hilbert_samuel import c_of_d, hilbert_F, hilbert_H
 from .hk_formulas import (
     Dim1Input,
-    PeriodicSequence,
     QuasiPolynomialHK,
     cm_sop_hk,
     compare_to_eto_yoshida,
@@ -41,7 +40,6 @@ from .rees_oracle import (
     OracleError,
     ReesInstanceDim1,
     ReesInstanceMonomial,
-    SampleSet,
     StabilizationNotReached,
     alpha_table,
     estimate_ehk,

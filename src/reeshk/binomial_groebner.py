@@ -25,10 +25,11 @@ colength is sum(h) and equality compares heights.  Otherwise, and for
 `initial_ideal` in any dimension, the normal forms are minimalised and
 the staircase walk counts them.
 
-Generators are plain exponent tuples, checked once at the public
-entry points (`initial_ideal`, `quotient_colength`, `ideals_equal`,
-`buchberger`): a nonempty set of nonnegative integer tuples of the
-relation's ambient dimension.
+`initial_ideal`, `quotient_colength` and `ideals_equal` take a
+`MonomialIdeal`, whose tuples were checked when `minimalize` or
+`parse_ideal` built it; they check only that the ideal is nonzero and
+has the relation's ambient dimension.  `buchberger` takes plain
+exponent tuples and checks them through `minimalize`.
 
 `initial_ideal` is the one production path, `hk oracle groebner`
 included.  `buchberger` is an independent S-pair completion of the same
@@ -50,7 +51,6 @@ from .monomial_algebra import (
     _check_box,
     _divisible,
     _minimal_vectors,
-    _validated,
     minimalize,
 )
 
@@ -180,9 +180,18 @@ def buchberger(rel: BinomialRelation, gens: Iterable[Sequence[int]]) -> Groebner
     return GroebnerBasisBM(rel, _minimal_vectors(basis))
 
 
-def _plane_heights(
-    rel: BinomialRelation, gens: Iterable[Sequence[int]]
-) -> list[int]:
+def _gens(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vector, ...]:
+    """The generators of a nonzero ideal of the relation's polynomial ring."""
+    if ideal.ambient_dim != rel.ambient_dim:
+        raise ValueError(
+            f"ideal has {ideal.ambient_dim} variables, the relation {rel.ambient_dim}"
+        )
+    if ideal.is_zero:
+        raise ValueError("generator set must be nonempty")
+    return ideal.gens
+
+
+def _plane_heights(rel: BinomialRelation, ideal: MonomialIdeal) -> list[int]:
     """Staircase heights h[0..a-1] of the initial ideal in two variables.
 
     h[c] is the smallest Y exponent among the normal forms with X
@@ -192,10 +201,10 @@ def _plane_heights(
     for "none yet" in every class.
     """
     a = rel.exponent
-    vectors = _validated(gens, 2, nonempty=True)
-    i, j = vectors[0]
+    gens = _gens(rel, ideal)
+    i, j = gens[0]
     lowest = [j + i - i % a + a] * a
-    for i, j in vectors:
+    for i, j in gens:
         r = i % a
         y = j + i - r
         if y < lowest[r]:
@@ -205,13 +214,11 @@ def _plane_heights(
     return list(accumulate(lowest, min))
 
 
-def _initial_vectors(
-    rel: BinomialRelation, gens: Iterable[Sequence[int]]
-) -> tuple[Vector, ...]:
-    """Sorted minimal generators of the initial ideal of (binomial) + (gens)."""
+def _initial_vectors(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vector, ...]:
+    """Sorted minimal generators of the initial ideal of (binomial) + ideal."""
     u, v, a = rel.index_u, rel.index_v, rel.exponent
     vectors = [rel.lead_exponents()]
-    for g in _validated(gens, rel.ambient_dim, nonempty=True):
+    for g in _gens(rel, ideal):
         nf = list(g)
         r = g[u] % a
         nf[u] = r
@@ -225,17 +232,13 @@ def _initial_vectors(
     return _minimal_vectors(vectors)
 
 
-def initial_ideal(
-    rel: BinomialRelation, gens: Iterable[Sequence[int]]
-) -> MonomialIdeal:
-    """Initial ideal of (binomial) + (gens) from residue-class normal forms."""
-    return MonomialIdeal(rel.ambient_dim, _initial_vectors(rel, gens))
+def initial_ideal(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
+    """Initial ideal of (binomial) + ideal from residue-class normal forms."""
+    return MonomialIdeal(rel.ambient_dim, _initial_vectors(rel, ideal))
 
 
 def quotient_colength(
-    rel: BinomialRelation,
-    gens: Iterable[Sequence[int]],
-    box_cap: Optional[int] = None,
+    rel: BinomialRelation, ideal: MonomialIdeal, box_cap: Optional[int] = None
 ) -> int:
     """Length of the quotient by (binomial + monomials): colength of the initial ideal.
 
@@ -243,22 +246,18 @@ def quotient_colength(
     the box of X^(first c with h[c] = 0, else a) and Y^h[0].
     """
     if rel.ambient_dim != 2:
-        return initial_ideal(rel, gens).colength(box_cap=box_cap)
-    h = _plane_heights(rel, gens)
+        return initial_ideal(rel, ideal).colength(box_cap=box_cap)
+    h = _plane_heights(rel, ideal)
     _check_box((h.index(0) if h[-1] == 0 else rel.exponent, h[0]), box_cap)
     return sum(h)
 
 
-def ideals_equal(
-    rel: BinomialRelation,
-    gens_a: Iterable[Sequence[int]],
-    gens_b: Iterable[Sequence[int]],
-) -> bool:
-    """Whether (binomial) + A and (binomial) + B are the same ideal.
+def ideals_equal(rel: BinomialRelation, lhs: MonomialIdeal, rhs: MonomialIdeal) -> bool:
+    """Whether (binomial) + lhs and (binomial) + rhs are the same ideal.
 
     Each ideal is the binomial plus the span of the standard monomials
     in its initial ideal, so equal initial ideals mean equal ideals; in
     two variables the staircase heights fix the initial ideal.
     """
     key = _plane_heights if rel.ambient_dim == 2 else _initial_vectors
-    return key(rel, gens_a) == key(rel, gens_b)
+    return key(rel, lhs) == key(rel, rhs)

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from .hk_formulas import (
     Dim1Input,
-    PeriodicSequence,
     QuasiPolynomialHK,
     cm_sop_hk,
     compare_to_eto_yoshida,
@@ -39,7 +38,6 @@ from .rees_oracle import (
     OracleError,
     ReesInstanceDim1,
     ReesInstanceMonomial,
-    SampleSet,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
@@ -59,9 +57,7 @@ FERMAT5 = Dim1Input(
     r=4,
     rho=None,
     lengths=(0, 1, 3, 6),
-    alpha=tuple(
-        PeriodicSequence(vals) for vals in ((-4, -6), (-3, -5), (-2, -3), (-1, -1))
-    ),
+    alpha=((-4, -6), (-3, -5), (-2, -3), (-1, -1)),
     p=2,
 )
 
@@ -147,17 +143,22 @@ RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 def parse_range(text: str) -> list[int]:
     """'3' -> [3]; '2..5' -> [2, 3, 4, 5]."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+    except ValueError as exc:
+        raise ValueError(f"bad range {text!r}: expected N or LO..HI") from exc
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+    """'1,2,3' -> (1, 2, 3)."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad integer list {text!r}: expected integers such as 1,2,3") from exc
 
 
 def _report(args: argparse.Namespace, *echo: str, **fields: object) -> RunReport:
@@ -236,7 +237,7 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
         if missing:
             raise ValueError(f"need --preset or all of: {', '.join(sorted(missing))}")
         alpha = (
-            tuple(PeriodicSequence(parse_int_tuple(chunk)) for chunk in args.alpha.split(";"))
+            tuple(parse_int_tuple(chunk) for chunk in args.alpha.split(";"))
             if args.alpha
             else ()
         )
@@ -256,8 +257,7 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_formula_sop_dim1(args: argparse.Namespace) -> RunReport:
-    alpha = PeriodicSequence(parse_int_tuple(args.alpha))
-    qp = sop_dim1_hk(args.e0, alpha, args.p)
+    qp = sop_dim1_hk(args.e0, parse_int_tuple(args.alpha), args.p)
     return _residue_rows(_report(args, "e0", period=qp.period), qp)
 
 
@@ -283,7 +283,7 @@ def cmd_oracle_dim1(args: argparse.Namespace) -> RunReport:
 def cmd_oracle_groebner(args: argparse.Namespace) -> RunReport:
     ideal = parse_ideal(args.gens, ambient_dim=args.vars)
     rel = BinomialRelation(args.vars, args.u, args.v, args.a)
-    initial = initial_ideal(rel, ideal.gens)
+    initial = initial_ideal(rel, ideal)
     report = _report(args, "a", "vars", gens=format_ideal(ideal))
     report.add({"result": "initial-ideal"}, oracle=format_ideal(initial))
     report.add({"result": "colength"}, oracle=initial.colength(box_cap=_box_cap(args)))
@@ -330,8 +330,7 @@ def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
 def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
     inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
     values = {e: rees_colength_dim1(inst, e, box_cap=_box_cap(args)) for e in es}
-    samples = SampleSet.from_values(args.p, values)
-    qp = fit_quasi_polynomial(samples, args.degree, args.period, holdout=args.holdout)
+    qp = fit_quasi_polynomial(values, args.p, args.degree, args.period, holdout=args.holdout)
     report = _report(
         args, "a", "p", "variant", "degree", "period", valid_from_e=qp.valid_from_e
     )
@@ -378,7 +377,7 @@ def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
         for e in es:
             report.add(
                 {"check": "alpha", "n": n, "e": e},
-                formula=seq.value_at(e),
+                formula=seq[e % len(seq)],
                 oracle=table[n][e],
             )
     # (m, mt) in R(m) and (m, It) in R(I): each quasi-polynomial against

@@ -9,6 +9,9 @@ Covers three regimes:
 * dimension d >= 2, parameter ideal, (I, It): an exact piecewise
   polynomial in s, with branches selected by comparing s to d.
 
+A periodic correction alpha is a plain tuple of its values over one
+period, read at index e mod its length.
+
 All outputs are exact; multiplicities are rationals, lengths integers.
 """
 from __future__ import annotations
@@ -16,29 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .combinatorics import _is_prime, binomial
 from .hilbert_samuel import c_of_d
 from .polynomials import Poly
-
-
-@dataclass(frozen=True)
-class PeriodicSequence:
-    """Periodic integer sequence; the value at index e is values[e mod period]."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("period must be at least 1")
-
-    @property
-    def period(self) -> int:
-        return len(self.values)
-
-    def value_at(self, e: int) -> int:
-        return self.values[e % self.period]
 
 
 @dataclass(frozen=True)
@@ -50,7 +35,7 @@ class QuasiPolynomialHK:
     """
 
     polys: tuple[Poly, ...]
-    prime: Optional[int] = None
+    prime: int
     valid_from_e: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -68,9 +53,7 @@ class QuasiPolynomialHK:
         return self.polys[e % self.period]
 
     def value_at(self, e: int) -> int:
-        """Evaluate at q = p^e; requires the prime to be set."""
-        if self.prime is None:
-            raise ValueError("no prime attached; evaluate poly_for(e) directly")
+        """Evaluate at q = p^e."""
         value = self.poly_for(e)(self.prime**e)
         if value.denominator != 1:
             raise ArithmeticError(f"non-integral length {value} at e={e}")
@@ -85,7 +68,7 @@ class Dim1Input:
     """Invariants of an m-primary ideal of a 1-dimensional local ring.
 
     lengths[n] is the length of R/I^n for n = 0 .. max(r-1, rho);
-    alpha[n] is the periodic correction for I^n, n = 0 .. r-1.  rho may
+    alpha[n] holds one period of the correction for I^n, n = 0 .. r-1.  rho may
     be omitted (None) when delegating to the Cohen-Macaulay case.
     """
 
@@ -94,7 +77,7 @@ class Dim1Input:
     r: int
     rho: Optional[int]
     lengths: tuple[int, ...]
-    alpha: tuple[PeriodicSequence, ...]
+    alpha: tuple[tuple[int, ...], ...]
     p: int
 
     def __post_init__(self) -> None:
@@ -106,6 +89,8 @@ class Dim1Input:
             raise ValueError(f"p = {self.p} is not prime")
         if len(self.alpha) != self.r:
             raise ValueError(f"need exactly r={self.r} alpha sequences, got {len(self.alpha)}")
+        if not all(self.alpha):
+            raise ValueError("each alpha sequence needs a period of at least 1")
         needed = max(self.r - 1, self.rho if self.rho is not None else -1) + 1
         if len(self.lengths) < needed:
             raise ValueError(f"need lengths for n = 0..{needed - 1}, got {len(self.lengths)}")
@@ -114,13 +99,6 @@ class Dim1Input:
                 raise ValueError("lengths[0] is the length of R/R and must be 0")
             if any(a > b for a, b in zip(self.lengths, self.lengths[1:])):
                 raise ValueError("lengths must be nondecreasing")
-
-
-def _lcm_period(alpha: Sequence[PeriodicSequence]) -> int:
-    period = 1
-    for seq in alpha:
-        period = math.lcm(period, seq.period)
-    return period
 
 
 def dim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
@@ -147,10 +125,9 @@ def dim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
             + (2 * r - rho - 1) * e1
             + beta
         )
-    period = _lcm_period(inp.alpha)
     polys = []
-    for residue in range(period):
-        const = base + 2 * sum(seq.value_at(residue) for seq in inp.alpha)
+    for residue in range(math.lcm(*map(len, inp.alpha))):
+        const = base + 2 * sum(seq[residue % len(seq)] for seq in inp.alpha)
         polys.append(Poly([const, 0, e0]))
     return QuasiPolynomialHK(tuple(polys), prime=inp.p)
 
@@ -162,16 +139,15 @@ def cordim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
     return dim1_hk(replace(inp, rho=inp.r - 1))
 
 
-def sop_dim1_hk(e0J: int, alphaJ: PeriodicSequence, p: int) -> QuasiPolynomialHK:
+def sop_dim1_hk(e0J: int, alphaJ: tuple[int, ...], p: int) -> QuasiPolynomialHK:
     """Length of R(I)/(J, It)^[q] for parameter I: q^2 e0(J) + q alpha_J(e)."""
     if e0J < 1:
         raise ValueError("e0J must be positive")
+    if not alphaJ:
+        raise ValueError("alpha needs a period of at least 1")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    polys = tuple(
-        Poly([0, alphaJ.value_at(residue), e0J]) for residue in range(alphaJ.period)
-    )
-    return QuasiPolynomialHK(polys, prime=p)
+    return QuasiPolynomialHK(tuple(Poly([0, a, e0J]) for a in alphaJ), prime=p)
 
 
 def _validate_cm_args(d: int, e0: int, s: int) -> None:

@@ -2,10 +2,11 @@
 
 A monomial is its exponent tuple, and an ideal keeps its minimal
 generators as a lexicographically sorted tuple of such tuples.
-Exponent tuples from outside the module are checked once, by
-`_validated`, at the public constructors (`minimalize`,
-`MonomialIdeal.from_exponents`, `parse_ideal`); products and bracket
-powers of ideals already built pass their tuples straight on.
+Exponent tuples from outside the package are checked once, by
+`_validated`, at the two public constructors, `minimalize` and
+`parse_ideal` (which calls it).  A `MonomialIdeal` is therefore
+trusted: its products and bracket powers, and the Groebner entry
+points that take it, read its tuples without checking them again.
 Minimal generators come from bitset divisibility masks, or in two
 variables from a running minimum of the second exponent over the
 sorted tuples; colength from a staircase walk over the box of the
@@ -33,18 +34,13 @@ class ResourceCapExceeded(Exception):
 
 
 def _validated(
-    gens: Iterable[Sequence[int]],
-    ambient_dim: Optional[int] = None,
-    nonempty: bool = False,
+    gens: Iterable[Sequence[int]], ambient_dim: Optional[int] = None
 ) -> list[Vector]:
     """Exponent tuples from outside, checked: nonnegative ints of one length.
 
-    The length is ambient_dim if given, else that of the first tuple;
-    nonempty rejects an empty generator set.
+    The length is ambient_dim if given, else that of the first tuple.
     """
     vectors = list(map(tuple, gens))
-    if nonempty and not vectors:
-        raise ValueError("generator set must be nonempty")
     if ambient_dim is None and vectors:
         ambient_dim = len(vectors[0])
     # each check is one pass in C over all tuples or all exponents
@@ -115,12 +111,6 @@ class MonomialIdeal:
     @classmethod
     def unit(cls, ambient_dim: int) -> "MonomialIdeal":
         return cls(ambient_dim, ((0,) * ambient_dim,))
-
-    @classmethod
-    def from_exponents(
-        cls, ambient_dim: int, exponents: Iterable[Sequence[int]]
-    ) -> "MonomialIdeal":
-        return minimalize(exponents, ambient_dim=ambient_dim)
 
     @property
     def is_zero(self) -> bool:

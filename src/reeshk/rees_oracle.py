@@ -22,11 +22,11 @@ from typing import Callable, Mapping, Optional, Sequence
 from .binomial_groebner import BinomialRelation, ideals_equal, quotient_colength
 from .combinatorics import _is_prime
 from .hk_formulas import QuasiPolynomialHK
-from .monomial_algebra import MonomialIdeal
+from .monomial_algebra import MonomialIdeal, minimalize
 from .polynomials import Poly, interpolate
 
 # the maximal ideal (x, y) of k[X, Y]
-_PLANE_MAXIMAL = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
+_PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)], ambient_dim=2)
 # the two plug-ins of _graded_length: colength and ideal equality in a ring R
 Colength = Callable[[MonomialIdeal], int]
 Equal = Callable[[MonomialIdeal, MonomialIdeal], bool]
@@ -79,7 +79,7 @@ class ReesInstanceMonomial:
             e = [0] * d
             e[i] = a
             gens.append(e)
-        return MonomialIdeal.from_exponents(d, gens)
+        return minimalize(gens, ambient_dim=d)
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,8 @@ def _hypersurface(a: int, box_cap: Optional[int]) -> tuple[Colength, Equal]:
     """Colength and ideal equality in k[X, Y]/(X^a - Y^a), for monomial ideals of k[X, Y]."""
     rel = BinomialRelation(2, 0, 1, a)
     return (
-        lambda ideal: quotient_colength(rel, ideal.gens, box_cap=box_cap),
-        lambda lhs, rhs: ideals_equal(rel, lhs.gens, rhs.gens),
+        lambda ideal: quotient_colength(rel, ideal, box_cap=box_cap),
+        lambda lhs, rhs: ideals_equal(rel, lhs, rhs),
     )
 
 
@@ -171,8 +171,8 @@ def rees_colength_dim1(
     q = inst.p**e
     if inst.variant == "rees_of_x":
         rel = BinomialRelation(3, 0, 1, inst.a)
-        gens = [(q, 0, 0), (0, q, 0), (0, 0, q)]
-        return quotient_colength(rel, gens, box_cap=box_cap)
+        ideal = minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)], ambient_dim=3)
+        return quotient_colength(rel, ideal, box_cap=box_cap)
     colength, equal = _hypersurface(inst.a, box_cap)
     return _graded_length(_PLANE_MAXIMAL, q, colength, equal, 2 * inst.a)
 
@@ -206,34 +206,10 @@ def alpha_table(
     return table
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Values of a length function at q = p^e, with strictly increasing e."""
-
-    prime: int
-    entries: tuple[tuple[int, int, int], ...]  # (e, q, value)
-
-    def __post_init__(self) -> None:
-        if not _is_prime(self.prime):
-            raise ValueError(f"p = {self.prime} is not prime")
-        last = None
-        for e, q, _ in self.entries:
-            if q != self.prime**e:
-                raise ValueError(f"q = {q} is not {self.prime}^{e}")
-            if last is not None and e <= last:
-                raise ValueError("exponents must be strictly increasing")
-            last = e
-
-    @classmethod
-    def from_values(cls, prime: int, values: Mapping[int, int]) -> "SampleSet":
-        entries = tuple((e, prime**e, values[e]) for e in sorted(values))
-        return cls(prime, entries)
-
-
 def fit_quasi_polynomial(
-    samples: SampleSet, degree: int, period: int, holdout: int = 1
+    values: Mapping[int, int], p: int, degree: int, period: int, holdout: int = 1
 ) -> QuasiPolynomialHK:
-    """Recover a quasi-polynomial in q from exact samples.
+    """Recover a quasi-polynomial in q = p^e from exact samples {e: value}.
 
     Per residue class of e modulo the period, the newest degree+1
     samples determine the polynomial by exact interpolation; the
@@ -243,34 +219,33 @@ def fit_quasi_polynomial(
     """
     if degree < 0 or period < 1 or holdout < 0:
         raise ValueError("degree, period and holdout must be sensible")
-    by_class: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(period)}
-    for entry in samples.entries:
-        by_class[entry[0] % period].append(entry)
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    es = sorted(values)
     polys: list[Poly] = []
     for c in range(period):
-        rows = by_class[c]
+        rows = [e for e in es if e % period == c]
         if len(rows) < degree + 1 + holdout:
             raise InsufficientSamples(
                 f"residue class {c}: need {degree + 1 + holdout} samples, have {len(rows)}"
             )
-        window = rows[-(degree + 1) :]
-        poly = interpolate([(q, value) for _, q, value in window])
-        for e, q, value in rows[-(degree + 1 + holdout) : -(degree + 1)]:
-            if poly(q) != value:
+        poly = interpolate([(p**e, values[e]) for e in rows[-(degree + 1) :]])
+        for e in rows[-(degree + 1 + holdout) : -(degree + 1)]:
+            if poly(p**e) != values[e]:
                 raise InconsistentSamples(
                     f"residue class {c}: held-out sample at e={e} does not match"
                 )
         polys.append(poly)
     # QuasiPolynomialHK holds one degree across residue classes
-    top = max(p.degree for p in polys)
-    if any(p.degree != top for p in polys):
+    top = max(poly.degree for poly in polys)
+    if any(poly.degree != top for poly in polys):
         raise InconsistentSamples("residue classes fit polynomials of mixed degree")
-    threshold = min(e for e, _, _ in samples.entries)
-    for e, q, value in sorted(samples.entries, reverse=True):
-        if polys[e % period](q) != value:
+    threshold = es[0]
+    for e in reversed(es):
+        if polys[e % period](p**e) != values[e]:
             threshold = e + 1
             break
-    return QuasiPolynomialHK(tuple(polys), prime=samples.prime, valid_from_e=threshold)
+    return QuasiPolynomialHK(tuple(polys), prime=p, valid_from_e=threshold)
 
 
 def estimate_ehk(values: Mapping[int, int], d: int) -> Fraction:

@@ -68,23 +68,23 @@ def cm_sop_hk_polynomial(d, e0):
     return (top + binomial_poly_expand(d) * d) * e0
 
 
-def middle_branch_sum(ctx, s, n):
+def middle_branch_sum(d, e0, s, n):
     """sum_{i=1}^{d-1} (-1)^(i+1) C(d,i) H(n-(i-1)s), at any n."""
     return sum(
-        (-1) ** (i + 1) * binomial(ctx.d, i) * hilbert_H(ctx, n - (i - 1) * s)
-        for i in range(1, ctx.d)
+        (-1) ** (i + 1) * binomial(d, i) * hilbert_H(d, e0, n - (i - 1) * s)
+        for i in range(1, d)
     )
 
 
-def hilbert_F_unrefined(ctx, s, n):
+def hilbert_F_unrefined(d, e0, s, n):
     """F(s, n) by the original case split, whose third branch starts at n = (d-1)s."""
     if n <= 0:
         return 0
     if n <= s:
-        return ctx.d * hilbert_H(ctx, n)
-    if n <= (ctx.d - 1) * s - 1:
-        return middle_branch_sum(ctx, s, n)
-    return hilbert_H(ctx, n + s) - s**ctx.d * ctx.e0
+        return d * hilbert_H(d, e0, n)
+    if n <= (d - 1) * s - 1:
+        return middle_branch_sum(d, e0, s, n)
+    return hilbert_H(d, e0, n + s) - s**d * e0
 
 
 def reduction_number_power(d, s):
@@ -99,12 +99,11 @@ def reduction_number_power(d, s):
     return d - k1 if k2 == 0 else d - k1 - 1
 
 
-def asymptotic_coefficients(ctx):
+def asymptotic_coefficients(d, e0):
     """Coefficients of s^(d+1), s^d and s^(d-1) in the length of R(I)/(I, It)^[s].
 
         c(d) e0,  e0 (d-2)/2 (1/(d-1)! - 1),  e0 d(d-1)(3d-10) / (24 (d-1)!)
     """
-    d, e0 = ctx.d, ctx.e0
     return (
         c_of_d(d) * e0,
         e0 * Fraction(d - 2, 2) * (Fraction(1, factorial(d - 1)) - 1),

@@ -10,15 +10,14 @@ import time
 from fractions import Fraction
 
 from reeshk.combinatorics import binomial
-from reeshk.hilbert_samuel import HilbertContext, c_of_d, hilbert_F, hilbert_H
+from reeshk.hilbert_samuel import c_of_d, hilbert_F, hilbert_H
 from reeshk.hk_formulas import cm_sop_hk, compare_to_eto_yoshida
-from reeshk.monomial_algebra import MonomialIdeal
+from reeshk.monomial_algebra import minimalize
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
     InconsistentSamples,
     ReesInstanceDim1,
     ReesInstanceMonomial,
-    SampleSet,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
@@ -158,20 +157,18 @@ def test_criterion_6_property_suite():
         for exps in itertools.product((1, 2), repeat=d):
             inst = ReesInstanceMonomial(exps)
             ideal = inst.ideal()
-            ctx = HilbertContext(d, inst.e0)
             for s in range(1, 5):
                 frob = ideal.frobenius(s)
                 base = frob.colength()
                 for n in range(1, d * s + 1):
                     oracle = frob.product(power(ideal, n)).colength() - base
-                    if hilbert_F(ctx, s, n) != oracle:
+                    if hilbert_F(d, inst.e0, s, n) != oracle:
                         failures.append(("F", exps, s, n))
     # boundary window of the refined split
     for d in range(2, 7):
-        ctx = HilbertContext(d, 1)
         for s in range(2, 7):
             for n in range(s * (d - 1) - d + 1, s * (d - 1) + 1):
-                if middle_branch_sum(ctx, s, n) != hilbert_H(ctx, n + s) - s**d:
+                if middle_branch_sum(d, 1, s, n) != hilbert_H(d, 1, n + s) - s**d:
                     failures.append(("boundary", d, s, n))
     # box walk versus inclusion-exclusion on 200 random primary ideals
     rng = random.Random(987654321)
@@ -184,7 +181,7 @@ def test_criterion_6_property_suite():
             gens.append(tuple(e))
         for _ in range(rng.randint(0, 6 - d)):
             gens.append(tuple(rng.randint(0, 6) for _ in range(d)))
-        ideal = MonomialIdeal.from_exponents(d, gens)
+        ideal = minimalize(gens, ambient_dim=d)
         if ideal.colength() != colength_by_inclusion_exclusion(ideal):
             failures.append(("colength", trial, gens))
     report(6, "property suite", failures, started, 120.0)
@@ -217,7 +214,7 @@ def test_criterion_8_quasi_polynomial_fitting():
     # for a quadratic fit with one held-out validator)
     inst_x = ReesInstanceDim1(5, 2, "rees_of_x")
     values_x = {e: rees_colength_dim1(inst_x, e) for e in range(2, 10)}
-    qp_x = fit_quasi_polynomial(SampleSet.from_values(2, values_x), 2, 2, holdout=1)
+    qp_x = fit_quasi_polynomial(values_x, 2, 2, 2, holdout=1)
     if qp_x.polys[0] != Poly([0, -4, 5]) or qp_x.polys[1] != Poly([0, -6, 5]):
         failures.append(("rees-of-x fit", qp_x.format("q")))
     if qp_x.valid_from_e != 2:
@@ -225,7 +222,7 @@ def test_criterion_8_quasi_polynomial_fitting():
     # maximal-ideal Rees samples, e = 2..7
     inst_m = ReesInstanceDim1(5, 2, "rees_of_m")
     values_m = {e: rees_colength_dim1(inst_m, e) for e in range(2, 8)}
-    qp_m = fit_quasi_polynomial(SampleSet.from_values(2, values_m), 2, 2, holdout=0)
+    qp_m = fit_quasi_polynomial(values_m, 2, 2, 2, holdout=0)
     if qp_m.polys[0] != Poly([0, 0, 5]) or qp_m.polys[1] != Poly([-10, 0, 5]):
         failures.append(("rees-of-m fit", qp_m.format("q")))
     if qp_m.valid_from_e != 2:
@@ -234,7 +231,7 @@ def test_criterion_8_quasi_polynomial_fitting():
     corrupted = dict(values_x)
     corrupted[9] += 1
     try:
-        fit_quasi_polynomial(SampleSet.from_values(2, corrupted), 2, 2, holdout=1)
+        fit_quasi_polynomial(corrupted, 2, 2, 2, holdout=1)
         failures.append(("corruption not detected",))
     except InconsistentSamples:
         pass

@@ -76,7 +76,7 @@ class TestBuchberger:
                 if 0 < q - 5 * i < 5
             ]
             gb = buchberger(REL5, [(q, 0, 0), (0, q, 0), (0, 0, q)])
-            assert gb.initial_ideal() == MonomialIdeal.from_exponents(3, expected)
+            assert gb.initial_ideal() == minimalize(expected)
 
 
 class TestCompleteness:
@@ -150,15 +150,15 @@ class TestNormalForm:
 
 class TestQuotientColength:
     def test_worked_values(self):
-        assert quotient_colength(REL5, [(8, 0, 0), (0, 8, 0), (0, 0, 8)]) == 272
-        assert quotient_colength(REL5, [(4, 0, 0), (0, 4, 0), (0, 0, 4)]) == 64
+        assert quotient_colength(REL5, minimalize([(8, 0, 0), (0, 8, 0), (0, 0, 8)])) == 272
+        assert quotient_colength(REL5, minimalize([(4, 0, 0), (0, 4, 0), (0, 0, 4)])) == 64
         rel = BinomialRelation(2, 0, 1, 2)
-        assert quotient_colength(rel, [(1, 0), (0, 1)]) == 1
+        assert quotient_colength(rel, minimalize([(1, 0), (0, 1)])) == 1
 
     def test_power_series_parity(self):
         # 5q^2 - 4q when q is 1 or 4 mod 5; 5q^2 - 6q when q is 2 or 3
         for q in (4, 8, 16, 32, 64):
-            value = quotient_colength(REL5, [(q, 0, 0), (0, q, 0), (0, 0, q)])
+            value = quotient_colength(REL5, minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]))
             if q % 5 in (1, 4):
                 assert value == 5 * q * q - 4 * q
             else:
@@ -168,30 +168,37 @@ class TestQuotientColength:
         from reeshk.monomial_algebra import InfiniteColength
 
         with pytest.raises(InfiniteColength):
-            quotient_colength(REL5, [(8, 0, 0), (0, 8, 0)])  # no pure power of Z
+            quotient_colength(REL5, minimalize([(8, 0, 0), (0, 8, 0)]))  # no pure power of Z
 
 
 class TestIdealsEqual:
     def test_tail_stabilization_example(self):
         # in k[[X,Y]]/(X^5-Y^5): m^[4] m^3 = m^7 but m^[4] m^2 != m^6
         rel = BinomialRelation(2, 0, 1, 5)
-        m = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
+        m = minimalize([(1, 0), (0, 1)])
         mq = m.frobenius(4)
-        assert ideals_equal(rel, mq.product(power(m, 3)).gens, power(m, 7).gens)
-        assert not ideals_equal(rel, mq.product(power(m, 2)).gens, power(m, 6).gens)
+        assert ideals_equal(rel, mq.product(power(m, 3)), power(m, 7))
+        assert not ideals_equal(rel, mq.product(power(m, 2)), power(m, 6))
 
     def test_reflexive(self):
         rel = BinomialRelation(2, 0, 1, 3)
-        assert ideals_equal(rel, [(4, 0), (0, 4)], [(4, 0), (0, 4)])
+        assert ideals_equal(rel, minimalize([(4, 0), (0, 4)]), minimalize([(4, 0), (0, 4)]))
 
     def test_binomial_makes_unequal_monomial_ideals_equal(self):
         # modulo X^3 - Y^3, (X^3, Y^5) and (Y^3, Y^5) generate the same ideal
         rel = BinomialRelation(2, 0, 1, 3)
-        assert ideals_equal(rel, [(3, 0), (0, 5)], [(0, 3)])
+        assert ideals_equal(rel, minimalize([(3, 0), (0, 5)]), minimalize([(0, 3)]))
 
 
 class TestBoundaryValidation:
-    """Every public entry point that takes exponent tuples validates them."""
+    """Exponent tuples are checked once, where they enter the package.
+
+    minimalize, parse_ideal and buchberger take raw tuples and check
+    them.  initial_ideal, quotient_colength and ideals_equal take the
+    MonomialIdeal those build, so raw tuples reach them only through
+    minimalize and a bad tuple is refused there; they check only that
+    the ideal is nonzero and has the relation's ambient dimension.
+    """
 
     BAD_GENERATORS = {
         "empty": [],
@@ -220,16 +227,15 @@ class TestBoundaryValidation:
     # have their own tests below; each is told the ambient dimension 3,
     # and the monomial ideal constructors take the empty set as the zero ideal
     ENTRY_POINTS = {
-        "from_exponents": lambda gens: MonomialIdeal.from_exponents(3, gens),
         # repr, so that the string "8" stays a quoted, unparsable exponent
         "parse_ideal": lambda gens: parse_ideal(
             ";".join(",".join(map(repr, g)) for g in gens), ambient_dim=3
         ),
         "minimalize": lambda gens: minimalize(gens, ambient_dim=3),
-        "initial_ideal": lambda gens: initial_ideal(REL5, gens),
+        "initial_ideal": lambda gens: initial_ideal(REL5, minimalize(gens, ambient_dim=3)),
         "buchberger": lambda gens: buchberger(REL5, gens),
     }
-    EMPTY_ALLOWED = {"from_exponents", "parse_ideal", "minimalize"}
+    EMPTY_ALLOWED = {"parse_ideal", "minimalize"}
 
     @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -248,26 +254,49 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
     def test_quotient_colength_rejects(self, case):
         with pytest.raises(ValueError):
-            quotient_colength(REL5, self.BAD_GENERATORS[case])
+            quotient_colength(REL5, minimalize(self.BAD_GENERATORS[case], ambient_dim=3))
 
     @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
     def test_ideals_equal_rejects_either_side(self, case):
+        good = minimalize(self.GOOD)
         with pytest.raises(ValueError):
-            ideals_equal(REL5, self.BAD_GENERATORS[case], self.GOOD)
+            ideals_equal(REL5, minimalize(self.BAD_GENERATORS[case], ambient_dim=3), good)
         with pytest.raises(ValueError):
-            ideals_equal(REL5, self.GOOD, self.BAD_GENERATORS[case])
+            ideals_equal(REL5, good, minimalize(self.BAD_GENERATORS[case], ambient_dim=3))
 
     @pytest.mark.parametrize("case", sorted(PLANE_BAD_GENERATORS))
     def test_plane_entry_points_reject(self, case):
         gens = self.PLANE_BAD_GENERATORS[case]
-        good = [(8, 0), (0, 8)]
+        good = minimalize([(8, 0), (0, 8)])
         for call in (
-            lambda: quotient_colength(REL_PLANE, gens),
-            lambda: initial_ideal(REL_PLANE, gens),
-            lambda: ideals_equal(REL_PLANE, gens, good),
-            lambda: ideals_equal(REL_PLANE, good, gens),
+            lambda: quotient_colength(REL_PLANE, minimalize(gens, ambient_dim=2)),
+            lambda: initial_ideal(REL_PLANE, minimalize(gens, ambient_dim=2)),
+            lambda: ideals_equal(REL_PLANE, minimalize(gens, ambient_dim=2), good),
+            lambda: ideals_equal(REL_PLANE, good, minimalize(gens, ambient_dim=2)),
         ):
             with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [("zero", "nonempty"), ("fewer_variables", "variables"), ("more_variables", "variables")],
+    )
+    @pytest.mark.parametrize("rel", [REL_PLANE, REL5], ids=["plane", "space"])
+    def test_groebner_entry_points_check_the_ideal(self, rel, case, message):
+        d = rel.ambient_dim
+        bad = {
+            "zero": MonomialIdeal.zero(d),
+            "fewer_variables": MonomialIdeal.unit(d - 1),
+            "more_variables": MonomialIdeal.unit(d + 1),
+        }[case]
+        good = MonomialIdeal.unit(d)
+        for call in (
+            lambda: initial_ideal(rel, bad),
+            lambda: quotient_colength(rel, bad),
+            lambda: ideals_equal(rel, bad, good),
+            lambda: ideals_equal(rel, good, bad),
+        ):
+            with pytest.raises(ValueError, match=message):
                 call()
 
     @pytest.mark.parametrize(
@@ -285,13 +314,14 @@ class TestBoundaryValidation:
         from reeshk.monomial_algebra import ResourceCapExceeded
 
         initial = buchberger(REL_PLANE, gens).initial_ideal()
+        ideal = minimalize(gens)
         assert initial.primary_box() == box
         with pytest.raises(ResourceCapExceeded) as general:
             initial.colength(box_cap=prod(box) - 1)
         with pytest.raises(ResourceCapExceeded) as plane:
-            quotient_colength(REL_PLANE, gens, box_cap=prod(box) - 1)
+            quotient_colength(REL_PLANE, ideal, box_cap=prod(box) - 1)
         assert str(plane.value) == str(general.value)
-        assert quotient_colength(REL_PLANE, gens, box_cap=prod(box)) == initial.colength()
+        assert quotient_colength(REL_PLANE, ideal, box_cap=prod(box)) == initial.colength()
 
     def test_box_cap_trips_at_the_buchberger_box(self):
         from math import prod
@@ -301,5 +331,5 @@ class TestBoundaryValidation:
         box = buchberger(REL5, self.GOOD).initial_ideal().primary_box()
         assert box == (5, 8, 8)
         with pytest.raises(ResourceCapExceeded):
-            quotient_colength(REL5, self.GOOD, box_cap=prod(box) - 1)
-        assert quotient_colength(REL5, self.GOOD, box_cap=prod(box)) == 272
+            quotient_colength(REL5, minimalize(self.GOOD), box_cap=prod(box) - 1)
+        assert quotient_colength(REL5, minimalize(self.GOOD), box_cap=prod(box)) == 272

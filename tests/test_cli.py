@@ -262,6 +262,24 @@ EXIT_CODE_MATRIX = {
         ["oracle", "groebner", "--vars", "3", "--a", "5", "--gens", "8,0,0;0,8,0"],
         2, "no pure power of every variable",
     ),
+    # a parse error names the text and the form it expected
+    "empty_alpha": (
+        ["formula", "sop-dim1", "--e0", "5", "--alpha="],
+        2, "bad integer list '': expected integers such as 1,2,3",
+    ),
+    "trailing_semicolon_alpha": (
+        ["formula", "dim1", "--e0", "5", "--e1", "10", "--r", "4",
+         "--lengths", "0,1,3,6", "--alpha=-4,-6;-3,-5;-2,-3;-1,-1;"],
+        2, "bad integer list '': expected integers such as 1,2,3",
+    ),
+    "list_as_range": (
+        ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s", "2,3"],
+        2, "bad range '2,3': expected N or LO..HI",
+    ),
+    "open_range": (
+        ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s", "3.."],
+        2, "bad range '3..': expected N or LO..HI",
+    ),
     "inconsistent_samples": (
         ["fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "2..9",
          "--degree", "1", "--force"],

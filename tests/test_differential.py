@@ -71,10 +71,18 @@ def instances(draw):
     return rel, draw(generators(rel.ambient_dim, draw(st.booleans())))
 
 
+PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)], ambient_dim=2)
+
+
 def plane_power_product(a, q, n):
     """X^a - Y^a with the generators of m^[q] m^n, m = (X, Y): the rees_of_m inputs."""
-    m = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
+    m = PLANE_MAXIMAL
     return BinomialRelation(2, 0, 1, a), m.frobenius(q).product(power(m, n)).gens
+
+
+def ideal_of(rel, gens):
+    """The drawn generators as an ideal of the relation's ring, for the residue side."""
+    return minimalize(gens, ambient_dim=rel.ambient_dim)
 
 
 def reference_colength(rel, gens):
@@ -87,7 +95,7 @@ def reference_colength(rel, gens):
 
 def residue_colength(rel, gens):
     try:
-        return quotient_colength(rel, gens)
+        return quotient_colength(rel, ideal_of(rel, gens))
     except InfiniteColength as exc:
         return type(exc)
 
@@ -97,7 +105,7 @@ class TestResidueInitialIdeal:
     @given(instances())
     def test_matches_buchberger(self, instance):
         rel, gens = instance
-        assert initial_ideal(rel, gens) == buchberger(rel, gens).initial_ideal()
+        assert initial_ideal(rel, ideal_of(rel, gens)) == buchberger(rel, gens).initial_ideal()
 
     @settings(max_examples=150)
     @given(instances())
@@ -128,35 +136,37 @@ class TestIdealsEqual:
     def test_matches_mutual_membership(self, data):
         rel, gens_a = data.draw(instances())
         gens_b = data.draw(generators(rel.ambient_dim, data.draw(st.booleans())))
-        assert ideals_equal(rel, gens_a, gens_b) == mutually_contained(rel, gens_a, gens_b)
+        equal = ideals_equal(rel, ideal_of(rel, gens_a), ideal_of(rel, gens_b))
+        assert equal == mutually_contained(rel, gens_a, gens_b)
 
     @settings(max_examples=100)
     @given(instances())
     def test_equal_to_its_completed_basis(self, instance):
         # a true case the random pairs above rarely hit
         rel, gens = instance
-        basis = buchberger(rel, gens).monomials
-        assert ideals_equal(rel, gens, basis)
-        assert ideals_equal(rel, basis, gens)
+        ideal = ideal_of(rel, gens)
+        basis = ideal_of(rel, buchberger(rel, gens).monomials)
+        assert ideals_equal(rel, ideal, basis)
+        assert ideals_equal(rel, basis, ideal)
 
     @pytest.mark.parametrize("a,q", [(5, 8), (7, 8), (3, 16), (9, 4)])
     def test_tail_equalities_match_mutual_membership(self, a, q):
         # m^[q] m^t = m^(q+t) turns true at some t: both answers occur
-        m = MonomialIdeal.from_exponents(2, [(1, 0), (0, 1)])
+        m = PLANE_MAXIMAL
         rel = BinomialRelation(2, 0, 1, a)
         answers = set()
         for t in range(2 * a):
-            lhs = m.frobenius(q).product(power(m, t)).gens
-            rhs = power(m, q + t).gens
+            lhs = m.frobenius(q).product(power(m, t))
+            rhs = power(m, q + t)
             answer = ideals_equal(rel, lhs, rhs)
-            assert answer == mutually_contained(rel, lhs, rhs), t
+            assert answer == mutually_contained(rel, lhs.gens, rhs.gens), t
             answers.add(answer)
         assert answers == {False, True}
 
 
 def monomial_ideals(d):
     mono = st.tuples(*[st.integers(0, 6)] * d)
-    return st.lists(mono, max_size=8).map(lambda gens: MonomialIdeal.from_exponents(d, gens))
+    return st.lists(mono, max_size=8).map(lambda gens: minimalize(gens, ambient_dim=d))
 
 
 @st.composite
@@ -271,7 +281,7 @@ class TestColength:
     @example((2, [(4, 0), (0, 5), (7, 0), (0, 6), (9, 1), (1, 9)]))
     def test_matches_inclusion_exclusion(self, case):
         d, gens = case
-        ideal = MonomialIdeal.from_exponents(d, gens)
+        ideal = minimalize(gens, ambient_dim=d)
         expected = colength_by_inclusion_exclusion(ideal)
         assert walked_colength(ideal) == expected
         # the walk's slices hold unminimised tails, so it must not need minimal generators

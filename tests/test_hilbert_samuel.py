@@ -3,8 +3,8 @@ import itertools
 
 import pytest
 
-from reeshk.hilbert_samuel import HilbertContext, c_of_d, hilbert_F, hilbert_H
-from reeshk.monomial_algebra import MonomialIdeal
+from reeshk.hilbert_samuel import c_of_d, hilbert_F, hilbert_H
+from reeshk.monomial_algebra import minimalize
 from fractions import Fraction
 
 from reference import (
@@ -24,7 +24,7 @@ def param_ideal(exponents):
         e = [0] * d
         e[i] = a
         gens.append(e)
-    return MonomialIdeal.from_exponents(d, gens)
+    return minimalize(gens, ambient_dim=d)
 
 
 def oracle_F(exponents, s, n):
@@ -36,54 +36,55 @@ def oracle_F(exponents, s, n):
 
 class TestHilbertH:
     def test_examples(self):
-        assert hilbert_H(HilbertContext(2, 1), 3) == 6
-        assert hilbert_H(HilbertContext(3, 2), 1) == 2
+        assert hilbert_H(2, 1, 3) == 6
+        assert hilbert_H(3, 2, 1) == 2
 
     def test_against_staircase_count(self):
-        ctx = HilbertContext(3, 1)
         m = param_ideal((1, 1, 1))
-        assert hilbert_H(ctx, 5) == power(m, 5).colength() == 35
+        assert hilbert_H(3, 1, 5) == power(m, 5).colength() == 35
 
     def test_nonpositive_n(self):
-        ctx = HilbertContext(3, 2)
-        assert hilbert_H(ctx, 0) == 0
-        assert hilbert_H(ctx, -4) == 0
+        assert hilbert_H(3, 2, 0) == 0
+        assert hilbert_H(3, 2, -4) == 0
 
     def test_context_validation(self):
-        with pytest.raises(ValueError):
-            HilbertContext(0, 1)
-        with pytest.raises(ValueError):
-            HilbertContext(2, 0)
+        # d >= 1 and e0 >= 1, checked by both functions at any n
+        for n in (-1, 0, 3):
+            with pytest.raises(ValueError):
+                hilbert_H(0, 1, n)
+            with pytest.raises(ValueError):
+                hilbert_H(2, 0, n)
+            with pytest.raises(ValueError):
+                hilbert_F(0, 1, 2, n)
+            with pytest.raises(ValueError):
+                hilbert_F(2, 0, 2, n)
 
 
 class TestHilbertF:
     def test_first_branch_example(self):
-        ctx = HilbertContext(2, 1)
-        assert hilbert_F(ctx, 2, 1) == 2
+        assert hilbert_F(2, 1, 2, 1) == 2
         assert oracle_F((1, 1), 2, 1) == 2
 
     def test_third_branch_example(self):
-        ctx = HilbertContext(2, 1)
-        assert hilbert_F(ctx, 2, 2) == 6
+        assert hilbert_F(2, 1, 2, 2) == 6
         assert oracle_F((1, 1), 2, 2) == 6
 
     def test_middle_branch_example(self):
-        ctx = HilbertContext(4, 1)
         # 4 H(4) - 6 H(1) + 4 H(-2) = 140 - 6 + 0
-        assert hilbert_F(ctx, 3, 4) == 134
+        assert hilbert_F(4, 1, 3, 4) == 134
         assert oracle_F((1, 1, 1, 1), 3, 4) == 134
 
     def test_nonpositive_n(self):
-        assert hilbert_F(HilbertContext(3, 2), 2, 0) == 0
-        assert hilbert_F(HilbertContext(3, 2), 2, -1) == 0
+        assert hilbert_F(3, 2, 2, 0) == 0
+        assert hilbert_F(3, 2, 2, -1) == 0
 
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):
-            hilbert_F(HilbertContext(1, 1), 2, 1)
+            hilbert_F(1, 1, 2, 1)
 
     def test_bad_s_rejected(self):
         with pytest.raises(ValueError):
-            hilbert_F(HilbertContext(2, 1), 0, 1)
+            hilbert_F(2, 1, 0, 1)
 
     def test_matches_oracle_grid(self):
         for d in (2, 3):
@@ -91,10 +92,9 @@ class TestHilbertF:
                 e0 = 1
                 for a in exps:
                     e0 *= a
-                ctx = HilbertContext(d, e0)
                 for s in range(1, 5):
                     for n in range(1, d * s + 1):
-                        assert hilbert_F(ctx, s, n) == oracle_F(exps, s, n), (
+                        assert hilbert_F(d, e0, s, n) == oracle_F(exps, s, n), (
                             exps,
                             s,
                             n,
@@ -103,16 +103,14 @@ class TestHilbertF:
     def test_refined_equals_original_split(self):
         for d in range(2, 6):
             for e0 in (1, 3):
-                ctx = HilbertContext(d, e0)
                 for s in range(1, 5):
                     for n in range(0, d * s + 4):
-                        assert hilbert_F(ctx, s, n) == hilbert_F_unrefined(ctx, s, n)
+                        assert hilbert_F(d, e0, s, n) == hilbert_F_unrefined(d, e0, s, n)
 
     def test_nondecreasing_in_n(self):
         for d in (2, 3, 4):
-            ctx = HilbertContext(d, 2)
             for s in range(1, 5):
-                values = [hilbert_F(ctx, s, n) for n in range(1, 3 * d * s)]
+                values = [hilbert_F(d, 2, s, n) for n in range(1, 3 * d * s)]
                 assert values == sorted(values)
 
     def test_boundary_window_consistency(self):
@@ -120,11 +118,10 @@ class TestHilbertF:
         # s(d-1)-d+1 <= n <= s(d-1)
         for d in range(2, 7):
             for e0 in (1, 2):
-                ctx = HilbertContext(d, e0)
                 for s in range(2, 7):
                     for n in range(s * (d - 1) - d + 1, s * (d - 1) + 1):
-                        expected = hilbert_H(ctx, n + s) - s**d * e0
-                        assert middle_branch_sum(ctx, s, n) == expected, (d, s, n)
+                        expected = hilbert_H(d, e0, n + s) - s**d * e0
+                        assert middle_branch_sum(d, e0, s, n) == expected, (d, s, n)
 
 
 class TestReductionNumber:
@@ -150,19 +147,19 @@ class TestConstantAndAsymptotics:
         assert c_of_d(1) == 1
 
     def test_asymptotic_d3(self):
-        assert asymptotic_coefficients(HilbertContext(3, 1)) == (
+        assert asymptotic_coefficients(3, 1) == (
             Fraction(13, 8), Fraction(-1, 4), Fraction(-1, 8)
         )
 
     def test_asymptotic_d2(self):
         # (4/3) s^3 - (1/3) s: no s^2 term, and -1/3 sits in degree d-1 = 1
-        assert asymptotic_coefficients(HilbertContext(2, 1)) == (Fraction(4, 3), 0, Fraction(-1, 3))
+        assert asymptotic_coefficients(2, 1) == (Fraction(4, 3), 0, Fraction(-1, 3))
 
     def test_scaling_in_e0(self):
-        assert asymptotic_coefficients(HilbertContext(2, 7))[0] == Fraction(28, 3)
+        assert asymptotic_coefficients(2, 7)[0] == Fraction(28, 3)
 
     def test_matches_exact_polynomial(self):
         for d in range(2, 8):
             poly = cm_sop_hk_polynomial(d, 3)
             top = tuple(poly.coefficient(k) for k in (d + 1, d, d - 1))
-            assert top == asymptotic_coefficients(HilbertContext(d, 3))
+            assert top == asymptotic_coefficients(d, 3)

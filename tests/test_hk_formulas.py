@@ -5,7 +5,6 @@ import pytest
 
 from reeshk.hk_formulas import (
     Dim1Input,
-    PeriodicSequence,
     QuasiPolynomialHK,
     cm_sop_hk,
     compare_to_eto_yoshida,
@@ -28,12 +27,7 @@ def fermat_input(rho=None):
         r=4,
         rho=rho,
         lengths=(0, 1, 3, 6),
-        alpha=(
-            PeriodicSequence((-4, -6)),
-            PeriodicSequence((-3, -5)),
-            PeriodicSequence((-2, -3)),
-            PeriodicSequence((-1, -1)),
-        ),
+        alpha=((-4, -6), (-3, -5), (-2, -3), (-1, -1)),
         p=2,
     )
 
@@ -57,7 +51,7 @@ def direct_proof_sum(inp: Dim1Input, e: int) -> int:
             return inp.lengths[n]
         return inp.e0 * n - inp.e1
 
-    total = 2 * sum(inp.e0 * q + seq.value_at(e) for seq in inp.alpha)
+    total = 2 * sum(inp.e0 * q + seq[e % len(seq)] for seq in inp.alpha)
     total += sum(H(n + q) for n in range(inp.r, q))
     total += sum(H(n) for n in range(inp.r))
     total -= sum(H(n) for n in range(inp.r, q + inp.r))
@@ -78,7 +72,7 @@ class TestDim1:
         inp = fermat_input(rho=3)
         qp = dim1_hk(inp)
         for residue in (0, 1):
-            alpha_sum = sum(seq.value_at(residue) for seq in inp.alpha)
+            alpha_sum = sum(seq[residue % len(seq)] for seq in inp.alpha)
             assert qp.polys[residue].coefficient(0) == 20 + 2 * alpha_sum
 
     def test_r_zero_gives_pure_square(self):
@@ -102,7 +96,7 @@ class TestDim1:
             r=1,
             rho=2,
             lengths=(0, 1, 4),
-            alpha=(PeriodicSequence((0, -2, 1)),),
+            alpha=((0, -2, 1),),
             p=2,
         )
         qp = dim1_hk(inp)
@@ -111,7 +105,7 @@ class TestDim1:
             assert qp.value_at(e) == direct_proof_sum(inp, e)
 
     def test_degree_and_leading_coefficient(self):
-        for inp in (fermat_input(rho=3), Dim1Input(2, 1, 1, 0, (0,), (PeriodicSequence((5,)),), 7)):
+        for inp in (fermat_input(rho=3), Dim1Input(2, 1, 1, 0, (0,), ((5,),), 7)):
             qp = dim1_hk(inp)
             for poly in qp.polys:
                 assert poly.degree == 2
@@ -124,7 +118,7 @@ class TestDim1:
             r=2,
             rho=1,
             lengths=(0, 1),
-            alpha=(PeriodicSequence((1, 2)), PeriodicSequence((0, 0, 1))),
+            alpha=((1, 2), (0, 0, 1)),
             p=2,
         )
         assert dim1_hk(inp).period == 6
@@ -137,11 +131,11 @@ class TestDim1:
         with pytest.raises(ValueError):
             Dim1Input(1, 0, 1, None, (), (), 2)  # missing alpha
         with pytest.raises(ValueError):
-            Dim1Input(1, 0, 1, None, (), (PeriodicSequence((0,)),), 2)  # missing lengths
+            Dim1Input(1, 0, 1, None, (), ((0,),), 2)  # missing lengths
         with pytest.raises(ValueError):
-            Dim1Input(1, 0, 1, None, (1,), (PeriodicSequence((0,)),), 2)  # lengths[0]
+            Dim1Input(1, 0, 1, None, (1,), ((0,),), 2)  # lengths[0]
         with pytest.raises(ValueError):
-            Dim1Input(1, 0, 3, None, (0, 2, 1), (PeriodicSequence((0,)),) * 3, 2)
+            Dim1Input(1, 0, 3, None, (0, 2, 1), ((0,),) * 3, 2)
         with pytest.raises(ValueError):
             dim1_hk(fermat_input(rho=None))  # rho required here
         for p in (4, 1, 0):
@@ -159,7 +153,7 @@ class TestCorDim1:
 
     def test_r_one_constant_alpha(self):
         inp = Dim1Input(
-            e0=3, e1=2, r=1, rho=None, lengths=(0,), alpha=(PeriodicSequence((6,)),), p=2
+            e0=3, e1=2, r=1, rho=None, lengths=(0,), alpha=((6,),), p=2
         )
         # e0 q^2 + e1 + 2a, since C(1, 2) = 0
         assert cordim1_hk(inp).polys[0] == Poly([2 + 12, 0, 3])
@@ -171,18 +165,18 @@ class TestCorDim1:
 
 class TestSopDim1:
     def test_fermat_parameter_rees(self):
-        qp = sop_dim1_hk(5, PeriodicSequence((-4, -6)), 2)
+        qp = sop_dim1_hk(5, (-4, -6), 2)
         assert qp.polys[0] == Poly([0, -4, 5])
         assert qp.polys[1] == Poly([0, -6, 5])
 
     def test_zero_alpha(self):
-        qp = sop_dim1_hk(9, PeriodicSequence((0,)), 5)
+        qp = sop_dim1_hk(9, (0,), 5)
         assert qp.polys[0] == Poly([0, 0, 9])
 
     def test_p_must_be_prime(self):
         for p in (4, 1, 0):
             with pytest.raises(ValueError, match="not prime"):
-                sop_dim1_hk(5, PeriodicSequence((-4, -6)), p)
+                sop_dim1_hk(5, (-4, -6), p)
 
     @pytest.mark.parametrize(
         "a, p, alpha",
@@ -194,16 +188,16 @@ class TestSopDim1:
         # -2 for a = 3, period 3 for a = 7 (from the plane quotient lengths);
         # the prediction then matches the 3-variable Groebner count
         from reeshk.binomial_groebner import BinomialRelation, quotient_colength
+        from reeshk.monomial_algebra import minimalize
         from reeshk.rees_oracle import alpha_table
 
-        seq = PeriodicSequence(alpha)
         table = alpha_table(a, p, 0, range(1, 10))
-        assert table[0] == {e: seq.value_at(e) for e in range(1, 10)}
-        qp = sop_dim1_hk(a, seq, p)
+        assert table[0] == {e: alpha[e % len(alpha)] for e in range(1, 10)}
+        qp = sop_dim1_hk(a, alpha, p)
         rel = BinomialRelation(3, 0, 1, a)
         for e in range(2, 6):
             q = p**e
-            oracle = quotient_colength(rel, [(q, 0, 0), (0, q, 0), (0, 0, q)])
+            oracle = quotient_colength(rel, minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]))
             assert qp.value_at(e) == oracle
 
 
@@ -280,11 +274,11 @@ class TestMultiplicities:
 
     def test_leading_coefficient_fit_matches_dim1_predictor(self):
         # leading coefficient of the rees-of-x samples equals e0(m) = a
-        from reeshk.rees_oracle import ReesInstanceDim1, SampleSet, fit_quasi_polynomial, rees_colength_dim1
+        from reeshk.rees_oracle import ReesInstanceDim1, fit_quasi_polynomial, rees_colength_dim1
 
         inst = ReesInstanceDim1(5, 2, "rees_of_x")
         values = {e: rees_colength_dim1(inst, e) for e in range(2, 8)}
-        qp = fit_quasi_polynomial(SampleSet.from_values(2, values), 2, 2, holdout=0)
+        qp = fit_quasi_polynomial(values, 2, 2, 2, holdout=0)
         for poly in qp.polys:
             assert poly.coefficient(2) == 5
 
@@ -292,16 +286,16 @@ class TestMultiplicities:
 class TestQuasiPolynomialType:
     def test_mixed_degree_rejected(self):
         with pytest.raises(ValueError):
-            QuasiPolynomialHK((Poly([0, 0, 1]), Poly([0, 1])))
-
-    def test_value_needs_prime(self):
-        qp = QuasiPolynomialHK((Poly([1, 0, 2]),))
-        with pytest.raises(ValueError):
-            qp.value_at(3)
+            QuasiPolynomialHK((Poly([0, 0, 1]), Poly([0, 1])), 2)
 
     def test_periodic_sequence(self):
-        seq = PeriodicSequence((4, 7, 9))
-        assert seq.period == 3
-        assert [seq.value_at(e) for e in range(5)] == [4, 7, 9, 4, 7]
-        with pytest.raises(ValueError):
-            PeriodicSequence(())
+        # alpha is one period of values, read at e mod its length; it needs a value
+        qp = sop_dim1_hk(1, (4, 7, 9), 2)
+        assert qp.period == 3
+        assert [qp.poly_for(e).coefficient(1) for e in range(5)] == [4, 7, 9, 4, 7]
+        with pytest.raises(ValueError, match="period of at least 1"):
+            sop_dim1_hk(1, (), 2)
+        with pytest.raises(ValueError, match="period of at least 1"):
+            Dim1Input(1, 0, 1, None, (0,), ((),), 2)
+        with pytest.raises(ValueError, match="period of at least 1"):
+            Dim1Input(2, 0, 2, None, (0, 1), ((1, 2), ()), 2)

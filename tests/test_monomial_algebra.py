@@ -17,7 +17,7 @@ from reference import colength_by_inclusion_exclusion, contains, power
 
 
 def ideal(*exps):
-    return MonomialIdeal.from_exponents(len(exps[0]), exps)
+    return minimalize(exps)
 
 
 def param_ideal(exponents):
@@ -151,9 +151,7 @@ class TestColength:
         base = ideal((5, 0, 0), (3, 5, 0), (0, 8, 0), (0, 0, 8), (1, 2, 4))
         reference = base.colength()
         for perm in itertools.permutations(range(3)):
-            permuted = MonomialIdeal.from_exponents(
-                3, [tuple(g[i] for i in perm) for g in base.gens]
-            )
+            permuted = minimalize([tuple(g[i] for i in perm) for g in base.gens])
             assert permuted.colength() == reference
 
     def test_generator_order_invariance(self):
@@ -174,7 +172,7 @@ def random_primary_ideal(rng, d):
         gens.append(tuple(e))
     for _ in range(rng.randint(0, 6 - d)):
         gens.append(tuple(rng.randint(0, 6) for _ in range(d)))
-    return MonomialIdeal.from_exponents(d, gens)
+    return minimalize(gens, ambient_dim=d)
 
 
 class TestInclusionExclusionCrossCheck:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reeshk import binomial_groebner, monomial_algebra
 from reeshk.binomial_groebner import BinomialRelation, quotient_colength
-from reeshk.hk_formulas import PeriodicSequence, cm_sop_hk, sop_dim1_hk
+from reeshk.hk_formulas import cm_sop_hk, sop_dim1_hk
 from reeshk.monomial_algebra import MonomialIdeal
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
@@ -16,7 +17,6 @@ from reeshk.rees_oracle import (
     NonPolynomialSamples,
     ReesInstanceDim1,
     ReesInstanceMonomial,
-    SampleSet,
     StabilizationNotReached,
     _graded_length,
     _hypersurface,
@@ -98,7 +98,7 @@ class TestDim1Oracle:
 
     def test_rees_of_x_matches_predictor(self):
         inst = ReesInstanceDim1(5, 2, "rees_of_x")
-        qp = sop_dim1_hk(5, PeriodicSequence((-4, -6)), 2)
+        qp = sop_dim1_hk(5, (-4, -6), 2)
         for e in range(2, 7):
             assert rees_colength_dim1(inst, e) == qp.value_at(e)
 
@@ -117,8 +117,24 @@ class TestDim1Oracle:
         # the hypersurface plug-in needs no unit-ideal guard, even under the tightest cap
         colength, _ = _hypersurface(5, cap)
         assert colength(MonomialIdeal.unit(2)) == 0
-        assert quotient_colength(BinomialRelation(2, 0, 1, 5), [(0, 0)], box_cap=cap) == 0
-        assert quotient_colength(BinomialRelation(3, 0, 1, 5), [(0, 0, 0)], box_cap=cap) == 0
+        for d in (2, 3):
+            unit = MonomialIdeal.unit(d)
+            assert quotient_colength(BinomialRelation(d, 0, 1, 5), unit, box_cap=cap) == 0
+
+    def test_package_built_ideals_are_not_checked_again(self, monkeypatch):
+        # tuples are checked where they enter; the rees-of-m loop and the alpha
+        # table build every ideal from ideals, so no tuple is checked twice
+        validated, calls = monomial_algebra._validated, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validated(*args, **kwargs)
+
+        monkeypatch.setattr(monomial_algebra, "_validated", counting)
+        monkeypatch.setattr(binomial_groebner, "_validated", counting, raising=False)
+        assert rees_colength_dim1(ReesInstanceDim1(5, 2, "rees_of_m"), 4) == 1280
+        assert alpha_table(5, 2, 3, [2, 3])[0] == {2: -4, 3: -6}
+        assert calls == []
 
 
 class TestGradedLength:
@@ -156,7 +172,7 @@ class TestGradedLength:
         inst = ReesInstanceDim1(a, 2, "rees_of_m")
         for e in range(1, 6):
             expected = graded_length_by_window(
-                _PLANE_MAXIMAL, 2**e, lambda ideal: quotient_colength(rel, ideal.gens), 2 * a + 2
+                _PLANE_MAXIMAL, 2**e, lambda ideal: quotient_colength(rel, ideal), 2 * a + 2
             )
             assert rees_colength_dim1(inst, e) == expected, e
 
@@ -184,70 +200,62 @@ class TestAlphaTable:
             alpha_table(5, 6, 1, range(2, 4))
 
 
-class TestSampleSet:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SampleSet(4, ((1, 4, 10),))
-        with pytest.raises(ValueError):
-            SampleSet(2, ((1, 3, 10),))  # q mismatch
-        with pytest.raises(ValueError):
-            SampleSet(2, ((2, 4, 10), (2, 4, 11)))  # e not increasing
-
-    def test_from_values(self):
-        ss = SampleSet.from_values(2, {3: 310, 2: 80})
-        assert ss.entries == ((2, 4, 80), (3, 8, 310))
-
-
 class TestFitQuasiPolynomial:
     def fermat_x_samples(self, hi):
         inst = ReesInstanceDim1(5, 2, "rees_of_x")
-        return SampleSet.from_values(
-            2, {e: rees_colength_dim1(inst, e) for e in range(2, hi + 1)}
-        )
+        return {e: rees_colength_dim1(inst, e) for e in range(2, hi + 1)}
+
+    def test_rejects_non_prime(self):
+        with pytest.raises(ValueError):
+            fit_quasi_polynomial({1: 10, 2: 10}, p=4, degree=0, period=1)
+
+    def test_keys_out_of_order(self):
+        # the fit reads the samples in increasing e, whatever the key order
+        values = self.fermat_x_samples(9)
+        newest_first = dict(reversed(values.items()))
+        qp = fit_quasi_polynomial(newest_first, 2, degree=2, period=2, holdout=1)
+        assert qp == fit_quasi_polynomial(values, 2, degree=2, period=2, holdout=1)
+        assert qp.polys == (Poly([0, -4, 5]), Poly([0, -6, 5]))
+        assert qp.valid_from_e == 2
 
     def test_recovers_period_two_quadratics(self):
-        qp = fit_quasi_polynomial(self.fermat_x_samples(9), degree=2, period=2, holdout=1)
+        qp = fit_quasi_polynomial(self.fermat_x_samples(9), 2, degree=2, period=2, holdout=1)
         assert qp.polys[0] == Poly([0, -4, 5])
         assert qp.polys[1] == Poly([0, -6, 5])
         assert qp.valid_from_e == 2
 
     def test_constant_fit(self):
-        samples = SampleSet.from_values(3, {e: 7 for e in range(1, 5)})
-        qp = fit_quasi_polynomial(samples, degree=0, period=1, holdout=1)
+        qp = fit_quasi_polynomial({e: 7 for e in range(1, 5)}, 3, degree=0, period=1, holdout=1)
         assert qp.polys[0] == Poly([7])
 
     def test_non_quasi_polynomial_rejected(self):
-        samples = SampleSet.from_values(2, {e: e for e in range(1, 7)})
         with pytest.raises(InconsistentSamples):
-            fit_quasi_polynomial(samples, degree=0, period=1, holdout=1)
+            fit_quasi_polynomial({e: e for e in range(1, 7)}, 2, degree=0, period=1, holdout=1)
 
     def test_corrupted_sample_rejected(self):
         inst = ReesInstanceDim1(5, 2, "rees_of_x")
         values = {e: rees_colength_dim1(inst, e) for e in range(2, 10)}
         values[9] += 1
-        samples = SampleSet.from_values(2, values)
         with pytest.raises(InconsistentSamples):
-            fit_quasi_polynomial(samples, degree=2, period=2, holdout=1)
+            fit_quasi_polynomial(values, 2, degree=2, period=2, holdout=1)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
-            fit_quasi_polynomial(self.fermat_x_samples(6), degree=2, period=2, holdout=1)
+            fit_quasi_polynomial(self.fermat_x_samples(6), 2, degree=2, period=2, holdout=1)
 
     def test_threshold_skips_pre_periodic_values(self):
         # doctor the oldest sample; the fit should survive on the rest
         # and report the threshold just past the bad point
         values = {e: 5 * 4**e if e % 2 == 0 else 5 * 4**e - 10 for e in range(1, 10)}
         values[1] -= 3
-        qp = fit_quasi_polynomial(
-            SampleSet.from_values(2, values), degree=2, period=2, holdout=1
-        )
+        qp = fit_quasi_polynomial(values, 2, degree=2, period=2, holdout=1)
         assert qp.valid_from_e == 2
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
-            fit_quasi_polynomial(self.fermat_x_samples(8), degree=-1, period=2)
+            fit_quasi_polynomial(self.fermat_x_samples(8), 2, degree=-1, period=2)
         with pytest.raises(ValueError):
-            fit_quasi_polynomial(self.fermat_x_samples(8), degree=2, period=0)
+            fit_quasi_polynomial(self.fermat_x_samples(8), 2, degree=2, period=0)
 
 
 @st.composite
@@ -272,7 +280,7 @@ def planted_samples(draw):
     values = {e: int(polys[e % period](p**e)) for e in range(1, last + 1)}
     for e in range(1, t):
         values[e] += draw(lead)
-    return SampleSet.from_values(p, values), polys, degree, holdout, t
+    return values, p, polys, degree, holdout, t
 
 
 class TestFitRoundTrip:
@@ -281,24 +289,24 @@ class TestFitRoundTrip:
     @settings(max_examples=150)
     @given(planted_samples())
     def test_recovers_polynomials_and_threshold(self, case):
-        samples, polys, degree, holdout, t = case
-        qp = fit_quasi_polynomial(samples, degree, len(polys), holdout)
+        values, p, polys, degree, holdout, t = case
+        qp = fit_quasi_polynomial(values, p, degree, len(polys), holdout)
         assert qp.polys == polys
         assert qp.valid_from_e == t
 
     @settings(max_examples=100)
     @given(planted_samples(), st.data())
     def test_perturbed_holdout_raises(self, case, data):
-        samples, polys, degree, holdout, _ = case
+        values, p, polys, degree, holdout, _ = case
         period = len(polys)
         c = data.draw(st.integers(0, period - 1))
-        es = [e for e, _, _ in samples.entries if e % period == c]
+        es = [e for e in sorted(values) if e % period == c]
         # the holdout of class c: the samples just before its newest degree + 1
         e = data.draw(st.sampled_from(es[-(degree + 1 + holdout) : -(degree + 1)]))
-        values = {k: value for k, _, value in samples.entries}
+        values = dict(values)
         values[e] += data.draw(st.integers(-20, 20).filter(bool))
         with pytest.raises(InconsistentSamples):
-            fit_quasi_polynomial(SampleSet.from_values(samples.prime, values), degree, period, holdout)
+            fit_quasi_polynomial(values, p, degree, period, holdout)
 
 
 class TestEstimateEhk:
