@@ -21,15 +21,18 @@ The dimension selects the path.  In two variables the initial ideal is
 fixed by its staircase heights h[0..a-1], where h[c] is the smallest Y
 exponent among the normal forms with X exponent at most c; one pass
 over the generators gives them, with no tuples and no sort.  The
-colength is sum(h) and equality compares heights.  Otherwise, and for
+colength is sum(h) and equality compares heights.  The corners of the
+heights, `plane_corners`, generate the same ideal modulo the binomial
+with at most a monomials, so a caller that multiplies ideals of
+k[X, Y]/(X^a - Y^a) can keep each one at that size.  Otherwise, and for
 `initial_ideal` in any dimension, the normal forms are minimalised and
 the staircase walk counts them.
 
-`initial_ideal`, `quotient_colength` and `ideals_equal` take a
-`MonomialIdeal`, whose tuples were checked when `minimalize` or
-`parse_ideal` built it; they check only that the ideal is nonzero and
-has the relation's ambient dimension.  `buchberger` takes plain
-exponent tuples and checks them through `minimalize`.
+`initial_ideal`, `quotient_colength`, `ideals_equal` and
+`plane_corners` take a `MonomialIdeal`, whose tuples were checked when
+`minimalize` or `parse_ideal` built it; they check only that the ideal
+is nonzero and has the relation's ambient dimension.  `buchberger`
+takes plain exponent tuples and checks them through `minimalize`.
 
 `initial_ideal` is the one production path, `hk oracle groebner`
 included.  `buchberger` is an independent S-pair completion of the same
@@ -212,6 +215,26 @@ def _plane_heights(rel: BinomialRelation, ideal: MonomialIdeal) -> list[int]:
         if r and y + a < lowest[0]:
             lowest[0] = y + a
     return list(accumulate(lowest, min))
+
+
+def plane_corners(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
+    """At most a monomials that generate the same ideal as `ideal` modulo the binomial.
+
+    The corners of the staircase heights: X^c Y^h[c] for c = 0 and for
+    each c with h[c] < h[c-1].  Each is the normal form of a multiple of
+    a generator, and each generator's normal form is a multiple of one
+    of them, so (binomial) + corners = (binomial) + ideal.  The X
+    exponents are below a and the Y exponents fall, so the corners are
+    minimal and sorted as they come.
+    """
+    if rel.ambient_dim != 2:
+        raise ValueError("staircase corners need a relation in two variables")
+    h = _plane_heights(rel, ideal)
+    corners = [(0, h[0])]
+    for c in range(1, rel.exponent):
+        if h[c] < corners[-1][1]:
+            corners.append((c, h[c]))
+    return MonomialIdeal(2, tuple(corners))
 
 
 def _initial_vectors(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vector, ...]:

@@ -4,11 +4,15 @@ The oracles never consult the closed forms they are meant to check.
 One routine, `_graded_length`, sums lengths over the graded
 decomposition of the Rees algebra and detects where the sum stops by
 an explicit ideal-equality test rather than taking it from theory.  It
-works in a ring R given by two plug-ins: the colength of a monomial
-ideal in R and ideal equality in R.  The monomial oracle plugs in
-staircase counts and equality of monomial ideals in a polynomial ring;
-the dimension-1 oracle plugs in Groebner initial ideals and equality
-in the hypersurface ring k[X, Y]/(X^a - Y^a).
+works in a ring R given by three plug-ins: the colength of a monomial
+ideal in R, ideal equality in R, and a reduction that replaces an
+ideal by a smaller generating set of the same ideal of R.  The
+monomial oracle plugs in staircase counts, equality of monomial ideals
+and the identity in a polynomial ring.  The dimension-1 oracle plugs in
+Groebner initial ideals, their equality and their staircase corners in
+the hypersurface ring k[X, Y]/(X^a - Y^a): there every power of m
+keeps at most a generators, not n + 1, so a step of the sum costs O(a)
+and not O(q).
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from math import prod
 from operator import eq
 from typing import Callable, Mapping, Optional, Sequence
 
-from .binomial_groebner import BinomialRelation, ideals_equal, quotient_colength
+from .binomial_groebner import BinomialRelation, ideals_equal, plane_corners, quotient_colength
 from .combinatorics import _is_prime
 from .hk_formulas import QuasiPolynomialHK
 from .monomial_algebra import MonomialIdeal, minimalize
@@ -27,9 +31,11 @@ from .polynomials import Poly, interpolate
 
 # the maximal ideal (x, y) of k[X, Y]
 _PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)], ambient_dim=2)
-# the two plug-ins of _graded_length: colength and ideal equality in a ring R
+# the three plug-ins of _graded_length: colength, ideal equality and
+# reduction to a smaller generating set of the same ideal, in a ring R
 Colength = Callable[[MonomialIdeal], int]
 Equal = Callable[[MonomialIdeal, MonomialIdeal], bool]
+Reduce = Callable[[MonomialIdeal], MonomialIdeal]
 
 
 class OracleError(Exception):
@@ -106,7 +112,7 @@ class ReesInstanceDim1:
 
 
 def _graded_length(
-    ideal: MonomialIdeal, q: int, colength: Colength, equal: Equal, tail_cap: int
+    ideal: MonomialIdeal, q: int, colength: Colength, equal: Equal, reduce: Reduce, tail_cap: int
 ) -> int:
     """Length of R(I)/(I, It)^[q] summed over the graded pieces, in a ring R.
 
@@ -114,10 +120,11 @@ def _graded_length(
     colength(I^[q] I^t) - colength(I^(q+t)) for t = 0, 1, ... until
     equal(I^[q] I^t, I^(q+t)).  The equality is tested, not assumed; a
     piece past t = tail_cap that still differs raises.  Powers advance by
-    one product per step, and the tail reuses the head's colengths of
-    I^[q] I^t for t < q.
+    one product per step, each reduced, and the tail reuses the head's
+    colengths of I^[q] I^t for t < q.  Reducing is sound because
+    (B + A) I + B = B + A I for the ideal B that defines R.
     """
-    frob = ideal.frobenius(q)
+    frob = reduce(ideal.frobenius(q))
     power = MonomialIdeal.unit(ideal.ambient_dim)  # I^n, then I^(q+t)
     # colength(I^[q] I^n) for n < q; sized once, since growing it between
     # colength walks fragmented the heap and raised peak RSS
@@ -126,7 +133,7 @@ def _graded_length(
     for n in range(q):
         head[n] = colength(frob.product(power))
         total += head[n] - colength(power)
-        power = power.product(ideal)
+        power = reduce(power.product(ideal))
     shifted = MonomialIdeal.unit(ideal.ambient_dim)  # I^t
     for t in count():
         piece = frob.product(shifted)
@@ -135,8 +142,8 @@ def _graded_length(
         if t > tail_cap:
             raise StabilizationNotReached(f"I^[q] I^t != I^(q+t) for all t <= {tail_cap} at q={q}")
         total += (head[t] if t < q else colength(piece)) - colength(power)
-        shifted = shifted.product(ideal)
-        power = power.product(ideal)
+        shifted = reduce(shifted.product(ideal))
+        power = reduce(power.product(ideal))
 
 
 def rees_colength_monomial(
@@ -149,16 +156,22 @@ def rees_colength_monomial(
     if s < 1:
         raise ValueError("s must be positive")
     return _graded_length(
-        inst.ideal(), s, lambda ideal: ideal.colength(box_cap=box_cap), eq, (inst.d - 1) * s
+        inst.ideal(), s, lambda ideal: ideal.colength(box_cap=box_cap), eq, lambda ideal: ideal,
+        (inst.d - 1) * s,
     )
 
 
-def _hypersurface(a: int, box_cap: Optional[int]) -> tuple[Colength, Equal]:
-    """Colength and ideal equality in k[X, Y]/(X^a - Y^a), for monomial ideals of k[X, Y]."""
+def _hypersurface(a: int, box_cap: Optional[int]) -> tuple[Colength, Equal, Reduce]:
+    """Colength, ideal equality and reduction in k[X, Y]/(X^a - Y^a).
+
+    Each takes monomial ideals of k[X, Y]; the reduction keeps the
+    staircase corners, at most a generators.
+    """
     rel = BinomialRelation(2, 0, 1, a)
     return (
         lambda ideal: quotient_colength(rel, ideal, box_cap=box_cap),
         lambda lhs, rhs: ideals_equal(rel, lhs, rhs),
+        lambda ideal: plane_corners(rel, ideal),
     )
 
 
@@ -173,8 +186,7 @@ def rees_colength_dim1(
         rel = BinomialRelation(3, 0, 1, inst.a)
         ideal = minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)], ambient_dim=3)
         return quotient_colength(rel, ideal, box_cap=box_cap)
-    colength, equal = _hypersurface(inst.a, box_cap)
-    return _graded_length(_PLANE_MAXIMAL, q, colength, equal, 2 * inst.a)
+    return _graded_length(_PLANE_MAXIMAL, q, *_hypersurface(inst.a, box_cap), 2 * inst.a)
 
 
 def alpha_table(
@@ -186,8 +198,9 @@ def alpha_table(
 ) -> dict[int, dict[int, int]]:
     """Periodic corrections alpha(m^n, e) = len(m^n / m^[q] m^n) - a*q.
 
-    Computed entirely from hypersurface quotient lengths; the
-    multiplicity of the maximal ideal of k[[X, Y]]/(X^a - Y^a) is a.
+    Computed entirely from hypersurface quotient lengths, with m^n and
+    m^[q] kept as their staircase corners; the multiplicity of the
+    maximal ideal of k[[X, Y]]/(X^a - Y^a) is a.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -195,14 +208,14 @@ def alpha_table(
         raise ValueError("e_range must be nonempty")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    colength, _ = _hypersurface(a, box_cap)
-    frobs = {e: _PLANE_MAXIMAL.frobenius(p**e) for e in e_range}
+    colength, _, reduce = _hypersurface(a, box_cap)
+    frobs = {e: reduce(_PLANE_MAXIMAL.frobenius(p**e)) for e in e_range}
     table: dict[int, dict[int, int]] = {}
     power = MonomialIdeal.unit(2)  # m^n
     for n in range(n_max + 1):
         base = colength(power)
         table[n] = {e: colength(f.product(power)) - base - a * p**e for e, f in frobs.items()}
-        power = power.product(_PLANE_MAXIMAL)
+        power = reduce(power.product(_PLANE_MAXIMAL))
     return table
 
 
@@ -221,6 +234,8 @@ def fit_quasi_polynomial(
         raise ValueError("degree, period and holdout must be sensible")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if min(values, default=0) < 0:
+        raise ValueError("e must be nonnegative, so that q = p^e is an integer")
     es = sorted(values)
     polys: list[Poly] = []
     for c in range(period):

@@ -167,10 +167,14 @@ def graded_length_by_window(ideal: MonomialIdeal, q: int, colength, window: int)
     Piece n is colength(I^[q] I^n) - colength(I^n) for n < q and
     colength(I^[q] I^(n-q)) - colength(I^n) from n = q on.  Once
     I^[q] I^(n-q) = I^n every later piece is 0, so a window past the
-    truncation point gives the whole length.
+    truncation point gives the whole length.  The powers are plain
+    products with every generator kept, never reduced in the ring.
     """
     frob = ideal.frobenius(q)
+    powers = [MonomialIdeal.unit(ideal.ambient_dim)]
+    for _ in range(q + window - 1):
+        powers.append(powers[-1].product(ideal))
     return sum(
-        colength(frob.product(power(ideal, n if n < q else n - q))) - colength(power(ideal, n))
+        colength(frob.product(powers[n if n < q else n - q])) - colength(powers[n])
         for n in range(q + window)
     )

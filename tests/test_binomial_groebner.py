@@ -8,6 +8,7 @@ from reeshk.binomial_groebner import (
     buchberger,
     ideals_equal,
     initial_ideal,
+    plane_corners,
     quotient_colength,
 )
 from reeshk.monomial_algebra import MonomialIdeal, minimalize, parse_ideal
@@ -190,6 +191,27 @@ class TestIdealsEqual:
         assert ideals_equal(rel, minimalize([(3, 0), (0, 5)]), minimalize([(0, 3)]))
 
 
+class TestPlaneCorners:
+    @pytest.mark.parametrize(
+        "a,gens,corners",
+        [
+            # m^[8] modulo X^5 - Y^5: X^8 = X^3 Y^5
+            (5, [(8, 0), (0, 8)], [(0, 8), (3, 5)]),
+            # m^4 modulo X^3 - Y^3: X^4 = X Y^3 and X^3 Y = Y^4
+            (3, [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)], [(0, 4), (1, 3), (2, 2)]),
+            # the unit ideal, and a single X power whose wrap is the only Y power
+            (4, [(0, 0)], [(0, 0)]),
+            (4, [(7, 0)], [(0, 8), (3, 4)]),
+        ],
+    )
+    def test_worked_values(self, a, gens, corners):
+        rel = BinomialRelation(2, 0, 1, a)
+        ideal = minimalize(gens)
+        reduced = plane_corners(rel, ideal)
+        assert reduced == MonomialIdeal(2, tuple(corners))
+        assert ideals_equal(rel, reduced, ideal)
+
+
 class TestBoundaryValidation:
     """Exponent tuples are checked once, where they enter the package.
 
@@ -273,6 +295,7 @@ class TestBoundaryValidation:
             lambda: initial_ideal(REL_PLANE, minimalize(gens, ambient_dim=2)),
             lambda: ideals_equal(REL_PLANE, minimalize(gens, ambient_dim=2), good),
             lambda: ideals_equal(REL_PLANE, good, minimalize(gens, ambient_dim=2)),
+            lambda: plane_corners(REL_PLANE, minimalize(gens, ambient_dim=2)),
         ):
             with pytest.raises(ValueError):
                 call()
@@ -295,9 +318,14 @@ class TestBoundaryValidation:
             lambda: quotient_colength(rel, bad),
             lambda: ideals_equal(rel, bad, good),
             lambda: ideals_equal(rel, good, bad),
+            *([lambda: plane_corners(rel, bad)] if d == 2 else []),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
+
+    def test_plane_corners_need_two_variables(self):
+        with pytest.raises(ValueError, match="two variables"):
+            plane_corners(REL5, minimalize(self.GOOD))
 
     @pytest.mark.parametrize(
         "gens,box",

@@ -1,8 +1,9 @@
 """Property-based differential tests of the fast paths against their references.
 
 The residue-class initial ideal behind quotient_colength and
-ideals_equal, and in two variables its staircase heights, are compared
-with the initial ideal of an independent Buchberger completion;
+ideals_equal, and in two variables its staircase heights and their
+corners, are compared with the initial ideal of an independent
+Buchberger completion;
 MonomialIdeal.product and frobenius with minimalize over the summed or
 scaled exponent tuples; the bitset and two-column running-minimum
 minimalisation with a pairwise scan; the staircase walk with
@@ -10,6 +11,7 @@ inclusion-exclusion; the graded-sum monomial oracle with the closed
 form cm_sop_hk on all three of its branches; and parse_ideal with
 format_ideal.
 """
+from operator import add
 from unittest import mock
 
 import pytest
@@ -22,6 +24,7 @@ from reeshk.binomial_groebner import (
     buchberger,
     ideals_equal,
     initial_ideal,
+    plane_corners,
     quotient_colength,
 )
 from reeshk.hk_formulas import cm_sop_hk
@@ -162,6 +165,43 @@ class TestIdealsEqual:
             assert answer == mutually_contained(rel, lhs.gens, rhs.gens), t
             answers.add(answer)
         assert answers == {False, True}
+
+
+@st.composite
+def plane_pairs(draw):
+    """X^a - Y^a, a <= 9, and two lists of plane generators, primary or not."""
+    rel = BinomialRelation(2, 0, 1, draw(st.integers(2, 9)))
+    gens_j = draw(generators(2, draw(st.booleans())))
+    return rel, gens_j, draw(generators(2, draw(st.booleans())))
+
+
+class TestPlaneCorners:
+    """Staircase corners keep the ideal of k[X, Y]/(X^a - Y^a), and so do their products."""
+
+    @settings(max_examples=200)
+    @given(plane_pairs())
+    @example((BinomialRelation(2, 0, 1, 5), [(7, 3)], [(0, 40)]))
+    @example((BinomialRelation(2, 0, 1, 9), [(1, 40), (13, 2), (30, 0)], [(40, 40)]))
+    def test_same_ideal_with_at_most_a_generators(self, case):
+        rel, gens_j, gens_k = case
+        j, k = ideal_of(rel, gens_j), ideal_of(rel, gens_k)
+        corners_j, corners_k = plane_corners(rel, j), plane_corners(rel, k)
+        # built without minimalize, so check that they are minimal and sorted
+        assert corners_j == minimalize(corners_j.gens, ambient_dim=2)
+        assert len(corners_j.gens) <= rel.exponent
+        assert all(x < rel.exponent for x, _ in corners_j.gens)
+        assert ideals_equal(rel, j, corners_j)
+        assert quotient_colength(rel, corners_j) == quotient_colength(rel, j)
+        product = corners_j.product(corners_k)
+        assert ideals_equal(rel, product, j.product(k))
+        # the same facts against the independent completion
+        assert (
+            buchberger(rel, corners_j.gens).initial_ideal()
+            == buchberger(rel, gens_j).initial_ideal()
+        )
+        assert reference_colength(rel, corners_j.gens) == reference_colength(rel, gens_j)
+        sums = [tuple(map(add, x, y)) for x in gens_j for y in gens_k]
+        assert buchberger(rel, product.gens).initial_ideal() == buchberger(rel, sums).initial_ideal()
 
 
 def monomial_ideals(d):

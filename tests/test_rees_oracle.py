@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reeshk import binomial_groebner, monomial_algebra
+from reeshk import binomial_groebner, monomial_algebra, rees_oracle
 from reeshk.binomial_groebner import BinomialRelation, quotient_colength
 from reeshk.hk_formulas import cm_sop_hk, sop_dim1_hk
 from reeshk.monomial_algebra import MonomialIdeal
@@ -108,14 +108,13 @@ class TestDim1Oracle:
 
         inst = ReesInstanceDim1(5, 2, "rees_of_m")
         qp = cordim1_hk(FERMAT5)
-        for e in range(3, 7):
+        for e in range(3, 11):
             assert rees_colength_dim1(inst, e) == qp.value_at(e)
-
 
     @pytest.mark.parametrize("cap", [None, 0])
     def test_unit_ideal_has_colength_zero(self, cap):
         # the hypersurface plug-in needs no unit-ideal guard, even under the tightest cap
-        colength, _ = _hypersurface(5, cap)
+        colength, _, _ = _hypersurface(5, cap)
         assert colength(MonomialIdeal.unit(2)) == 0
         for d in (2, 3):
             unit = MonomialIdeal.unit(d)
@@ -136,27 +135,43 @@ class TestDim1Oracle:
         assert alpha_table(5, 2, 3, [2, 3])[0] == {2: -4, 3: -6}
         assert calls == []
 
+    @pytest.mark.parametrize("a", [3, 5])
+    def test_measured_ideals_stay_small(self, a, monkeypatch):
+        # m^n kept as at most a staircase corners, times the two corners of
+        # m^[q]: without the reduction the loop at q = 256 measures ideals
+        # with up to 257 generators
+        measured = []
+
+        def spy(rel, ideal, box_cap=None):
+            measured.append(len(ideal.gens))
+            return quotient_colength(rel, ideal, box_cap=box_cap)
+
+        monkeypatch.setattr(rees_oracle, "quotient_colength", spy)
+        rees_colength_dim1(ReesInstanceDim1(a, 2, "rees_of_m"), 8)
+        assert len(measured) >= 2 * 256
+        assert max(measured) <= 2 * a
+
 
 class TestGradedLength:
     """The shared graded sum: its tail cap, its stop rule, and a fixed-window reference."""
 
-    # (ideal, q, colength, equal, first tail index t with I^[q] I^t = I^(q+t))
+    # (ideal, q, colength, equal, reduce, first tail index t with I^[q] I^t = I^(q+t))
     CASES = {
         "monomial": (
             ReesInstanceMonomial((2, 1, 1, 1)).ideal(), 3,
-            lambda ideal: ideal.colength(), lambda a, b: a == b, 6,
+            lambda ideal: ideal.colength(), lambda a, b: a == b, lambda ideal: ideal, 6,
         ),
         "hypersurface": (_PLANE_MAXIMAL, 8, *_hypersurface(7, None), 5),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_cap_below_truncation_raises(self, case):
-        ideal, q, colength, equal, t = self.CASES[case]
+        ideal, q, *ring, t = self.CASES[case]
         # a piece past the cap that still differs raises, so cap t - 2 fails and t - 1 holds
         with pytest.raises(StabilizationNotReached):
-            _graded_length(ideal, q, colength, equal, t - 2)
-        full = _graded_length(ideal, q, colength, equal, t + 10)
-        assert _graded_length(ideal, q, colength, equal, t - 1) == full
+            _graded_length(ideal, q, *ring, t - 2)
+        full = _graded_length(ideal, q, *ring, t + 10)
+        assert _graded_length(ideal, q, *ring, t - 1) == full
 
     @pytest.mark.parametrize("exps", [(1, 1), (2, 3), (1, 1, 1), (1, 2, 2)])
     def test_monomial_matches_fixed_window(self, exps):
@@ -166,15 +181,17 @@ class TestGradedLength:
             expected = graded_length_by_window(inst.ideal(), s, MonomialIdeal.colength, window)
             assert rees_colength_monomial(inst, s) == expected, s
 
-    @pytest.mark.parametrize("a", [3, 5, 7])
+    @pytest.mark.parametrize("a", range(2, 9))
     def test_rees_of_m_matches_fixed_window(self, a):
+        # the reference multiplies unreduced powers of m; q <= 128 for p = 2, 3, 5
         rel = BinomialRelation(2, 0, 1, a)
-        inst = ReesInstanceDim1(a, 2, "rees_of_m")
-        for e in range(1, 6):
-            expected = graded_length_by_window(
-                _PLANE_MAXIMAL, 2**e, lambda ideal: quotient_colength(rel, ideal), 2 * a + 2
-            )
-            assert rees_colength_dim1(inst, e) == expected, e
+        for p, e_max in ((2, 7), (3, 4), (5, 3)):
+            inst = ReesInstanceDim1(a, p, "rees_of_m")
+            for e in range(1, e_max + 1):
+                expected = graded_length_by_window(
+                    _PLANE_MAXIMAL, p**e, lambda ideal: quotient_colength(rel, ideal), 2 * a + 2
+                )
+                assert rees_colength_dim1(inst, e) == expected, (p, e)
 
 
 class TestAlphaTable:
@@ -190,6 +207,20 @@ class TestAlphaTable:
         for n in range(4):
             for e in range(2, 7):
                 assert table[n][e] == table[n][e + 2]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("a", range(2, 9))
+    def test_rows_match_unreduced_powers(self, a, p):
+        # every row against m^[q] m^n and m^n built as plain products, q <= 81
+        rel = BinomialRelation(2, 0, 1, a)
+        e_range = range(1, {2: 7, 3: 5}[p])
+        table = alpha_table(a, p, 2 * a, e_range)
+        for n, row in table.items():
+            base = quotient_colength(rel, power(_PLANE_MAXIMAL, n))
+            for e in e_range:
+                frob = _PLANE_MAXIMAL.frobenius(p**e)
+                piece = quotient_colength(rel, frob.product(power(_PLANE_MAXIMAL, n)))
+                assert row[e] == piece - base - a * p**e, (n, e)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -250,6 +281,13 @@ class TestFitQuasiPolynomial:
         values[1] -= 3
         qp = fit_quasi_polynomial(values, 2, degree=2, period=2, holdout=1)
         assert qp.valid_from_e == 2
+
+    def test_rejects_negative_e(self):
+        # p**e would be a float, and the fit inexact
+        with pytest.raises(ValueError, match="nonnegative"):
+            fit_quasi_polynomial({-2: 0, -1: 1, 0: 2}, 3, 1, 1, holdout=0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fit_quasi_polynomial({-1: 5, 0: 5, 1: 5}, 2, 0, 1, holdout=1)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
