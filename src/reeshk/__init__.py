@@ -27,8 +27,6 @@ from .monomial_algebra import (
 )
 from .binomial_groebner import (
     BinomialRelation,
-    GroebnerBasisBM,
-    buchberger,
     ideals_equal,
     quotient_colength,
 )

@@ -1,32 +1,33 @@
-"""Initial ideals of one binomial X_u^a - X_v^a plus monomials.
+"""Initial ideals of the binomial X_0^a - X_1^a plus monomials.
 
-Under lex order with X_u greatest, the binomial rewrites X_u^a to
-X_v^a, so modulo the binomial every monomial equals, with coefficient
+Under lex order with X_0 greatest, the binomial rewrites X_0^a to
+X_1^a, so modulo the binomial every monomial equals, with coefficient
 +1, its residue-class normal form
 
-    NF(X_u^i X_v^j rest) = X_u^(i mod a) X_v^(j + a floor(i/a)) rest.
+    NF(X_0^i X_1^j rest) = X_0^(i mod a) X_1^(j + a floor(i/a)) rest.
 
 Hence (binomial) + (g_1..g_k) is the binomial plus the span of the
 normal forms of all monomial multiples of the g's, and its initial
-ideal is generated by X_u^a, every NF(g), and NF(X_u^(a - i mod a) g)
-for each g whose X_u exponent i is not a multiple of a: multiplying g
-by X_u^c only cycles i through the residues mod a, raising the X_v
+ideal is generated by X_0^a, every NF(g), and NF(X_0^(a - i mod a) g)
+for each g whose X_0 exponent i is not a multiple of a: multiplying g
+by X_0^c only cycles i through the residues mod a, raising the X_1
 exponent by a at each wrap.  No coefficient field is involved, so the
 result is independent of the characteristic.  `initial_ideal` gives
 quotient lengths (`quotient_colength`) and decides equality of two
 such ideals (`ideals_equal`), since both are fixed by their initial
 ideals.
 
-The dimension selects the path.  In two variables the initial ideal is
-fixed by its staircase heights h[0..a-1], where h[c] is the smallest Y
-exponent among the normal forms with X exponent at most c; one pass
-over the generators gives them, with no tuples and no sort.  The
-colength is sum(h) and equality compares heights.  The corners of the
-heights, `plane_corners`, generate the same ideal modulo the binomial
-with at most a monomials, so a caller that multiplies ideals of
-k[X, Y]/(X^a - Y^a) can keep each one at that size.  Otherwise, and for
-`initial_ideal` in any dimension, the normal forms are minimalised and
-the staircase walk counts them.
+The dimension selects the path.  In two variables, X = X_0 and
+Y = X_1, the initial ideal is fixed by its staircase heights
+h[0..a-1], where h[c] is the smallest Y exponent among the normal
+forms with X exponent at most c; one pass over the generators gives
+them, with no tuples and no sort.  The colength is sum(h) and equality
+compares heights.  The corners of the heights, `plane_corners`,
+generate the same ideal modulo the binomial with at most a monomials,
+so a caller that multiplies ideals of k[X, Y]/(X^a - Y^a) can keep
+each one at that size.  Otherwise, and for `initial_ideal` in any
+dimension, the normal forms are minimalised and the staircase walk
+counts them.
 
 `initial_ideal`, `quotient_colength`, `ideals_equal` and
 `plane_corners` take a `MonomialIdeal`, whose tuples were checked when
@@ -38,9 +39,9 @@ takes plain exponent tuples and checks them through `minimalize`.
 included.  `buchberger` is an independent S-pair completion of the same
 basis, kept as the tests' reference for the normal forms.  Under lex
 the S-polynomial of the binomial with a monomial is again a monomial,
-and reducing a monomial keeps it a monomial.  Monomial-monomial S-pairs
-vanish identically and are skipped; the completeness check re-verifies
-every binomial-monomial pair.
+and reducing a monomial keeps it a monomial; the reduction looks for a
+monomial divisor before each binomial step.  Monomial-monomial S-pairs
+vanish identically and are skipped.
 """
 from __future__ import annotations
 
@@ -60,27 +61,22 @@ from .monomial_algebra import (
 
 @dataclass(frozen=True)
 class BinomialRelation:
-    """The relation X_u^a - X_v^a inside a polynomial ring of given dimension.
+    """The relation X_0^a - X_1^a inside a polynomial ring of given dimension.
 
-    index_u < index_v in the fixed variable order, so the leading term
-    under lex is always X_u^a.
+    Under lex with X_0 greatest its leading term is X_0^a.
     """
 
     ambient_dim: int
-    index_u: int
-    index_v: int
     exponent: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.index_u < self.index_v < self.ambient_dim:
-            raise ValueError("need 0 <= index_u < index_v < ambient_dim")
+        if self.ambient_dim < 2:
+            raise ValueError("the relation needs at least two variables")
         if self.exponent < 2:
             raise ValueError("hypersurface exponent must be at least 2")
 
     def lead_exponents(self) -> tuple[int, ...]:
-        exps = [0] * self.ambient_dim
-        exps[self.index_u] = self.exponent
-        return tuple(exps)
+        return (self.exponent,) + (0,) * (self.ambient_dim - 1)
 
 
 @dataclass(frozen=True)
@@ -90,80 +86,39 @@ class GroebnerBasisBM:
     relation: BinomialRelation
     monomials: tuple[Vector, ...]
 
-    def normal_form(
-        self, mon: Sequence[int], strategy: str = "monomial-first"
-    ) -> Optional[Vector]:
-        """Reduce a monomial to its normal form; None means it reduced to zero.
-
-        Both strategies terminate and, on a complete basis, agree:
-        'monomial-first' looks for a monomial divisor before applying
-        the binomial step, 'binomial-first' the other way round.
-        """
-        return _reduce(tuple(mon), self.relation, self.monomials, strategy)
-
-    def contains_monomial(self, mon: Sequence[int]) -> bool:
-        return self.normal_form(mon) is None
-
-    def spairs_reduce_to_zero(self) -> bool:
-        """Re-check completeness: every binomial-monomial S-pair reduces to zero.
-
-        Monomial pairs subtract to the zero polynomial outright, so
-        only pairs with the binomial carry content.
-        """
-        rel = self.relation
-        return all(
-            _reduce(_binomial_spair(m, rel), rel, self.monomials) is None
-            for m in self.monomials
-        )
-
-    def initial_ideal(self) -> MonomialIdeal:
-        """Ideal of leading terms: X_u^a together with the basis monomials."""
-        rel = self.relation
-        vectors = _minimal_vectors([rel.lead_exponents(), *self.monomials])
-        return MonomialIdeal(rel.ambient_dim, vectors)
-
 
 def _binomial_spair(m: Vector, rel: BinomialRelation) -> Vector:
     """S-polynomial of the binomial with a monomial: a single monomial.
 
-    lcm(X_u^a, m) with the X_u^a block swapped for X_v^a; the
+    lcm(X_0^a, m) with the X_0^a block swapped for X_1^a; the
     coefficient is -1 and plays no role.
     """
-    sp = list(m)
-    sp[rel.index_u] = max(rel.exponent, m[rel.index_u]) - rel.exponent
-    sp[rel.index_v] = m[rel.index_v] + rel.exponent
-    return tuple(sp)
+    a = rel.exponent
+    return (max(a, m[0]) - a, m[1] + a, *m[2:])
 
 
-def _reduce(
-    t: Vector,
-    rel: BinomialRelation,
-    mons: Sequence[Vector],
-    strategy: str = "monomial-first",
-) -> Optional[Vector]:
-    """Division algorithm on a monomial; each binomial step drops the X_u degree."""
-    if strategy not in ("monomial-first", "binomial-first"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    u, v, a = rel.index_u, rel.index_v, rel.exponent
+def _reduce(t: Vector, rel: BinomialRelation, mons: Sequence[Vector]) -> Optional[Vector]:
+    """Division algorithm on a monomial; None means it reduced to zero.
+
+    A monomial divisor is looked for before each binomial step, and each
+    binomial step drops the X_0 degree by a.
+    """
+    a = rel.exponent
     cur = list(t)
-    while True:
-        if strategy == "monomial-first" and _divisible(cur, mons):
-            return None
-        if cur[u] >= a:
-            cur[u] -= a
-            cur[v] += a
-            continue
-        if strategy == "binomial-first" and _divisible(cur, mons):
-            return None
-        # no binomial step applies anymore, the result is final
-        return tuple(cur)
+    while not _divisible(cur, mons):
+        if cur[0] < a:
+            # no binomial step applies anymore, the result is final
+            return tuple(cur)
+        cur[0] -= a
+        cur[1] += a
+    return None
 
 
 def buchberger(rel: BinomialRelation, gens: Iterable[Sequence[int]]) -> GroebnerBasisBM:
-    """Complete the basis of (X_u^a - X_v^a) + (monomial generators).
+    """Complete the basis of (X_0^a - X_1^a) + (monomial generators).
 
     Only S-pairs of the binomial with a monomial are processed; pairs
-    whose leading terms are coprime (X_u absent from the monomial) are
+    whose leading terms are coprime (X_0 absent from the monomial) are
     skipped by the product criterion.  Each surviving normal form is a
     monomial not yet in the span of the current ones, so the ascending
     chain of monomial ideals forces termination.
@@ -172,13 +127,13 @@ def buchberger(rel: BinomialRelation, gens: Iterable[Sequence[int]]) -> Groebner
     if start.is_zero:
         raise ValueError("generator set must be nonempty")
     basis = list(start.gens)
-    queue = [m for m in basis if m[rel.index_u] > 0]
+    queue = [m for m in basis if m[0] > 0]
     while queue:
         m = queue.pop()
         nf = _reduce(_binomial_spair(m, rel), rel, basis)
         if nf is not None:
             basis.append(nf)
-            if nf[rel.index_u] > 0:
+            if nf[0] > 0:
                 queue.append(nf)
     return GroebnerBasisBM(rel, _minimal_vectors(basis))
 
@@ -239,19 +194,14 @@ def plane_corners(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
 
 def _initial_vectors(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vector, ...]:
     """Sorted minimal generators of the initial ideal of (binomial) + ideal."""
-    u, v, a = rel.index_u, rel.index_v, rel.exponent
+    a = rel.exponent
     vectors = [rel.lead_exponents()]
-    for g in _gens(rel, ideal):
-        nf = list(g)
-        r = g[u] % a
-        nf[u] = r
-        nf[v] += g[u] - r
-        vectors.append(tuple(nf))
+    for i, j, *rest in _gens(rel, ideal):
+        r = i % a
+        vectors.append((r, j + i - r, *rest))
         if r:
-            # X_u^(a - r) g wraps to the next residue class: X_u^0, one more X_v^a
-            nf[u] = 0
-            nf[v] += a
-            vectors.append(tuple(nf))
+            # X_0^(a - r) g wraps to the next residue class: X_0^0, one more X_1^a
+            vectors.append((0, j + i - r + a, *rest))
     return _minimal_vectors(vectors)
 
 

@@ -38,6 +38,7 @@ from .rees_oracle import (
     OracleError,
     ReesInstanceDim1,
     ReesInstanceMonomial,
+    VARIANTS,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
@@ -46,8 +47,7 @@ from .rees_oracle import (
 )
 
 BOX_CAP = 10**8
-Q_CAP = 2**8
-VARIANTS = ["rees-of-x", "rees-of-m"]
+Q_CAP = 2**12
 
 # Known invariants of the maximal ideal of the Fermat quintic ring
 # k[[X,Y]]/(X^5-Y^5), p = +-2 mod 5.  Its multiplicity e0 is the exponent a = 5.
@@ -187,7 +187,7 @@ def _dim1_setup(
     a: int, p: int, variant: str, e_text: str, force: bool
 ) -> tuple[ReesInstanceDim1, list[int]]:
     """The dimension-1 instance and its e range, refused past the q cap unless forced."""
-    inst = ReesInstanceDim1(a, p, variant.replace("-", "_"))
+    inst = ReesInstanceDim1(a, p, variant)
     es = parse_range(e_text)
     q = p ** max(es)
     if q > Q_CAP and not force:
@@ -282,7 +282,7 @@ def cmd_oracle_dim1(args: argparse.Namespace) -> RunReport:
 
 def cmd_oracle_groebner(args: argparse.Namespace) -> RunReport:
     ideal = parse_ideal(args.gens, ambient_dim=args.vars)
-    rel = BinomialRelation(args.vars, args.u, args.v, args.a)
+    rel = BinomialRelation(args.vars, args.a)
     initial = initial_ideal(rel, ideal)
     report = _report(args, "a", "vars", gens=format_ideal(ideal))
     report.add({"result": "initial-ideal"}, oracle=format_ideal(initial))
@@ -305,7 +305,7 @@ def cmd_compare_cm_sop(args: argparse.Namespace) -> RunReport:
 def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
     inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
     report = _report(args, "a", "p", "variant")
-    if inst.variant == "rees_of_x":
+    if inst.variant == "rees-of-x":
         # formula side: q^2 e0(m) + q alpha(e), alpha taken from the
         # plane quotient lengths, independent of the 3-variable count
         table = alpha_table(args.a, args.p, 0, es, box_cap=_box_cap(args))
@@ -330,13 +330,18 @@ def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
 def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
     inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
     values = {e: rees_colength_dim1(inst, e, box_cap=_box_cap(args)) for e in es}
-    qp = fit_quasi_polynomial(values, args.p, args.degree, args.period, holdout=args.holdout)
+    # the paper's quasi-polynomials in q have degree 2, leading term e0 q^2
+    degree = 2
+    qp = fit_quasi_polynomial(values, args.p, degree, args.period, holdout=args.holdout)
     report = _report(
-        args, "a", "p", "variant", "degree", "period", valid_from_e=qp.valid_from_e
+        args, "a", "p", "variant", degree=degree, period=args.period, valid_from_e=qp.valid_from_e
     )
     _residue_rows(report, qp)
     for e in es:
-        report.add({"e": e, "q": args.p**e}, formula=qp.value_at(e), oracle=values[e])
+        # the fit's exact value: below valid_from_e it may be a non-integral
+        # Fraction, which prints as num/den and does not match
+        q = args.p**e
+        report.add({"e": e, "q": q}, formula=qp.poly_for(e)(q), oracle=values[e])
     return report
 
 
@@ -368,7 +373,7 @@ def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
 def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
     a, p = FERMAT5.e0, FERMAT5.p
     inst_m, es = _dim1_setup(a, p, "rees-of-m", args.e, args.force)
-    inst_x = ReesInstanceDim1(a, p, "rees_of_x")
+    inst_x = ReesInstanceDim1(a, p, "rees-of-x")
     report = _report(args, ring="k[[X,Y]]/(X^5-Y^5)", p=p)
     cap = _box_cap(args)
     # alpha table vs the known periodic values
@@ -473,12 +478,10 @@ COMMANDS = {
         "--a": int,
         "--vars": int,
         "--gens": {"required": True, "help": "ideal text form, e.g. '8,0,0;0,8,0;0,0,8'"},
-        "--u": 0,
-        "--v": 1,
     }),
     ("compare", "cm-sop"): (cmd_compare_cm_sop, {"--exponents": str, "--s": str}),
     ("compare", "dim1"): (cmd_compare_dim1, DIM1),
-    ("fit", "dim1"): (cmd_fit_dim1, {**DIM1, "--degree": 2, "--period": 2, "--holdout": 1}),
+    ("fit", "dim1"): (cmd_fit_dim1, {**DIM1, "--period": 2, "--holdout": 1}),
     ("fit", "ehk"): (cmd_fit_ehk, {"--exponents": {}, "--d": INT, "--e0": INT, "--s": str}),
     ("example", "fermat5"): (cmd_example_fermat5, {"--e": "2..5"}),
     ("example", "three-vars"): (cmd_example_three_vars, {"--n": "1,1,1", "--s": "2"}),

@@ -36,6 +36,8 @@ _PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)], ambient_dim=2)
 Colength = Callable[[MonomialIdeal], int]
 Equal = Callable[[MonomialIdeal, MonomialIdeal], bool]
 Reduce = Callable[[MonomialIdeal], MonomialIdeal]
+# the Rees quotients of ReesInstanceDim1, spelled as on the command line
+VARIANTS = ("rees-of-x", "rees-of-m")
 
 
 class OracleError(Exception):
@@ -92,9 +94,9 @@ class ReesInstanceMonomial:
 class ReesInstanceDim1:
     """Hypersurface k[[X, Y]]/(X^a - Y^a) with a choice of Rees quotient.
 
-    variant 'rees_of_x' measures (m, It)^[q] in R(I) for I = (x),
+    variant 'rees-of-x' measures (m, It)^[q] in R(I) for I = (x),
     realized as the 3-variable quotient by (X^a - Y^a, X^q, Y^q, Z^q);
-    variant 'rees_of_m' measures (m, mt)^[q] in R(m) via the graded
+    variant 'rees-of-m' measures (m, mt)^[q] in R(m) via the graded
     decomposition.
     """
 
@@ -107,7 +109,7 @@ class ReesInstanceDim1:
             raise ValueError("hypersurface exponent must be at least 2")
         if not _is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
-        if self.variant not in ("rees_of_x", "rees_of_m"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
@@ -167,7 +169,7 @@ def _hypersurface(a: int, box_cap: Optional[int]) -> tuple[Colength, Equal, Redu
     Each takes monomial ideals of k[X, Y]; the reduction keeps the
     staircase corners, at most a generators.
     """
-    rel = BinomialRelation(2, 0, 1, a)
+    rel = BinomialRelation(2, a)
     return (
         lambda ideal: quotient_colength(rel, ideal, box_cap=box_cap),
         lambda lhs, rhs: ideals_equal(rel, lhs, rhs),
@@ -182,8 +184,8 @@ def rees_colength_dim1(
     if e < 1:
         raise ValueError("e must be positive")
     q = inst.p**e
-    if inst.variant == "rees_of_x":
-        rel = BinomialRelation(3, 0, 1, inst.a)
+    if inst.variant == "rees-of-x":
+        rel = BinomialRelation(3, inst.a)
         ideal = minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)], ambient_dim=3)
         return quotient_colength(rel, ideal, box_cap=box_cap)
     return _graded_length(_PLANE_MAXIMAL, q, *_hypersurface(inst.a, box_cap), 2 * inst.a)

@@ -4,7 +4,9 @@ Nothing here is fast; each function is written to be read, not run at
 scale.  Two kinds live here:
 
 * independent versions of package kernels: inclusion-exclusion
-  colength, pairwise minimalisation, a fixed-window graded sum;
+  colength, pairwise minimalisation, a fixed-window graded sum, and
+  normal forms, membership and the S-pair check on a completed
+  Groebner basis, reducing in the binomial-first order;
 * the paper's side results that no `hk` command needs but the tests
   keep checking: Stirling numbers, the alternating-sum identity, the
   s >= d branch of the parameter-ideal closed form as a polynomial,
@@ -18,7 +20,7 @@ from math import factorial, prod
 
 from reeshk.combinatorics import binomial
 from reeshk.hilbert_samuel import c_of_d, hilbert_H
-from reeshk.monomial_algebra import InfiniteColength, MonomialIdeal
+from reeshk.monomial_algebra import InfiniteColength, MonomialIdeal, minimalize
 from reeshk.polynomials import Poly
 
 
@@ -178,3 +180,42 @@ def graded_length_by_window(ideal: MonomialIdeal, q: int, colength, window: int)
         colength(frob.product(powers[n if n < q else n - q])) - colength(powers[n])
         for n in range(q + window)
     )
+
+
+def normal_form(gb, mon):
+    """Normal form of a monomial modulo a completed basis; None when it reduces to zero.
+
+    Binomial steps X_0^a -> X_1^a first, then one test for a monomial
+    divisor: the opposite order to the package's reduction, so on a
+    complete basis the two agree only because the basis is confluent.
+    """
+    a = gb.relation.exponent
+    i, j, *rest = mon
+    steps = i // a
+    nf = (i - a * steps, j + a * steps, *rest)
+    if any(all(x <= y for x, y in zip(g, nf)) for g in gb.monomials):
+        return None
+    return nf
+
+
+def contains_monomial(gb, mon):
+    """Whether the monomial lies in the ideal the basis generates."""
+    return normal_form(gb, mon) is None
+
+
+def spairs_reduce_to_zero(gb):
+    """Completeness: the S-pair of the binomial with every basis monomial reduces to zero.
+
+    The S-pair of X_0^a - X_1^a with m is lcm(X_0^a, m) with X_0^a
+    swapped for X_1^a; pairs of two monomials subtract to zero outright.
+    """
+    a = gb.relation.exponent
+    return all(
+        contains_monomial(gb, (max(a, m[0]) - a, m[1] + a, *m[2:])) for m in gb.monomials
+    )
+
+
+def basis_initial_ideal(gb):
+    """Ideal of leading terms: X_0^a together with the basis monomials."""
+    rel = gb.relation
+    return minimalize([rel.lead_exponents(), *gb.monomials], ambient_dim=rel.ambient_dim)

@@ -96,7 +96,7 @@ def test_criterion_3_dimension_two_closed_form():
 def test_criterion_4_fermat_parameter_rees():
     started = time.monotonic()
     failures = []
-    inst = ReesInstanceDim1(5, 2, "rees_of_x")
+    inst = ReesInstanceDim1(5, 2, "rees-of-x")
     for e in range(2, 7):
         q = 2**e
         want = 5 * q * q - (4 * q if e % 2 == 0 else 6 * q)
@@ -109,7 +109,7 @@ def test_criterion_4_fermat_parameter_rees():
 def test_criterion_5_fermat_maximal_rees():
     started = time.monotonic()
     failures = []
-    inst = ReesInstanceDim1(5, 2, "rees_of_m")
+    inst = ReesInstanceDim1(5, 2, "rees-of-m")
     for e in range(3, 7):
         q = 2**e
         want = 5 * q * q if e % 2 == 0 else 5 * q * q - 10
@@ -212,7 +212,7 @@ def test_criterion_8_quasi_polynomial_fitting():
     failures = []
     # parameter-ideal Rees samples, e = 2..9 (odd class needs four points
     # for a quadratic fit with one held-out validator)
-    inst_x = ReesInstanceDim1(5, 2, "rees_of_x")
+    inst_x = ReesInstanceDim1(5, 2, "rees-of-x")
     values_x = {e: rees_colength_dim1(inst_x, e) for e in range(2, 10)}
     qp_x = fit_quasi_polynomial(values_x, 2, 2, 2, holdout=1)
     if qp_x.polys[0] != Poly([0, -4, 5]) or qp_x.polys[1] != Poly([0, -6, 5]):
@@ -220,7 +220,7 @@ def test_criterion_8_quasi_polynomial_fitting():
     if qp_x.valid_from_e != 2:
         failures.append(("rees-of-x threshold", qp_x.valid_from_e))
     # maximal-ideal Rees samples, e = 2..7
-    inst_m = ReesInstanceDim1(5, 2, "rees_of_m")
+    inst_m = ReesInstanceDim1(5, 2, "rees-of-m")
     values_m = {e: rees_colength_dim1(inst_m, e) for e in range(2, 8)}
     qp_m = fit_quasi_polynomial(values_m, 2, 2, 2, holdout=0)
     if qp_m.polys[0] != Poly([0, 0, 5]) or qp_m.polys[1] != Poly([-10, 0, 5]):

@@ -11,6 +11,7 @@ import pytest
 
 from reeshk import cli
 from reeshk.cli import RunReport, main, render_csv, render_json
+from reeshk.hk_formulas import Dim1Input, dim1_hk
 
 
 def run(capsys, *args):
@@ -69,6 +70,18 @@ class TestFormula:
         code, _, err = run(capsys, "formula", "dim1", "--e0", "5")
         assert code == 2
         assert "--e1" in err
+
+    def test_dim1_with_rho(self, capsys):
+        # r < rho + 1: the branch that dim1_hk has and cordim1_hk does not
+        code, out, _ = run(
+            capsys, "formula", "dim1", "--e0", "1", "--e1", "-1", "--r", "1", "--rho", "1",
+            "--lengths", "0,1", "--alpha=0,-1", "--format", "json",
+        )
+        assert code == 0
+        inp = Dim1Input(e0=1, e1=-1, r=1, rho=1, lengths=(0, 1), alpha=((0, -1),), p=2)
+        doc = json.loads(out)
+        assert [r["formula"] for r in doc["rows"]] == dim1_hk(inp).format("q")
+        assert doc["instance"]["period"] == "2"
 
     def test_sop_dim1(self, capsys):
         code, out, _ = run(
@@ -165,13 +178,29 @@ class TestFit:
         polys = [r["formula"] for r in doc["rows"] if "residue" in r["point"]]
         assert polys == ["5*q^2", "5*q^2 - 10"]
 
-    def test_dim1_fit_wrong_degree_exits_one(self, capsys):
+    def test_dim1_fit_wrong_period_exits_one(self, capsys):
+        # rees-of-x has period 2 in e; one polynomial cannot fit both classes
         code, _, err = run(
             capsys, "fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x",
-            "--e", "2..9", "--degree", "1", "--force",
+            "--e", "2..9", "--period", "1", "--force",
         )
         assert code == 1
         assert "does not match" in err
+
+    def test_dim1_fit_off_its_rows_is_a_mismatch(self, capsys):
+        # the fit holds from e = 6 on; below that its exact value is not
+        # even an integer, and such a row is a mismatch, not a crash
+        code, out, err = run(
+            capsys, "fit", "dim1", "--a", "9", "--p", "2", "--variant", "rees-of-m",
+            "--e", "1..9", "--period", "1", "--holdout", "1", "--force", "--format", "json",
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        doc = json.loads(out)
+        assert doc["instance"]["valid_from_e"] == "6"
+        rows = {r["point"]["e"]: r for r in doc["rows"] if "e" in r["point"]}
+        assert rows["1"]["formula"] == "157161/1024" and rows["1"]["match"] is False
+        assert all(rows[str(e)]["match"] for e in range(6, 10))
 
     def test_ehk_formula_source(self, capsys):
         code, out, _ = run(
@@ -244,8 +273,8 @@ class TestFormats:
 # (argv, exit code, a fragment of stderr): one case per exception class
 EXIT_CODE_MATRIX = {
     "q_cap": (
-        ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "9"],
-        3, "q = 512 exceeds the cap 256",
+        ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "13"],
+        3, "q = 8192 exceeds the cap 4096",
     ),
     "box_cap": (
         ["oracle", "monomial", "--exponents", "300,300,300", "--s", "2"],
@@ -282,7 +311,7 @@ EXIT_CODE_MATRIX = {
     ),
     "inconsistent_samples": (
         ["fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "2..9",
-         "--degree", "1", "--force"],
+         "--period", "1", "--force"],
         1, "does not match",
     ),
 }
@@ -343,7 +372,7 @@ class TestExitCodes:
         )}
         proc = subprocess.run(
             [sys.executable, "-m", "reeshk.cli", "oracle", "dim1", "--a", "5", "--p", "2",
-             "--variant", "rees-of-x", "--e", "9"],
+             "--variant", "rees-of-x", "--e", "13"],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 3
@@ -356,6 +385,23 @@ class TestExitCodes:
         assert err.startswith("usage: ")
         assert "error: the following arguments are required: --s" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the relation is X_0^a - X_1^a; other indices only permute the exponents
+            ["oracle", "groebner", "--a", "5", "--vars", "3", "--gens", "8,0,0;0,8,0;0,0,8",
+             "--u", "2"],
+            # the paper's quasi-polynomials have degree 2
+            ["fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "2..7",
+             "--degree", "1"],
+        ],
+        ids=["groebner_u", "fit_dim1_degree"],
+    )
+    def test_fixed_values_take_no_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
     def test_invalid_dimension(self, capsys):
         code, _, err = run(
             capsys, "formula", "cm-sop", "--d", "1", "--e0", "1", "--s", "2"
@@ -366,7 +412,7 @@ class TestExitCodes:
     def test_q_cap(self, capsys):
         code, _, err = run(
             capsys, "oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x",
-            "--e", "9",
+            "--e", "13",
         )
         assert code == 3
         assert "--force" in err
@@ -374,10 +420,10 @@ class TestExitCodes:
     def test_q_cap_force_override(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x",
-            "--e", "9", "--force", "--format", "csv",
+            "--e", "13", "--force", "--format", "csv",
         )
         assert code == 0
-        assert csv_rows(out)[0]["oracle"] == str(5 * 512**2 - 6 * 512)
+        assert csv_rows(out)[0]["oracle"] == str(5 * 8192**2 - 6 * 8192)
 
     def test_box_cap(self, capsys):
         code, _, _ = run(

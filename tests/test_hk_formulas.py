@@ -194,7 +194,7 @@ class TestSopDim1:
         table = alpha_table(a, p, 0, range(1, 10))
         assert table[0] == {e: alpha[e % len(alpha)] for e in range(1, 10)}
         qp = sop_dim1_hk(a, alpha, p)
-        rel = BinomialRelation(3, 0, 1, a)
+        rel = BinomialRelation(3, a)
         for e in range(2, 6):
             q = p**e
             oracle = quotient_colength(rel, minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]))
@@ -276,7 +276,7 @@ class TestMultiplicities:
         # leading coefficient of the rees-of-x samples equals e0(m) = a
         from reeshk.rees_oracle import ReesInstanceDim1, fit_quasi_polynomial, rees_colength_dim1
 
-        inst = ReesInstanceDim1(5, 2, "rees_of_x")
+        inst = ReesInstanceDim1(5, 2, "rees-of-x")
         values = {e: rees_colength_dim1(inst, e) for e in range(2, 8)}
         qp = fit_quasi_polynomial(values, 2, 2, 2, holdout=0)
         for poly in qp.polys:

@@ -15,10 +15,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "reeshk"
 ALLOWED = {
     "hilbert_F": "the paper's Hilbert-Samuel function F(s, n) of I^[s]; no hk command reaches it yet",
     # perfbench/spans.py LAYERS and test_uninstall_restores_every_binding name the
-    # Buchberger completion, so it stays until the benchmark stops naming it
+    # Buchberger completion, so it stays in the package, a bare completion whose
+    # normal forms, membership and S-pair check live in tests/reference.py
     "buchberger": "named in perfbench LAYERS; the tests' reference completion",
-    "GroebnerBasisBM.contains_monomial": "part of the completion perfbench names",
-    "GroebnerBasisBM.spairs_reduce_to_zero": "part of the completion perfbench names",
 }
 
 

@@ -40,11 +40,12 @@ class TestInstances:
 
     def test_dim1_validation(self):
         with pytest.raises(ValueError):
-            ReesInstanceDim1(1, 2, "rees_of_x")
+            ReesInstanceDim1(1, 2, "rees-of-x")
         with pytest.raises(ValueError):
-            ReesInstanceDim1(5, 4, "rees_of_x")  # p not prime
-        with pytest.raises(ValueError):
-            ReesInstanceDim1(5, 2, "rees_of_t")
+            ReesInstanceDim1(5, 4, "rees-of-x")  # p not prime
+        for variant in ("rees-of-t", "rees_of_x", "rees_of_m"):  # one spelling per variant
+            with pytest.raises(ValueError, match="unknown variant"):
+                ReesInstanceDim1(5, 2, variant)
 
 
 class TestMonomialOracle:
@@ -86,18 +87,18 @@ class TestMonomialOracle:
 
 class TestDim1Oracle:
     def test_rees_of_x_values(self):
-        inst = ReesInstanceDim1(5, 2, "rees_of_x")
+        inst = ReesInstanceDim1(5, 2, "rees-of-x")
         assert rees_colength_dim1(inst, 3) == 272
         values = [rees_colength_dim1(inst, e) for e in range(2, 7)]
         assert values == [64, 272, 1216, 4928, 20224]
 
     def test_rees_of_m_values(self):
-        inst = ReesInstanceDim1(5, 2, "rees_of_m")
+        inst = ReesInstanceDim1(5, 2, "rees-of-m")
         assert rees_colength_dim1(inst, 4) == 1280
         assert rees_colength_dim1(inst, 3) == 310
 
     def test_rees_of_x_matches_predictor(self):
-        inst = ReesInstanceDim1(5, 2, "rees_of_x")
+        inst = ReesInstanceDim1(5, 2, "rees-of-x")
         qp = sop_dim1_hk(5, (-4, -6), 2)
         for e in range(2, 7):
             assert rees_colength_dim1(inst, e) == qp.value_at(e)
@@ -106,7 +107,7 @@ class TestDim1Oracle:
         from reeshk.cli import FERMAT5
         from reeshk.hk_formulas import cordim1_hk
 
-        inst = ReesInstanceDim1(5, 2, "rees_of_m")
+        inst = ReesInstanceDim1(5, 2, "rees-of-m")
         qp = cordim1_hk(FERMAT5)
         for e in range(3, 11):
             assert rees_colength_dim1(inst, e) == qp.value_at(e)
@@ -118,7 +119,7 @@ class TestDim1Oracle:
         assert colength(MonomialIdeal.unit(2)) == 0
         for d in (2, 3):
             unit = MonomialIdeal.unit(d)
-            assert quotient_colength(BinomialRelation(d, 0, 1, 5), unit, box_cap=cap) == 0
+            assert quotient_colength(BinomialRelation(d, 5), unit, box_cap=cap) == 0
 
     def test_package_built_ideals_are_not_checked_again(self, monkeypatch):
         # tuples are checked where they enter; the rees-of-m loop and the alpha
@@ -131,7 +132,7 @@ class TestDim1Oracle:
 
         monkeypatch.setattr(monomial_algebra, "_validated", counting)
         monkeypatch.setattr(binomial_groebner, "_validated", counting, raising=False)
-        assert rees_colength_dim1(ReesInstanceDim1(5, 2, "rees_of_m"), 4) == 1280
+        assert rees_colength_dim1(ReesInstanceDim1(5, 2, "rees-of-m"), 4) == 1280
         assert alpha_table(5, 2, 3, [2, 3])[0] == {2: -4, 3: -6}
         assert calls == []
 
@@ -147,7 +148,7 @@ class TestDim1Oracle:
             return quotient_colength(rel, ideal, box_cap=box_cap)
 
         monkeypatch.setattr(rees_oracle, "quotient_colength", spy)
-        rees_colength_dim1(ReesInstanceDim1(a, 2, "rees_of_m"), 8)
+        rees_colength_dim1(ReesInstanceDim1(a, 2, "rees-of-m"), 8)
         assert len(measured) >= 2 * 256
         assert max(measured) <= 2 * a
 
@@ -184,9 +185,9 @@ class TestGradedLength:
     @pytest.mark.parametrize("a", range(2, 9))
     def test_rees_of_m_matches_fixed_window(self, a):
         # the reference multiplies unreduced powers of m; q <= 128 for p = 2, 3, 5
-        rel = BinomialRelation(2, 0, 1, a)
+        rel = BinomialRelation(2, a)
         for p, e_max in ((2, 7), (3, 4), (5, 3)):
-            inst = ReesInstanceDim1(a, p, "rees_of_m")
+            inst = ReesInstanceDim1(a, p, "rees-of-m")
             for e in range(1, e_max + 1):
                 expected = graded_length_by_window(
                     _PLANE_MAXIMAL, p**e, lambda ideal: quotient_colength(rel, ideal), 2 * a + 2
@@ -212,7 +213,7 @@ class TestAlphaTable:
     @pytest.mark.parametrize("a", range(2, 9))
     def test_rows_match_unreduced_powers(self, a, p):
         # every row against m^[q] m^n and m^n built as plain products, q <= 81
-        rel = BinomialRelation(2, 0, 1, a)
+        rel = BinomialRelation(2, a)
         e_range = range(1, {2: 7, 3: 5}[p])
         table = alpha_table(a, p, 2 * a, e_range)
         for n, row in table.items():
@@ -233,7 +234,7 @@ class TestAlphaTable:
 
 class TestFitQuasiPolynomial:
     def fermat_x_samples(self, hi):
-        inst = ReesInstanceDim1(5, 2, "rees_of_x")
+        inst = ReesInstanceDim1(5, 2, "rees-of-x")
         return {e: rees_colength_dim1(inst, e) for e in range(2, hi + 1)}
 
     def test_rejects_non_prime(self):
@@ -264,7 +265,7 @@ class TestFitQuasiPolynomial:
             fit_quasi_polynomial({e: e for e in range(1, 7)}, 2, degree=0, period=1, holdout=1)
 
     def test_corrupted_sample_rejected(self):
-        inst = ReesInstanceDim1(5, 2, "rees_of_x")
+        inst = ReesInstanceDim1(5, 2, "rees-of-x")
         values = {e: rees_colength_dim1(inst, e) for e in range(2, 10)}
         values[9] += 1
         with pytest.raises(InconsistentSamples):
