@@ -31,9 +31,10 @@ counts them.
 
 `initial_ideal`, `quotient_colength`, `ideals_equal` and
 `plane_corners` take a `MonomialIdeal`, whose tuples were checked when
-`minimalize` or `parse_ideal` built it; they check only that the ideal
-is nonzero and has the relation's ambient dimension.  `buchberger`
-takes plain exponent tuples and checks them through `minimalize`.
+`minimalize` or `parse_ideal` built it, and which is nonzero; they
+check only that the ideal has the relation's number of variables.
+`buchberger` takes plain exponent tuples and checks them through
+`minimalize` and then the same test.
 
 `initial_ideal` is the one production path, `hk oracle groebner`
 included.  `buchberger` is an independent S-pair completion of the same
@@ -123,10 +124,7 @@ def buchberger(rel: BinomialRelation, gens: Iterable[Sequence[int]]) -> Groebner
     monomial not yet in the span of the current ones, so the ascending
     chain of monomial ideals forces termination.
     """
-    start = minimalize(gens, ambient_dim=rel.ambient_dim)
-    if start.is_zero:
-        raise ValueError("generator set must be nonempty")
-    basis = list(start.gens)
+    basis = list(_gens(rel, minimalize(gens)))
     queue = [m for m in basis if m[0] > 0]
     while queue:
         m = queue.pop()
@@ -139,14 +137,11 @@ def buchberger(rel: BinomialRelation, gens: Iterable[Sequence[int]]) -> Groebner
 
 
 def _gens(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vector, ...]:
-    """The generators of a nonzero ideal of the relation's polynomial ring."""
-    if ideal.ambient_dim != rel.ambient_dim:
-        raise ValueError(
-            f"ideal has {ideal.ambient_dim} variables, the relation {rel.ambient_dim}"
-        )
-    if ideal.is_zero:
-        raise ValueError("generator set must be nonempty")
-    return ideal.gens
+    """The generators of an ideal of the relation's polynomial ring."""
+    gens = ideal.gens
+    if len(gens[0]) != rel.ambient_dim:
+        raise ValueError(f"ideal has {len(gens[0])} variables, the relation {rel.ambient_dim}")
+    return gens
 
 
 def _plane_heights(rel: BinomialRelation, ideal: MonomialIdeal) -> list[int]:
@@ -189,7 +184,7 @@ def plane_corners(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
     for c in range(1, rel.exponent):
         if h[c] < corners[-1][1]:
             corners.append((c, h[c]))
-    return MonomialIdeal(2, tuple(corners))
+    return MonomialIdeal(tuple(corners))
 
 
 def _initial_vectors(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vector, ...]:
@@ -207,7 +202,7 @@ def _initial_vectors(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vecto
 
 def initial_ideal(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
     """Initial ideal of (binomial) + ideal from residue-class normal forms."""
-    return MonomialIdeal(rel.ambient_dim, _initial_vectors(rel, ideal))
+    return MonomialIdeal(_initial_vectors(rel, ideal))
 
 
 def quotient_colength(

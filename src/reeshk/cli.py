@@ -186,12 +186,14 @@ def _refuse_beside(args: argparse.Namespace, owner: str, fixes: str, *flags: str
 def _dim1_setup(
     a: int, p: int, variant: str, e_text: str, force: bool
 ) -> tuple[ReesInstanceDim1, list[int]]:
-    """The dimension-1 instance and its e range, refused past the q cap unless forced."""
+    """The dimension-1 instance and its e range, refused past the cap on a or q unless forced."""
     inst = ReesInstanceDim1(a, p, variant)
     es = parse_range(e_text)
-    q = p ** max(es)
-    if q > Q_CAP and not force:
-        raise ResourceCapExceeded(f"q = {q} exceeds the cap {Q_CAP}; rerun with --force")
+    for name, value in (("a", a), ("q", p ** max(es))):
+        if value > Q_CAP and not force:
+            raise ResourceCapExceeded(
+                f"{name} = {value} exceeds the cap {Q_CAP}; rerun with --force"
+            )
     return inst, es
 
 
@@ -281,10 +283,10 @@ def cmd_oracle_dim1(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_oracle_groebner(args: argparse.Namespace) -> RunReport:
-    ideal = parse_ideal(args.gens, ambient_dim=args.vars)
-    rel = BinomialRelation(args.vars, args.a)
+    ideal = parse_ideal(args.gens)
+    rel = BinomialRelation(ideal.ambient_dim, args.a)
     initial = initial_ideal(rel, ideal)
-    report = _report(args, "a", "vars", gens=format_ideal(ideal))
+    report = _report(args, "a", vars=ideal.ambient_dim, gens=format_ideal(ideal))
     report.add({"result": "initial-ideal"}, oracle=format_ideal(initial))
     report.add({"result": "colength"}, oracle=initial.colength(box_cap=_box_cap(args)))
     return report
@@ -476,7 +478,6 @@ COMMANDS = {
     ("oracle", "dim1"): (cmd_oracle_dim1, DIM1),
     ("oracle", "groebner"): (cmd_oracle_groebner, {
         "--a": int,
-        "--vars": int,
         "--gens": {"required": True, "help": "ideal text form, e.g. '8,0,0;0,8,0;0,0,8'"},
     }),
     ("compare", "cm-sop"): (cmd_compare_cm_sop, {"--exponents": str, "--s": str}),
@@ -504,6 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hk",
         description="Exact Hilbert-Kunz functions of Rees algebra ideals.",
+        allow_abbrev=False,
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -512,11 +514,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--force", action="store_true", help="bypass resource caps")
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {
-        group: sub.add_parser(group, help=text).add_subparsers(dest="which", required=True)
+        group: sub.add_parser(group, help=text, allow_abbrev=False).add_subparsers(
+            dest="which", required=True
+        )
         for group, text in GROUPS.items()
     }
     for (group, name), (handler, flags) in COMMANDS.items():
-        leaf = groups[group].add_parser(name, parents=[common])
+        # one spelling per flag: no unique prefix stands in for it
+        leaf = groups[group].add_parser(name, parents=[common], allow_abbrev=False)
         leaf.set_defaults(handler=handler)
         for flag, spec in flags.items():
             if isinstance(spec, dict):

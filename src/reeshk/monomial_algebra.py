@@ -1,12 +1,13 @@
 """Monomial ideals with exact staircase colengths.
 
-A monomial is its exponent tuple, and an ideal keeps its minimal
-generators as a lexicographically sorted tuple of such tuples.
-Exponent tuples from outside the package are checked once, by
-`_validated`, at the two public constructors, `minimalize` and
-`parse_ideal` (which calls it).  A `MonomialIdeal` is therefore
-trusted: its products and bracket powers, and the Groebner entry
-points that take it, read its tuples without checking them again.
+A monomial is its exponent tuple, and a nonzero ideal is its minimal
+generators: a nonempty, lexicographically sorted tuple of such tuples
+of one length, which is the number of variables.  Exponent tuples from
+outside the package are checked once, by `_validated`, at the two
+public constructors, `minimalize` and `parse_ideal` (which calls it).
+A `MonomialIdeal` is therefore trusted: its products and bracket
+powers, and the Groebner entry points that take it, read its tuples
+without checking them again.
 Minimal generators come from bitset divisibility masks, or in two
 variables from a running minimum of the second exponent over the
 sorted tuples; colength from a staircase walk over the box of the
@@ -33,22 +34,18 @@ class ResourceCapExceeded(Exception):
     """A bounding box exceeded the caller-supplied lattice point cap."""
 
 
-def _validated(
-    gens: Iterable[Sequence[int]], ambient_dim: Optional[int] = None
-) -> list[Vector]:
-    """Exponent tuples from outside, checked: nonnegative ints of one length.
+_SHAPE = "need one or more generators, all with the same positive number of exponents"
 
-    The length is ambient_dim if given, else that of the first tuple.
-    """
+
+def _validated(gens: Iterable[Sequence[int]]) -> list[Vector]:
+    """Exponent tuples from outside, checked: one or more, all nonnegative ints, one length."""
     vectors = list(map(tuple, gens))
-    if ambient_dim is None and vectors:
-        ambient_dim = len(vectors[0])
     # each check is one pass in C over all tuples or all exponents
-    if not set(map(len, vectors)) <= {ambient_dim}:
-        raise ValueError(f"generators must all have {ambient_dim} exponents")
+    if len(set(map(len, vectors))) != 1 or not vectors[0]:
+        raise ValueError(_SHAPE)
     flat = list(chain.from_iterable(vectors))
     # the type, not isinstance: bool is an int subclass; min only sees ints
-    if not set(map(type, flat)) <= {int} or min(flat, default=0) < 0:
+    if not set(map(type, flat)) <= {int} or min(flat) < 0:
         raise ValueError("exponents must be nonnegative integers")
     return vectors
 
@@ -93,38 +90,30 @@ def _minimal_vectors(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Finitely generated monomial ideal, stored with minimal generators."""
+    """Nonzero monomial ideal, stored as its minimal generators."""
 
-    ambient_dim: int
     gens: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        if self.ambient_dim < 1:
-            raise ValueError("ambient_dim must be positive")
-        if not set(map(len, self.gens)) <= {self.ambient_dim}:
-            raise ValueError("mixed ambient dimensions")
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "MonomialIdeal":
-        return cls(ambient_dim, ())
+        # refuses an empty generator set, mixed lengths and length 0
+        if len(set(map(len, self.gens))) != 1 or not self.gens[0]:
+            raise ValueError(_SHAPE)
 
     @classmethod
     def unit(cls, ambient_dim: int) -> "MonomialIdeal":
-        return cls(ambient_dim, ((0,) * ambient_dim,))
+        return cls(((0,) * ambient_dim,))
 
     @property
-    def is_zero(self) -> bool:
-        return not self.gens
+    def ambient_dim(self) -> int:
+        return len(self.gens[0])
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if self.ambient_dim != other.ambient_dim:
+        if len(self.gens[0]) != len(other.gens[0]):
             raise ValueError("mixed ambient dimensions")
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal.zero(self.ambient_dim)
         # (*map(...),) sizes each tuple exactly; tuple(map(...)) over-allocates
         # and shrinks, which fragments the heap and raises peak RSS
         raw = [(*map(add, a, b),) for a in self.gens for b in other.gens]
-        return MonomialIdeal(self.ambient_dim, _minimal_vectors(raw))
+        return MonomialIdeal(_minimal_vectors(raw))
 
     def frobenius(self, s: int) -> "MonomialIdeal":
         """Bracket power: each stored minimal generator raised to the s-th power.
@@ -134,9 +123,7 @@ class MonomialIdeal:
         """
         if s < 1:
             raise ValueError("s must be positive")
-        return MonomialIdeal(
-            self.ambient_dim, tuple((*(s * e for e in g),) for g in self.gens)
-        )
+        return MonomialIdeal(tuple((*(s * e for e in g),) for g in self.gens))
 
     def primary_box(self) -> Optional[Vector]:
         """Minimal pure-power exponent per variable, or None if some variable has none."""
@@ -167,16 +154,9 @@ class MonomialIdeal:
         return format_ideal(self)
 
 
-def minimalize(
-    gens: Iterable[Sequence[int]], ambient_dim: Optional[int] = None
-) -> MonomialIdeal:
+def minimalize(gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Drop every generator divisible by another; idempotent."""
-    vectors = _validated(gens, ambient_dim)
-    if ambient_dim is None:
-        if not vectors:
-            raise ValueError("ambient_dim required for an empty generator set")
-        ambient_dim = len(vectors[0])
-    return MonomialIdeal(ambient_dim, _minimal_vectors(vectors))
+    return MonomialIdeal(_minimal_vectors(_validated(gens)))
 
 
 def _check_box(box: Vector, box_cap: Optional[int]) -> None:
@@ -197,8 +177,6 @@ def _count_standard(gens: Sequence[Vector], box: Vector) -> int:
     is the running minimum of the second exponents.
     """
     first = box[0]
-    if len(box) == 1:
-        return first
     if len(box) == 2:
         lo, height, total = 0, box[1], 0
         for a, b in gens:
@@ -233,22 +211,17 @@ def _count_standard(gens: Sequence[Vector], box: Vector) -> int:
     return total + (first - lo) * count
 
 
-def parse_ideal(text: str, ambient_dim: Optional[int] = None) -> MonomialIdeal:
+def parse_ideal(text: str) -> MonomialIdeal:
     """Parse the CLI text form '2,0;1,3;0,4' into a monomial ideal."""
-    text = text.strip()
-    if not text:
-        if ambient_dim is None:
-            raise ValueError("ambient_dim required for an empty ideal")
-        return MonomialIdeal.zero(ambient_dim)
-    gens = []
-    for chunk in text.split(";"):
-        try:
-            gens.append(tuple(int(part) for part in chunk.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"bad exponent tuple {chunk!r}") from exc
-    return minimalize(gens, ambient_dim=ambient_dim)
+    try:
+        gens = [tuple(int(part) for part in chunk.split(",")) for chunk in text.split(";")]
+    except ValueError as exc:
+        raise ValueError(
+            f"bad ideal text {text!r}: expected exponent tuples such as 2,0;1,3;0,4"
+        ) from exc
+    return minimalize(gens)
 
 
 def format_ideal(ideal: MonomialIdeal) -> str:
-    """Inverse of parse_ideal; the zero ideal formats as ''."""
+    """Inverse of parse_ideal."""
     return ";".join(",".join(str(e) for e in g) for g in ideal.gens)

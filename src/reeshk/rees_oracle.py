@@ -30,7 +30,7 @@ from .monomial_algebra import MonomialIdeal, minimalize
 from .polynomials import Poly, interpolate
 
 # the maximal ideal (x, y) of k[X, Y]
-_PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)], ambient_dim=2)
+_PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
 # the three plug-ins of _graded_length: colength, ideal equality and
 # reduction to a smaller generating set of the same ideal, in a ring R
 Colength = Callable[[MonomialIdeal], int]
@@ -87,7 +87,7 @@ class ReesInstanceMonomial:
             e = [0] * d
             e[i] = a
             gens.append(e)
-        return minimalize(gens, ambient_dim=d)
+        return minimalize(gens)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def rees_colength_dim1(
     q = inst.p**e
     if inst.variant == "rees-of-x":
         rel = BinomialRelation(3, inst.a)
-        ideal = minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)], ambient_dim=3)
+        ideal = minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)])
         return quotient_colength(rel, ideal, box_cap=box_cap)
     return _graded_length(_PLANE_MAXIMAL, q, *_hypersurface(inst.a, box_cap), 2 * inst.a)
 

@@ -218,4 +218,4 @@ def spairs_reduce_to_zero(gb):
 def basis_initial_ideal(gb):
     """Ideal of leading terms: X_0^a together with the basis monomials."""
     rel = gb.relation
-    return minimalize([rel.lead_exponents(), *gb.monomials], ambient_dim=rel.ambient_dim)
+    return minimalize([rel.lead_exponents(), *gb.monomials])

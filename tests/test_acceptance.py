@@ -181,7 +181,7 @@ def test_criterion_6_property_suite():
             gens.append(tuple(e))
         for _ in range(rng.randint(0, 6 - d)):
             gens.append(tuple(rng.randint(0, 6) for _ in range(d)))
-        ideal = minimalize(gens, ambient_dim=d)
+        ideal = minimalize(gens)
         if ideal.colength() != colength_by_inclusion_exclusion(ideal):
             failures.append(("colength", trial, gens))
     report(6, "property suite", failures, started, 120.0)

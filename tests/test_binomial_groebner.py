@@ -207,7 +207,7 @@ class TestPlaneCorners:
         rel = BinomialRelation(2, a)
         ideal = minimalize(gens)
         reduced = plane_corners(rel, ideal)
-        assert reduced == MonomialIdeal(2, tuple(corners))
+        assert reduced == MonomialIdeal(tuple(corners))
         assert ideals_equal(rel, reduced, ideal)
 
 
@@ -218,7 +218,8 @@ class TestBoundaryValidation:
     them.  initial_ideal, quotient_colength and ideals_equal take the
     MonomialIdeal those build, so raw tuples reach them only through
     minimalize and a bad tuple is refused there; they check only that
-    the ideal is nonzero and has the relation's ambient dimension.
+    the ideal has the relation's number of variables.  No entry point
+    takes an empty generator set: every ideal is nonzero.
     """
 
     BAD_GENERATORS = {
@@ -245,28 +246,36 @@ class TestBoundaryValidation:
     }
     GOOD = [(8, 0, 0), (0, 8, 0), (0, 0, 8)]
     # the entry points besides quotient_colength and ideals_equal, which
-    # have their own tests below; each is told the ambient dimension 3,
-    # and the monomial ideal constructors take the empty set as the zero ideal
+    # have their own tests below; the Groebner ones hold the relation in
+    # 3 variables, while the monomial ideal constructors take the number
+    # of variables from the tuples
     ENTRY_POINTS = {
         # repr, so that the string "8" stays a quoted, unparsable exponent
-        "parse_ideal": lambda gens: parse_ideal(
-            ";".join(",".join(map(repr, g)) for g in gens), ambient_dim=3
-        ),
-        "minimalize": lambda gens: minimalize(gens, ambient_dim=3),
-        "initial_ideal": lambda gens: initial_ideal(REL5, minimalize(gens, ambient_dim=3)),
+        "parse_ideal": lambda gens: parse_ideal(";".join(",".join(map(repr, g)) for g in gens)),
+        "minimalize": minimalize,
+        "initial_ideal": lambda gens: initial_ideal(REL5, minimalize(gens)),
         "buchberger": lambda gens: buchberger(REL5, gens),
     }
-    EMPTY_ALLOWED = {"parse_ideal", "minimalize"}
 
     @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_entry_point_validates(self, entry, case):
         call = self.ENTRY_POINTS[entry]
-        if case == "empty" and entry in self.EMPTY_ALLOWED:
-            assert call([]).is_zero
+        if case == "all_wrong_length" and entry in {"parse_ideal", "minimalize"}:
+            # two exponents each: an ideal in two variables, wrong only for REL5
+            assert call(self.BAD_GENERATORS[case]).ambient_dim == 2
             return
         with pytest.raises(ValueError):
             call(self.BAD_GENERATORS[case])
+
+    @pytest.mark.parametrize("gens", [[], [()]], ids=["no_generator", "no_variable"])
+    @pytest.mark.parametrize(
+        "entry", ["parse_ideal", "minimalize", "MonomialIdeal", "buchberger"]
+    )
+    def test_every_ideal_has_a_generator_and_a_variable(self, entry, gens):
+        call = {**self.ENTRY_POINTS, "MonomialIdeal": lambda g: MonomialIdeal(tuple(g))}[entry]
+        with pytest.raises(ValueError):
+            call(gens)
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_entry_point_accepts_good(self, entry):
@@ -275,39 +284,38 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
     def test_quotient_colength_rejects(self, case):
         with pytest.raises(ValueError):
-            quotient_colength(REL5, minimalize(self.BAD_GENERATORS[case], ambient_dim=3))
+            quotient_colength(REL5, minimalize(self.BAD_GENERATORS[case]))
 
     @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
     def test_ideals_equal_rejects_either_side(self, case):
         good = minimalize(self.GOOD)
         with pytest.raises(ValueError):
-            ideals_equal(REL5, minimalize(self.BAD_GENERATORS[case], ambient_dim=3), good)
+            ideals_equal(REL5, minimalize(self.BAD_GENERATORS[case]), good)
         with pytest.raises(ValueError):
-            ideals_equal(REL5, good, minimalize(self.BAD_GENERATORS[case], ambient_dim=3))
+            ideals_equal(REL5, good, minimalize(self.BAD_GENERATORS[case]))
 
     @pytest.mark.parametrize("case", sorted(PLANE_BAD_GENERATORS))
     def test_plane_entry_points_reject(self, case):
         gens = self.PLANE_BAD_GENERATORS[case]
         good = minimalize([(8, 0), (0, 8)])
         for call in (
-            lambda: quotient_colength(REL_PLANE, minimalize(gens, ambient_dim=2)),
-            lambda: initial_ideal(REL_PLANE, minimalize(gens, ambient_dim=2)),
-            lambda: ideals_equal(REL_PLANE, minimalize(gens, ambient_dim=2), good),
-            lambda: ideals_equal(REL_PLANE, good, minimalize(gens, ambient_dim=2)),
-            lambda: plane_corners(REL_PLANE, minimalize(gens, ambient_dim=2)),
+            lambda: quotient_colength(REL_PLANE, minimalize(gens)),
+            lambda: initial_ideal(REL_PLANE, minimalize(gens)),
+            lambda: ideals_equal(REL_PLANE, minimalize(gens), good),
+            lambda: ideals_equal(REL_PLANE, good, minimalize(gens)),
+            lambda: plane_corners(REL_PLANE, minimalize(gens)),
         ):
             with pytest.raises(ValueError):
                 call()
 
     @pytest.mark.parametrize(
         "case,message",
-        [("zero", "nonempty"), ("fewer_variables", "variables"), ("more_variables", "variables")],
+        [("fewer_variables", "variables"), ("more_variables", "variables")],
     )
     @pytest.mark.parametrize("rel", [REL_PLANE, REL5], ids=["plane", "space"])
     def test_groebner_entry_points_check_the_ideal(self, rel, case, message):
         d = rel.ambient_dim
         bad = {
-            "zero": MonomialIdeal.zero(d),
             "fewer_variables": MonomialIdeal.unit(d - 1),
             "more_variables": MonomialIdeal.unit(d + 1),
         }[case]

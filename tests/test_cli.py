@@ -121,13 +121,22 @@ class TestOracle:
 
     def test_groebner(self, capsys):
         code, out, _ = run(
-            capsys, "oracle", "groebner", "--a", "5", "--vars", "3",
+            capsys, "oracle", "groebner", "--a", "5",
             "--gens", "8,0,0;0,8,0;0,0,8", "--format", "csv",
         )
         assert code == 0
         rows = csv_rows(out)
         assert rows[0]["oracle"] == "0,0,8;0,8,0;3,5,0;5,0,0"
         assert rows[1]["oracle"] == "272"
+
+    @pytest.mark.parametrize(
+        "gens,dim",
+        [("8,0;0,8", 2), ("8,0,0;0,8,0;0,0,8", 3), ("8,0,0,0;0,8,0,0;0,0,8,0;0,0,0,8", 4)],
+    )
+    def test_groebner_takes_the_variables_from_the_gens(self, capsys, gens, dim):
+        code, out, _ = run(capsys, "oracle", "groebner", "--a", "5", "--gens", gens)
+        assert code == 0
+        assert f"# vars: {dim}\n" in out
 
 
 class TestCompare:
@@ -276,6 +285,11 @@ EXIT_CODE_MATRIX = {
         ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "13"],
         3, "q = 8192 exceeds the cap 4096",
     ),
+    # the dim-1 oracles allocate and walk lists of length a
+    "a_cap": (
+        ["oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-m", "--e", "1"],
+        3, "a = 5000 exceeds the cap 4096; rerun with --force",
+    ),
     "box_cap": (
         ["oracle", "monomial", "--exponents", "300,300,300", "--s", "2"],
         3, "cap is 100000000",
@@ -288,8 +302,12 @@ EXIT_CODE_MATRIX = {
         2, "need 4 samples, have 1",
     ),
     "infinite_colength": (
-        ["oracle", "groebner", "--vars", "3", "--a", "5", "--gens", "8,0,0;0,8,0"],
+        ["oracle", "groebner", "--a", "5", "--gens", "8,0,0;0,8,0"],
         2, "no pure power of every variable",
+    ),
+    # the generators fix the number of variables, and the relation needs two
+    "one_variable_gens": (
+        ["oracle", "groebner", "--a", "5", "--gens", "8"], 2, "two variables",
     ),
     # a parse error names the text and the form it expected
     "empty_alpha": (
@@ -300,6 +318,14 @@ EXIT_CODE_MATRIX = {
         ["formula", "dim1", "--e0", "5", "--e1", "10", "--r", "4",
          "--lengths", "0,1,3,6", "--alpha=-4,-6;-3,-5;-2,-3;-1,-1;"],
         2, "bad integer list '': expected integers such as 1,2,3",
+    ),
+    "bad_gens_tuple": (
+        ["oracle", "groebner", "--a", "5", "--gens", "8,0;x"],
+        2, "bad ideal text '8,0;x': expected exponent tuples such as 2,0;1,3;0,4",
+    ),
+    "empty_gens": (
+        ["oracle", "groebner", "--a", "5", "--gens", ""],
+        2, "bad ideal text '': expected exponent tuples such as 2,0;1,3;0,4",
     ),
     "list_as_range": (
         ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s", "2,3"],
@@ -389,18 +415,25 @@ class TestExitCodes:
         "argv",
         [
             # the relation is X_0^a - X_1^a; other indices only permute the exponents
-            ["oracle", "groebner", "--a", "5", "--vars", "3", "--gens", "8,0,0;0,8,0;0,0,8",
-             "--u", "2"],
+            ["oracle", "groebner", "--a", "5", "--gens", "8,0,0;0,8,0;0,0,8", "--u", "2"],
+            # the generators fix the number of variables
+            ["oracle", "groebner", "--a", "5", "--gens", "8,0,0;0,8,0;0,0,8", "--vars", "3"],
             # the paper's quasi-polynomials have degree 2
             ["fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "2..7",
              "--degree", "1"],
         ],
-        ids=["groebner_u", "fit_dim1_degree"],
+        ids=["groebner_u", "groebner_vars", "fit_dim1_degree"],
     )
     def test_fixed_values_take_no_flag(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    def test_flag_prefix_is_not_a_flag(self, capsys):
+        # one spelling per flag: --form is not taken for --format
+        code, out, err = run(capsys, "formula", "ehk", "--d", "2", "--e0", "3", "--form", "csv")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --form csv" in err
 
     def test_invalid_dimension(self, capsys):
         code, _, err = run(
@@ -424,6 +457,13 @@ class TestExitCodes:
         )
         assert code == 0
         assert csv_rows(out)[0]["oracle"] == str(5 * 8192**2 - 6 * 8192)
+
+    def test_a_cap_force_override(self, capsys):
+        code, _, _ = run(
+            capsys, "oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-m",
+            "--e", "1", "--force",
+        )
+        assert code == 0
 
     def test_box_cap(self, capsys):
         code, _, _ = run(

@@ -9,7 +9,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
     "oracle_groebner": [
-        "oracle", "groebner", "--vars", "3", "--a", "5", "--gens", "8,0,0;0,8,0;0,0,8",
+        "oracle", "groebner", "--a", "5", "--gens", "8,0,0;0,8,0;0,0,8",
     ],
     "compare_dim1": [
         "compare", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "2..6",
@@ -19,7 +19,7 @@ COMMANDS = {
     "example_three_vars": ["example", "three-vars", "--n", "2,2,3", "--s", "2..4"],
     "fit_ehk": ["fit", "ehk", "--exponents", "1,1", "--s", "2..9"],
     "oracle_groebner_2vars": [
-        "oracle", "groebner", "--vars", "2", "--a", "5", "--gens", "9,2;2,9;0,14;14,0",
+        "oracle", "groebner", "--a", "5", "--gens", "9,2;2,9;0,14;14,0",
     ],
     "formula_dim1_fermat5": ["formula", "dim1", "--preset", "fermat5"],
     "formula_cm_sop": ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s", "2..5"],

@@ -24,7 +24,7 @@ def param_ideal(exponents):
         e = [0] * d
         e[i] = a
         gens.append(e)
-    return minimalize(gens, ambient_dim=d)
+    return minimalize(gens)
 
 
 def oracle_F(exponents, s, n):

@@ -40,9 +40,10 @@ class TestMinimalize:
         result = ideal((2, 1), (1, 2))
         assert result.gens == ((1, 2), (2, 1))
 
-    def test_empty_is_zero_ideal(self):
-        z = minimalize([], ambient_dim=2)
-        assert z.is_zero
+    def test_empty_is_refused(self):
+        # every ideal the oracles measure is nonzero, so an ideal has a generator
+        with pytest.raises(ValueError, match="one or more generators"):
+            minimalize([])
 
     def test_idempotent(self):
         once = ideal((2, 0), (3, 0), (1, 1))
@@ -126,10 +127,8 @@ class TestColength:
         assert power(m, 2).colength() == 3
         assert ideal((2, 0), (1, 3), (0, 4)).colength() == 7
 
-    def test_unit_and_zero(self):
+    def test_unit_and_no_pure_power(self):
         assert MonomialIdeal.unit(2).colength() == 0
-        with pytest.raises(InfiniteColength):
-            MonomialIdeal.zero(2).colength()
         with pytest.raises(InfiniteColength):
             ideal((2, 0), (1, 1)).colength()
 
@@ -172,7 +171,7 @@ def random_primary_ideal(rng, d):
         gens.append(tuple(e))
     for _ in range(rng.randint(0, 6 - d)):
         gens.append(tuple(rng.randint(0, 6) for _ in range(d)))
-    return minimalize(gens, ambient_dim=d)
+    return minimalize(gens)
 
 
 class TestInclusionExclusionCrossCheck:
@@ -208,8 +207,9 @@ class TestTextForm:
         parsed = parse_ideal("5,0,0;3,5,0;0,8,0;0,0,8")
         assert parse_ideal(format_ideal(parsed)) == parsed
 
-    def test_empty_is_zero(self):
-        assert parse_ideal("", ambient_dim=2).is_zero
+    def test_empty_is_refused(self):
+        with pytest.raises(ValueError, match="bad ideal text ''"):
+            parse_ideal("")
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
