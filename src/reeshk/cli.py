@@ -189,11 +189,14 @@ def _dim1_setup(
     """The dimension-1 instance and its e range, refused past the cap on a or q unless forced."""
     inst = ReesInstanceDim1(a, p, variant)
     es = parse_range(e_text)
-    for name, value in (("a", a), ("q", p ** max(es))):
-        if value > Q_CAP and not force:
-            raise ResourceCapExceeded(
-                f"{name} = {value} exceeds the cap {Q_CAP}; rerun with --force"
-            )
+    if not force:
+        if a > Q_CAP:
+            raise ResourceCapExceeded(f"a = {a} exceeds the cap {Q_CAP}; rerun with --force")
+        # p >= 2, so p^e is past the cap once e reaches its bit length; a
+        # larger e is refused before p**e is formed
+        e = max(es)
+        if e >= Q_CAP.bit_length() or p**e > Q_CAP:
+            raise ResourceCapExceeded(f"q = {p}^{e} exceeds the cap {Q_CAP}; rerun with --force")
     return inst, es
 
 
@@ -266,19 +269,17 @@ def cmd_formula_sop_dim1(args: argparse.Namespace) -> RunReport:
 def cmd_oracle_monomial(args: argparse.Namespace) -> RunReport:
     inst = ReesInstanceMonomial(parse_int_tuple(args.exponents))
     report = _report(args, "exponents", e0=inst.e0)
-    for s in parse_range(args.s):
-        report.add({"s": s}, oracle=rees_colength_monomial(inst, s, box_cap=_box_cap(args)))
+    lengths = rees_colength_monomial(inst, parse_range(args.s), box_cap=_box_cap(args))
+    for s, value in lengths.items():
+        report.add({"s": s}, oracle=value)
     return report
 
 
 def cmd_oracle_dim1(args: argparse.Namespace) -> RunReport:
     inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
     report = _report(args, "a", "p", "variant")
-    for e in es:
-        report.add(
-            {"e": e, "q": args.p**e},
-            oracle=rees_colength_dim1(inst, e, box_cap=_box_cap(args)),
-        )
+    for e, value in rees_colength_dim1(inst, es, box_cap=_box_cap(args)).items():
+        report.add({"e": e, "q": args.p**e}, oracle=value)
     return report
 
 
@@ -295,12 +296,9 @@ def cmd_oracle_groebner(args: argparse.Namespace) -> RunReport:
 def cmd_compare_cm_sop(args: argparse.Namespace) -> RunReport:
     inst = ReesInstanceMonomial(parse_int_tuple(args.exponents))
     report = _report(args, "exponents", d=inst.d, e0=inst.e0)
-    for s in parse_range(args.s):
-        report.add(
-            {"s": s},
-            formula=cm_sop_hk(inst.d, inst.e0, s),
-            oracle=rees_colength_monomial(inst, s, box_cap=_box_cap(args)),
-        )
+    lengths = rees_colength_monomial(inst, parse_range(args.s), box_cap=_box_cap(args))
+    for s, value in lengths.items():
+        report.add({"s": s}, formula=cm_sop_hk(inst.d, inst.e0, s), oracle=value)
     return report
 
 
@@ -320,18 +318,14 @@ def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
             "compare dim1 --variant rees-of-m needs the known invariant set; "
             "only --a 5 --p 2 is supported"
         )
-    for e in es:
-        report.add(
-            {"e": e, "q": args.p**e},
-            formula=formula[e],
-            oracle=rees_colength_dim1(inst, e, box_cap=_box_cap(args)),
-        )
+    for e, value in rees_colength_dim1(inst, es, box_cap=_box_cap(args)).items():
+        report.add({"e": e, "q": args.p**e}, formula=formula[e], oracle=value)
     return report
 
 
 def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
     inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
-    values = {e: rees_colength_dim1(inst, e, box_cap=_box_cap(args)) for e in es}
+    values = rees_colength_dim1(inst, es, box_cap=_box_cap(args))
     # the paper's quasi-polynomials in q have degree 2, leading term e0 q^2
     degree = 2
     qp = fit_quasi_polynomial(values, args.p, degree, args.period, holdout=args.holdout)
@@ -353,7 +347,7 @@ def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
         _refuse_beside(args, "--exponents", "d and e0", "d", "e0")
         inst = ReesInstanceMonomial(parse_int_tuple(args.exponents))
         d, e0 = inst.d, inst.e0
-        values = {s: rees_colength_monomial(inst, s, box_cap=_box_cap(args)) for s in ss}
+        values = rees_colength_monomial(inst, ss, box_cap=_box_cap(args))
         source = "oracle"
     else:
         if args.d is None or args.e0 is None:
@@ -402,12 +396,13 @@ def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
                 formula=poly,
                 oracle=golden[residue],
             )
+    lengths = {check: rees_colength_dim1(inst, es, box_cap=cap) for check, inst, _, _ in legs}
     for e in es:
-        for check, inst, qp, _ in legs:
+        for check, _, qp, _ in legs:
             report.add(
                 {"check": check, "e": e, "q": p**e},
                 formula=qp.value_at(e),
-                oracle=rees_colength_dim1(inst, e, box_cap=cap),
+                oracle=lengths[check][e],
             )
     return report
 
@@ -421,12 +416,8 @@ def cmd_example_three_vars(args: argparse.Namespace) -> RunReport:
     cap = _box_cap(args)
     # known value at s = 2: 23 n1 n2 n3
     report.add({"check": "golden", "s": 2}, formula=cm_sop_hk(3, inst.e0, 2), oracle=23 * inst.e0)
-    for s in parse_range(args.s):
-        report.add(
-            {"check": "oracle", "s": s},
-            formula=cm_sop_hk(3, inst.e0, s),
-            oracle=rees_colength_monomial(inst, s, box_cap=cap),
-        )
+    for s, value in rees_colength_monomial(inst, parse_range(args.s), box_cap=cap).items():
+        report.add({"check": "oracle", "s": s}, formula=cm_sop_hk(3, inst.e0, s), oracle=value)
     return report
 
 

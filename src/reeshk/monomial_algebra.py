@@ -127,20 +127,19 @@ class MonomialIdeal:
 
     def primary_box(self) -> Optional[Vector]:
         """Minimal pure-power exponent per variable, or None if some variable has none."""
-        box: list[Optional[int]] = [None] * self.ambient_dim
+        d = len(self.gens[0])
+        box: list[Optional[int]] = [None] * d
         for g in self.gens:
-            support = [i for i, e in enumerate(g) if e > 0]
-            if len(support) == 0:
-                # unit monomial is a pure power of every variable
-                return (0,) * self.ambient_dim
-            if len(support) == 1:
-                i = support[0]
-                e = g[i]
+            # one pass in C: a pure power has at most one nonzero exponent
+            if g.count(0) >= d - 1:
+                e = max(g)
+                if not e:
+                    # unit monomial is a pure power of every variable
+                    return (0,) * d
+                i = g.index(e)
                 if box[i] is None or e < box[i]:
                     box[i] = e
-        if any(b is None for b in box):
-            return None
-        return tuple(box)  # type: ignore[arg-type]
+        return None if None in box else tuple(box)  # type: ignore[arg-type]
 
     def colength(self, box_cap: Optional[int] = None) -> int:
         """Number of standard monomials, i.e. lattice points below the staircase."""

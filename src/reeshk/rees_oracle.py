@@ -1,12 +1,14 @@
 """Brute-force length oracles for Rees algebra quotients, plus exact fitting.
 
 The oracles never consult the closed forms they are meant to check.
-One routine, `_graded_length`, sums lengths over the graded
+One routine, `_graded_lengths`, sums lengths over the graded
 decomposition of the Rees algebra and detects where the sum stops by
 an explicit ideal-equality test rather than taking it from theory.  It
-works in a ring R given by three plug-ins: the colength of a monomial
-ideal in R, ideal equality in R, and a reduction that replaces an
-ideal by a smaller generating set of the same ideal of R.  The
+takes a whole sweep of s or e at once: one chain of powers I^n serves
+every q of the sweep, so colength(I^n) is taken once per n, not once
+per n and q.  It works in a ring R given by three plug-ins: the colength
+of a monomial ideal in R, ideal equality in R, and a reduction that
+replaces an ideal by a smaller generating set of the same ideal of R.  The
 monomial oracle plugs in staircase counts, equality of monomial ideals
 and the identity in a polynomial ring.  The dimension-1 oracle plugs in
 Groebner initial ideals, their equality and their staircase corners in
@@ -31,7 +33,7 @@ from .polynomials import Poly, interpolate
 
 # the maximal ideal (x, y) of k[X, Y]
 _PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
-# the three plug-ins of _graded_length: colength, ideal equality and
+# the three plug-ins of _graded_lengths: colength, ideal equality and
 # reduction to a smaller generating set of the same ideal, in a ring R
 Colength = Callable[[MonomialIdeal], int]
 Equal = Callable[[MonomialIdeal, MonomialIdeal], bool]
@@ -113,53 +115,72 @@ class ReesInstanceDim1:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def _graded_length(
-    ideal: MonomialIdeal, q: int, colength: Colength, equal: Equal, reduce: Reduce, tail_cap: int
-) -> int:
-    """Length of R(I)/(I, It)^[q] summed over the graded pieces, in a ring R.
+def _graded_lengths(
+    ideal: MonomialIdeal, caps: Mapping[int, int], colength: Colength, equal: Equal, reduce: Reduce
+) -> dict[int, int]:
+    """Length of R(I)/(I, It)^[q] for every q in caps, summed over the graded pieces in a ring R.
 
-    Sums colength(I^[q] I^n) - colength(I^n) for n < q, then
+    For each q, sums colength(I^[q] I^n) - colength(I^n) for n < q, then
     colength(I^[q] I^t) - colength(I^(q+t)) for t = 0, 1, ... until
     equal(I^[q] I^t, I^(q+t)).  The equality is tested, not assumed; a
-    piece past t = tail_cap that still differs raises.  Powers advance by
-    one product per step, each reduced, and the tail reuses the head's
-    colengths of I^[q] I^t for t < q.  Reducing is sound because
+    piece past t = caps[q] that still differs raises.  One chain of
+    powers I^n, advanced by one reduced product per step, serves every
+    q, so colength(I^n) is taken at most once per n, and only when some
+    q needs it.  Each q keeps its reduced I^[q], the colengths of
+    I^[q] I^n for n < q (which its tail reuses for t < q), its own I^t
+    and a running total.  Reducing is sound because
     (B + A) I + B = B + A I for the ideal B that defines R.
     """
-    frob = reduce(ideal.frobenius(q))
-    power = MonomialIdeal.unit(ideal.ambient_dim)  # I^n, then I^(q+t)
-    # colength(I^[q] I^n) for n < q; sized once, since growing it between
-    # colength walks fragmented the heap and raised peak RSS
-    head = [0] * q
-    total = 0
-    for n in range(q):
-        head[n] = colength(frob.product(power))
-        total += head[n] - colength(power)
+    power = MonomialIdeal.unit(ideal.ambient_dim)  # I^n
+    # per open q: I^[q], its head, I^t and the total; the head is sized once,
+    # since growing it between colength walks fragmented the heap and raised peak RSS
+    open_qs = {q: (reduce(ideal.frobenius(q)), [0] * q, power, 0) for q in caps}
+    lengths = dict.fromkeys(caps, 0)  # in the order of caps
+    for n in count():
+        base = None  # colength(I^n), taken at most once
+        for q, (frob, head, shifted, total) in list(open_qs.items()):
+            t = n - q
+            if t < 0:
+                length = head[n] = colength(frob.product(power))
+            else:
+                piece = frob.product(shifted)
+                if equal(piece, power):
+                    lengths[q] = total
+                    del open_qs[q]
+                    continue
+                if t > caps[q]:
+                    raise StabilizationNotReached(
+                        f"I^[q] I^t != I^(q+t) for all t <= {caps[q]} at q={q}"
+                    )
+                length = head[t] if t < q else colength(piece)
+                shifted = reduce(shifted.product(ideal))
+            if base is None:
+                base = colength(power)
+            open_qs[q] = (frob, head, shifted, total + length - base)
+        if not open_qs:
+            return lengths
         power = reduce(power.product(ideal))
-    shifted = MonomialIdeal.unit(ideal.ambient_dim)  # I^t
-    for t in count():
-        piece = frob.product(shifted)
-        if equal(piece, power):
-            return total
-        if t > tail_cap:
-            raise StabilizationNotReached(f"I^[q] I^t != I^(q+t) for all t <= {tail_cap} at q={q}")
-        total += (head[t] if t < q else colength(piece)) - colength(power)
-        shifted = reduce(shifted.product(ideal))
-        power = reduce(power.product(ideal))
+
+
+def _check_sweep(values: Sequence[int], name: str) -> None:
+    """Refuse an empty sweep and a value below 1."""
+    if not values:
+        raise ValueError(f"the sweep of {name} is empty")
+    if min(values) < 1:
+        raise ValueError(f"{name} must be positive")
 
 
 def rees_colength_monomial(
-    inst: ReesInstanceMonomial, s: int, box_cap: Optional[int] = None
-) -> int:
-    """Length of R(I)/(I, It)^[s] by summing graded pieces in the polynomial ring.
+    inst: ReesInstanceMonomial, ss: Sequence[int], box_cap: Optional[int] = None
+) -> dict[int, int]:
+    """{s: length of R(I)/(I, It)^[s]} by summing graded pieces in the polynomial ring.
 
     The tail cap is (d-1)*s: I^[s] I^t must equal I^(s+t) by t = (d-1)*s + 1.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
-    return _graded_length(
-        inst.ideal(), s, lambda ideal: ideal.colength(box_cap=box_cap), eq, lambda ideal: ideal,
-        (inst.d - 1) * s,
+    _check_sweep(ss, "s")
+    return _graded_lengths(
+        inst.ideal(), {s: (inst.d - 1) * s for s in ss},
+        lambda ideal: ideal.colength(box_cap=box_cap), eq, lambda ideal: ideal,
     )
 
 
@@ -178,17 +199,18 @@ def _hypersurface(a: int, box_cap: Optional[int]) -> tuple[Colength, Equal, Redu
 
 
 def rees_colength_dim1(
-    inst: ReesInstanceDim1, e: int, box_cap: Optional[int] = None
-) -> int:
-    """Exact length of the chosen Rees quotient at q = p^e."""
-    if e < 1:
-        raise ValueError("e must be positive")
-    q = inst.p**e
+    inst: ReesInstanceDim1, es: Sequence[int], box_cap: Optional[int] = None
+) -> dict[int, int]:
+    """{e: exact length of the chosen Rees quotient at q = p^e}."""
+    _check_sweep(es, "e")
+    qs = {e: inst.p**e for e in es}
     if inst.variant == "rees-of-x":
         rel = BinomialRelation(3, inst.a)
-        ideal = minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)])
-        return quotient_colength(rel, ideal, box_cap=box_cap)
-    return _graded_length(_PLANE_MAXIMAL, q, *_hypersurface(inst.a, box_cap), 2 * inst.a)
+        cubes = {e: minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]) for e, q in qs.items()}
+        return {e: quotient_colength(rel, cube, box_cap=box_cap) for e, cube in cubes.items()}
+    caps = dict.fromkeys(qs.values(), 2 * inst.a)
+    lengths = _graded_lengths(_PLANE_MAXIMAL, caps, *_hypersurface(inst.a, box_cap))
+    return {e: lengths[q] for e, q in qs.items()}
 
 
 def alpha_table(

@@ -4,7 +4,8 @@ Nothing here is fast; each function is written to be read, not run at
 scale.  Two kinds live here:
 
 * independent versions of package kernels: inclusion-exclusion
-  colength, pairwise minimalisation, a fixed-window graded sum, and
+  colength, the primary box from each generator's support, pairwise
+  minimalisation, a fixed-window graded sum, and
   normal forms, membership and the S-pair check on a completed
   Groebner basis, reducing in the binomial-first order;
 * the paper's side results that no `hk` command needs but the tests
@@ -137,6 +138,20 @@ def minimal_vectors_reference(vectors):
             if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in vs)
         )
     )
+
+
+def primary_box_reference(ideal):
+    """Minimal pure-power exponent per variable, from each generator's support; None if missing."""
+    box = [None] * ideal.ambient_dim
+    for g in ideal.gens:
+        support = [i for i, e in enumerate(g) if e > 0]
+        if not support:
+            return (0,) * ideal.ambient_dim
+        if len(support) == 1:
+            i = support[0]
+            if box[i] is None or g[i] < box[i]:
+                box[i] = g[i]
+    return None if None in box else tuple(box)
 
 
 def colength_by_inclusion_exclusion(ideal: MonomialIdeal) -> int:

@@ -54,7 +54,7 @@ def test_criterion_1_three_variable_example():
     for exps in [(1, 1, 1), (1, 2, 1), (2, 2, 3)]:
         inst = ReesInstanceMonomial(exps)
         formula = cm_sop_hk(3, inst.e0, 2)
-        oracle = rees_colength_monomial(inst, 2)
+        oracle = rees_colength_monomial(inst, [2])[2]
         if formula != 23 * inst.e0:
             failures.append((exps, "formula", formula))
         if oracle != 23 * inst.e0:
@@ -71,7 +71,7 @@ def test_criterion_2_three_variable_polynomial():
         value = cm_sop_hk(3, 1, s)
         if value != poly(s) or value != expected[s]:
             failures.append((s, value))
-    oracle = rees_colength_monomial(ReesInstanceMonomial((1, 1, 1)), 3)
+    oracle = rees_colength_monomial(ReesInstanceMonomial((1, 1, 1)), [3])[3]
     if oracle != 123:
         failures.append(("oracle s=3", oracle))
     report(2, "13/8 s^4 - 1/4 s^3 - 1/8 s^2 - 1/4 s", failures, started, 60.0)
@@ -87,7 +87,7 @@ def test_criterion_3_dimension_two_closed_form():
             failures.append((s, value))
     inst = ReesInstanceMonomial((1, 1))
     for s in range(2, 6):
-        oracle = rees_colength_monomial(inst, s)
+        oracle = rees_colength_monomial(inst, [s])[s]
         if oracle != cm_sop_hk(2, 1, s):
             failures.append(("oracle", s, oracle))
     report(3, "(4/3) s^3 - s/3 with oracle", failures, started, 10.0)
@@ -100,7 +100,7 @@ def test_criterion_4_fermat_parameter_rees():
     for e in range(2, 7):
         q = 2**e
         want = 5 * q * q - (4 * q if e % 2 == 0 else 6 * q)
-        value = rees_colength_dim1(inst, e)
+        value = rees_colength_dim1(inst, [e])[e]
         if value != want:
             failures.append((e, value, want))
     report(4, "rees-of-x: 5q^2-4q even, 5q^2-6q odd", failures, started, 30.0)
@@ -113,7 +113,7 @@ def test_criterion_5_fermat_maximal_rees():
     for e in range(3, 7):
         q = 2**e
         want = 5 * q * q if e % 2 == 0 else 5 * q * q - 10
-        value = rees_colength_dim1(inst, e)
+        value = rees_colength_dim1(inst, [e])[e]
         if value != want:
             failures.append((e, value, want))
     table = alpha_table(5, 2, 3, range(2, 8))
@@ -198,7 +198,7 @@ def test_criterion_7_multiplicity_checks():
         if compare_to_eto_yoshida(estimate, d, e0) != "equal":
             failures.append(("bound", d, e0))
     inst = ReesInstanceMonomial((1, 1))
-    sweep = {s: rees_colength_monomial(inst, s) for s in range(2, 8)}
+    sweep = {s: rees_colength_monomial(inst, [s])[s] for s in range(2, 8)}
     estimate = estimate_ehk(sweep, 2)
     if estimate != Fraction(4, 3):
         failures.append(("oracle-sweep", estimate))
@@ -213,7 +213,7 @@ def test_criterion_8_quasi_polynomial_fitting():
     # parameter-ideal Rees samples, e = 2..9 (odd class needs four points
     # for a quadratic fit with one held-out validator)
     inst_x = ReesInstanceDim1(5, 2, "rees-of-x")
-    values_x = {e: rees_colength_dim1(inst_x, e) for e in range(2, 10)}
+    values_x = {e: rees_colength_dim1(inst_x, [e])[e] for e in range(2, 10)}
     qp_x = fit_quasi_polynomial(values_x, 2, 2, 2, holdout=1)
     if qp_x.polys[0] != Poly([0, -4, 5]) or qp_x.polys[1] != Poly([0, -6, 5]):
         failures.append(("rees-of-x fit", qp_x.format("q")))
@@ -221,7 +221,7 @@ def test_criterion_8_quasi_polynomial_fitting():
         failures.append(("rees-of-x threshold", qp_x.valid_from_e))
     # maximal-ideal Rees samples, e = 2..7
     inst_m = ReesInstanceDim1(5, 2, "rees-of-m")
-    values_m = {e: rees_colength_dim1(inst_m, e) for e in range(2, 8)}
+    values_m = {e: rees_colength_dim1(inst_m, [e])[e] for e in range(2, 8)}
     qp_m = fit_quasi_polynomial(values_m, 2, 2, 2, holdout=0)
     if qp_m.polys[0] != Poly([0, 0, 5]) or qp_m.polys[1] != Poly([-10, 0, 5]):
         failures.append(("rees-of-m fit", qp_m.format("q")))

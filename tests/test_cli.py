@@ -283,7 +283,12 @@ class TestFormats:
 EXIT_CODE_MATRIX = {
     "q_cap": (
         ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "13"],
-        3, "q = 8192 exceeds the cap 4096",
+        3, "q = 2^13 exceeds the cap 4096",
+    ),
+    # refused before p**e is formed: no huge q printed, no int-to-text limit hit
+    "q_cap_huge_e": (
+        ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "1..1000000"],
+        3, "q = 2^1000000 exceeds the cap 4096; rerun with --force",
     ),
     # the dim-1 oracles allocate and walk lists of length a
     "a_cap": (

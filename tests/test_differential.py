@@ -6,7 +6,8 @@ corners, are compared with the initial ideal of an independent
 Buchberger completion;
 MonomialIdeal.product and frobenius with minimalize over the summed or
 scaled exponent tuples; the bitset and two-column running-minimum
-minimalisation with a pairwise scan; the staircase walk with
+minimalisation with a pairwise scan; the primary box with one built
+from each generator's support; the staircase walk with
 inclusion-exclusion; the graded-sum monomial oracle with the closed
 form cm_sop_hk on all three of its branches, and with itself at unit
 exponents scaled by e0; and parse_ideal with format_ideal.
@@ -44,6 +45,7 @@ from reference import (
     contains_monomial,
     minimal_vectors_reference,
     power,
+    primary_box_reference,
 )
 
 
@@ -333,6 +335,21 @@ class TestColength:
         assert walked_colength(raw) == expected
 
 
+class TestPrimaryBox:
+    @settings(max_examples=300)
+    @given(st.one_of(primary_generators(), st.integers(1, 4).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=1))
+    )))
+    @example((3, [(0, 0, 0), (4, 0, 0)]))
+    @example((1, [(5,), (3,)]))
+    @example((3, [(2, 0, 0), (0, 1, 1), (3, 0, 0), (0, 0, 5)]))
+    def test_matches_support_lists(self, case):
+        # with and without pure powers of every variable, minimal or not
+        d, gens = case
+        for ideal in (minimalize(gens), MonomialIdeal(tuple(sorted(set(gens))))):
+            assert ideal.primary_box() == primary_box_reference(ideal)
+
+
 class TestMonomialOracle:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("branch", ["s<d", "s=d", "s>d"])
@@ -346,7 +363,7 @@ class TestMonomialOracle:
             "s>d": st.integers(d + 1, 6),
         }[branch])
         inst = ReesInstanceMonomial(data.draw(st.tuples(*[st.integers(1, 4)] * d)))
-        assert rees_colength_monomial(inst, s) == cm_sop_hk(d, inst.e0, s)
+        assert rees_colength_monomial(inst, [s])[s] == cm_sop_hk(d, inst.e0, s)
 
 
 @st.composite
@@ -374,4 +391,5 @@ class TestMonomialOracleRank:
         exponents, s = case
         inst = ReesInstanceMonomial(exponents)
         unit = ReesInstanceMonomial((1,) * inst.d)
-        assert rees_colength_monomial(inst, s) == inst.e0 * rees_colength_monomial(unit, s)
+        expected = inst.e0 * rees_colength_monomial(unit, [s])[s]
+        assert rees_colength_monomial(inst, [s])[s] == expected

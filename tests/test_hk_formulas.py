@@ -246,14 +246,14 @@ class TestCmSop:
         for d in (2, 3):
             inst = ReesInstanceMonomial((1,) * d)
             for s in range(1, 6):
-                assert cm_sop_hk(d, 1, s) == rees_colength_monomial(inst, s), (d, s)
+                assert cm_sop_hk(d, 1, s) == rees_colength_monomial(inst, [s])[s], (d, s)
 
     def test_deep_quotient_branches_against_oracle(self):
         # exercises k1 >= 2 in both small-s displays
         for d, smax in ((4, 3), (5, 2)):
             inst = ReesInstanceMonomial((1,) * d)
             for s in range(1, smax + 1):
-                assert cm_sop_hk(d, 1, s) == rees_colength_monomial(inst, s), (d, s)
+                assert cm_sop_hk(d, 1, s) == rees_colength_monomial(inst, [s])[s], (d, s)
 
 
 class TestMultiplicities:
@@ -277,7 +277,7 @@ class TestMultiplicities:
         from reeshk.rees_oracle import ReesInstanceDim1, fit_quasi_polynomial, rees_colength_dim1
 
         inst = ReesInstanceDim1(5, 2, "rees-of-x")
-        values = {e: rees_colength_dim1(inst, e) for e in range(2, 8)}
+        values = {e: rees_colength_dim1(inst, [e])[e] for e in range(2, 8)}
         qp = fit_quasi_polynomial(values, 2, 2, 2, holdout=0)
         for poly in qp.polys:
             assert poly.coefficient(2) == 5

@@ -18,7 +18,7 @@ from reeshk.rees_oracle import (
     ReesInstanceDim1,
     ReesInstanceMonomial,
     StabilizationNotReached,
-    _graded_length,
+    _graded_lengths,
     _hypersurface,
     alpha_table,
     estimate_ehk,
@@ -50,21 +50,21 @@ class TestInstances:
 
 class TestMonomialOracle:
     def test_graded_pieces_example(self):
-        assert rees_colength_monomial(ReesInstanceMonomial((1, 1)), 2) == 10
+        assert rees_colength_monomial(ReesInstanceMonomial((1, 1)), [2])[2] == 10
 
     def test_three_variables(self):
-        assert rees_colength_monomial(ReesInstanceMonomial((1, 1, 1)), 2) == 23
+        assert rees_colength_monomial(ReesInstanceMonomial((1, 1, 1)), [2])[2] == 23
 
     def test_s_one_is_colength_of_ideal(self):
-        assert rees_colength_monomial(ReesInstanceMonomial((1, 1)), 1) == 1
-        assert rees_colength_monomial(ReesInstanceMonomial((2, 3)), 1) == 6
+        assert rees_colength_monomial(ReesInstanceMonomial((1, 1)), [1])[1] == 1
+        assert rees_colength_monomial(ReesInstanceMonomial((2, 3)), [1])[1] == 6
 
     def test_formula_oracle_equivalence(self):
         for d in (2, 3):
             for exps in itertools.product((1, 2, 3), repeat=d):
                 inst = ReesInstanceMonomial(exps)
                 for s in range(1, 5):
-                    assert rees_colength_monomial(inst, s) == cm_sop_hk(
+                    assert rees_colength_monomial(inst, [s])[s] == cm_sop_hk(
                         d, inst.e0, s
                     ), (exps, s)
 
@@ -88,20 +88,20 @@ class TestMonomialOracle:
 class TestDim1Oracle:
     def test_rees_of_x_values(self):
         inst = ReesInstanceDim1(5, 2, "rees-of-x")
-        assert rees_colength_dim1(inst, 3) == 272
-        values = [rees_colength_dim1(inst, e) for e in range(2, 7)]
+        assert rees_colength_dim1(inst, [3])[3] == 272
+        values = [rees_colength_dim1(inst, [e])[e] for e in range(2, 7)]
         assert values == [64, 272, 1216, 4928, 20224]
 
     def test_rees_of_m_values(self):
         inst = ReesInstanceDim1(5, 2, "rees-of-m")
-        assert rees_colength_dim1(inst, 4) == 1280
-        assert rees_colength_dim1(inst, 3) == 310
+        assert rees_colength_dim1(inst, [4])[4] == 1280
+        assert rees_colength_dim1(inst, [3])[3] == 310
 
     def test_rees_of_x_matches_predictor(self):
         inst = ReesInstanceDim1(5, 2, "rees-of-x")
         qp = sop_dim1_hk(5, (-4, -6), 2)
         for e in range(2, 7):
-            assert rees_colength_dim1(inst, e) == qp.value_at(e)
+            assert rees_colength_dim1(inst, [e])[e] == qp.value_at(e)
 
     def test_rees_of_m_matches_quasi_polynomial(self):
         from reeshk.cli import FERMAT5
@@ -110,7 +110,7 @@ class TestDim1Oracle:
         inst = ReesInstanceDim1(5, 2, "rees-of-m")
         qp = cordim1_hk(FERMAT5)
         for e in range(3, 11):
-            assert rees_colength_dim1(inst, e) == qp.value_at(e)
+            assert rees_colength_dim1(inst, [e])[e] == qp.value_at(e)
 
     @pytest.mark.parametrize("cap", [None, 0])
     def test_unit_ideal_has_colength_zero(self, cap):
@@ -132,7 +132,7 @@ class TestDim1Oracle:
 
         monkeypatch.setattr(monomial_algebra, "_validated", counting)
         monkeypatch.setattr(binomial_groebner, "_validated", counting, raising=False)
-        assert rees_colength_dim1(ReesInstanceDim1(5, 2, "rees-of-m"), 4) == 1280
+        assert rees_colength_dim1(ReesInstanceDim1(5, 2, "rees-of-m"), [4])[4] == 1280
         assert alpha_table(5, 2, 3, [2, 3])[0] == {2: -4, 3: -6}
         assert calls == []
 
@@ -148,7 +148,7 @@ class TestDim1Oracle:
             return quotient_colength(rel, ideal, box_cap=box_cap)
 
         monkeypatch.setattr(rees_oracle, "quotient_colength", spy)
-        rees_colength_dim1(ReesInstanceDim1(a, 2, "rees-of-m"), 8)
+        rees_colength_dim1(ReesInstanceDim1(a, 2, "rees-of-m"), [8])[8]
         assert len(measured) >= 2 * 256
         assert max(measured) <= 2 * a
 
@@ -156,23 +156,26 @@ class TestDim1Oracle:
 class TestGradedLength:
     """The shared graded sum: its tail cap, its stop rule, and a fixed-window reference."""
 
-    # (ideal, q, colength, equal, reduce, first tail index t with I^[q] I^t = I^(q+t))
+    # (ideal, colength, equal, reduce, {q: first tail index t with I^[q] I^t = I^(q+t)})
     CASES = {
         "monomial": (
-            ReesInstanceMonomial((2, 1, 1, 1)).ideal(), 3,
-            lambda ideal: ideal.colength(), lambda a, b: a == b, lambda ideal: ideal, 6,
+            ReesInstanceMonomial((2, 1, 1, 1)).ideal(),
+            lambda ideal: ideal.colength(), lambda a, b: a == b, lambda ideal: ideal, {3: 6, 2: 3},
         ),
-        "hypersurface": (_PLANE_MAXIMAL, 8, *_hypersurface(7, None), 5),
+        "hypersurface": (_PLANE_MAXIMAL, *_hypersurface(7, None), {8: 5, 4: 3}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_cap_below_truncation_raises(self, case):
-        ideal, q, *ring, t = self.CASES[case]
-        # a piece past the cap that still differs raises, so cap t - 2 fails and t - 1 holds
-        with pytest.raises(StabilizationNotReached):
-            _graded_length(ideal, q, *ring, t - 2)
-        full = _graded_length(ideal, q, *ring, t + 10)
-        assert _graded_length(ideal, q, *ring, t - 1) == full
+        ideal, *ring, first = self.CASES[case]
+        full = _graded_lengths(ideal, {q: t + 10 for q, t in first.items()}, *ring)
+        for q, t in first.items():
+            # a piece past the cap that still differs raises, so cap t - 2 fails and
+            # t - 1 holds; the other q of the sweep has room past its own t
+            roomy = {other: first[other] + 10 for other in first if other != q}
+            with pytest.raises(StabilizationNotReached, match=f"t <= {t - 2} at q={q}$"):
+                _graded_lengths(ideal, {q: t - 2, **roomy}, *ring)
+            assert _graded_lengths(ideal, {q: t - 1, **roomy}, *ring) == full
 
     @pytest.mark.parametrize("exps", [(1, 1), (2, 3), (1, 1, 1), (1, 2, 2)])
     def test_monomial_matches_fixed_window(self, exps):
@@ -180,7 +183,7 @@ class TestGradedLength:
         for s in range(1, 5):
             window = (inst.d - 1) * s + 2  # tail pieces t = 0 .. cap + 1
             expected = graded_length_by_window(inst.ideal(), s, MonomialIdeal.colength, window)
-            assert rees_colength_monomial(inst, s) == expected, s
+            assert rees_colength_monomial(inst, [s])[s] == expected, s
 
     @pytest.mark.parametrize("a", range(2, 9))
     def test_rees_of_m_matches_fixed_window(self, a):
@@ -192,7 +195,74 @@ class TestGradedLength:
                 expected = graded_length_by_window(
                     _PLANE_MAXIMAL, p**e, lambda ideal: quotient_colength(rel, ideal), 2 * a + 2
                 )
-                assert rees_colength_dim1(inst, e) == expected, (p, e)
+                assert rees_colength_dim1(inst, [e])[e] == expected, (p, e)
+
+
+@st.composite
+def monomial_sweeps(draw):
+    """Exponents 1..3 in d = 2..4 variables and an unsorted, gapped set of s (s <= 3 for d = 4)."""
+    d = draw(st.integers(2, 4))
+    exponents = draw(st.tuples(*[st.integers(1, 3)] * d))
+    ss = draw(st.lists(st.integers(1, 3 if d == 4 else 6), min_size=1, max_size=4, unique=True))
+    return exponents, ss
+
+
+class TestSweep:
+    """One call over a sweep of s or e gives what one call per value gives."""
+
+    @settings(max_examples=40)
+    @given(monomial_sweeps())
+    def test_monomial_sweep_matches_single_values(self, case):
+        exponents, ss = case
+        inst = ReesInstanceMonomial(exponents)
+        sweep = rees_colength_monomial(inst, ss)
+        assert list(sweep) == ss
+        assert sweep == {s: rees_colength_monomial(inst, [s])[s] for s in ss}
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(2, 8),
+        st.sampled_from([2, 3]).flatmap(
+            lambda p: st.tuples(
+                st.just(p), st.lists(st.integers(1, {2: 7, 3: 4}[p]), min_size=1, unique=True)
+            )
+        ),
+    )
+    def test_rees_of_m_sweep_matches_single_values(self, a, case):
+        p, es = case
+        inst = ReesInstanceDim1(a, p, "rees-of-m")
+        sweep = rees_colength_dim1(inst, es)
+        assert list(sweep) == es
+        assert sweep == {e: rees_colength_dim1(inst, [e])[e] for e in es}
+
+    def test_rees_of_x_sweep(self):
+        inst = ReesInstanceDim1(5, 2, "rees-of-x")
+        assert rees_colength_dim1(inst, [6, 2, 4]) == {6: 20224, 2: 64, 4: 1216}
+
+    def test_colength_of_each_power_taken_once(self, monkeypatch):
+        # one chain of powers serves every s: colength(I^n) is not recounted per s
+        colength, calls = MonomialIdeal.colength, []
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return colength(self, *args, **kwargs)
+
+        monkeypatch.setattr(MonomialIdeal, "colength", counting)
+        inst = ReesInstanceMonomial((1, 1, 1))
+        sweep = rees_colength_monomial(inst, range(1, 10))
+        assert sweep == {s: cm_sop_hk(3, 1, s) for s in range(1, 10)}
+        assert len(calls) <= 100  # one call per s made 190
+
+    @pytest.mark.parametrize("oracle, inst, name", [
+        (rees_colength_monomial, ReesInstanceMonomial((1, 1)), "s"),
+        (rees_colength_dim1, ReesInstanceDim1(5, 2, "rees-of-m"), "e"),
+        (rees_colength_dim1, ReesInstanceDim1(5, 2, "rees-of-x"), "e"),
+    ])
+    def test_sweep_checked_at_the_boundary(self, oracle, inst, name):
+        with pytest.raises(ValueError, match=f"^the sweep of {name} is empty$"):
+            oracle(inst, [])
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            oracle(inst, [3, 0, 2])
 
 
 class TestAlphaTable:
@@ -235,7 +305,7 @@ class TestAlphaTable:
 class TestFitQuasiPolynomial:
     def fermat_x_samples(self, hi):
         inst = ReesInstanceDim1(5, 2, "rees-of-x")
-        return {e: rees_colength_dim1(inst, e) for e in range(2, hi + 1)}
+        return {e: rees_colength_dim1(inst, [e])[e] for e in range(2, hi + 1)}
 
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
@@ -266,7 +336,7 @@ class TestFitQuasiPolynomial:
 
     def test_corrupted_sample_rejected(self):
         inst = ReesInstanceDim1(5, 2, "rees-of-x")
-        values = {e: rees_colength_dim1(inst, e) for e in range(2, 10)}
+        values = {e: rees_colength_dim1(inst, [e])[e] for e in range(2, 10)}
         values[9] += 1
         with pytest.raises(InconsistentSamples):
             fit_quasi_polynomial(values, 2, degree=2, period=2, holdout=1)
@@ -363,7 +433,7 @@ class TestEstimateEhk:
         from fractions import Fraction
 
         inst = ReesInstanceMonomial((1, 1))
-        values = {s: rees_colength_monomial(inst, s) for s in range(2, 8)}
+        values = {s: rees_colength_monomial(inst, [s])[s] for s in range(2, 8)}
         assert estimate_ehk(values, 2) == Fraction(4, 3)
 
     def test_ignores_values_below_d(self):
