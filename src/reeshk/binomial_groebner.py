@@ -53,7 +53,6 @@ from typing import Iterable, Optional, Sequence
 from .monomial_algebra import (
     MonomialIdeal,
     Vector,
-    _check_box,
     _divisible,
     _minimal_vectors,
     minimalize,
@@ -205,19 +204,14 @@ def initial_ideal(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(_initial_vectors(rel, ideal))
 
 
-def quotient_colength(
-    rel: BinomialRelation, ideal: MonomialIdeal, box_cap: Optional[int] = None
-) -> int:
+def quotient_colength(rel: BinomialRelation, ideal: MonomialIdeal) -> int:
     """Length of the quotient by (binomial + monomials): colength of the initial ideal.
 
-    In two variables that is the sum of the staircase heights, inside
-    the box of X^(first c with h[c] = 0, else a) and Y^h[0].
+    In two variables that is the sum of the staircase heights.
     """
     if rel.ambient_dim != 2:
-        return initial_ideal(rel, ideal).colength(box_cap=box_cap)
-    h = _plane_heights(rel, ideal)
-    _check_box((h.index(0) if h[-1] == 0 else rel.exponent, h[0]), box_cap)
-    return sum(h)
+        return initial_ideal(rel, ideal).colength()
+    return sum(_plane_heights(rel, ideal))
 
 
 def ideals_equal(rel: BinomialRelation, lhs: MonomialIdeal, rhs: MonomialIdeal) -> bool:

@@ -27,6 +27,7 @@ from .hk_formulas import (
     stanley_reisner_ehk,
 )
 from .binomial_groebner import BinomialRelation, initial_ideal
+from .combinatorics import binomial
 from .monomial_algebra import (
     InfiniteColength,
     ResourceCapExceeded,
@@ -46,7 +47,7 @@ from .rees_oracle import (
     rees_colength_monomial,
 )
 
-BOX_CAP = 10**8
+MONOMIAL_CAP = 10**5
 Q_CAP = 2**12
 
 # Known invariants of the maximal ideal of the Fermat quintic ring
@@ -141,8 +142,8 @@ def render_json(report: RunReport) -> str:
 RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 
-def parse_range(text: str) -> list[int]:
-    """'3' -> [3]; '2..5' -> [2, 3, 4, 5]."""
+def parse_range(text: str) -> range:
+    """'3' -> range(3, 4); '2..5' -> range(2, 6), ascending and nonempty."""
     lo_text, dots, hi_text = text.partition("..")
     try:
         lo, hi = int(lo_text), int(hi_text if dots else lo_text)
@@ -150,7 +151,7 @@ def parse_range(text: str) -> list[int]:
         raise ValueError(f"bad range {text!r}: expected N or LO..HI") from exc
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -172,10 +173,6 @@ def _report(args: argparse.Namespace, *echo: str, **fields: object) -> RunReport
     return RunReport({args.command: args.which, **instance}, args.command)
 
 
-def _box_cap(args: argparse.Namespace) -> Optional[int]:
-    return None if args.force else BOX_CAP
-
-
 def _refuse_beside(args: argparse.Namespace, owner: str, fixes: str, *flags: str) -> None:
     """Refuse each of `flags` given beside the flag `owner`, which fixes their values."""
     given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
@@ -183,9 +180,32 @@ def _refuse_beside(args: argparse.Namespace, owner: str, fixes: str, *flags: str
         raise ValueError(f"{owner} fixes {fixes}; drop {', '.join(given)}")
 
 
+def _monomial_setup(
+    exponents: tuple[int, ...], s_text: str, force: bool
+) -> tuple[ReesInstanceMonomial, range]:
+    """The monomial instance and its s range, refused past the cap on its walk unless forced.
+
+    A sweep to s builds the powers I^0 .. I^n, n = d (s - 1) + 1, the first
+    power with I^[s] I^(n-s) = I^n; its time follows their generators, the
+    C(n + d, d) monomials of degree at most n.
+    """
+    inst = ReesInstanceMonomial(exponents)
+    ss = parse_range(s_text)
+    if not force:
+        s, d = ss[-1], inst.d
+        # 0 for s < 1, which the oracle refuses as invalid input
+        walk = binomial(d * (s - 1) + 1 + d, d)
+        if walk > MONOMIAL_CAP:
+            raise ResourceCapExceeded(
+                f"s = {s} in {d} variables walks {walk} monomials, over the cap "
+                f"{MONOMIAL_CAP}; rerun with --force"
+            )
+    return inst, ss
+
+
 def _dim1_setup(
     a: int, p: int, variant: str, e_text: str, force: bool
-) -> tuple[ReesInstanceDim1, list[int]]:
+) -> tuple[ReesInstanceDim1, range]:
     """The dimension-1 instance and its e range, refused past the cap on a or q unless forced."""
     inst = ReesInstanceDim1(a, p, variant)
     es = parse_range(e_text)
@@ -194,7 +214,7 @@ def _dim1_setup(
             raise ResourceCapExceeded(f"a = {a} exceeds the cap {Q_CAP}; rerun with --force")
         # p >= 2, so p^e is past the cap once e reaches its bit length; a
         # larger e is refused before p**e is formed
-        e = max(es)
+        e = es[-1]
         if e >= Q_CAP.bit_length() or p**e > Q_CAP:
             raise ResourceCapExceeded(f"q = {p}^{e} exceeds the cap {Q_CAP}; rerun with --force")
     return inst, es
@@ -267,10 +287,9 @@ def cmd_formula_sop_dim1(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_oracle_monomial(args: argparse.Namespace) -> RunReport:
-    inst = ReesInstanceMonomial(parse_int_tuple(args.exponents))
+    inst, ss = _monomial_setup(parse_int_tuple(args.exponents), args.s, args.force)
     report = _report(args, "exponents", e0=inst.e0)
-    lengths = rees_colength_monomial(inst, parse_range(args.s), box_cap=_box_cap(args))
-    for s, value in lengths.items():
+    for s, value in rees_colength_monomial(inst, ss).items():
         report.add({"s": s}, oracle=value)
     return report
 
@@ -278,7 +297,7 @@ def cmd_oracle_monomial(args: argparse.Namespace) -> RunReport:
 def cmd_oracle_dim1(args: argparse.Namespace) -> RunReport:
     inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
     report = _report(args, "a", "p", "variant")
-    for e, value in rees_colength_dim1(inst, es, box_cap=_box_cap(args)).items():
+    for e, value in rees_colength_dim1(inst, es).items():
         report.add({"e": e, "q": args.p**e}, oracle=value)
     return report
 
@@ -289,15 +308,14 @@ def cmd_oracle_groebner(args: argparse.Namespace) -> RunReport:
     initial = initial_ideal(rel, ideal)
     report = _report(args, "a", vars=ideal.ambient_dim, gens=format_ideal(ideal))
     report.add({"result": "initial-ideal"}, oracle=format_ideal(initial))
-    report.add({"result": "colength"}, oracle=initial.colength(box_cap=_box_cap(args)))
+    report.add({"result": "colength"}, oracle=initial.colength())
     return report
 
 
 def cmd_compare_cm_sop(args: argparse.Namespace) -> RunReport:
-    inst = ReesInstanceMonomial(parse_int_tuple(args.exponents))
+    inst, ss = _monomial_setup(parse_int_tuple(args.exponents), args.s, args.force)
     report = _report(args, "exponents", d=inst.d, e0=inst.e0)
-    lengths = rees_colength_monomial(inst, parse_range(args.s), box_cap=_box_cap(args))
-    for s, value in lengths.items():
+    for s, value in rees_colength_monomial(inst, ss).items():
         report.add({"s": s}, formula=cm_sop_hk(inst.d, inst.e0, s), oracle=value)
     return report
 
@@ -308,7 +326,7 @@ def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
     if inst.variant == "rees-of-x":
         # formula side: q^2 e0(m) + q alpha(e), alpha taken from the
         # plane quotient lengths, independent of the 3-variable count
-        table = alpha_table(args.a, args.p, 0, es, box_cap=_box_cap(args))
+        table = alpha_table(args.a, args.p, 0, es)
         formula = {e: args.a * args.p ** (2 * e) + table[0][e] * args.p**e for e in es}
     elif (args.a, args.p) == (FERMAT5.e0, FERMAT5.p):
         qp = cordim1_hk(FERMAT5)
@@ -318,14 +336,14 @@ def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
             "compare dim1 --variant rees-of-m needs the known invariant set; "
             "only --a 5 --p 2 is supported"
         )
-    for e, value in rees_colength_dim1(inst, es, box_cap=_box_cap(args)).items():
+    for e, value in rees_colength_dim1(inst, es).items():
         report.add({"e": e, "q": args.p**e}, formula=formula[e], oracle=value)
     return report
 
 
 def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
     inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
-    values = rees_colength_dim1(inst, es, box_cap=_box_cap(args))
+    values = rees_colength_dim1(inst, es)
     # the paper's quasi-polynomials in q have degree 2, leading term e0 q^2
     degree = 2
     qp = fit_quasi_polynomial(values, args.p, degree, args.period, holdout=args.holdout)
@@ -342,17 +360,17 @@ def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
-    ss = parse_range(args.s)
     if args.exponents:
         _refuse_beside(args, "--exponents", "d and e0", "d", "e0")
-        inst = ReesInstanceMonomial(parse_int_tuple(args.exponents))
+        inst, ss = _monomial_setup(parse_int_tuple(args.exponents), args.s, args.force)
         d, e0 = inst.d, inst.e0
-        values = rees_colength_monomial(inst, ss, box_cap=_box_cap(args))
+        values = rees_colength_monomial(inst, ss)
         source = "oracle"
     else:
         if args.d is None or args.e0 is None:
             raise ValueError("fit ehk needs --exponents or both --d and --e0")
         d, e0 = args.d, args.e0
+        ss = parse_range(args.s)
         values = {s: cm_sop_hk(d, e0, s) for s in ss}
         source = "formula"
     estimate = estimate_ehk(values, d)
@@ -371,9 +389,8 @@ def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
     inst_m, es = _dim1_setup(a, p, "rees-of-m", args.e, args.force)
     inst_x = ReesInstanceDim1(a, p, "rees-of-x")
     report = _report(args, ring="k[[X,Y]]/(X^5-Y^5)", p=p)
-    cap = _box_cap(args)
     # alpha table vs the known periodic values
-    table = alpha_table(a, p, len(FERMAT5.alpha) - 1, es, box_cap=cap)
+    table = alpha_table(a, p, len(FERMAT5.alpha) - 1, es)
     for n, seq in enumerate(FERMAT5.alpha):
         for e in es:
             report.add(
@@ -396,7 +413,7 @@ def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
                 formula=poly,
                 oracle=golden[residue],
             )
-    lengths = {check: rees_colength_dim1(inst, es, box_cap=cap) for check, inst, _, _ in legs}
+    lengths = {check: rees_colength_dim1(inst, es) for check, inst, _, _ in legs}
     for e in es:
         for check, _, qp, _ in legs:
             report.add(
@@ -411,12 +428,11 @@ def cmd_example_three_vars(args: argparse.Namespace) -> RunReport:
     exps = parse_int_tuple(args.n)
     if len(exps) != 3:
         raise ValueError("--n takes three exponents n1,n2,n3")
-    inst = ReesInstanceMonomial(exps)
+    inst, ss = _monomial_setup(exps, args.s, args.force)
     report = _report(args, "n", e0=inst.e0)
-    cap = _box_cap(args)
     # known value at s = 2: 23 n1 n2 n3
     report.add({"check": "golden", "s": 2}, formula=cm_sop_hk(3, inst.e0, 2), oracle=23 * inst.e0)
-    for s, value in rees_colength_monomial(inst, parse_range(args.s), box_cap=cap).items():
+    for s, value in rees_colength_monomial(inst, ss).items():
         report.add({"check": "oracle", "s": s}, formula=cm_sop_hk(3, inst.e0, s), oracle=value)
     return report
 

@@ -31,7 +31,7 @@ class InfiniteColength(Exception):
 
 
 class ResourceCapExceeded(Exception):
-    """A bounding box exceeded the caller-supplied lattice point cap."""
+    """A command's inputs ask for more work than its cap allows; `hk --force` lifts it."""
 
 
 _SHAPE = "need one or more generators, all with the same positive number of exponents"
@@ -141,12 +141,11 @@ class MonomialIdeal:
                     box[i] = e
         return None if None in box else tuple(box)  # type: ignore[arg-type]
 
-    def colength(self, box_cap: Optional[int] = None) -> int:
+    def colength(self) -> int:
         """Number of standard monomials, i.e. lattice points below the staircase."""
         box = self.primary_box()
         if box is None:
             raise InfiniteColength(f"no pure power of every variable in {self}")
-        _check_box(box, box_cap)
         return _count_standard(self.gens, box)
 
     def __str__(self) -> str:
@@ -156,12 +155,6 @@ class MonomialIdeal:
 def minimalize(gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Drop every generator divisible by another; idempotent."""
     return MonomialIdeal(_minimal_vectors(_validated(gens)))
-
-
-def _check_box(box: Vector, box_cap: Optional[int]) -> None:
-    """Raise ResourceCapExceeded if the box has more lattice points than box_cap."""
-    if box_cap is not None and prod(box) > box_cap:
-        raise ResourceCapExceeded(f"bounding box {box} has {prod(box)} points, cap is {box_cap}")
 
 
 def _count_standard(gens: Sequence[Vector], box: Vector) -> int:

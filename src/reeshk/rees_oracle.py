@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import count
 from math import prod
 from operator import eq
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .binomial_groebner import BinomialRelation, ideals_equal, plane_corners, quotient_colength
 from .combinatorics import _is_prime
@@ -170,9 +170,7 @@ def _check_sweep(values: Sequence[int], name: str) -> None:
         raise ValueError(f"{name} must be positive")
 
 
-def rees_colength_monomial(
-    inst: ReesInstanceMonomial, ss: Sequence[int], box_cap: Optional[int] = None
-) -> dict[int, int]:
+def rees_colength_monomial(inst: ReesInstanceMonomial, ss: Sequence[int]) -> dict[int, int]:
     """{s: length of R(I)/(I, It)^[s]} by summing graded pieces in the polynomial ring.
 
     The tail cap is (d-1)*s: I^[s] I^t must equal I^(s+t) by t = (d-1)*s + 1.
@@ -180,11 +178,11 @@ def rees_colength_monomial(
     _check_sweep(ss, "s")
     return _graded_lengths(
         inst.ideal(), {s: (inst.d - 1) * s for s in ss},
-        lambda ideal: ideal.colength(box_cap=box_cap), eq, lambda ideal: ideal,
+        MonomialIdeal.colength, eq, lambda ideal: ideal,
     )
 
 
-def _hypersurface(a: int, box_cap: Optional[int]) -> tuple[Colength, Equal, Reduce]:
+def _hypersurface(a: int) -> tuple[Colength, Equal, Reduce]:
     """Colength, ideal equality and reduction in k[X, Y]/(X^a - Y^a).
 
     Each takes monomial ideals of k[X, Y]; the reduction keeps the
@@ -192,34 +190,26 @@ def _hypersurface(a: int, box_cap: Optional[int]) -> tuple[Colength, Equal, Redu
     """
     rel = BinomialRelation(2, a)
     return (
-        lambda ideal: quotient_colength(rel, ideal, box_cap=box_cap),
+        lambda ideal: quotient_colength(rel, ideal),
         lambda lhs, rhs: ideals_equal(rel, lhs, rhs),
         lambda ideal: plane_corners(rel, ideal),
     )
 
 
-def rees_colength_dim1(
-    inst: ReesInstanceDim1, es: Sequence[int], box_cap: Optional[int] = None
-) -> dict[int, int]:
+def rees_colength_dim1(inst: ReesInstanceDim1, es: Sequence[int]) -> dict[int, int]:
     """{e: exact length of the chosen Rees quotient at q = p^e}."""
     _check_sweep(es, "e")
     qs = {e: inst.p**e for e in es}
     if inst.variant == "rees-of-x":
         rel = BinomialRelation(3, inst.a)
         cubes = {e: minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]) for e, q in qs.items()}
-        return {e: quotient_colength(rel, cube, box_cap=box_cap) for e, cube in cubes.items()}
+        return {e: quotient_colength(rel, cube) for e, cube in cubes.items()}
     caps = dict.fromkeys(qs.values(), 2 * inst.a)
-    lengths = _graded_lengths(_PLANE_MAXIMAL, caps, *_hypersurface(inst.a, box_cap))
+    lengths = _graded_lengths(_PLANE_MAXIMAL, caps, *_hypersurface(inst.a))
     return {e: lengths[q] for e, q in qs.items()}
 
 
-def alpha_table(
-    a: int,
-    p: int,
-    n_max: int,
-    e_range: Sequence[int],
-    box_cap: Optional[int] = None,
-) -> dict[int, dict[int, int]]:
+def alpha_table(a: int, p: int, n_max: int, e_range: Sequence[int]) -> dict[int, dict[int, int]]:
     """Periodic corrections alpha(m^n, e) = len(m^n / m^[q] m^n) - a*q.
 
     Computed entirely from hypersurface quotient lengths, with m^n and
@@ -232,7 +222,7 @@ def alpha_table(
         raise ValueError("e_range must be nonempty")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    colength, _, reduce = _hypersurface(a, box_cap)
+    colength, _, reduce = _hypersurface(a)
     frobs = {e: reduce(_PLANE_MAXIMAL.frobenius(p**e)) for e in e_range}
     table: dict[int, dict[int, int]] = {}
     power = MonomialIdeal.unit(2)  # m^n

@@ -343,28 +343,12 @@ class TestBoundaryValidation:
             ([(8, 0), (0, 8)], (5, 8)),
         ],
     )
-    def test_plane_box_cap_trips_at_the_buchberger_box(self, gens, box):
-        from math import prod
-
-        from reeshk.monomial_algebra import ResourceCapExceeded
-
+    def test_plane_colength_matches_the_buchberger_box(self, gens, box):
         initial = basis_initial_ideal(buchberger(REL_PLANE, gens))
-        ideal = minimalize(gens)
         assert initial.primary_box() == box
-        with pytest.raises(ResourceCapExceeded) as general:
-            initial.colength(box_cap=prod(box) - 1)
-        with pytest.raises(ResourceCapExceeded) as plane:
-            quotient_colength(REL_PLANE, ideal, box_cap=prod(box) - 1)
-        assert str(plane.value) == str(general.value)
-        assert quotient_colength(REL_PLANE, ideal, box_cap=prod(box)) == initial.colength()
+        assert quotient_colength(REL_PLANE, minimalize(gens)) == initial.colength()
 
-    def test_box_cap_trips_at_the_buchberger_box(self):
-        from math import prod
-
-        from reeshk.monomial_algebra import ResourceCapExceeded
-
+    def test_colength_matches_the_buchberger_box(self):
         box = basis_initial_ideal(buchberger(REL5, self.GOOD)).primary_box()
         assert box == (5, 8, 8)
-        with pytest.raises(ResourceCapExceeded):
-            quotient_colength(REL5, minimalize(self.GOOD), box_cap=prod(box) - 1)
-        assert quotient_colength(REL5, minimalize(self.GOOD), box_cap=prod(box)) == 272
+        assert quotient_colength(REL5, minimalize(self.GOOD)) == 272

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from reeshk import cli
-from reeshk.cli import RunReport, main, render_csv, render_json
+from reeshk.cli import RunReport, main, parse_range, render_csv, render_json
 from reeshk.hk_formulas import Dim1Input, dim1_hk
 
 
@@ -129,6 +129,15 @@ class TestOracle:
         assert rows[0]["oracle"] == "0,0,8;0,8,0;3,5,0;5,0,0"
         assert rows[1]["oracle"] == "272"
 
+    def test_groebner_large_exponents(self, capsys):
+        # the walk follows the generators, so a box of 10^15 points is cheap
+        code, out, _ = run(
+            capsys, "oracle", "groebner", "--a", "5",
+            "--gens", "100000,0,0;0,100000,0;0,0,100000", "--format", "csv",
+        )
+        assert code == 0
+        assert csv_rows(out)[1]["oracle"] == "50000000000"
+
     @pytest.mark.parametrize(
         "gens,dim",
         [("8,0;0,8", 2), ("8,0,0;0,8,0;0,0,8", 3), ("8,0,0,0;0,8,0,0;0,0,8,0;0,0,0,8", 4)],
@@ -147,6 +156,26 @@ class TestCompare:
         )
         assert code == 0
         assert all(r["match"] == "true" for r in csv_rows(out))
+
+    def test_cm_sop_large_exponents(self, capsys):
+        # the cap counts the monomials the sweep walks, which the exponents do not change
+        code, out, _ = run(
+            capsys, "compare", "cm-sop", "--exponents", "300,300,300", "--s", "1..9",
+            "--format", "csv",
+        )
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 9 and all(r["match"] == "true" for r in rows)
+
+    def test_dim1_rees_of_x_large_q(self, capsys):
+        # q = 4096 is within the q cap; nothing else refuses the 3-variable count
+        code, out, _ = run(
+            capsys, "compare", "dim1", "--a", "7", "--p", "2",
+            "--variant", "rees-of-x", "--e", "2..12", "--format", "csv",
+        )
+        assert code == 0
+        rows = csv_rows(out)
+        assert len(rows) == 11 and all(r["match"] == "true" for r in rows)
 
     def test_dim1_rees_of_x(self, capsys):
         code, out, _ = run(
@@ -295,9 +324,21 @@ EXIT_CODE_MATRIX = {
         ["oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-m", "--e", "1"],
         3, "a = 5000 exceeds the cap 4096; rerun with --force",
     ),
-    "box_cap": (
-        ["oracle", "monomial", "--exponents", "300,300,300", "--s", "2"],
-        3, "cap is 100000000",
+    # refused from the range's last element, before its e values are listed
+    "q_cap_huge_range": (
+        ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m",
+         "--e", "1..1000000000000"],
+        3, "q = 2^1000000000000 exceeds the cap 4096; rerun with --force",
+    ),
+    # C(301, 3) monomials of degree at most 298 = 3 (100 - 1) + 1
+    "monomial_cap": (
+        ["oracle", "monomial", "--exponents", "1,1,1", "--s", "1..100"],
+        3, "s = 100 in 3 variables walks 4499950 monomials, over the cap 100000; "
+           "rerun with --force",
+    ),
+    # C(31, 5): one s past the d = 5 frontier
+    "monomial_cap_d5": (
+        ["oracle", "monomial", "--exponents", "1,1,1,1,1", "--s", "6"], 3, "169911 monomials",
     ),
     "value_error": (
         ["oracle", "monomial", "--exponents", "1,1", "--s", "3..2"], 2, "empty range",
@@ -470,11 +511,43 @@ class TestExitCodes:
         )
         assert code == 0
 
-    def test_box_cap(self, capsys):
-        code, _, _ = run(
-            capsys, "oracle", "monomial", "--exponents", "300,300,300", "--s", "2"
-        )
+    def test_monomial_cap(self, capsys, monkeypatch):
+        # refused from the inputs alone, before the oracle walks anything
+        def walked(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "rees_colength_monomial", walked)
+        code, _, _ = run(capsys, "oracle", "monomial", "--exponents", "1,1,1", "--s", "1..100")
         assert code == 3
+
+    def test_monomial_cap_force_override(self, capsys, monkeypatch):
+        # inputs past the real cap are slow by design, so the cap is lowered:
+        # s = 2 in 3 variables walks C(7, 3) = 35 monomials
+        monkeypatch.setattr(cli, "MONOMIAL_CAP", 10)
+        argv = ["oracle", "monomial", "--exponents", "1,1,1", "--s", "2", "--format", "csv"]
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "35 monomials, over the cap 10" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and csv_rows(out)[0]["oracle"] == "23"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "cm-sop", "--exponents", "1,1,1", "--s", "2"],
+            ["fit", "ehk", "--exponents", "1,1,1", "--s", "2"],
+            ["example", "three-vars", "--n", "1,1,1", "--s", "2"],
+        ],
+        ids=["compare_cm_sop", "fit_ehk", "example_three_vars"],
+    )
+    def test_every_monomial_command_is_capped(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "MONOMIAL_CAP", 10)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.endswith("rerun with --force\n")
+
+    def test_parse_range_lists_nothing(self):
+        assert parse_range("2..5") == range(2, 6)
+        assert parse_range("3") == range(3, 4)
 
     def test_mismatch_report_exits_one(self):
         report = RunReport({"check": "unit"}, "compare")

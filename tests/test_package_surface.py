@@ -75,3 +75,13 @@ def test_every_name_has_a_caller_in_the_package():
 
 def test_allowlist_names_only_unused_definitions():
     assert sorted(name for name in _unused() if name in ALLOWED) == sorted(ALLOWED)
+
+
+def test_caps_are_decided_at_the_command_line():
+    # the library takes no cap knob: only cli.py refuses inputs as too costly
+    raised = {
+        module for module, tree in _modules().items() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "ResourceCapExceeded"
+    }
+    assert raised == {"cli.py"}

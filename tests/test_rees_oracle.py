@@ -112,14 +112,12 @@ class TestDim1Oracle:
         for e in range(3, 11):
             assert rees_colength_dim1(inst, [e])[e] == qp.value_at(e)
 
-    @pytest.mark.parametrize("cap", [None, 0])
-    def test_unit_ideal_has_colength_zero(self, cap):
-        # the hypersurface plug-in needs no unit-ideal guard, even under the tightest cap
-        colength, _, _ = _hypersurface(5, cap)
+    def test_unit_ideal_has_colength_zero(self):
+        # the hypersurface plug-in needs no unit-ideal guard
+        colength, _, _ = _hypersurface(5)
         assert colength(MonomialIdeal.unit(2)) == 0
         for d in (2, 3):
-            unit = MonomialIdeal.unit(d)
-            assert quotient_colength(BinomialRelation(d, 5), unit, box_cap=cap) == 0
+            assert quotient_colength(BinomialRelation(d, 5), MonomialIdeal.unit(d)) == 0
 
     def test_package_built_ideals_are_not_checked_again(self, monkeypatch):
         # tuples are checked where they enter; the rees-of-m loop and the alpha
@@ -143,9 +141,9 @@ class TestDim1Oracle:
         # with up to 257 generators
         measured = []
 
-        def spy(rel, ideal, box_cap=None):
+        def spy(rel, ideal):
             measured.append(len(ideal.gens))
-            return quotient_colength(rel, ideal, box_cap=box_cap)
+            return quotient_colength(rel, ideal)
 
         monkeypatch.setattr(rees_oracle, "quotient_colength", spy)
         rees_colength_dim1(ReesInstanceDim1(a, 2, "rees-of-m"), [8])[8]
@@ -162,7 +160,7 @@ class TestGradedLength:
             ReesInstanceMonomial((2, 1, 1, 1)).ideal(),
             lambda ideal: ideal.colength(), lambda a, b: a == b, lambda ideal: ideal, {3: 6, 2: 3},
         ),
-        "hypersurface": (_PLANE_MAXIMAL, *_hypersurface(7, None), {8: 5, 4: 3}),
+        "hypersurface": (_PLANE_MAXIMAL, *_hypersurface(7), {8: 5, 4: 3}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
