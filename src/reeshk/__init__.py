@@ -21,7 +21,6 @@ from .hk_formulas import (
 from .monomial_algebra import (
     InfiniteColength,
     MonomialIdeal,
-    ResourceCapExceeded,
     minimalize,
     parse_ideal,
 )
@@ -34,7 +33,6 @@ from .polynomials import Poly, interpolate
 from .rees_oracle import (
     InconsistentSamples,
     InsufficientSamples,
-    NonPolynomialSamples,
     OracleError,
     ReesInstanceDim1,
     ReesInstanceMonomial,

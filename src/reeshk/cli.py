@@ -30,7 +30,6 @@ from .binomial_groebner import BinomialRelation, initial_ideal
 from .combinatorics import binomial
 from .monomial_algebra import (
     InfiniteColength,
-    ResourceCapExceeded,
     format_ideal,
     parse_ideal,
 )
@@ -49,6 +48,11 @@ from .rees_oracle import (
 
 MONOMIAL_CAP = 10**5
 Q_CAP = 2**12
+
+
+class ResourceCapExceeded(Exception):
+    """A command's inputs ask for more work than its cap allows; `hk --force` lifts it."""
+
 
 # Known invariants of the maximal ideal of the Fermat quintic ring
 # k[[X,Y]]/(X^5-Y^5), p = +-2 mod 5.  Its multiplicity e0 is the exponent a = 5.
@@ -185,21 +189,27 @@ def _monomial_setup(
 ) -> tuple[ReesInstanceMonomial, range]:
     """The monomial instance and its s range, refused past the cap on its walk unless forced.
 
-    A sweep to s builds the powers I^0 .. I^n, n = d (s - 1) + 1, the first
-    power with I^[s] I^(n-s) = I^n; its time follows their generators, the
-    C(n + d, d) monomials of degree at most n.
+    Each s of a sweep builds its own products I^[s] I^n up to n = d (s - 1) + 1,
+    the first power with I^[s] I^(n-s) = I^n; their time follows their
+    generators, the C(n + d, d) monomials of degree at most n.  The cap
+    bounds the sum over the sweep.
     """
     inst = ReesInstanceMonomial(exponents)
     ss = parse_range(s_text)
     if not force:
-        s, d = ss[-1], inst.d
-        # 0 for s < 1, which the oracle refuses as invalid input
-        walk = binomial(d * (s - 1) + 1 + d, d)
-        if walk > MONOMIAL_CAP:
-            raise ResourceCapExceeded(
-                f"s = {s} in {d} variables walks {walk} monomials, over the cap "
-                f"{MONOMIAL_CAP}; rerun with --force"
-            )
+        d, top, walk = inst.d, ss[-1], 0
+        # from the largest s down, so a huge range is refused without being
+        # listed; s < 1 walks nothing and the oracle refuses it as invalid input
+        for s in reversed(ss):
+            if s < 1:
+                break
+            walk += binomial(d * (s - 1) + 1 + d, d)
+            if walk > MONOMIAL_CAP:
+                span = s if s == top else f"{s}..{top}"
+                raise ResourceCapExceeded(
+                    f"s = {span} in {d} variables walks {walk} monomials, over the cap "
+                    f"{MONOMIAL_CAP}; rerun with --force"
+                )
     return inst, ss
 
 
@@ -222,7 +232,7 @@ def _dim1_setup(
 
 def _residue_rows(report: RunReport, qp: QuasiPolynomialHK) -> RunReport:
     """One formula row per residue class of the quasi-polynomial."""
-    for residue, poly in enumerate(qp.format("q")):
+    for residue, poly in enumerate(qp.format()):
         report.add({"residue": residue}, formula=poly)
     return report
 
@@ -407,7 +417,7 @@ def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
         ("rees-of-x", inst_x, qp_x, ("5*q^2 - 4*q", "5*q^2 - 6*q")),
     )
     for check, _, qp, golden in legs:
-        for residue, poly in enumerate(qp.format("q")):
+        for residue, poly in enumerate(qp.format()):
             report.add(
                 {"check": f"{check}-poly", "residue": residue},
                 formula=poly,

@@ -8,7 +8,7 @@ multiplicity e0 = e_0(I):
 
 Both functions take d and e0 as plain integers, as `cm_sop_hk` does,
 and check them.  F is evaluated through the refined piecewise closed
-form, whose third branch starts at n = s(d-1)-d+1.  The original
+form, whose last branch starts at n = s(d-1)-d+1.  The original
 split, the middle-branch sum on the boundary window, the reduction
 numbers of powers and the large-s coefficients cross-check it from
 `tests/reference.py`.
@@ -35,11 +35,10 @@ def hilbert_H(d: int, e0: int, n: int) -> int:
 def hilbert_F(d: int, e0: int, s: int, n: int) -> int:
     """F(s, n) by the refined case split.
 
-        d * H(n)                                     1 <= n <= s
-        sum_{i=1}^{d-1} (-1)^(i+1) C(d,i) H(n-(i-1)s)    s+1 <= n <= s(d-1)-d
+        sum_{i=1}^{d-1} (-1)^(i+1) C(d,i) H(n-(i-1)s)    1 <= n <= s(d-1)-d
         H(n+s) - s^d * e0                            n >= s(d-1)-d+1
 
-    Terms H(m) with m <= 0 vanish, which makes the middle sum safe.
+    Terms H(m) with m <= 0 vanish, so for n <= s the sum is d * H(n).
     """
     if d < 2:
         raise ValueError("F(s, n) requires dimension d >= 2")
@@ -49,8 +48,6 @@ def hilbert_F(d: int, e0: int, s: int, n: int) -> int:
         raise ValueError("s must be positive")
     if n <= 0:
         return 0
-    if n <= s:
-        return d * hilbert_H(d, e0, n)
     if n <= s * (d - 1) - d:
         return sum(
             (-1) ** (i + 1) * binomial(d, i) * hilbert_H(d, e0, n - (i - 1) * s)

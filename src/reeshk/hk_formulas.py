@@ -7,7 +7,8 @@ Covers three regimes:
   length table of small powers and the periodic corrections alpha;
 * dimension 1, (J, It) with I a parameter ideal: q^2 e0(J) + q alpha_J(e);
 * dimension d >= 2, parameter ideal, (I, It): an exact piecewise
-  polynomial in s, with branches selected by comparing s to d.
+  polynomial in s, one alternating-sum display whose terms follow
+  the division d = k1 s + k2.
 
 A periodic correction alpha is a plain tuple of its values over one
 period, read at index e mod its length.
@@ -59,8 +60,8 @@ class QuasiPolynomialHK:
             raise ArithmeticError(f"non-integral length {value} at e={e}")
         return int(value)
 
-    def format(self, var: str = "q") -> list[str]:
-        return [p.format(var) for p in self.polys]
+    def format(self) -> list[str]:
+        return [p.format() for p in self.polys]
 
 
 @dataclass(frozen=True)
@@ -104,27 +105,21 @@ class Dim1Input:
 def dim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
     """Quasi-polynomial for the length of R(I)/(I, It)^[q], large e.
 
-    The constant part depends on how the reduction number r compares to
-    the postulation number rho:
+    The constant part, for the reduction number r and the postulation
+    number rho, is
 
-        rho + 1 <= r:  -e0 C(r,2) + e1 r + sum_{n<r} len(n)
-        r < rho + 1:   -e0 (r(r-1) - rho(rho+1)/2) + (2r-rho-1) e1 + beta
+        -e0 (r(r-1) - rho(rho+1)/2) + (2r-rho-1) e1 + beta
 
     with beta = sum_{n<r} len(n) - sum_{n=r}^{rho} len(n); each residue
     class additionally picks up 2 * sum_{n<r} alpha_n(e).
     """
     if inp.rho is None:
         raise ValueError("rho is required; use cordim1_hk to default it")
-    e0, e1, r, rho = inp.e0, inp.e1, inp.r, inp.rho
-    if rho + 1 <= r:
-        base = -e0 * binomial(r, 2) + e1 * r + sum(inp.lengths[:r])
-    else:
-        beta = sum(inp.lengths[:r]) - sum(inp.lengths[r : rho + 1])
-        base = (
-            -e0 * (r * (r - 1) - rho * (rho + 1) // 2)
-            + (2 * r - rho - 1) * e1
-            + beta
-        )
+    e0, e1, r = inp.e0, inp.e1, inp.r
+    # the paper's case rho + 1 <= r, -e0 C(r,2) + e1 r + sum_{n<r} len(n), is this at rho = r-1
+    rho = max(inp.rho, r - 1)
+    beta = sum(inp.lengths[:r]) - sum(inp.lengths[r : rho + 1])
+    base = -e0 * (r * (r - 1) - rho * (rho + 1) // 2) + (2 * r - rho - 1) * e1 + beta
     polys = []
     for residue in range(math.lcm(*map(len, inp.alpha))):
         const = base + 2 * sum(seq[residue % len(seq)] for seq in inp.alpha)
@@ -160,28 +155,17 @@ def _validate_cm_args(d: int, e0: int, s: int) -> None:
 
 
 def cm_sop_hk(d: int, e0: int, s: int) -> int:
-    """Length of R(I)/(I, It)^[s] for a parameter ideal, exact branch evaluation.
+    """Length of R(I)/(I, It)^[s] for a parameter ideal, exact at every s >= 1.
 
-    For s >= d:
-
-        e0 [ d s^(d+1)/2 - s^d (d-2)/2 + d C(s+d-1, d+1) ]
-
-    For s < d, write d = k1 s + k2 (0 <= k2 < s) and use the matching
-    alternating-sum display (off = 1 when k2 = 0, else 0):
+    Write d = k1 s + k2 (0 <= k2 < s) and let off = 1 when k2 = 0, else 0:
 
         e0 [ (d-k1+off) s^(d+1) + d C(s+d-1, d+1)
              - sum_{i=0}^{d-1} (-1)^i C(d,i) C((d-i-k1+off)s + d-1, d+1) ]
+
+    For s >= d this is the polynomial
+    e0 [ d s^(d+1)/2 - s^d (d-2)/2 + d C(s+d-1, d+1) ].
     """
     _validate_cm_args(d, e0, s)
-    if s >= d:
-        value = (
-            Fraction(d * s ** (d + 1), 2)
-            - Fraction(s**d * (d - 2), 2)
-            + d * binomial(s + d - 1, d + 1)
-        )
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integral length {value}")
-        return e0 * int(value)
     k1, k2 = divmod(d, s)
     off = 1 if k2 == 0 else 0
     total = (d - k1 + off) * s ** (d + 1) + d * binomial(s + d - 1, d + 1)

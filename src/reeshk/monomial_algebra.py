@@ -30,10 +30,6 @@ class InfiniteColength(Exception):
     """The quotient is not finite dimensional (no pure power of some variable)."""
 
 
-class ResourceCapExceeded(Exception):
-    """A command's inputs ask for more work than its cap allows; `hk --force` lifts it."""
-
-
 _SHAPE = "need one or more generators, all with the same positive number of exponents"
 
 

@@ -5,25 +5,25 @@ anywhere in this package.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
+@dataclass(frozen=True)
 class Poly:
     """Immutable polynomial, coefficients stored lowest degree first."""
 
-    __slots__ = ("coeffs",)
+    # given as any iterable of scalars; kept as Fractions without trailing zeros
+    coeffs: tuple[Fraction, ...] = ()
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
+    def __post_init__(self) -> None:
+        cs = [Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
 
     @property
     def degree(self) -> int:
@@ -58,19 +58,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Poly({list(self.coeffs)!r})"
-
-    def format(self, var: str = "x") -> str:
-        """Human-readable form, highest degree first, e.g. '5*q^2 - 10'."""
+    def format(self) -> str:
+        """Human-readable form in q, highest degree first, e.g. '5*q^2 - 10'."""
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -83,7 +72,7 @@ class Poly:
             if k == 0:
                 body = str(mag)
             else:
-                v = var if k == 1 else f"{var}^{k}"
+                v = "q" if k == 1 else f"q^{k}"
                 body = v if mag == 1 else f"{mag}*{v}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]

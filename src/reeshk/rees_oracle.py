@@ -47,15 +47,11 @@ class OracleError(Exception):
 
 
 class InconsistentSamples(OracleError):
-    """Held-out or older samples contradict the fitted quasi-polynomial."""
+    """A sample falls off the fit: a checked sample, or a residue class of another degree."""
 
 
 class InsufficientSamples(OracleError):
     """Not enough samples per residue class for the requested fit."""
-
-
-class NonPolynomialSamples(OracleError):
-    """A sweep does not extend to a single polynomial over its full range."""
 
 
 class StabilizationNotReached(OracleError):
@@ -166,7 +162,8 @@ def _check_sweep(values: Sequence[int], name: str) -> None:
     """Refuse an empty sweep and a value below 1."""
     if not values:
         raise ValueError(f"the sweep of {name} is empty")
-    if min(values) < 1:
+    # stops at the first bad value, so an ascending range is not listed
+    if any(v < 1 for v in values):
         raise ValueError(f"{name} must be positive")
 
 
@@ -233,6 +230,18 @@ def alpha_table(a: int, p: int, n_max: int, e_range: Sequence[int]) -> dict[int,
     return table
 
 
+def _fit(points: Sequence[tuple[int, int]], degree: int, holdout: int, where: str) -> Poly:
+    """Interpolate the newest degree + 1 points; the `holdout` points before them must agree.
+
+    The points are (x, y) in increasing x; `where` names x in the error.
+    """
+    poly = interpolate(points[-(degree + 1) :])
+    for x, y in points[-(degree + 1 + holdout) : -(degree + 1)]:
+        if poly(x) != y:
+            raise InconsistentSamples(f"{where}={x} does not match the fit")
+    return poly
+
+
 def fit_quasi_polynomial(
     values: Mapping[int, int], p: int, degree: int, period: int, holdout: int = 1
 ) -> QuasiPolynomialHK:
@@ -258,13 +267,8 @@ def fit_quasi_polynomial(
             raise InsufficientSamples(
                 f"residue class {c}: need {degree + 1 + holdout} samples, have {len(rows)}"
             )
-        poly = interpolate([(p**e, values[e]) for e in rows[-(degree + 1) :]])
-        for e in rows[-(degree + 1 + holdout) : -(degree + 1)]:
-            if poly(p**e) != values[e]:
-                raise InconsistentSamples(
-                    f"residue class {c}: held-out sample at e={e} does not match"
-                )
-        polys.append(poly)
+        points = [(p**e, values[e]) for e in rows]
+        polys.append(_fit(points, degree, holdout, f"residue class {c}: held-out sample at q"))
     # QuasiPolynomialHK holds one degree across residue classes
     top = max(poly.degree for poly in polys)
     if any(poly.degree != top for poly in polys):
@@ -292,8 +296,4 @@ def estimate_ehk(values: Mapping[int, int], d: int) -> Fraction:
     ss = [s for s, _ in points]
     if ss != list(range(ss[0], ss[0] + len(ss))):
         raise InsufficientSamples("values must cover consecutive s")
-    poly = interpolate(points[-(d + 2) :])
-    for s, v in points[: -(d + 2)]:
-        if poly(s) != v:
-            raise NonPolynomialSamples(f"value at s={s} falls off the fitted polynomial")
-    return poly.coefficient(d + 1)
+    return _fit(points, d + 1, len(points) - (d + 2), "sample at s").coefficient(d + 1)

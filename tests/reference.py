@@ -11,6 +11,7 @@ scale.  Two kinds live here:
 * the paper's side results that no `hk` command needs but the tests
   keep checking: Stirling numbers, the alternating-sum identity, the
   s >= d branch of the parameter-ideal closed form as a polynomial,
+  the constant of the dimension-1 case rho + 1 <= r,
   the original case split of F(s, n), the reduction numbers and
   large-s coefficients of powers, and ideal powers and containment.
 
@@ -69,6 +70,11 @@ def cm_sop_hk_polynomial(d, e0):
     """The s >= d branch e0 [d s^(d+1)/2 - s^d (d-2)/2 + d C(s+d-1, d+1)] as a polynomial in s."""
     top = Poly([0] * d + [Fraction(2 - d, 2), Fraction(d, 2)])
     return (top + binomial_poly_expand(d) * d) * e0
+
+
+def dim1_case_one_constant(inp):
+    """The paper's constant for rho + 1 <= r: -e0 C(r,2) + e1 r + sum_{n<r} len(n)."""
+    return -inp.e0 * binomial(inp.r, 2) + inp.e1 * inp.r + sum(inp.lengths[: inp.r])
 
 
 def middle_branch_sum(d, e0, s, n):

@@ -216,7 +216,7 @@ def test_criterion_8_quasi_polynomial_fitting():
     values_x = {e: rees_colength_dim1(inst_x, [e])[e] for e in range(2, 10)}
     qp_x = fit_quasi_polynomial(values_x, 2, 2, 2, holdout=1)
     if qp_x.polys[0] != Poly([0, -4, 5]) or qp_x.polys[1] != Poly([0, -6, 5]):
-        failures.append(("rees-of-x fit", qp_x.format("q")))
+        failures.append(("rees-of-x fit", qp_x.format()))
     if qp_x.valid_from_e != 2:
         failures.append(("rees-of-x threshold", qp_x.valid_from_e))
     # maximal-ideal Rees samples, e = 2..7
@@ -224,7 +224,7 @@ def test_criterion_8_quasi_polynomial_fitting():
     values_m = {e: rees_colength_dim1(inst_m, [e])[e] for e in range(2, 8)}
     qp_m = fit_quasi_polynomial(values_m, 2, 2, 2, holdout=0)
     if qp_m.polys[0] != Poly([0, 0, 5]) or qp_m.polys[1] != Poly([-10, 0, 5]):
-        failures.append(("rees-of-m fit", qp_m.format("q")))
+        failures.append(("rees-of-m fit", qp_m.format()))
     if qp_m.valid_from_e != 2:
         failures.append(("rees-of-m threshold", qp_m.valid_from_e))
     # corrupted samples must be refused

@@ -80,7 +80,7 @@ class TestFormula:
         assert code == 0
         inp = Dim1Input(e0=1, e1=-1, r=1, rho=1, lengths=(0, 1), alpha=((0, -1),), p=2)
         doc = json.loads(out)
-        assert [r["formula"] for r in doc["rows"]] == dim1_hk(inp).format("q")
+        assert [r["formula"] for r in doc["rows"]] == dim1_hk(inp).format()
         assert doc["instance"]["period"] == "2"
 
     def test_sop_dim1(self, capsys):
@@ -519,6 +519,40 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "rees_colength_monomial", walked)
         code, _, _ = run(capsys, "oracle", "monomial", "--exponents", "1,1,1", "--s", "1..100")
         assert code == 3
+
+    def test_monomial_cap_sums_the_sweep(self, capsys, monkeypatch):
+        # each s builds its own products: 223 alone walks C(447, 2) = 99681
+        # monomials, the sweep 1..223 walks 7467824; refused before the oracle runs
+        def walked(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "rees_colength_monomial", walked)
+        code, out, err = run(capsys, "compare", "cm-sop", "--exponents", "1,1", "--s", "1..223")
+        assert code == 3 and out == ""
+        assert "s = 222..223 in 2 variables walks 198471 monomials, over the cap 100000" in err
+
+    def test_huge_ranges_are_not_listed(self, capsys):
+        # neither range is listed: the first is refused at its largest s, the
+        # second walks only s = 1..3 and is refused at its first s
+        argv = ["oracle", "monomial", "--exponents", "1,1"]
+        code, _, err = run(capsys, *argv, "--s", "1..1000000000000")
+        assert code == 3 and "s = 1000000000000 in 2 variables" in err
+        code, _, err = run(capsys, *argv, "--s=-1000000000000..3")
+        assert code == 2 and "s must be positive" in err
+        code, _, err = run(
+            capsys, "oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m",
+            "--e=-1000000000000..3",
+        )
+        assert code == 2 and "e must be positive" in err
+
+    def test_monomial_cap_refuses_a_range_of_accepted_values(self, capsys, monkeypatch):
+        # s = 1 and s = 2 in 3 variables walk C(4, 3) = 4 and C(7, 3) = 35 monomials
+        monkeypatch.setattr(cli, "MONOMIAL_CAP", 35)
+        argv = ["oracle", "monomial", "--exponents", "1,1,1", "--format", "csv"]
+        for s in ("1", "2"):
+            assert run(capsys, *argv, "--s", s)[0] == 0
+        code, _, err = run(capsys, *argv, "--s", "1..2")
+        assert code == 3 and "s = 1..2 in 3 variables walks 39 monomials, over the cap 35" in err
 
     def test_monomial_cap_force_override(self, capsys, monkeypatch):
         # inputs past the real cap are slow by design, so the cap is lowered:

@@ -1,7 +1,10 @@
 """Closed-form evaluators: worked example, synthetic cases, branch laws."""
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reeshk.hk_formulas import (
     Dim1Input,
@@ -17,7 +20,7 @@ from reeshk.hk_formulas import (
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import ReesInstanceMonomial, rees_colength_monomial
 
-from reference import cm_sop_hk_polynomial
+from reference import cm_sop_hk_polynomial, dim1_case_one_constant
 
 
 def fermat_input(rho=None):
@@ -29,6 +32,24 @@ def fermat_input(rho=None):
         lengths=(0, 1, 3, 6),
         alpha=((-4, -6), (-3, -5), (-2, -3), (-1, -1)),
         p=2,
+    )
+
+
+@st.composite
+def case_one_inputs(draw):
+    """Valid invariants with rho <= r - 1, rho < r - 1 included."""
+    r = draw(st.integers(0, 6))
+    steps = draw(st.lists(st.integers(0, 5), min_size=max(r - 1, 0), max_size=max(r - 1, 0)))
+    return Dim1Input(
+        e0=draw(st.integers(1, 9)),
+        e1=draw(st.integers(-9, 9)),
+        r=r,
+        rho=draw(st.integers(-3, r - 1)),
+        lengths=tuple(accumulate([0, *steps])) if r else (),
+        alpha=tuple(
+            tuple(draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3))) for _ in range(r)
+        ),
+        p=draw(st.sampled_from([2, 3, 5])),
     )
 
 
@@ -103,6 +124,14 @@ class TestDim1:
         assert qp.period == 3
         for e in range(1, 10):
             assert qp.value_at(e) == direct_proof_sum(inp, e)
+
+    @given(case_one_inputs())
+    @example(fermat_input(rho=1))
+    def test_case_one_constant(self, inp):
+        # the paper's own case-one display, which dim1_hk does not evaluate
+        for residue, poly in enumerate(dim1_hk(inp).polys):
+            alpha_sum = sum(seq[residue % len(seq)] for seq in inp.alpha)
+            assert poly.coefficient(0) == dim1_case_one_constant(inp) + 2 * alpha_sum
 
     def test_degree_and_leading_coefficient(self):
         for inp in (fermat_input(rho=3), Dim1Input(2, 1, 1, 0, (0,), ((5,),), 7)):
@@ -223,9 +252,9 @@ class TestCmSop:
                     assert cm_sop_hk(d, e0, s) == e0 * unit
 
     def test_polynomial_matches_branch(self):
-        for d in range(2, 7):
+        for d in range(2, 9):
             poly = cm_sop_hk_polynomial(d, 2)
-            for s in range(d, 31):
+            for s in range(d, 41):
                 assert poly(s) == cm_sop_hk(d, 2, s)
 
     def test_polynomial_d3(self):

@@ -14,7 +14,6 @@ from reeshk.rees_oracle import (
     _PLANE_MAXIMAL,
     InconsistentSamples,
     InsufficientSamples,
-    NonPolynomialSamples,
     ReesInstanceDim1,
     ReesInstanceMonomial,
     StabilizationNotReached,
@@ -453,5 +452,5 @@ class TestEstimateEhk:
     def test_non_polynomial_rejected(self):
         values = {s: cm_sop_hk(2, 1, s) for s in range(2, 9)}
         values[2] += 1
-        with pytest.raises(NonPolynomialSamples):
+        with pytest.raises(InconsistentSamples):
             estimate_ehk(values, 2)
