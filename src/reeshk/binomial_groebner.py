@@ -15,29 +15,27 @@ exponent by a at each wrap.  No coefficient field is involved, so the
 result is independent of the characteristic.  `initial_ideal` gives
 quotient lengths (`quotient_colength`) and decides equality of two
 such ideals (`ideals_equal`), since both are fixed by their initial
-ideals.
+ideals.  In every dimension the normal forms are minimalised and the
+staircase walk counts them.
 
-The dimension selects the path.  In two variables, X = X_0 and
-Y = X_1, the initial ideal is fixed by its staircase heights
-h[0..a-1], where h[c] is the smallest Y exponent among the normal
-forms with X exponent at most c; one pass over the generators gives
-them, with no tuples and no sort.  The colength is sum(h) and equality
-compares heights.  The corners of the heights, `plane_corners`,
-generate the same ideal modulo the binomial with at most a monomials,
-so a caller that multiplies ideals of k[X, Y]/(X^a - Y^a) can keep
-each one at that size.  Otherwise, and for `initial_ideal` in any
-dimension, the normal forms are minimalised and the staircase walk
-counts them.
+In two variables, X = X_0 and Y = X_1, the initial ideal is also fixed
+by its staircase heights h[0..a-1], where h[c] is the smallest Y
+exponent among the normal forms with X exponent at most c.
+`plane_heights` reads them off raw (i, j) pairs in one pass, with no
+sort; the colength is sum(h).  The dimension-1 oracle keeps every ideal
+of k[X, Y]/(X^a - Y^a) as this tuple.
 
-`initial_ideal`, `quotient_colength`, `ideals_equal` and
-`plane_corners` take a `MonomialIdeal`, whose tuples were checked when
-`minimalize` or `parse_ideal` built it, and which is nonzero; they
-check only that the ideal has the relation's number of variables.
-`buchberger` takes plain exponent tuples and checks them through
-`minimalize` and then the same test.
+`initial_ideal`, `quotient_colength` and `ideals_equal` take a
+`MonomialIdeal`, whose tuples were checked when `minimalize` or
+`parse_ideal` built it, and which is nonzero; they check only that the
+ideal has the relation's number of variables.  `buchberger` takes
+plain exponent tuples and checks them through `minimalize` and then
+the same test.  `plane_heights` takes the package's own pairs and
+checks nothing.
 
 `initial_ideal` is the one production path, `hk oracle groebner`
-included.  `buchberger` is an independent S-pair completion of the same
+included.  `ideals_equal` is the tests' reference equality.
+`buchberger` is an independent S-pair completion of the same
 basis, kept as the tests' reference for the normal forms.  Under lex
 the S-polynomial of the binomial with a monomial is again a monomial,
 and reducing a monomial keeps it a monomial; the reduction looks for a
@@ -143,51 +141,29 @@ def _gens(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vector, ...]:
     return gens
 
 
-def _plane_heights(rel: BinomialRelation, ideal: MonomialIdeal) -> list[int]:
-    """Staircase heights h[0..a-1] of the initial ideal in two variables.
+def plane_heights(a: int, pairs: Sequence[Vector]) -> tuple[int, ...]:
+    """Staircase heights h[0..a-1] of (X^a - Y^a) + (X^i Y^j for each (i, j) in pairs).
 
     h[c] is the smallest Y exponent among the normal forms with X
     exponent at most c: the lowest per residue class, then a running
-    minimum.  Every generator has a normal form with X exponent 0 (its
-    own or its wrap), so the first one's wrap bounds h[0] and can stand
-    for "none yet" in every class.
+    minimum.  Every pair has a normal form with X exponent 0 (its own
+    or its wrap), so the first one's wrap bounds h[0] and can stand for
+    "none yet" in every class.  pairs must be nonempty.
     """
-    a = rel.exponent
-    gens = _gens(rel, ideal)
-    i, j = gens[0]
+    i, j = pairs[0]
     lowest = [j + i - i % a + a] * a
-    for i, j in gens:
+    for i, j in pairs:
         r = i % a
         y = j + i - r
         if y < lowest[r]:
             lowest[r] = y
         if r and y + a < lowest[0]:
             lowest[0] = y + a
-    return list(accumulate(lowest, min))
+    return tuple(accumulate(lowest, min))
 
 
-def plane_corners(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
-    """At most a monomials that generate the same ideal as `ideal` modulo the binomial.
-
-    The corners of the staircase heights: X^c Y^h[c] for c = 0 and for
-    each c with h[c] < h[c-1].  Each is the normal form of a multiple of
-    a generator, and each generator's normal form is a multiple of one
-    of them, so (binomial) + corners = (binomial) + ideal.  The X
-    exponents are below a and the Y exponents fall, so the corners are
-    minimal and sorted as they come.
-    """
-    if rel.ambient_dim != 2:
-        raise ValueError("staircase corners need a relation in two variables")
-    h = _plane_heights(rel, ideal)
-    corners = [(0, h[0])]
-    for c in range(1, rel.exponent):
-        if h[c] < corners[-1][1]:
-            corners.append((c, h[c]))
-    return MonomialIdeal(tuple(corners))
-
-
-def _initial_vectors(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vector, ...]:
-    """Sorted minimal generators of the initial ideal of (binomial) + ideal."""
+def initial_ideal(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
+    """Initial ideal of (binomial) + ideal from residue-class normal forms."""
     a = rel.exponent
     vectors = [rel.lead_exponents()]
     for i, j, *rest in _gens(rel, ideal):
@@ -196,30 +172,18 @@ def _initial_vectors(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vecto
         if r:
             # X_0^(a - r) g wraps to the next residue class: X_0^0, one more X_1^a
             vectors.append((0, j + i - r + a, *rest))
-    return _minimal_vectors(vectors)
-
-
-def initial_ideal(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
-    """Initial ideal of (binomial) + ideal from residue-class normal forms."""
-    return MonomialIdeal(_initial_vectors(rel, ideal))
+    return MonomialIdeal(_minimal_vectors(vectors))
 
 
 def quotient_colength(rel: BinomialRelation, ideal: MonomialIdeal) -> int:
-    """Length of the quotient by (binomial + monomials): colength of the initial ideal.
-
-    In two variables that is the sum of the staircase heights.
-    """
-    if rel.ambient_dim != 2:
-        return initial_ideal(rel, ideal).colength()
-    return sum(_plane_heights(rel, ideal))
+    """Length of the quotient by (binomial + monomials): colength of the initial ideal."""
+    return initial_ideal(rel, ideal).colength()
 
 
 def ideals_equal(rel: BinomialRelation, lhs: MonomialIdeal, rhs: MonomialIdeal) -> bool:
     """Whether (binomial) + lhs and (binomial) + rhs are the same ideal.
 
     Each ideal is the binomial plus the span of the standard monomials
-    in its initial ideal, so equal initial ideals mean equal ideals; in
-    two variables the staircase heights fix the initial ideal.
+    in its initial ideal, so equal initial ideals mean equal ideals.
     """
-    key = _plane_heights if rel.ambient_dim == 2 else _initial_vectors
-    return key(rel, lhs) == key(rel, rhs)
+    return initial_ideal(rel, lhs) == initial_ideal(rel, rhs)

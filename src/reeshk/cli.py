@@ -48,6 +48,9 @@ from .rees_oracle import (
 
 MONOMIAL_CAP = 10**5
 Q_CAP = 2**12
+# rows of a command that builds one row per s from a closed form;
+# 10^4 rows of `fit ehk --d 3 --e0 1` take about 0.3 s
+ROW_CAP = 10**4
 
 
 class ResourceCapExceeded(Exception):
@@ -213,6 +216,15 @@ def _monomial_setup(
     return inst, ss
 
 
+def _cap_rows(ss: range, force: bool) -> None:
+    """Refuse a range of s past the row cap unless forced; its width comes from its ends."""
+    rows = ss.stop - ss.start
+    if not force and rows > ROW_CAP:
+        raise ResourceCapExceeded(
+            f"{rows} values of s exceed the cap of {ROW_CAP} rows; rerun with --force"
+        )
+
+
 def _dim1_setup(
     a: int, p: int, variant: str, e_text: str, force: bool
 ) -> tuple[ReesInstanceDim1, range]:
@@ -238,8 +250,10 @@ def _residue_rows(report: RunReport, qp: QuasiPolynomialHK) -> RunReport:
 
 
 def cmd_formula_cm_sop(args: argparse.Namespace) -> RunReport:
+    ss = parse_range(args.s)
+    _cap_rows(ss, args.force)
     report = _report(args, "d", "e0")
-    for s in parse_range(args.s):
+    for s in ss:
         report.add({"s": s}, formula=cm_sop_hk(args.d, args.e0, s))
     return report
 
@@ -381,6 +395,7 @@ def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
             raise ValueError("fit ehk needs --exponents or both --d and --e0")
         d, e0 = args.d, args.e0
         ss = parse_range(args.s)
+        _cap_rows(ss, args.force)
         values = {s: cm_sop_hk(d, e0, s) for s in ss}
         source = "formula"
     estimate = estimate_ehk(values, d)
@@ -449,8 +464,9 @@ def cmd_example_three_vars(args: argparse.Namespace) -> RunReport:
 
 def cmd_example_xy_zn(args: argparse.Namespace) -> RunReport:
     ss = parse_range(args.s)
-    if min(ss) < 2:
+    if ss[0] < 2:  # parse_range is ascending: the smallest s, with no listing
         raise ValueError("the closed form holds for s >= 2")
+    _cap_rows(ss, args.force)
     report = _report(args, "e0")
     for s in ss:
         # e0 (4 s^3 - s) / 3; one of 2s - 1, 2s, 2s + 1 is divisible by 3

@@ -6,15 +6,11 @@ decomposition of the Rees algebra and detects where the sum stops by
 an explicit ideal-equality test rather than taking it from theory.  It
 takes a whole sweep of s or e at once: one chain of powers I^n serves
 every q of the sweep, so colength(I^n) is taken once per n, not once
-per n and q.  It works in a ring R given by three plug-ins: the colength
-of a monomial ideal in R, ideal equality in R, and a reduction that
-replaces an ideal by a smaller generating set of the same ideal of R.  The
-monomial oracle plugs in staircase counts, equality of monomial ideals
-and the identity in a polynomial ring.  The dimension-1 oracle plugs in
-Groebner initial ideals, their equality and their staircase corners in
-the hypersurface ring k[X, Y]/(X^a - Y^a): there every power of m
-keeps at most a generators, not n + 1, so a step of the sum costs O(a)
-and not O(q).
+per n and q.  It works in a `Ring`, whose ideals are canonical values,
+so that `==` is ideal equality.  The polynomial ring keeps a
+`MonomialIdeal`, its sorted minimal generators.  The hypersurface ring
+k[X, Y]/(X^a - Y^a) keeps the staircase heights of the initial ideal,
+a tuple of length a, so a step of the sum costs O(a) and not O(q).
 """
 from __future__ import annotations
 
@@ -22,22 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import prod
-from operator import eq
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .binomial_groebner import BinomialRelation, ideals_equal, plane_corners, quotient_colength
+from .binomial_groebner import BinomialRelation, plane_heights, quotient_colength
 from .combinatorics import _is_prime
 from .hk_formulas import QuasiPolynomialHK
 from .monomial_algebra import MonomialIdeal, minimalize
 from .polynomials import Poly, interpolate
 
-# the maximal ideal (x, y) of k[X, Y]
-_PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
-# the three plug-ins of _graded_lengths: colength, ideal equality and
-# reduction to a smaller generating set of the same ideal, in a ring R
-Colength = Callable[[MonomialIdeal], int]
-Equal = Callable[[MonomialIdeal, MonomialIdeal], bool]
-Reduce = Callable[[MonomialIdeal], MonomialIdeal]
 # the Rees quotients of ReesInstanceDim1, spelled as on the command line
 VARIANTS = ("rees-of-x", "rees-of-m")
 
@@ -111,36 +99,77 @@ class ReesInstanceDim1:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def _graded_lengths(
-    ideal: MonomialIdeal, caps: Mapping[int, int], colength: Colength, equal: Equal, reduce: Reduce
-) -> dict[int, int]:
+class Ring(NamedTuple):
+    """A ring whose ideals are hashable canonical values: equal ideals are equal values."""
+
+    unit: Hashable
+    frobenius: Callable[[Hashable, int], Hashable]  # I, q -> I^[q]
+    product: Callable[[Hashable, Hashable], Hashable]
+    colength: Callable[[Hashable], int]
+
+
+def _polynomial_ring(d: int) -> Ring:
+    """k[x_1, ..., x_d] on `MonomialIdeal` values; each method is looked up when called."""
+    return Ring(
+        MonomialIdeal.unit(d),
+        lambda ideal, q: ideal.frobenius(q),
+        lambda i, j: i.product(j),
+        lambda ideal: ideal.colength(),
+    )
+
+
+def _plane_ring(a: int) -> Ring:
+    """k[X, Y]/(X^a - Y^a) on the staircase heights h[0..a-1] of the initial ideal.
+
+    The corners X^c Y^h[c], for each c with h[c] below its left
+    neighbour (h[0] + 1 stands left of h[0]), generate the ideal modulo
+    the binomial, so a product is the heights of the pairwise sums of two
+    corner lists and a bracket power the heights of the scaled corners.
+    The colength is sum(h).
+    """
+
+    def corners(h: tuple[int, ...]) -> list[tuple[int, int]]:
+        return [(c, y) for c, y, left in zip(range(a), h, (h[0] + 1, *h)) if y < left]
+
+    def product(h: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
+        right = corners(k)
+        return plane_heights(a, [(c + d, y + z) for c, y in corners(h) for d, z in right])
+
+    return Ring(
+        (0,) * a,
+        lambda h, q: plane_heights(a, [(q * c, q * y) for c, y in corners(h)]),
+        product,
+        sum,
+    )
+
+
+def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dict[int, int]:
     """Length of R(I)/(I, It)^[q] for every q in caps, summed over the graded pieces in a ring R.
 
     For each q, sums colength(I^[q] I^n) - colength(I^n) for n < q, then
     colength(I^[q] I^t) - colength(I^(q+t)) for t = 0, 1, ... until
-    equal(I^[q] I^t, I^(q+t)).  The equality is tested, not assumed; a
-    piece past t = caps[q] that still differs raises.  One chain of
-    powers I^n, advanced by one reduced product per step, serves every
-    q, so colength(I^n) is taken at most once per n, and only when some
-    q needs it.  Each q keeps its reduced I^[q], the colengths of
-    I^[q] I^n for n < q (which its tail reuses for t < q), its own I^t
-    and a running total.  Reducing is sound because
-    (B + A) I + B = B + A I for the ideal B that defines R.
+    I^[q] I^t == I^(q+t).  The equality is tested, not assumed; a piece
+    past t = caps[q] that still differs raises.  One chain of powers
+    I^n, advanced by one product per step, serves every q, so
+    colength(I^n) is taken at most once per n, and only when some q
+    needs it.  Each q keeps its I^[q], the colengths of I^[q] I^n for
+    n < q (which its tail reuses for t < q), its own I^t and a running
+    total.
     """
-    power = MonomialIdeal.unit(ideal.ambient_dim)  # I^n
+    power = ring.unit  # I^n
     # per open q: I^[q], its head, I^t and the total; the head is sized once,
     # since growing it between colength walks fragmented the heap and raised peak RSS
-    open_qs = {q: (reduce(ideal.frobenius(q)), [0] * q, power, 0) for q in caps}
+    open_qs = {q: (ring.frobenius(ideal, q), [0] * q, power, 0) for q in caps}
     lengths = dict.fromkeys(caps, 0)  # in the order of caps
     for n in count():
         base = None  # colength(I^n), taken at most once
         for q, (frob, head, shifted, total) in list(open_qs.items()):
             t = n - q
             if t < 0:
-                length = head[n] = colength(frob.product(power))
+                length = head[n] = ring.colength(ring.product(frob, power))
             else:
-                piece = frob.product(shifted)
-                if equal(piece, power):
+                piece = ring.product(frob, shifted)
+                if piece == power:
                     lengths[q] = total
                     del open_qs[q]
                     continue
@@ -148,14 +177,14 @@ def _graded_lengths(
                     raise StabilizationNotReached(
                         f"I^[q] I^t != I^(q+t) for all t <= {caps[q]} at q={q}"
                     )
-                length = head[t] if t < q else colength(piece)
-                shifted = reduce(shifted.product(ideal))
+                length = head[t] if t < q else ring.colength(piece)
+                shifted = ring.product(shifted, ideal)
             if base is None:
-                base = colength(power)
+                base = ring.colength(power)
             open_qs[q] = (frob, head, shifted, total + length - base)
         if not open_qs:
             return lengths
-        power = reduce(power.product(ideal))
+        power = ring.product(power, ideal)
 
 
 def _check_sweep(values: Sequence[int], name: str) -> None:
@@ -174,22 +203,7 @@ def rees_colength_monomial(inst: ReesInstanceMonomial, ss: Sequence[int]) -> dic
     """
     _check_sweep(ss, "s")
     return _graded_lengths(
-        inst.ideal(), {s: (inst.d - 1) * s for s in ss},
-        MonomialIdeal.colength, eq, lambda ideal: ideal,
-    )
-
-
-def _hypersurface(a: int) -> tuple[Colength, Equal, Reduce]:
-    """Colength, ideal equality and reduction in k[X, Y]/(X^a - Y^a).
-
-    Each takes monomial ideals of k[X, Y]; the reduction keeps the
-    staircase corners, at most a generators.
-    """
-    rel = BinomialRelation(2, a)
-    return (
-        lambda ideal: quotient_colength(rel, ideal),
-        lambda lhs, rhs: ideals_equal(rel, lhs, rhs),
-        lambda ideal: plane_corners(rel, ideal),
+        _polynomial_ring(inst.d), inst.ideal(), {s: (inst.d - 1) * s for s in ss}
     )
 
 
@@ -201,8 +215,8 @@ def rees_colength_dim1(inst: ReesInstanceDim1, es: Sequence[int]) -> dict[int, i
         rel = BinomialRelation(3, inst.a)
         cubes = {e: minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]) for e, q in qs.items()}
         return {e: quotient_colength(rel, cube) for e, cube in cubes.items()}
-    caps = dict.fromkeys(qs.values(), 2 * inst.a)
-    lengths = _graded_lengths(_PLANE_MAXIMAL, caps, *_hypersurface(inst.a))
+    maximal = (1,) + (0,) * (inst.a - 1)  # the heights of (X, Y)
+    lengths = _graded_lengths(_plane_ring(inst.a), maximal, dict.fromkeys(qs.values(), 2 * inst.a))
     return {e: lengths[q] for e, q in qs.items()}
 
 
@@ -210,23 +224,27 @@ def alpha_table(a: int, p: int, n_max: int, e_range: Sequence[int]) -> dict[int,
     """Periodic corrections alpha(m^n, e) = len(m^n / m^[q] m^n) - a*q.
 
     Computed entirely from hypersurface quotient lengths, with m^n and
-    m^[q] kept as their staircase corners; the multiplicity of the
+    m^[q] kept as their staircase heights; the multiplicity of the
     maximal ideal of k[[X, Y]]/(X^a - Y^a) is a.
     """
+    if a < 2:
+        raise ValueError("hypersurface exponent must be at least 2")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if not e_range:
         raise ValueError("e_range must be nonempty")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    colength, _, reduce = _hypersurface(a)
-    frobs = {e: reduce(_PLANE_MAXIMAL.frobenius(p**e)) for e in e_range}
+    ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)
+    frobs = {e: ring.frobenius(maximal, p**e) for e in e_range}
     table: dict[int, dict[int, int]] = {}
-    power = MonomialIdeal.unit(2)  # m^n
+    power = ring.unit  # m^n
     for n in range(n_max + 1):
-        base = colength(power)
-        table[n] = {e: colength(f.product(power)) - base - a * p**e for e, f in frobs.items()}
-        power = reduce(power.product(_PLANE_MAXIMAL))
+        base = ring.colength(power)
+        table[n] = {
+            e: ring.colength(ring.product(f, power)) - base - a * p**e for e, f in frobs.items()
+        }
+        power = ring.product(power, maximal)
     return table
 
 

@@ -5,9 +5,10 @@ scale.  Two kinds live here:
 
 * independent versions of package kernels: inclusion-exclusion
   colength, the primary box from each generator's support, pairwise
-  minimalisation, a fixed-window graded sum, and
-  normal forms, membership and the S-pair check on a completed
-  Groebner basis, reducing in the binomial-first order;
+  minimalisation, a fixed-window graded sum, the staircase heights
+  of a plane initial ideal, and normal forms, membership and the
+  S-pair check on a completed Groebner basis, reducing in the
+  binomial-first order;
 * the paper's side results that no `hk` command needs but the tests
   keep checking: Stirling numbers, the alternating-sum identity, the
   s >= d branch of the parameter-ideal closed form as a polynomial,
@@ -234,6 +235,11 @@ def spairs_reduce_to_zero(gb):
     return all(
         contains_monomial(gb, (max(a, m[0]) - a, m[1] + a, *m[2:])) for m in gb.monomials
     )
+
+
+def staircase_heights(initial, a):
+    """h[c] = the smallest Y exponent among the generators with X exponent at most c, c < a."""
+    return tuple(min(j for i, j in initial.gens if i <= c) for c in range(a))
 
 
 def basis_initial_ideal(gb):

@@ -9,7 +9,7 @@ from reeshk.binomial_groebner import (
     buchberger,
     ideals_equal,
     initial_ideal,
-    plane_corners,
+    plane_heights,
     quotient_colength,
 )
 from reeshk.monomial_algebra import MonomialIdeal, minimalize, parse_ideal
@@ -20,6 +20,7 @@ from reference import (
     normal_form,
     power,
     spairs_reduce_to_zero,
+    staircase_heights,
 )
 
 
@@ -190,25 +191,26 @@ class TestIdealsEqual:
         assert ideals_equal(rel, minimalize([(3, 0), (0, 5)]), minimalize([(0, 3)]))
 
 
-class TestPlaneCorners:
+class TestPlaneHeights:
     @pytest.mark.parametrize(
-        "a,gens,corners",
+        "a,pairs,heights",
         [
             # m^[8] modulo X^5 - Y^5: X^8 = X^3 Y^5
-            (5, [(8, 0), (0, 8)], [(0, 8), (3, 5)]),
+            (5, [(8, 0), (0, 8)], (8, 8, 8, 5, 5)),
             # m^4 modulo X^3 - Y^3: X^4 = X Y^3 and X^3 Y = Y^4
-            (3, [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)], [(0, 4), (1, 3), (2, 2)]),
+            (3, [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)], (4, 3, 2)),
             # the unit ideal, and a single X power whose wrap is the only Y power
-            (4, [(0, 0)], [(0, 0)]),
-            (4, [(7, 0)], [(0, 8), (3, 4)]),
+            (4, [(0, 0)], (0, 0, 0, 0)),
+            (4, [(7, 0)], (8, 8, 8, 4)),
+            # raw pairs: repeated and divisible ones change nothing
+            (5, [(8, 0), (9, 1), (0, 8), (8, 0), (0, 9)], (8, 8, 8, 5, 5)),
         ],
     )
-    def test_worked_values(self, a, gens, corners):
-        rel = BinomialRelation(2, a)
-        ideal = minimalize(gens)
-        reduced = plane_corners(rel, ideal)
-        assert reduced == MonomialIdeal(tuple(corners))
-        assert ideals_equal(rel, reduced, ideal)
+    def test_worked_values(self, a, pairs, heights):
+        assert plane_heights(a, pairs) == heights
+        initial = basis_initial_ideal(buchberger(BinomialRelation(2, a), pairs))
+        assert staircase_heights(initial, a) == heights
+        assert sum(heights) == quotient_colength(BinomialRelation(2, a), minimalize(pairs))
 
 
 class TestBoundaryValidation:
@@ -233,7 +235,7 @@ class TestBoundaryValidation:
         "str": [("8", 0, 0), (0, 8, 0), (0, 0, 8)],
         "none": [(None, 0, 0), (0, 8, 0), (0, 0, 8)],
     }
-    # the same cases in two variables, where the staircase heights path runs
+    # the same cases in two variables
     PLANE_BAD_GENERATORS = {
         "empty": [],
         "wrong_length": [(8,), (0, 8)],
@@ -303,7 +305,6 @@ class TestBoundaryValidation:
             lambda: initial_ideal(REL_PLANE, minimalize(gens)),
             lambda: ideals_equal(REL_PLANE, minimalize(gens), good),
             lambda: ideals_equal(REL_PLANE, good, minimalize(gens)),
-            lambda: plane_corners(REL_PLANE, minimalize(gens)),
         ):
             with pytest.raises(ValueError):
                 call()
@@ -325,14 +326,9 @@ class TestBoundaryValidation:
             lambda: quotient_colength(rel, bad),
             lambda: ideals_equal(rel, bad, good),
             lambda: ideals_equal(rel, good, bad),
-            *([lambda: plane_corners(rel, bad)] if d == 2 else []),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
-
-    def test_plane_corners_need_two_variables(self):
-        with pytest.raises(ValueError, match="two variables"):
-            plane_corners(REL5, minimalize(self.GOOD))
 
     @pytest.mark.parametrize(
         "gens,box",

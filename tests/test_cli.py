@@ -285,6 +285,12 @@ class TestExamples:
         code, _, _ = run(capsys, "example", "xy-zn", "--e0", "2", "--s", "1..3")
         assert code == 2
 
+    def test_xy_zn_huge_bad_range_is_not_listed(self, capsys):
+        # refused at the range's first s, before the row cap looks at its width
+        code, out, err = run(capsys, "example", "xy-zn", "--e0", "2", "--s=-1000000000000..1")
+        assert code == 2 and out == ""
+        assert "s >= 2" in err
+
 
 class TestFormats:
     def test_csv_json_agree(self, capsys):
@@ -578,6 +584,31 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.endswith("rerun with --force\n")
+
+    ROW_COMMANDS = {
+        "formula_cm_sop": ["formula", "cm-sop", "--d", "3", "--e0", "1"],
+        "fit_ehk": ["fit", "ehk", "--d", "3", "--e0", "1"],
+        "example_xy_zn": ["example", "xy-zn", "--e0", "2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ROW_COMMANDS))
+    def test_row_cap(self, capsys, command):
+        # refused from the range's ends, before any row is built; from s = 2,
+        # since example xy-zn refuses s = 1 as invalid input first
+        code, out, err = run(capsys, *self.ROW_COMMANDS[command], "--s", "2..1000000000001")
+        assert code == 3 and out == ""
+        assert "1000000000000 values of s exceed the cap of 10000 rows; rerun with --force" in err
+        # wider than a C ssize_t, which len() of the range could not report
+        assert run(capsys, *self.ROW_COMMANDS[command], "--s", f"2..{10**30}")[0] == 3
+
+    @pytest.mark.parametrize("command", sorted(ROW_COMMANDS))
+    def test_row_cap_force_override(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "ROW_CAP", 6)
+        argv = [*self.ROW_COMMANDS[command], "--s", "3..9", "--format", "csv"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "7 values of s exceed the cap of 6 rows" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and len(csv_rows(out)) >= 7
 
     def test_parse_range_lists_nothing(self):
         assert parse_range("2..5") == range(2, 6)

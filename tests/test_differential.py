@@ -1,9 +1,9 @@
 """Property-based differential tests of the fast paths against their references.
 
 The residue-class initial ideal behind quotient_colength and
-ideals_equal, and in two variables its staircase heights and their
-corners, are compared with the initial ideal of an independent
-Buchberger completion;
+ideals_equal, and the staircase heights, products, bracket powers and
+colengths of the plane hypersurface ring, are compared with the
+initial ideal of an independent Buchberger completion;
 MonomialIdeal.product and frobenius with minimalize over the summed or
 scaled exponent tuples; the bitset and two-column running-minimum
 minimalisation with a pairwise scan; the primary box with one built
@@ -25,7 +25,7 @@ from reeshk.binomial_groebner import (
     buchberger,
     ideals_equal,
     initial_ideal,
-    plane_corners,
+    plane_heights,
     quotient_colength,
 )
 from reeshk.hk_formulas import cm_sop_hk
@@ -37,7 +37,7 @@ from reeshk.monomial_algebra import (
     minimalize,
     parse_ideal,
 )
-from reeshk.rees_oracle import ReesInstanceMonomial, rees_colength_monomial
+from reeshk.rees_oracle import ReesInstanceMonomial, _plane_ring, rees_colength_monomial
 
 from reference import (
     basis_initial_ideal,
@@ -46,6 +46,7 @@ from reference import (
     minimal_vectors_reference,
     power,
     primary_box_reference,
+    staircase_heights,
 )
 
 
@@ -182,35 +183,28 @@ def plane_pairs(draw):
     return rel, gens_j, draw(generators(2, draw(st.booleans())))
 
 
-class TestPlaneCorners:
-    """Staircase corners keep the ideal of k[X, Y]/(X^a - Y^a), and so do their products."""
+class TestPlaneRing:
+    """The height ring of k[X, Y]/(X^a - Y^a) against the independent completion."""
 
     @settings(max_examples=200)
-    @given(plane_pairs())
-    @example((BinomialRelation(2, 5), [(7, 3)], [(0, 40)]))
-    @example((BinomialRelation(2, 9), [(1, 40), (13, 2), (30, 0)], [(40, 40)]))
-    def test_same_ideal_with_at_most_a_generators(self, case):
+    @given(plane_pairs(), st.integers(1, 9))
+    @example((BinomialRelation(2, 5), [(7, 3)], [(0, 40)]), 8)
+    @example((BinomialRelation(2, 9), [(1, 40), (13, 2), (30, 0)], [(40, 40)]), 1)
+    def test_matches_buchberger(self, case, q):
         rel, gens_j, gens_k = case
-        j, k = ideal_of(rel, gens_j), ideal_of(rel, gens_k)
-        corners_j, corners_k = plane_corners(rel, j), plane_corners(rel, k)
-        # built without minimalize, so check that they are minimal and sorted
-        assert corners_j == minimalize(corners_j.gens)
-        assert len(corners_j.gens) <= rel.exponent
-        assert all(x < rel.exponent for x, _ in corners_j.gens)
-        assert ideals_equal(rel, j, corners_j)
-        assert quotient_colength(rel, corners_j) == quotient_colength(rel, j)
-        product = corners_j.product(corners_k)
-        assert ideals_equal(rel, product, j.product(k))
-        # the same facts against the independent completion
-        assert (
-            basis_initial_ideal(buchberger(rel, corners_j.gens))
-            == basis_initial_ideal(buchberger(rel, gens_j))
-        )
-        assert reference_colength(rel, corners_j.gens) == reference_colength(rel, gens_j)
+        a = rel.exponent
+        ring = _plane_ring(a)
+
+        def completed(gens):
+            return staircase_heights(basis_initial_ideal(buchberger(rel, gens)), a)
+
+        j, k = plane_heights(a, gens_j), plane_heights(a, gens_k)
+        assert j == completed(gens_j)
         sums = [tuple(map(add, x, y)) for x in gens_j for y in gens_k]
-        assert basis_initial_ideal(buchberger(rel, product.gens)) == basis_initial_ideal(
-            buchberger(rel, sums)
-        )
+        assert ring.product(j, k) == completed(sums)
+        assert ring.frobenius(j, q) == completed([(q * x, q * y) for x, y in gens_j])
+        assert ring.colength(j) == quotient_colength(rel, minimalize(gens_j))
+        assert ring.colength(j) == reference_colength(rel, gens_j)
 
 
 def monomial_ideals(d):

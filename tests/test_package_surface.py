@@ -18,6 +18,7 @@ ALLOWED = {
     # Buchberger completion, so it stays in the package, a bare completion whose
     # normal forms, membership and S-pair check live in tests/reference.py
     "buchberger": "named in perfbench LAYERS; the tests' reference completion",
+    "ideals_equal": "named in perfbench LAYERS; the tests' reference equality",
 }
 
 

@@ -6,19 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reeshk import binomial_groebner, monomial_algebra, rees_oracle
-from reeshk.binomial_groebner import BinomialRelation, quotient_colength
+from reeshk.binomial_groebner import BinomialRelation, plane_heights, quotient_colength
 from reeshk.hk_formulas import cm_sop_hk, sop_dim1_hk
-from reeshk.monomial_algebra import MonomialIdeal
+from reeshk.monomial_algebra import MonomialIdeal, minimalize
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
-    _PLANE_MAXIMAL,
     InconsistentSamples,
     InsufficientSamples,
     ReesInstanceDim1,
     ReesInstanceMonomial,
     StabilizationNotReached,
     _graded_lengths,
-    _hypersurface,
+    _plane_ring,
+    _polynomial_ring,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
@@ -27,6 +27,9 @@ from reeshk.rees_oracle import (
 )
 
 from reference import graded_length_by_window, power
+
+# the maximal ideal (X, Y) of k[X, Y], kept as its generators
+PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
 
 
 class TestInstances:
@@ -112,9 +115,10 @@ class TestDim1Oracle:
             assert rees_colength_dim1(inst, [e])[e] == qp.value_at(e)
 
     def test_unit_ideal_has_colength_zero(self):
-        # the hypersurface plug-in needs no unit-ideal guard
-        colength, _, _ = _hypersurface(5)
-        assert colength(MonomialIdeal.unit(2)) == 0
+        # the hypersurface ring needs no unit-ideal guard
+        ring = _plane_ring(5)
+        assert plane_heights(5, [(0, 0)]) == ring.unit
+        assert ring.colength(ring.unit) == 0
         for d in (2, 3):
             assert quotient_colength(BinomialRelation(d, 5), MonomialIdeal.unit(d)) == 0
 
@@ -135,16 +139,15 @@ class TestDim1Oracle:
 
     @pytest.mark.parametrize("a", [3, 5])
     def test_measured_ideals_stay_small(self, a, monkeypatch):
-        # m^n kept as at most a staircase corners, times the two corners of
-        # m^[q]: without the reduction the loop at q = 256 measures ideals
-        # with up to 257 generators
+        # every product multiplies at most a staircase corners by the two of
+        # m or m^[q]: m^n itself has n + 1 generators, up to 257 at q = 256
         measured = []
 
-        def spy(rel, ideal):
-            measured.append(len(ideal.gens))
-            return quotient_colength(rel, ideal)
+        def spy(exponent, pairs):
+            measured.append(len(pairs))
+            return plane_heights(exponent, pairs)
 
-        monkeypatch.setattr(rees_oracle, "quotient_colength", spy)
+        monkeypatch.setattr(rees_oracle, "plane_heights", spy)
         rees_colength_dim1(ReesInstanceDim1(a, 2, "rees-of-m"), [8])[8]
         assert len(measured) >= 2 * 256
         assert max(measured) <= 2 * a
@@ -153,26 +156,23 @@ class TestDim1Oracle:
 class TestGradedLength:
     """The shared graded sum: its tail cap, its stop rule, and a fixed-window reference."""
 
-    # (ideal, colength, equal, reduce, {q: first tail index t with I^[q] I^t = I^(q+t)})
+    # (ring, ideal, {q: first tail index t with I^[q] I^t = I^(q+t)})
     CASES = {
-        "monomial": (
-            ReesInstanceMonomial((2, 1, 1, 1)).ideal(),
-            lambda ideal: ideal.colength(), lambda a, b: a == b, lambda ideal: ideal, {3: 6, 2: 3},
-        ),
-        "hypersurface": (_PLANE_MAXIMAL, *_hypersurface(7), {8: 5, 4: 3}),
+        "monomial": (_polynomial_ring(4), ReesInstanceMonomial((2, 1, 1, 1)).ideal(), {3: 6, 2: 3}),
+        "hypersurface": (_plane_ring(7), (1, 0, 0, 0, 0, 0, 0), {8: 5, 4: 3}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_cap_below_truncation_raises(self, case):
-        ideal, *ring, first = self.CASES[case]
-        full = _graded_lengths(ideal, {q: t + 10 for q, t in first.items()}, *ring)
+        ring, ideal, first = self.CASES[case]
+        full = _graded_lengths(ring, ideal, {q: t + 10 for q, t in first.items()})
         for q, t in first.items():
             # a piece past the cap that still differs raises, so cap t - 2 fails and
             # t - 1 holds; the other q of the sweep has room past its own t
             roomy = {other: first[other] + 10 for other in first if other != q}
             with pytest.raises(StabilizationNotReached, match=f"t <= {t - 2} at q={q}$"):
-                _graded_lengths(ideal, {q: t - 2, **roomy}, *ring)
-            assert _graded_lengths(ideal, {q: t - 1, **roomy}, *ring) == full
+                _graded_lengths(ring, ideal, {q: t - 2, **roomy})
+            assert _graded_lengths(ring, ideal, {q: t - 1, **roomy}) == full
 
     @pytest.mark.parametrize("exps", [(1, 1), (2, 3), (1, 1, 1), (1, 2, 2)])
     def test_monomial_matches_fixed_window(self, exps):
@@ -190,7 +190,7 @@ class TestGradedLength:
             inst = ReesInstanceDim1(a, p, "rees-of-m")
             for e in range(1, e_max + 1):
                 expected = graded_length_by_window(
-                    _PLANE_MAXIMAL, p**e, lambda ideal: quotient_colength(rel, ideal), 2 * a + 2
+                    PLANE_MAXIMAL, p**e, lambda ideal: quotient_colength(rel, ideal), 2 * a + 2
                 )
                 assert rees_colength_dim1(inst, [e])[e] == expected, (p, e)
 
@@ -284,11 +284,16 @@ class TestAlphaTable:
         e_range = range(1, {2: 7, 3: 5}[p])
         table = alpha_table(a, p, 2 * a, e_range)
         for n, row in table.items():
-            base = quotient_colength(rel, power(_PLANE_MAXIMAL, n))
+            base = quotient_colength(rel, power(PLANE_MAXIMAL, n))
             for e in e_range:
-                frob = _PLANE_MAXIMAL.frobenius(p**e)
-                piece = quotient_colength(rel, frob.product(power(_PLANE_MAXIMAL, n)))
+                frob = PLANE_MAXIMAL.frobenius(p**e)
+                piece = quotient_colength(rel, frob.product(power(PLANE_MAXIMAL, n)))
                 assert row[e] == piece - base - a * p**e, (n, e)
+
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_exponent_below_two_refused(self, a):
+        with pytest.raises(ValueError, match="^hypersurface exponent must be at least 2$"):
+            alpha_table(a, 2, 1, range(2, 4))
 
     def test_validation(self):
         with pytest.raises(ValueError):
