@@ -25,7 +25,6 @@ from .monomial_algebra import (
     parse_ideal,
 )
 from .binomial_groebner import (
-    BinomialRelation,
     ideals_equal,
     quotient_colength,
 )

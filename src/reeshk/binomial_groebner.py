@@ -25,13 +25,14 @@ exponent among the normal forms with X exponent at most c.
 sort; the colength is sum(h).  The dimension-1 oracle keeps every ideal
 of k[X, Y]/(X^a - Y^a) as this tuple.
 
-`initial_ideal`, `quotient_colength` and `ideals_equal` take a
-`MonomialIdeal`, whose tuples were checked when `minimalize` or
-`parse_ideal` built it, and which is nonzero; they check only that the
-ideal has the relation's number of variables.  `buchberger` takes
-plain exponent tuples and checks them through `minimalize` and then
-the same test.  `plane_heights` takes the package's own pairs and
-checks nothing.
+Every entry point takes the exponent a first and reads the number of
+variables from the ideal's tuples.  `initial_ideal`, `quotient_colength`
+and `ideals_equal` take a `MonomialIdeal`, whose tuples were checked
+when `minimalize` or `parse_ideal` built it, and which is nonzero; they
+check only that a >= 2 and that the ideal has at least two variables.
+`buchberger` takes plain exponent tuples and checks them through
+`minimalize` and then the same test.  `plane_heights` takes the
+package's own pairs and checks nothing.
 
 `initial_ideal` is the one production path, `hk oracle groebner`
 included.  `ideals_equal` is the tests' reference equality.
@@ -58,50 +59,28 @@ from .monomial_algebra import (
 
 
 @dataclass(frozen=True)
-class BinomialRelation:
-    """The relation X_0^a - X_1^a inside a polynomial ring of given dimension.
-
-    Under lex with X_0 greatest its leading term is X_0^a.
-    """
-
-    ambient_dim: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 2:
-            raise ValueError("the relation needs at least two variables")
-        if self.exponent < 2:
-            raise ValueError("hypersurface exponent must be at least 2")
-
-    def lead_exponents(self) -> tuple[int, ...]:
-        return (self.exponent,) + (0,) * (self.ambient_dim - 1)
-
-
-@dataclass(frozen=True)
 class GroebnerBasisBM:
-    """Completed basis: the binomial plus a minimal set of monomials."""
+    """Completed basis: the binomial X_0^a - X_1^a plus a minimal set of monomials."""
 
-    relation: BinomialRelation
+    a: int
     monomials: tuple[Vector, ...]
 
 
-def _binomial_spair(m: Vector, rel: BinomialRelation) -> Vector:
+def _binomial_spair(m: Vector, a: int) -> Vector:
     """S-polynomial of the binomial with a monomial: a single monomial.
 
     lcm(X_0^a, m) with the X_0^a block swapped for X_1^a; the
     coefficient is -1 and plays no role.
     """
-    a = rel.exponent
     return (max(a, m[0]) - a, m[1] + a, *m[2:])
 
 
-def _reduce(t: Vector, rel: BinomialRelation, mons: Sequence[Vector]) -> Optional[Vector]:
+def _reduce(t: Vector, a: int, mons: Sequence[Vector]) -> Optional[Vector]:
     """Division algorithm on a monomial; None means it reduced to zero.
 
     A monomial divisor is looked for before each binomial step, and each
     binomial step drops the X_0 degree by a.
     """
-    a = rel.exponent
     cur = list(t)
     while not _divisible(cur, mons):
         if cur[0] < a:
@@ -112,7 +91,7 @@ def _reduce(t: Vector, rel: BinomialRelation, mons: Sequence[Vector]) -> Optiona
     return None
 
 
-def buchberger(rel: BinomialRelation, gens: Iterable[Sequence[int]]) -> GroebnerBasisBM:
+def buchberger(a: int, gens: Iterable[Sequence[int]]) -> GroebnerBasisBM:
     """Complete the basis of (X_0^a - X_1^a) + (monomial generators).
 
     Only S-pairs of the binomial with a monomial are processed; pairs
@@ -121,23 +100,25 @@ def buchberger(rel: BinomialRelation, gens: Iterable[Sequence[int]]) -> Groebner
     monomial not yet in the span of the current ones, so the ascending
     chain of monomial ideals forces termination.
     """
-    basis = list(_gens(rel, minimalize(gens)))
+    basis = list(_gens(a, minimalize(gens)))
     queue = [m for m in basis if m[0] > 0]
     while queue:
         m = queue.pop()
-        nf = _reduce(_binomial_spair(m, rel), rel, basis)
+        nf = _reduce(_binomial_spair(m, a), a, basis)
         if nf is not None:
             basis.append(nf)
             if nf[0] > 0:
                 queue.append(nf)
-    return GroebnerBasisBM(rel, _minimal_vectors(basis))
+    return GroebnerBasisBM(a, _minimal_vectors(basis))
 
 
-def _gens(rel: BinomialRelation, ideal: MonomialIdeal) -> tuple[Vector, ...]:
-    """The generators of an ideal of the relation's polynomial ring."""
+def _gens(a: int, ideal: MonomialIdeal) -> tuple[Vector, ...]:
+    """The generators of an ideal that X_0^a - X_1^a can be added to."""
     gens = ideal.gens
-    if len(gens[0]) != rel.ambient_dim:
-        raise ValueError(f"ideal has {len(gens[0])} variables, the relation {rel.ambient_dim}")
+    if len(gens[0]) < 2:
+        raise ValueError("the relation needs at least two variables")
+    if a < 2:
+        raise ValueError("hypersurface exponent must be at least 2")
     return gens
 
 
@@ -162,11 +143,11 @@ def plane_heights(a: int, pairs: Sequence[Vector]) -> tuple[int, ...]:
     return tuple(accumulate(lowest, min))
 
 
-def initial_ideal(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
-    """Initial ideal of (binomial) + ideal from residue-class normal forms."""
-    a = rel.exponent
-    vectors = [rel.lead_exponents()]
-    for i, j, *rest in _gens(rel, ideal):
+def initial_ideal(a: int, ideal: MonomialIdeal) -> MonomialIdeal:
+    """Initial ideal of (X_0^a - X_1^a) + ideal from residue-class normal forms."""
+    gens = _gens(a, ideal)
+    vectors = [(a,) + (0,) * (len(gens[0]) - 1)]
+    for i, j, *rest in gens:
         r = i % a
         vectors.append((r, j + i - r, *rest))
         if r:
@@ -175,15 +156,15 @@ def initial_ideal(rel: BinomialRelation, ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(_minimal_vectors(vectors))
 
 
-def quotient_colength(rel: BinomialRelation, ideal: MonomialIdeal) -> int:
+def quotient_colength(a: int, ideal: MonomialIdeal) -> int:
     """Length of the quotient by (binomial + monomials): colength of the initial ideal."""
-    return initial_ideal(rel, ideal).colength()
+    return initial_ideal(a, ideal).colength()
 
 
-def ideals_equal(rel: BinomialRelation, lhs: MonomialIdeal, rhs: MonomialIdeal) -> bool:
+def ideals_equal(a: int, lhs: MonomialIdeal, rhs: MonomialIdeal) -> bool:
     """Whether (binomial) + lhs and (binomial) + rhs are the same ideal.
 
     Each ideal is the binomial plus the span of the standard monomials
     in its initial ideal, so equal initial ideals mean equal ideals.
     """
-    return initial_ideal(rel, lhs) == initial_ideal(rel, rhs)
+    return initial_ideal(a, lhs) == initial_ideal(a, rhs)

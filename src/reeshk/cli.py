@@ -26,7 +26,7 @@ from .hk_formulas import (
     sop_dim1_hk,
     stanley_reisner_ehk,
 )
-from .binomial_groebner import BinomialRelation, initial_ideal
+from .binomial_groebner import initial_ideal
 from .combinatorics import binomial
 from .monomial_algebra import (
     InfiniteColength,
@@ -231,6 +231,9 @@ def _dim1_setup(
     """The dimension-1 instance and its e range, refused past the cap on a or q unless forced."""
     inst = ReesInstanceDim1(a, p, variant)
     es = parse_range(e_text)
+    if es[0] < 1:
+        # refused before the formula side runs; the range ascends, so nothing is listed
+        raise ValueError("e must be positive")
     if not force:
         if a > Q_CAP:
             raise ResourceCapExceeded(f"a = {a} exceeds the cap {Q_CAP}; rerun with --force")
@@ -328,8 +331,7 @@ def cmd_oracle_dim1(args: argparse.Namespace) -> RunReport:
 
 def cmd_oracle_groebner(args: argparse.Namespace) -> RunReport:
     ideal = parse_ideal(args.gens)
-    rel = BinomialRelation(ideal.ambient_dim, args.a)
-    initial = initial_ideal(rel, ideal)
+    initial = initial_ideal(args.a, ideal)
     report = _report(args, "a", vars=ideal.ambient_dim, gens=format_ideal(ideal))
     report.add({"result": "initial-ideal"}, oracle=format_ideal(initial))
     report.add({"result": "colength"}, oracle=initial.colength())

@@ -26,6 +26,8 @@ from .combinatorics import _is_prime, binomial
 from .hilbert_samuel import c_of_d
 from .polynomials import Poly
 
+NEGATIVE_E = "e must be nonnegative, so that q = p^e is an integer"
+
 
 @dataclass(frozen=True)
 class QuasiPolynomialHK:
@@ -55,6 +57,8 @@ class QuasiPolynomialHK:
 
     def value_at(self, e: int) -> int:
         """Evaluate at q = p^e."""
+        if e < 0:
+            raise ValueError(NEGATIVE_E)
         value = self.poly_for(e)(self.prime**e)
         if value.denominator != 1:
             raise ArithmeticError(f"non-integral length {value} at e={e}")

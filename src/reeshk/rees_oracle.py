@@ -20,9 +20,9 @@ from itertools import count
 from math import prod
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .binomial_groebner import BinomialRelation, plane_heights, quotient_colength
+from .binomial_groebner import plane_heights, quotient_colength
 from .combinatorics import _is_prime
-from .hk_formulas import QuasiPolynomialHK
+from .hk_formulas import NEGATIVE_E, QuasiPolynomialHK
 from .monomial_algebra import MonomialIdeal, minimalize
 from .polynomials import Poly, interpolate
 
@@ -212,9 +212,8 @@ def rees_colength_dim1(inst: ReesInstanceDim1, es: Sequence[int]) -> dict[int, i
     _check_sweep(es, "e")
     qs = {e: inst.p**e for e in es}
     if inst.variant == "rees-of-x":
-        rel = BinomialRelation(3, inst.a)
         cubes = {e: minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]) for e, q in qs.items()}
-        return {e: quotient_colength(rel, cube) for e, cube in cubes.items()}
+        return {e: quotient_colength(inst.a, cube) for e, cube in cubes.items()}
     maximal = (1,) + (0,) * (inst.a - 1)  # the heights of (X, Y)
     lengths = _graded_lengths(_plane_ring(inst.a), maximal, dict.fromkeys(qs.values(), 2 * inst.a))
     return {e: lengths[q] for e, q in qs.items()}
@@ -233,6 +232,8 @@ def alpha_table(a: int, p: int, n_max: int, e_range: Sequence[int]) -> dict[int,
         raise ValueError("n_max must be nonnegative")
     if not e_range:
         raise ValueError("e_range must be nonempty")
+    if min(e_range) < 0:
+        raise ValueError(NEGATIVE_E)
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)
@@ -276,7 +277,7 @@ def fit_quasi_polynomial(
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if min(values, default=0) < 0:
-        raise ValueError("e must be nonnegative, so that q = p^e is an integer")
+        raise ValueError(NEGATIVE_E)
     es = sorted(values)
     polys: list[Poly] = []
     for c in range(period):

@@ -211,7 +211,7 @@ def normal_form(gb, mon):
     divisor: the opposite order to the package's reduction, so on a
     complete basis the two agree only because the basis is confluent.
     """
-    a = gb.relation.exponent
+    a = gb.a
     i, j, *rest = mon
     steps = i // a
     nf = (i - a * steps, j + a * steps, *rest)
@@ -231,7 +231,7 @@ def spairs_reduce_to_zero(gb):
     The S-pair of X_0^a - X_1^a with m is lcm(X_0^a, m) with X_0^a
     swapped for X_1^a; pairs of two monomials subtract to zero outright.
     """
-    a = gb.relation.exponent
+    a = gb.a
     return all(
         contains_monomial(gb, (max(a, m[0]) - a, m[1] + a, *m[2:])) for m in gb.monomials
     )
@@ -244,5 +244,5 @@ def staircase_heights(initial, a):
 
 def basis_initial_ideal(gb):
     """Ideal of leading terms: X_0^a together with the basis monomials."""
-    rel = gb.relation
-    return minimalize([rel.lead_exponents(), *gb.monomials])
+    lead = (gb.a,) + (0,) * (len(gb.monomials[0]) - 1)
+    return minimalize([lead, *gb.monomials])

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from reeshk.binomial_groebner import (
-    BinomialRelation,
     _reduce,
     buchberger,
     ideals_equal,
@@ -28,24 +27,38 @@ def exps(gb):
     return sorted(gb.monomials)
 
 
-REL5 = BinomialRelation(3, 5)
-REL_PLANE = BinomialRelation(2, 5)
+SPACE = minimalize([(8, 0, 0), (0, 8, 0), (0, 0, 8)])
 
 
 class TestRelation:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="exponent"):
-            BinomialRelation(3, 1)  # exponent too small
-        with pytest.raises(ValueError, match="two variables"):
-            BinomialRelation(1, 5)  # no second variable for X_1
+    """The relation X_0^a - X_1^a is its exponent; the ideal gives the variables."""
 
-    def test_lead(self):
-        assert REL5.lead_exponents() == (5, 0, 0)
+    ENTRY_POINTS = {
+        "initial_ideal": initial_ideal,
+        "quotient_colength": quotient_colength,
+        "ideals_equal": lambda a, ideal: ideals_equal(a, ideal, ideal),
+        "buchberger": lambda a, ideal: buchberger(a, ideal.gens),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_validation(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        for a in (0, 1):
+            with pytest.raises(ValueError, match="^hypersurface exponent must be at least 2$"):
+                call(a, SPACE)
+        with pytest.raises(ValueError, match="^the relation needs at least two variables$"):
+            call(5, minimalize([(8,)]))  # no second variable for X_1
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_lead(self, d):
+        # X_0^a, the lead of the binomial, in the ideal's number of variables
+        cube = minimalize([tuple(9 * (i == j) for j in range(d)) for i in range(d)])
+        assert (5,) + (0,) * (d - 1) in initial_ideal(5, cube).gens
 
 
 class TestBuchberger:
     def test_q8_chain(self):
-        gb = buchberger(REL5, [(8, 0, 0), (0, 8, 0), (0, 0, 8)])
+        gb = buchberger(5, [(8, 0, 0), (0, 8, 0), (0, 0, 8)])
         assert exps(gb) == [(0, 0, 8), (0, 8, 0), (3, 5, 0), (8, 0, 0)]
         assert basis_initial_ideal(gb).gens == (
             (0, 0, 8),
@@ -55,21 +68,20 @@ class TestBuchberger:
         )
 
     def test_binomial_lead_already_absorbed(self):
-        rel = BinomialRelation(2, 2)
-        gb = buchberger(rel, [(2, 0), (0, 2)])
+        gb = buchberger(2, [(2, 0), (0, 2)])
         assert exps(gb) == [(0, 2), (2, 0)]
         assert basis_initial_ideal(gb).gens == ((0, 2), (2, 0))
 
     def test_small_q_extrapolation(self):
         # q < a is outside the regime of the worked chain; the same
         # completion loop covers it
-        gb = buchberger(REL5, [(4, 0, 0), (0, 4, 0), (0, 0, 4)])
+        gb = buchberger(5, [(4, 0, 0), (0, 4, 0), (0, 0, 4)])
         assert exps(gb) == [(0, 0, 4), (0, 4, 0), (4, 0, 0)]
         assert basis_initial_ideal(gb).gens == ((0, 0, 4), (0, 4, 0), (4, 0, 0))
 
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
-            buchberger(REL5, [])
+            buchberger(5, [])
 
     def test_power_generator_chain_shape(self):
         # for gens (X^q, Y^q, Z^q) with q > a = 5 the initial ideal is
@@ -82,23 +94,23 @@ class TestBuchberger:
                 for i in range(1, q // 5 + 1)
                 if 0 < q - 5 * i < 5
             ]
-            gb = buchberger(REL5, [(q, 0, 0), (0, q, 0), (0, 0, q)])
+            gb = buchberger(5, [(q, 0, 0), (0, q, 0), (0, 0, q)])
             assert basis_initial_ideal(gb) == minimalize(expected)
 
 
 class TestCompleteness:
     @pytest.mark.parametrize(
-        "rel,gens",
+        "a,gens",
         [
-            (REL5, [(8, 0, 0), (0, 8, 0), (0, 0, 8)]),
-            (REL5, [(4, 0, 0), (0, 4, 0), (0, 0, 4)]),
-            (REL5, [(32, 0, 0), (0, 32, 0), (0, 0, 32)]),
-            (BinomialRelation(2, 5), [(9, 2), (2, 9), (0, 14), (14, 0)]),
-            (BinomialRelation(2, 3), [(7, 0), (0, 7)]),
+            (5, [(8, 0, 0), (0, 8, 0), (0, 0, 8)]),
+            (5, [(4, 0, 0), (0, 4, 0), (0, 0, 4)]),
+            (5, [(32, 0, 0), (0, 32, 0), (0, 0, 32)]),
+            (5, [(9, 2), (2, 9), (0, 14), (14, 0)]),
+            (3, [(7, 0), (0, 7)]),
         ],
     )
-    def test_every_spair_reduces_to_zero(self, rel, gens):
-        gb = buchberger(rel, gens)
+    def test_every_spair_reduces_to_zero(self, a, gens):
+        gb = buchberger(a, gens)
         assert spairs_reduce_to_zero(gb)
 
     def test_random_generators(self):
@@ -106,14 +118,13 @@ class TestCompleteness:
         for _ in range(20):
             dim = rng.choice([2, 3])
             a = rng.randint(2, 6)
-            rel = BinomialRelation(dim, a)
             gens = [
                 tuple(rng.randint(0, 9) for _ in range(dim))
                 for _ in range(rng.randint(1, 5))
             ]
             if all(all(e == 0 for e in g) for g in gens):
                 continue
-            gb = buchberger(rel, gens)
+            gb = buchberger(a, gens)
             assert spairs_reduce_to_zero(gb)
 
     def test_characteristic_independence(self):
@@ -121,7 +132,7 @@ class TestCompleteness:
         # no coefficient field enters, so the basis is a function of
         # (a, gens) alone and reruns are bit-identical
         gens = [(16, 0, 0), (0, 16, 0), (0, 0, 16)]
-        assert buchberger(REL5, gens) == buchberger(REL5, gens)
+        assert buchberger(5, gens) == buchberger(5, gens)
 
 
 class TestNormalForm:
@@ -129,18 +140,18 @@ class TestNormalForm:
         # the package reduces monomial-first, the reference binomial-first
         rng = random.Random(11)
         bases = [
-            buchberger(REL5, [(16, 0, 0), (0, 16, 0), (0, 0, 16)]),
-            buchberger(BinomialRelation(2, 5), [(9, 2), (2, 9)]),
-            buchberger(BinomialRelation(2, 3), [(10, 0), (0, 10)]),
+            buchberger(5, [(16, 0, 0), (0, 16, 0), (0, 0, 16)]),
+            buchberger(5, [(9, 2), (2, 9)]),
+            buchberger(3, [(10, 0), (0, 10)]),
         ]
         for gb in bases:
-            dim = gb.relation.ambient_dim
+            dim = len(gb.monomials[0])
             for _ in range(100):
                 mono = tuple(rng.randint(0, 20) for _ in range(dim))
-                assert _reduce(mono, gb.relation, gb.monomials) == normal_form(gb, mono)
+                assert _reduce(mono, gb.a, gb.monomials) == normal_form(gb, mono)
 
     def test_membership(self):
-        gb = buchberger(REL5, [(8, 0, 0), (0, 8, 0), (0, 0, 8)])
+        gb = buchberger(5, [(8, 0, 0), (0, 8, 0), (0, 0, 8)])
         assert contains_monomial(gb, (3, 5, 0))
         assert contains_monomial(gb, (8, 2, 1))
         assert contains_monomial(gb, (6, 3, 0))  # X^6 Y^3 -> X Y^8 -> 0
@@ -151,15 +162,14 @@ class TestNormalForm:
 
 class TestQuotientColength:
     def test_worked_values(self):
-        assert quotient_colength(REL5, minimalize([(8, 0, 0), (0, 8, 0), (0, 0, 8)])) == 272
-        assert quotient_colength(REL5, minimalize([(4, 0, 0), (0, 4, 0), (0, 0, 4)])) == 64
-        rel = BinomialRelation(2, 2)
-        assert quotient_colength(rel, minimalize([(1, 0), (0, 1)])) == 1
+        assert quotient_colength(5, minimalize([(8, 0, 0), (0, 8, 0), (0, 0, 8)])) == 272
+        assert quotient_colength(5, minimalize([(4, 0, 0), (0, 4, 0), (0, 0, 4)])) == 64
+        assert quotient_colength(2, minimalize([(1, 0), (0, 1)])) == 1
 
     def test_power_series_parity(self):
         # 5q^2 - 4q when q is 1 or 4 mod 5; 5q^2 - 6q when q is 2 or 3
         for q in (4, 8, 16, 32, 64):
-            value = quotient_colength(REL5, minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]))
+            value = quotient_colength(5, minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]))
             if q % 5 in (1, 4):
                 assert value == 5 * q * q - 4 * q
             else:
@@ -169,26 +179,23 @@ class TestQuotientColength:
         from reeshk.monomial_algebra import InfiniteColength
 
         with pytest.raises(InfiniteColength):
-            quotient_colength(REL5, minimalize([(8, 0, 0), (0, 8, 0)]))  # no pure power of Z
+            quotient_colength(5, minimalize([(8, 0, 0), (0, 8, 0)]))  # no pure power of Z
 
 
 class TestIdealsEqual:
     def test_tail_stabilization_example(self):
         # in k[[X,Y]]/(X^5-Y^5): m^[4] m^3 = m^7 but m^[4] m^2 != m^6
-        rel = BinomialRelation(2, 5)
         m = minimalize([(1, 0), (0, 1)])
         mq = m.frobenius(4)
-        assert ideals_equal(rel, mq.product(power(m, 3)), power(m, 7))
-        assert not ideals_equal(rel, mq.product(power(m, 2)), power(m, 6))
+        assert ideals_equal(5, mq.product(power(m, 3)), power(m, 7))
+        assert not ideals_equal(5, mq.product(power(m, 2)), power(m, 6))
 
     def test_reflexive(self):
-        rel = BinomialRelation(2, 3)
-        assert ideals_equal(rel, minimalize([(4, 0), (0, 4)]), minimalize([(4, 0), (0, 4)]))
+        assert ideals_equal(3, minimalize([(4, 0), (0, 4)]), minimalize([(4, 0), (0, 4)]))
 
     def test_binomial_makes_unequal_monomial_ideals_equal(self):
         # modulo X^3 - Y^3, (X^3, Y^5) and (Y^3, Y^5) generate the same ideal
-        rel = BinomialRelation(2, 3)
-        assert ideals_equal(rel, minimalize([(3, 0), (0, 5)]), minimalize([(0, 3)]))
+        assert ideals_equal(3, minimalize([(3, 0), (0, 5)]), minimalize([(0, 3)]))
 
 
 class TestPlaneHeights:
@@ -208,9 +215,9 @@ class TestPlaneHeights:
     )
     def test_worked_values(self, a, pairs, heights):
         assert plane_heights(a, pairs) == heights
-        initial = basis_initial_ideal(buchberger(BinomialRelation(2, a), pairs))
+        initial = basis_initial_ideal(buchberger(a, pairs))
         assert staircase_heights(initial, a) == heights
-        assert sum(heights) == quotient_colength(BinomialRelation(2, a), minimalize(pairs))
+        assert sum(heights) == quotient_colength(a, minimalize(pairs))
 
 
 class TestBoundaryValidation:
@@ -220,14 +227,13 @@ class TestBoundaryValidation:
     them.  initial_ideal, quotient_colength and ideals_equal take the
     MonomialIdeal those build, so raw tuples reach them only through
     minimalize and a bad tuple is refused there; they check only that
-    the ideal has the relation's number of variables.  No entry point
+    a >= 2 and that the ideal has at least two variables.  No entry point
     takes an empty generator set: every ideal is nonzero.
     """
 
     BAD_GENERATORS = {
         "empty": [],
         "wrong_length": [(8, 0), (0, 8, 0), (0, 0, 8)],
-        "all_wrong_length": [(8, 0), (0, 8)],
         "mixed_length": [(8, 0, 0, 0), (0, 8, 0), (0, 0, 8)],
         "negative": [(8, 0, 0), (0, 8, 0), (0, 0, -1)],
         "bool": [(True, 0, 0), (0, 8, 0), (0, 0, 8)],
@@ -248,27 +254,21 @@ class TestBoundaryValidation:
     }
     GOOD = [(8, 0, 0), (0, 8, 0), (0, 0, 8)]
     # the entry points besides quotient_colength and ideals_equal, which
-    # have their own tests below; the Groebner ones hold the relation in
-    # 3 variables, while the monomial ideal constructors take the number
-    # of variables from the tuples
+    # have their own tests below; every one takes the number of variables
+    # from the tuples
     ENTRY_POINTS = {
         # repr, so that the string "8" stays a quoted, unparsable exponent
         "parse_ideal": lambda gens: parse_ideal(";".join(",".join(map(repr, g)) for g in gens)),
         "minimalize": minimalize,
-        "initial_ideal": lambda gens: initial_ideal(REL5, minimalize(gens)),
-        "buchberger": lambda gens: buchberger(REL5, gens),
+        "initial_ideal": lambda gens: initial_ideal(5, minimalize(gens)),
+        "buchberger": lambda gens: buchberger(5, gens),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_entry_point_validates(self, entry, case):
-        call = self.ENTRY_POINTS[entry]
-        if case == "all_wrong_length" and entry in {"parse_ideal", "minimalize"}:
-            # two exponents each: an ideal in two variables, wrong only for REL5
-            assert call(self.BAD_GENERATORS[case]).ambient_dim == 2
-            return
         with pytest.raises(ValueError):
-            call(self.BAD_GENERATORS[case])
+            self.ENTRY_POINTS[entry](self.BAD_GENERATORS[case])
 
     @pytest.mark.parametrize("gens", [[], [()]], ids=["no_generator", "no_variable"])
     @pytest.mark.parametrize(
@@ -283,51 +283,52 @@ class TestBoundaryValidation:
     def test_entry_point_accepts_good(self, entry):
         self.ENTRY_POINTS[entry](self.GOOD)
 
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_all_wrong_length_is_a_plane_ideal(self, entry):
+        # two exponents each, wrong only beside three-exponent tuples: an
+        # ideal in two variables, which every entry point takes
+        result = self.ENTRY_POINTS[entry]([(8, 0), (0, 8)])
+        gens = result.monomials if entry == "buchberger" else result.gens
+        assert {len(g) for g in gens} == {2}
+
     @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
     def test_quotient_colength_rejects(self, case):
         with pytest.raises(ValueError):
-            quotient_colength(REL5, minimalize(self.BAD_GENERATORS[case]))
+            quotient_colength(5, minimalize(self.BAD_GENERATORS[case]))
 
     @pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
     def test_ideals_equal_rejects_either_side(self, case):
         good = minimalize(self.GOOD)
         with pytest.raises(ValueError):
-            ideals_equal(REL5, minimalize(self.BAD_GENERATORS[case]), good)
+            ideals_equal(5, minimalize(self.BAD_GENERATORS[case]), good)
         with pytest.raises(ValueError):
-            ideals_equal(REL5, good, minimalize(self.BAD_GENERATORS[case]))
+            ideals_equal(5, good, minimalize(self.BAD_GENERATORS[case]))
 
     @pytest.mark.parametrize("case", sorted(PLANE_BAD_GENERATORS))
     def test_plane_entry_points_reject(self, case):
         gens = self.PLANE_BAD_GENERATORS[case]
         good = minimalize([(8, 0), (0, 8)])
         for call in (
-            lambda: quotient_colength(REL_PLANE, minimalize(gens)),
-            lambda: initial_ideal(REL_PLANE, minimalize(gens)),
-            lambda: ideals_equal(REL_PLANE, minimalize(gens), good),
-            lambda: ideals_equal(REL_PLANE, good, minimalize(gens)),
+            lambda: quotient_colength(5, minimalize(gens)),
+            lambda: initial_ideal(5, minimalize(gens)),
+            lambda: ideals_equal(5, minimalize(gens), good),
+            lambda: ideals_equal(5, good, minimalize(gens)),
         ):
             with pytest.raises(ValueError):
                 call()
 
-    @pytest.mark.parametrize(
-        "case,message",
-        [("fewer_variables", "variables"), ("more_variables", "variables")],
-    )
-    @pytest.mark.parametrize("rel", [REL_PLANE, REL5], ids=["plane", "space"])
-    def test_groebner_entry_points_check_the_ideal(self, rel, case, message):
-        d = rel.ambient_dim
-        bad = {
-            "fewer_variables": MonomialIdeal.unit(d - 1),
-            "more_variables": MonomialIdeal.unit(d + 1),
-        }[case]
-        good = MonomialIdeal.unit(d)
+    @pytest.mark.parametrize("d", [2, 3], ids=["plane", "space"])
+    def test_groebner_entry_points_check_the_ideal(self, d):
+        # the relation takes its variables from the ideal and needs two
+        bad, good = MonomialIdeal.unit(1), MonomialIdeal.unit(d)
+        assert initial_ideal(5, good) == good
         for call in (
-            lambda: initial_ideal(rel, bad),
-            lambda: quotient_colength(rel, bad),
-            lambda: ideals_equal(rel, bad, good),
-            lambda: ideals_equal(rel, good, bad),
+            lambda: initial_ideal(5, bad),
+            lambda: quotient_colength(5, bad),
+            lambda: ideals_equal(5, bad, good),
+            lambda: ideals_equal(5, good, bad),
         ):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="^the relation needs at least two variables$"):
                 call()
 
     @pytest.mark.parametrize(
@@ -340,11 +341,11 @@ class TestBoundaryValidation:
         ],
     )
     def test_plane_colength_matches_the_buchberger_box(self, gens, box):
-        initial = basis_initial_ideal(buchberger(REL_PLANE, gens))
+        initial = basis_initial_ideal(buchberger(5, gens))
         assert initial.primary_box() == box
-        assert quotient_colength(REL_PLANE, minimalize(gens)) == initial.colength()
+        assert quotient_colength(5, minimalize(gens)) == initial.colength()
 
     def test_colength_matches_the_buchberger_box(self):
-        box = basis_initial_ideal(buchberger(REL5, self.GOOD)).primary_box()
+        box = basis_initial_ideal(buchberger(5, self.GOOD)).primary_box()
         assert box == (5, 8, 8)
-        assert quotient_colength(REL5, minimalize(self.GOOD)) == 272
+        assert quotient_colength(5, minimalize(self.GOOD)) == 272

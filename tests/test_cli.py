@@ -361,6 +361,25 @@ EXIT_CODE_MATRIX = {
     "one_variable_gens": (
         ["oracle", "groebner", "--a", "5", "--gens", "8"], 2, "two variables",
     ),
+    # the relation X_0^a - X_1^a needs a >= 2: a = 0 would divide by zero, a = 1 pass
+    **{
+        f"groebner_a_{a}": (
+            ["oracle", "groebner", "--a", a, "--gens", "8,0;0,8"],
+            2, "error: hypersurface exponent must be at least 2\n",
+        )
+        for a in ("0", "1")
+    },
+    # refused before the formula side runs, which would crash on q = p^e < 1
+    **{
+        f"negative_e_{name}": (argv, 2, "error: e must be positive\n")
+        for name, argv in [
+            ("compare_rees_of_m",
+             ["compare", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e=-2..3"]),
+            ("compare_rees_of_x",
+             ["compare", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e=-2..3"]),
+            ("example_fermat5", ["example", "fermat5", "--e=-1..3"]),
+        ]
+    },
     # a parse error names the text and the form it expected
     "empty_alpha": (
         ["formula", "sop-dim1", "--e0", "5", "--alpha="],

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from reeshk import monomial_algebra
 from reeshk.binomial_groebner import (
-    BinomialRelation,
     buchberger,
     ideals_equal,
     initial_ideal,
@@ -52,9 +51,9 @@ from reference import (
 
 @st.composite
 def relations(draw):
-    """X_0^a - X_1^a in 2 to 4 variables, a <= 7 (a <= 9 in two)."""
+    """(d, a): X_0^a - X_1^a in d = 2 to 4 variables, a <= 7 (a <= 9 in two)."""
     d = draw(st.integers(2, 4))
-    return BinomialRelation(d, draw(st.integers(2, 9 if d == 2 else 7)))
+    return d, draw(st.integers(2, 9 if d == 2 else 7))
 
 
 def generators(d, primary):
@@ -76,9 +75,9 @@ def generators(d, primary):
 
 @st.composite
 def instances(draw):
-    """A relation and generators, primary or not."""
-    rel = draw(relations())
-    return rel, draw(generators(rel.ambient_dim, draw(st.booleans())))
+    """The exponent a of a relation and generators in its variables, primary or not."""
+    d, a = draw(relations())
+    return a, draw(generators(d, draw(st.booleans())))
 
 
 PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
@@ -87,25 +86,20 @@ PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
 def plane_power_product(a, q, n):
     """X^a - Y^a with the generators of m^[q] m^n, m = (X, Y): the rees-of-m inputs."""
     m = PLANE_MAXIMAL
-    return BinomialRelation(2, a), m.frobenius(q).product(power(m, n)).gens
+    return a, m.frobenius(q).product(power(m, n)).gens
 
 
-def ideal_of(rel, gens):
-    """The drawn generators as an ideal of the relation's ring, for the residue side."""
-    return minimalize(gens)
-
-
-def reference_colength(rel, gens):
+def reference_colength(a, gens):
     """Colength of the Buchberger initial ideal, or the exception it raised."""
     try:
-        return basis_initial_ideal(buchberger(rel, gens)).colength()
+        return basis_initial_ideal(buchberger(a, gens)).colength()
     except InfiniteColength as exc:
         return type(exc)
 
 
-def residue_colength(rel, gens):
+def residue_colength(a, gens):
     try:
-        return quotient_colength(rel, ideal_of(rel, gens))
+        return quotient_colength(a, minimalize(gens))
     except InfiniteColength as exc:
         return type(exc)
 
@@ -114,9 +108,9 @@ class TestResidueInitialIdeal:
     @settings(max_examples=300)
     @given(instances())
     def test_matches_buchberger(self, instance):
-        rel, gens = instance
-        expected = basis_initial_ideal(buchberger(rel, gens))
-        assert initial_ideal(rel, ideal_of(rel, gens)) == expected
+        a, gens = instance
+        expected = basis_initial_ideal(buchberger(a, gens))
+        assert initial_ideal(a, minimalize(gens)) == expected
 
     @settings(max_examples=150)
     @given(instances())
@@ -125,17 +119,17 @@ class TestResidueInitialIdeal:
     @example(plane_power_product(5, 8, 3))
     @example(plane_power_product(7, 16, 9))
     @example(plane_power_product(9, 8, 12))
-    @example((BinomialRelation(2, 5), [(7, 3)]))
-    @example((BinomialRelation(2, 9), [(1, 40), (13, 2), (30, 0)]))
+    @example((5, [(7, 3)]))
+    @example((9, [(1, 40), (13, 2), (30, 0)]))
     def test_colength_matches_buchberger(self, instance):
         # non-primary inputs must raise InfiniteColength on both sides
-        rel, gens = instance
-        assert residue_colength(rel, gens) == reference_colength(rel, gens)
+        a, gens = instance
+        assert residue_colength(a, gens) == reference_colength(a, gens)
 
 
-def mutually_contained(rel, gens_a, gens_b):
+def mutually_contained(a, gens_a, gens_b):
     """Equality by membership of each completed basis in the other's ideal."""
-    gb_a, gb_b = buchberger(rel, gens_a), buchberger(rel, gens_b)
+    gb_a, gb_b = buchberger(a, gens_a), buchberger(a, gens_b)
     return all(contains_monomial(gb_b, m) for m in gb_a.monomials) and all(
         contains_monomial(gb_a, m) for m in gb_b.monomials
     )
@@ -145,42 +139,42 @@ class TestIdealsEqual:
     @settings(max_examples=150)
     @given(st.data())
     def test_matches_mutual_membership(self, data):
-        rel, gens_a = data.draw(instances())
-        gens_b = data.draw(generators(rel.ambient_dim, data.draw(st.booleans())))
-        equal = ideals_equal(rel, ideal_of(rel, gens_a), ideal_of(rel, gens_b))
-        assert equal == mutually_contained(rel, gens_a, gens_b)
+        d, a = data.draw(relations())
+        gens_a = data.draw(generators(d, data.draw(st.booleans())))
+        gens_b = data.draw(generators(d, data.draw(st.booleans())))
+        equal = ideals_equal(a, minimalize(gens_a), minimalize(gens_b))
+        assert equal == mutually_contained(a, gens_a, gens_b)
 
     @settings(max_examples=100)
     @given(instances())
     def test_equal_to_its_completed_basis(self, instance):
         # a true case the random pairs above rarely hit
-        rel, gens = instance
-        ideal = ideal_of(rel, gens)
-        basis = ideal_of(rel, buchberger(rel, gens).monomials)
-        assert ideals_equal(rel, ideal, basis)
-        assert ideals_equal(rel, basis, ideal)
+        a, gens = instance
+        ideal = minimalize(gens)
+        basis = minimalize(buchberger(a, gens).monomials)
+        assert ideals_equal(a, ideal, basis)
+        assert ideals_equal(a, basis, ideal)
 
     @pytest.mark.parametrize("a,q", [(5, 8), (7, 8), (3, 16), (9, 4)])
     def test_tail_equalities_match_mutual_membership(self, a, q):
         # m^[q] m^t = m^(q+t) turns true at some t: both answers occur
         m = PLANE_MAXIMAL
-        rel = BinomialRelation(2, a)
         answers = set()
         for t in range(2 * a):
             lhs = m.frobenius(q).product(power(m, t))
             rhs = power(m, q + t)
-            answer = ideals_equal(rel, lhs, rhs)
-            assert answer == mutually_contained(rel, lhs.gens, rhs.gens), t
+            answer = ideals_equal(a, lhs, rhs)
+            assert answer == mutually_contained(a, lhs.gens, rhs.gens), t
             answers.add(answer)
         assert answers == {False, True}
 
 
 @st.composite
 def plane_pairs(draw):
-    """X^a - Y^a, a <= 9, and two lists of plane generators, primary or not."""
-    rel = BinomialRelation(2, draw(st.integers(2, 9)))
+    """The exponent a <= 9 of X^a - Y^a, and two lists of plane generators, primary or not."""
+    a = draw(st.integers(2, 9))
     gens_j = draw(generators(2, draw(st.booleans())))
-    return rel, gens_j, draw(generators(2, draw(st.booleans())))
+    return a, gens_j, draw(generators(2, draw(st.booleans())))
 
 
 class TestPlaneRing:
@@ -188,23 +182,22 @@ class TestPlaneRing:
 
     @settings(max_examples=200)
     @given(plane_pairs(), st.integers(1, 9))
-    @example((BinomialRelation(2, 5), [(7, 3)], [(0, 40)]), 8)
-    @example((BinomialRelation(2, 9), [(1, 40), (13, 2), (30, 0)], [(40, 40)]), 1)
+    @example((5, [(7, 3)], [(0, 40)]), 8)
+    @example((9, [(1, 40), (13, 2), (30, 0)], [(40, 40)]), 1)
     def test_matches_buchberger(self, case, q):
-        rel, gens_j, gens_k = case
-        a = rel.exponent
+        a, gens_j, gens_k = case
         ring = _plane_ring(a)
 
         def completed(gens):
-            return staircase_heights(basis_initial_ideal(buchberger(rel, gens)), a)
+            return staircase_heights(basis_initial_ideal(buchberger(a, gens)), a)
 
         j, k = plane_heights(a, gens_j), plane_heights(a, gens_k)
         assert j == completed(gens_j)
         sums = [tuple(map(add, x, y)) for x in gens_j for y in gens_k]
         assert ring.product(j, k) == completed(sums)
         assert ring.frobenius(j, q) == completed([(q * x, q * y) for x, y in gens_j])
-        assert ring.colength(j) == quotient_colength(rel, minimalize(gens_j))
-        assert ring.colength(j) == reference_colength(rel, gens_j)
+        assert ring.colength(j) == quotient_colength(a, minimalize(gens_j))
+        assert ring.colength(j) == reference_colength(a, gens_j)
 
 
 def monomial_ideals(d):

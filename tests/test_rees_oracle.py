@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reeshk import binomial_groebner, monomial_algebra, rees_oracle
-from reeshk.binomial_groebner import BinomialRelation, plane_heights, quotient_colength
+from reeshk.binomial_groebner import plane_heights, quotient_colength
 from reeshk.hk_formulas import cm_sop_hk, sop_dim1_hk
 from reeshk.monomial_algebra import MonomialIdeal, minimalize
 from reeshk.polynomials import Poly
@@ -120,7 +120,7 @@ class TestDim1Oracle:
         assert plane_heights(5, [(0, 0)]) == ring.unit
         assert ring.colength(ring.unit) == 0
         for d in (2, 3):
-            assert quotient_colength(BinomialRelation(d, 5), MonomialIdeal.unit(d)) == 0
+            assert quotient_colength(5, MonomialIdeal.unit(d)) == 0
 
     def test_package_built_ideals_are_not_checked_again(self, monkeypatch):
         # tuples are checked where they enter; the rees-of-m loop and the alpha
@@ -185,12 +185,11 @@ class TestGradedLength:
     @pytest.mark.parametrize("a", range(2, 9))
     def test_rees_of_m_matches_fixed_window(self, a):
         # the reference multiplies unreduced powers of m; q <= 128 for p = 2, 3, 5
-        rel = BinomialRelation(2, a)
         for p, e_max in ((2, 7), (3, 4), (5, 3)):
             inst = ReesInstanceDim1(a, p, "rees-of-m")
             for e in range(1, e_max + 1):
                 expected = graded_length_by_window(
-                    PLANE_MAXIMAL, p**e, lambda ideal: quotient_colength(rel, ideal), 2 * a + 2
+                    PLANE_MAXIMAL, p**e, lambda ideal: quotient_colength(a, ideal), 2 * a + 2
                 )
                 assert rees_colength_dim1(inst, [e])[e] == expected, (p, e)
 
@@ -280,20 +279,29 @@ class TestAlphaTable:
     @pytest.mark.parametrize("a", range(2, 9))
     def test_rows_match_unreduced_powers(self, a, p):
         # every row against m^[q] m^n and m^n built as plain products, q <= 81
-        rel = BinomialRelation(2, a)
         e_range = range(1, {2: 7, 3: 5}[p])
         table = alpha_table(a, p, 2 * a, e_range)
         for n, row in table.items():
-            base = quotient_colength(rel, power(PLANE_MAXIMAL, n))
+            base = quotient_colength(a, power(PLANE_MAXIMAL, n))
             for e in e_range:
                 frob = PLANE_MAXIMAL.frobenius(p**e)
-                piece = quotient_colength(rel, frob.product(power(PLANE_MAXIMAL, n)))
+                piece = quotient_colength(a, frob.product(power(PLANE_MAXIMAL, n)))
                 assert row[e] == piece - base - a * p**e, (n, e)
 
     @pytest.mark.parametrize("a", [0, 1])
     def test_exponent_below_two_refused(self, a):
         with pytest.raises(ValueError, match="^hypersurface exponent must be at least 2$"):
             alpha_table(a, 2, 1, range(2, 4))
+
+    def test_negative_e_refused_on_the_formula_side(self):
+        # both sides of compare dim1 refuse it, not only the oracle
+        message = r"^e must be nonnegative, so that q = p\^e is an integer$"
+        with pytest.raises(ValueError, match=message):
+            alpha_table(5, 2, 0, [-1])
+        qp = sop_dim1_hk(5, (-4, -6), 2)
+        assert qp.value_at(0) == 1  # 5 q^2 - 4 q at q = 1
+        with pytest.raises(ValueError, match=message):
+            qp.value_at(-1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
