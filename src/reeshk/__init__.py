@@ -5,16 +5,18 @@ brute-force staircase and Groebner oracles to verify them, all in
 exact integer and rational arithmetic.
 """
 
-from .combinatorics import binomial
-from .hilbert_samuel import c_of_d, hilbert_F, hilbert_H
 from .hk_formulas import (
     Dim1Input,
     QuasiPolynomialHK,
+    binomial,
+    c_of_d,
     cm_sop_hk,
     compare_to_eto_yoshida,
     cordim1_hk,
     dim1_hk,
     ehk_cm_sop,
+    hilbert_F,
+    hilbert_H,
     sop_dim1_hk,
     stanley_reisner_ehk,
 )

@@ -112,13 +112,17 @@ def buchberger(a: int, gens: Iterable[Sequence[int]]) -> GroebnerBasisBM:
     return GroebnerBasisBM(a, _minimal_vectors(basis))
 
 
+def check_exponent(a: int) -> None:
+    if a < 2:
+        raise ValueError("hypersurface exponent must be at least 2")
+
+
 def _gens(a: int, ideal: MonomialIdeal) -> tuple[Vector, ...]:
     """The generators of an ideal that X_0^a - X_1^a can be added to."""
     gens = ideal.gens
     if len(gens[0]) < 2:
         raise ValueError("the relation needs at least two variables")
-    if a < 2:
-        raise ValueError("hypersurface exponent must be at least 2")
+    check_exponent(a)
     return gens
 
 

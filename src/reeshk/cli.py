@@ -1,9 +1,9 @@
 """Command line front end: evaluate formulas, run oracles, compare and fit.
 
-Exit codes: 0 all rows match, 1 mismatch or golden failure, 2 invalid
-input, 3 resource cap exceeded, 4 internal error (traceback on stderr,
-nothing on stdout).  All numbers are emitted as exact decimal strings;
-rationals as 'num/den'.
+Exit codes: 0 no mismatch (verdict pass, or unchecked when no row has a
+formula and an oracle), 1 mismatch or golden failure, 2 invalid input, 3
+resource cap exceeded, 4 internal error (traceback on stderr, nothing on
+stdout).  Numbers are emitted as exact decimal strings; rationals as 'num/den'.
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 from .hk_formulas import (
     Dim1Input,
     QuasiPolynomialHK,
+    binomial,
+    check_prime,
     cm_sop_hk,
     compare_to_eto_yoshida,
     cordim1_hk,
@@ -27,7 +29,6 @@ from .hk_formulas import (
     stanley_reisner_ehk,
 )
 from .binomial_groebner import initial_ideal
-from .combinatorics import binomial
 from .monomial_algebra import (
     InfiniteColength,
     format_ideal,
@@ -48,6 +49,10 @@ from .rees_oracle import (
 
 MONOMIAL_CAP = 10**5
 Q_CAP = 2**12
+# a rees-of-m sweep costs about 1-3 us per unit of q a per e; up to q a = 2^18, about 1 s
+QA_CAP = 2**18
+# trial division takes 0.07 s on a prime just below 2^40
+P_CAP = 2**40
 # rows of a command that builds one row per s from a closed form;
 # 10^4 rows of `fit ehk --d 3 --e0 1` take about 0.3 s
 ROW_CAP = 10**4
@@ -84,8 +89,10 @@ class RunReport:
     rows: list[dict[str, object]] = field(default_factory=list)
 
     @property
-    def verdict(self) -> bool:
-        return all(row["match"] is not False for row in self.rows)
+    def verdict(self) -> str:
+        """'fail' if a row mismatches, 'unchecked' if no row compares anything, else 'pass'."""
+        matches = {row["match"] for row in self.rows}
+        return "fail" if False in matches else "pass" if True in matches else "unchecked"
 
     def add(
         self,
@@ -126,7 +133,7 @@ def render_table(report: RunReport) -> str:
     widths = [max(map(len, column)) for column in zip(*grid)]
     for line in grid:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip(), file=out)
-    print(f"verdict: {'pass' if report.verdict else 'fail'}", file=out)
+    print(f"verdict: {report.verdict}", file=out)
     return out.getvalue()
 
 
@@ -141,7 +148,7 @@ def render_json(report: RunReport) -> str:
         "instance": report.instance,
         "mode": report.mode,
         "rows": report.rows,
-        "verdict": "pass" if report.verdict else "fail",
+        "verdict": report.verdict,
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -228,21 +235,28 @@ def _cap_rows(ss: range, force: bool) -> None:
 def _dim1_setup(
     a: int, p: int, variant: str, e_text: str, force: bool
 ) -> tuple[ReesInstanceDim1, range]:
-    """The dimension-1 instance and its e range, refused past the cap on a or q unless forced."""
-    inst = ReesInstanceDim1(a, p, variant)
+    """The dimension-1 instance and its e range; a, q and q a are capped unless forced."""
     es = parse_range(e_text)
     if es[0] < 1:
         # refused before the formula side runs; the range ascends, so nothing is listed
         raise ValueError("e must be positive")
-    if not force:
-        if a > Q_CAP:
-            raise ResourceCapExceeded(f"a = {a} exceeds the cap {Q_CAP}; rerun with --force")
-        # p >= 2, so p^e is past the cap once e reaches its bit length; a
-        # larger e is refused before p**e is formed
-        e = es[-1]
-        if e >= Q_CAP.bit_length() or p**e > Q_CAP:
-            raise ResourceCapExceeded(f"q = {p}^{e} exceeds the cap {Q_CAP}; rerun with --force")
-    return inst, es
+    if p <= Q_CAP:  # a larger p meets the q cap before its slow primality test
+        check_prime(p)
+    e = es[-1]
+    _cap(f"a = {a}", a, Q_CAP, force)
+    # p >= 2, so p^e is past the cap once e reaches its bit length; a larger e is refused unformed
+    q = p**e if e < Q_CAP.bit_length() else Q_CAP + 1
+    _cap(f"q = {p}^{e}", q, Q_CAP, force)
+    if variant == "rees-of-m":
+        _cap(f"q a = {p}^{e}*{a}", q * a, QA_CAP, force)
+    return ReesInstanceDim1(a, p, variant), es
+
+
+def _cap(text: str, value: int, cap: int, force: bool) -> int:
+    """value, refused past cap unless forced; text names it in the refusal."""
+    if value > cap and not force:
+        raise ResourceCapExceeded(f"{text} exceeds the cap {cap}; rerun with --force")
+    return value
 
 
 def _residue_rows(report: RunReport, qp: QuasiPolynomialHK) -> RunReport:
@@ -300,7 +314,7 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
             rho=args.rho,
             lengths=parse_int_tuple(args.lengths) if args.lengths else (),
             alpha=alpha,
-            p=2 if args.p is None else args.p,
+            p=_cap(f"p = {args.p}", 2 if args.p is None else args.p, P_CAP, args.force),
         )
         report = _report(args, "e0", "e1", "r")
     qp = dim1_hk(inp) if inp.rho is not None else cordim1_hk(inp)
@@ -309,7 +323,8 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_formula_sop_dim1(args: argparse.Namespace) -> RunReport:
-    qp = sop_dim1_hk(args.e0, parse_int_tuple(args.alpha), args.p)
+    p = _cap(f"p = {args.p}", args.p, P_CAP, args.force)
+    qp = sop_dim1_hk(args.e0, parse_int_tuple(args.alpha), p)
     return _residue_rows(_report(args, "e0", period=qp.period), qp)
 
 
@@ -586,7 +601,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         traceback.print_exc()
         return 4
     sys.stdout.write(text)
-    return 0 if report.verdict else 1
+    return 1 if report.verdict == "fail" else 0
 
 
 if __name__ == "__main__":

@@ -10,8 +10,14 @@ Covers three regimes:
   polynomial in s, one alternating-sum display whose terms follow
   the division d = k1 s + k2.
 
+For a parameter ideal with multiplicity e0 in a d-dimensional CM ring,
+H(n) = e0 C(n+d-1, d) is the length of R/I^n and F(s, n) that of
+I^[s]/I^[s] I^n, by the refined split whose last branch starts at
+n = s(d-1)-d+1.  `binomial` vanishes out of range, as these sums need.
+
 A periodic correction alpha is a plain tuple of its values over one
-period, read at index e mod its length.
+period, read at index e mod its length.  A rule that several inputs
+share is raised from one `check_*` function.
 
 All outputs are exact; multiplicities are rationals, lengths integers.
 """
@@ -22,11 +28,79 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .combinatorics import _is_prime, binomial
-from .hilbert_samuel import c_of_d
 from .polynomials import Poly
 
 NEGATIVE_E = "e must be nonnegative, so that q = p^e is an integer"
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
+
+
+def check_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
+def check_invariants(d: int, least: int, e0: int = 1, s: int = 1) -> None:
+    """Refuse a dimension d below `least`, and a multiplicity e0 or an s below 1."""
+    if d < least:
+        raise ValueError(f"d must be at least {least}")
+    if e0 < 1:
+        raise ValueError("e0 must be positive")
+    if s < 1:
+        raise ValueError("s must be positive")
+
+
+def check_period(values: tuple) -> None:
+    if not values:
+        raise ValueError("a periodic value needs a period of at least 1")
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k) with the vanishing convention C(n, k) = 0 for n < k or n < 0.
+
+    The length formulas downstream rely on out-of-range binomials
+    silently vanishing, so the convention is centralized here.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if n < 0:
+        return 0
+    return math.comb(n, k)
+
+
+def hilbert_H(d: int, e0: int, n: int) -> int:
+    """e0 * C(n+d-1, d); zero for n <= 0."""
+    check_invariants(d, 1, e0)
+    if n <= 0:
+        return 0
+    return e0 * binomial(n + d - 1, d)
+
+
+def hilbert_F(d: int, e0: int, s: int, n: int) -> int:
+    """F(s, n) by the refined case split.
+
+        sum_{i=1}^{d-1} (-1)^(i+1) C(d,i) H(n-(i-1)s)    1 <= n <= s(d-1)-d
+        H(n+s) - s^d * e0                            n >= s(d-1)-d+1
+
+    Terms H(m) with m <= 0 vanish, so for n <= s the sum is d * H(n).
+    """
+    check_invariants(d, 2, e0, s)
+    if n <= 0:
+        return 0
+    if n <= s * (d - 1) - d:
+        return sum(
+            (-1) ** (i + 1) * binomial(d, i) * hilbert_H(d, e0, n - (i - 1) * s)
+            for i in range(1, d)
+        )
+    return hilbert_H(d, e0, n + s) - s**d * e0
+
+
+def c_of_d(d: int) -> Fraction:
+    """The constant c(d) = d/2 + d/(d+1)!."""
+    check_invariants(d, 1)
+    return Fraction(d, 2) + Fraction(d, math.factorial(d + 1))
 
 
 @dataclass(frozen=True)
@@ -42,8 +116,7 @@ class QuasiPolynomialHK:
     valid_from_e: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.polys:
-            raise ValueError("period must be at least 1")
+        check_period(self.polys)
         degrees = {p.degree for p in self.polys}
         if len(degrees) != 1:
             raise ValueError(f"residue-class polynomials have mixed degrees {degrees}")
@@ -86,16 +159,14 @@ class Dim1Input:
     p: int
 
     def __post_init__(self) -> None:
-        if self.e0 < 1:
-            raise ValueError("e0 must be positive")
+        check_invariants(1, 1, self.e0)
         if self.r < 0:
             raise ValueError("reduction number must be nonnegative")
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        check_prime(self.p)
         if len(self.alpha) != self.r:
             raise ValueError(f"need exactly r={self.r} alpha sequences, got {len(self.alpha)}")
-        if not all(self.alpha):
-            raise ValueError("each alpha sequence needs a period of at least 1")
+        for seq in self.alpha:
+            check_period(seq)
         needed = max(self.r - 1, self.rho if self.rho is not None else -1) + 1
         if len(self.lengths) < needed:
             raise ValueError(f"need lengths for n = 0..{needed - 1}, got {len(self.lengths)}")
@@ -140,22 +211,10 @@ def cordim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
 
 def sop_dim1_hk(e0J: int, alphaJ: tuple[int, ...], p: int) -> QuasiPolynomialHK:
     """Length of R(I)/(J, It)^[q] for parameter I: q^2 e0(J) + q alpha_J(e)."""
-    if e0J < 1:
-        raise ValueError("e0J must be positive")
-    if not alphaJ:
-        raise ValueError("alpha needs a period of at least 1")
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_invariants(1, 1, e0J)
+    check_period(alphaJ)
+    check_prime(p)
     return QuasiPolynomialHK(tuple(Poly([0, a, e0J]) for a in alphaJ), prime=p)
-
-
-def _validate_cm_args(d: int, e0: int, s: int) -> None:
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if e0 < 1:
-        raise ValueError("e0 must be positive")
-    if s < 1:
-        raise ValueError("s must be positive")
 
 
 def cm_sop_hk(d: int, e0: int, s: int) -> int:
@@ -169,7 +228,7 @@ def cm_sop_hk(d: int, e0: int, s: int) -> int:
     For s >= d this is the polynomial
     e0 [ d s^(d+1)/2 - s^d (d-2)/2 + d C(s+d-1, d+1) ].
     """
-    _validate_cm_args(d, e0, s)
+    check_invariants(d, 2, e0, s)
     k1, k2 = divmod(d, s)
     off = 1 if k2 == 0 else 0
     total = (d - k1 + off) * s ** (d + 1) + d * binomial(s + d - 1, d + 1)
@@ -180,10 +239,7 @@ def cm_sop_hk(d: int, e0: int, s: int) -> int:
 
 def ehk_cm_sop(d: int, e0: int) -> Fraction:
     """Generalized Hilbert-Kunz multiplicity of (I, It)R(I): c(d) e0."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if e0 < 1:
-        raise ValueError("e0 must be positive")
+    check_invariants(d, 1, e0)
     return c_of_d(d) * e0
 
 
@@ -202,8 +258,7 @@ def compare_to_eto_yoshida(value: Fraction, d: int, e0: int) -> str:
 
 def stanley_reisner_ehk(d: int, facets: int) -> Fraction:
     """Multiplicity of the Rees algebra of the irrelevant maximal ideal: c(d) f_{d-1}."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    check_invariants(d, 2)
     if facets < 1:
         raise ValueError("facet count must be positive")
     return c_of_d(d) * facets

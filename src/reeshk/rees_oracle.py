@@ -20,9 +20,8 @@ from itertools import count
 from math import prod
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .binomial_groebner import plane_heights, quotient_colength
-from .combinatorics import _is_prime
-from .hk_formulas import NEGATIVE_E, QuasiPolynomialHK
+from .binomial_groebner import check_exponent, plane_heights, quotient_colength
+from .hk_formulas import NEGATIVE_E, QuasiPolynomialHK, check_invariants, check_prime
 from .monomial_algebra import MonomialIdeal, minimalize
 from .polynomials import Poly, interpolate
 
@@ -53,8 +52,7 @@ class ReesInstanceMonomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.exponents) < 2:
-            raise ValueError("need dimension d >= 2")
+        check_invariants(len(self.exponents), 2)
         if any(a < 1 for a in self.exponents):
             raise ValueError("exponents must be positive")
 
@@ -91,10 +89,8 @@ class ReesInstanceDim1:
     variant: str
 
     def __post_init__(self) -> None:
-        if self.a < 2:
-            raise ValueError("hypersurface exponent must be at least 2")
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        check_exponent(self.a)
+        check_prime(self.p)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -109,12 +105,12 @@ class Ring(NamedTuple):
 
 
 def _polynomial_ring(d: int) -> Ring:
-    """k[x_1, ..., x_d] on `MonomialIdeal` values; each method is looked up when called."""
+    """k[x_1, ..., x_d] on `MonomialIdeal` values, with the class's methods at build time."""
     return Ring(
         MonomialIdeal.unit(d),
-        lambda ideal, q: ideal.frobenius(q),
-        lambda i, j: i.product(j),
-        lambda ideal: ideal.colength(),
+        MonomialIdeal.frobenius,
+        MonomialIdeal.product,
+        MonomialIdeal.colength,
     )
 
 
@@ -226,16 +222,14 @@ def alpha_table(a: int, p: int, n_max: int, e_range: Sequence[int]) -> dict[int,
     m^[q] kept as their staircase heights; the multiplicity of the
     maximal ideal of k[[X, Y]]/(X^a - Y^a) is a.
     """
-    if a < 2:
-        raise ValueError("hypersurface exponent must be at least 2")
+    check_exponent(a)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if not e_range:
         raise ValueError("e_range must be nonempty")
     if min(e_range) < 0:
         raise ValueError(NEGATIVE_E)
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_prime(p)
     ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)
     frobs = {e: ring.frobenius(maximal, p**e) for e in e_range}
     table: dict[int, dict[int, int]] = {}
@@ -274,8 +268,7 @@ def fit_quasi_polynomial(
     """
     if degree < 0 or period < 1 or holdout < 0:
         raise ValueError("degree, period and holdout must be sensible")
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    check_prime(p)
     if min(values, default=0) < 0:
         raise ValueError(NEGATIVE_E)
     es = sorted(values)
@@ -307,8 +300,7 @@ def estimate_ehk(values: Mapping[int, int], d: int) -> Fraction:
     polynomial to extend to every earlier value with s >= d; the
     values must cover consecutive s.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    check_invariants(d, 1)
     points = sorted((s, v) for s, v in values.items() if s >= d)
     if len(points) < d + 3:
         raise InsufficientSamples(f"need at least {d + 3} values with s >= d")

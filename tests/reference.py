@@ -21,8 +21,7 @@ Only tests call these, so they check no arguments.
 from fractions import Fraction
 from math import factorial, prod
 
-from reeshk.combinatorics import binomial
-from reeshk.hilbert_samuel import c_of_d, hilbert_H
+from reeshk.hk_formulas import binomial, c_of_d, hilbert_H
 from reeshk.monomial_algebra import InfiniteColength, MonomialIdeal, minimalize
 from reeshk.polynomials import Poly
 

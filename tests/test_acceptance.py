@@ -9,9 +9,14 @@ import random
 import time
 from fractions import Fraction
 
-from reeshk.combinatorics import binomial
-from reeshk.hilbert_samuel import c_of_d, hilbert_F, hilbert_H
-from reeshk.hk_formulas import cm_sop_hk, compare_to_eto_yoshida
+from reeshk.hk_formulas import (
+    binomial,
+    c_of_d,
+    cm_sop_hk,
+    compare_to_eto_yoshida,
+    hilbert_F,
+    hilbert_H,
+)
 from reeshk.monomial_algebra import minimalize
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (

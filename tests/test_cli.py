@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from reeshk import cli
+from reeshk import cli, hk_formulas
 from reeshk.cli import RunReport, main, parse_range, render_csv, render_json
 from reeshk.hk_formulas import Dim1Input, dim1_hk
 
@@ -412,6 +412,39 @@ EXIT_CODE_MATRIX = {
         1, "does not match",
     ),
 }
+# the caps on q a (rees-of-m only) and on the characteristic p, decided from the inputs
+EXIT_CODE_MATRIX |= {
+    "qa_cap_oracle": (
+        ["oracle", "dim1", "--a", "128", "--p", "2", "--variant", "rees-of-m", "--e", "1..12"],
+        3, "q a = 2^12*128 exceeds the cap 262144; rerun with --force",
+    ),
+    "qa_cap_fit": (
+        ["fit", "dim1", "--a", "4096", "--p", "2", "--variant", "rees-of-m", "--e", "1..12"],
+        3, "q a = 2^12*4096 exceeds the cap 262144; rerun with --force",
+    ),
+    # a p up to the q cap is tested for primality first: invalid input, not a cap
+    "non_prime_p_past_q_cap": (
+        ["oracle", "dim1", "--a", "5", "--p", "4", "--variant", "rees-of-m", "--e", "7"],
+        2, "error: p = 4 is not prime\n",
+    ),
+    # the q cap comes before the primality test of a huge p
+    "q_cap_huge_p": (
+        ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-m",
+         "--e", "1"],
+        3, "q = 100000000000031^1 exceeds the cap 4096; rerun with --force",
+    ),
+    **{
+        f"p_cap_{name}": (
+            argv + ["--p", "100000000000031"],
+            3, "p = 100000000000031 exceeds the cap 1099511627776; rerun with --force",
+        )
+        for name, argv in [
+            ("formula_dim1", ["formula", "dim1", "--e0", "5", "--e1", "10", "--r", "4",
+                              "--lengths", "0,1,3,6", "--alpha=-4,-6;-3,-5;-2,-3;-1,-1"]),
+            ("formula_sop_dim1", ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6"]),
+        ]
+    },
+}
 # p is the characteristic, so a non-prime --p is refused on both dim1 formula paths
 EXIT_CODE_MATRIX |= {
     f"{name}_p_{p}": (argv + ["--p", p], 2, f"p = {p} is not prime")
@@ -536,6 +569,54 @@ class TestExitCodes:
         )
         assert code == 0
 
+    def test_qa_cap(self, capsys, monkeypatch):
+        # refused from the inputs alone, before the oracle walks anything
+        def walked(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "rees_colength_dim1", walked)
+        code, out, err = run(
+            capsys, "compare", "dim1", "--a", "4096", "--p", "2", "--variant", "rees-of-m",
+            "--e", "1..12",
+        )
+        assert code == 3 and out == ""
+        assert "q a = 2^12*4096 exceeds the cap 262144" in err
+
+    def test_qa_cap_force_override(self, capsys, monkeypatch):
+        # q a = 4 * 13 = 52; rees-of-x builds no chain of powers, so it is not capped
+        monkeypatch.setattr(cli, "QA_CAP", 51)
+        argv = ["oracle", "dim1", "--a", "13", "--p", "2", "--e", "1..2", "--format", "csv"]
+        code, out, err = run(capsys, *argv, "--variant", "rees-of-m")
+        assert code == 3 and out == "" and "q a = 2^2*13 exceeds the cap 51" in err
+        code, out, _ = run(capsys, *argv, "--variant", "rees-of-m", "--force")
+        assert code == 0 and len(csv_rows(out)) == 2
+        assert run(capsys, *argv, "--variant", "rees-of-x")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6", "--p", "100000000000031"],
+            ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-m",
+             "--e", "1"],
+        ],
+        ids=["p_cap", "q_cap"],
+    )
+    def test_huge_p_is_refused_before_its_primality_test(self, capsys, monkeypatch, argv):
+        def tested(p):
+            raise AssertionError("p was tested for primality")
+
+        monkeypatch.setattr(hk_formulas, "_is_prime", tested)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.endswith("rerun with --force\n")
+
+    def test_p_cap_force_override(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "P_CAP", 2)
+        argv = ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6", "--p", "3", "--format", "csv"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "p = 3 exceeds the cap 2; rerun with --force" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and csv_rows(out)[0]["formula"] == "5*q^2 - 4*q"
+
     def test_monomial_cap(self, capsys, monkeypatch):
         # refused from the inputs alone, before the oracle walks anything
         def walked(*args):
@@ -633,9 +714,18 @@ class TestExitCodes:
         assert parse_range("2..5") == range(2, 6)
         assert parse_range("3") == range(3, 4)
 
+    def test_report_with_nothing_compared_is_unchecked(self, capsys):
+        report = RunReport({"check": "unit"}, "formula")
+        report.add({"s": 1}, formula=3)
+        report.add({"s": 2}, oracle=4)
+        assert report.verdict == "unchecked"
+        assert json.loads(render_json(report))["verdict"] == "unchecked"
+        code, out, _ = run(capsys, "formula", "ehk", "--d", "2", "--e0", "3")
+        assert code == 0 and out.endswith("verdict: unchecked\n")
+
     def test_mismatch_report_exits_one(self):
         report = RunReport({"check": "unit"}, "compare")
         report.add({"s": 1}, formula=3, oracle=4)
-        assert report.verdict is False
+        assert report.verdict == "fail"
         assert json.loads(render_json(report))["verdict"] == "fail"
         assert csv_rows(render_csv(report))[0]["match"] == "false"

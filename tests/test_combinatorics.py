@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from reeshk.combinatorics import binomial
+from reeshk.hk_formulas import binomial
 from reeshk.polynomials import Poly
 
 from reference import (

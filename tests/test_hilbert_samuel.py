@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from reeshk.hilbert_samuel import c_of_d, hilbert_F, hilbert_H
+from reeshk.hk_formulas import c_of_d, hilbert_F, hilbert_H
 from reeshk.monomial_algebra import minimalize
 from fractions import Fraction
 

@@ -136,7 +136,7 @@ class TestColength:
 
     def test_maximal_ideal_powers(self):
         # colength of (x1..xd)^n is C(n+d-1, d)
-        from reeshk.combinatorics import binomial
+        from reeshk.hk_formulas import binomial
 
         for d in (2, 3, 4):
             m = param_ideal((1,) * d)

@@ -5,8 +5,13 @@ name defined under `src/reeshk` must be used somewhere in `src/`
 outside its own definition.  A re-export in `__init__.py` is not a use.
 A use is any `ast.Name` or `ast.Attribute` of that name, so a method
 counts as used when any attribute of its name is read.
+
+Two placement rules ride along: only `cli.py` refuses inputs as too
+costly, and each input rule that several functions share is raised
+from one function.
 """
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "reeshk"
@@ -86,3 +91,54 @@ def test_caps_are_decided_at_the_command_line():
         and node.func.id == "ResourceCapExceeded"
     }
     assert raised == {"cli.py"}
+
+
+# each shared input rule, by a pattern of its one message
+RULES = {
+    "p is prime": r"is not prime",
+    "d has a least value": r"^d must be at least",
+    "e0 >= 1": r"^e0J? must be positive",
+    "s >= 1": r"^s must be positive",
+    "a >= 2": r"^hypersurface exponent must be at least 2",
+    "alpha has a period": r"period (of|must be) at least 1",
+}
+# monomial_algebra imports nothing from hk_formulas, and the bracket power keeps its own check
+OWN_CHECKS = {"monomial_algebra.py:MonomialIdeal.frobenius"}
+
+
+def _message(call):
+    """The text of a raised exception's first argument, with "{}" for each formatted value."""
+    arg = call.args[0] if isinstance(call, ast.Call) and call.args else None
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    if isinstance(arg, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
+    return ""
+
+
+def _raise_sites():
+    """(module:qualified function, message) for every raise inside a function in src/."""
+    sites = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+            else:
+                if isinstance(child, ast.Raise) and scope:
+                    sites.append((f"{module}:{'.'.join(scope)}", _message(child.exc)))
+                visit(child, module, scope)
+
+    for module, tree in _modules().items():
+        visit(tree, module, [])
+    return sites
+
+
+def test_each_input_rule_has_one_raise_site():
+    sites = _raise_sites()
+    raisers = {
+        rule: {where for where, message in sites if re.search(pattern, message)} - OWN_CHECKS
+        for rule, pattern in RULES.items()
+    }
+    counts = {rule: len(where) for rule, where in raisers.items()}
+    assert counts == dict.fromkeys(RULES, 1), raisers
