@@ -202,7 +202,9 @@ def _monomial_setup(
     Each s of a sweep builds its own products I^[s] I^n up to n = d (s - 1) + 1,
     the first power with I^[s] I^(n-s) = I^n; their time follows their
     generators, the C(n + d, d) monomials of degree at most n.  The cap
-    bounds the sum over the sweep.
+    bounds the sum over the sweep.  It is sized for the staircase walk and
+    applies unchanged to an ideal the oracle sums in its symmetric ring,
+    which keeps one generator per orbit and runs such a sweep faster.
     """
     inst = ReesInstanceMonomial(exponents)
     ss = parse_range(s_text)

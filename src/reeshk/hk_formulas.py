@@ -52,9 +52,9 @@ def check_invariants(d: int, least: int, e0: int = 1, s: int = 1) -> None:
         raise ValueError("s must be positive")
 
 
-def check_period(values: tuple) -> None:
-    if not values:
-        raise ValueError("a periodic value needs a period of at least 1")
+def check_period(period: int) -> None:
+    if period < 1:
+        raise ValueError(f"a periodic value needs a period of at least 1, got {period}")
 
 
 def binomial(n: int, k: int) -> int:
@@ -116,7 +116,7 @@ class QuasiPolynomialHK:
     valid_from_e: Optional[int] = None
 
     def __post_init__(self) -> None:
-        check_period(self.polys)
+        check_period(len(self.polys))
         degrees = {p.degree for p in self.polys}
         if len(degrees) != 1:
             raise ValueError(f"residue-class polynomials have mixed degrees {degrees}")
@@ -166,7 +166,7 @@ class Dim1Input:
         if len(self.alpha) != self.r:
             raise ValueError(f"need exactly r={self.r} alpha sequences, got {len(self.alpha)}")
         for seq in self.alpha:
-            check_period(seq)
+            check_period(len(seq))
         needed = max(self.r - 1, self.rho if self.rho is not None else -1) + 1
         if len(self.lengths) < needed:
             raise ValueError(f"need lengths for n = 0..{needed - 1}, got {len(self.lengths)}")
@@ -212,7 +212,7 @@ def cordim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
 def sop_dim1_hk(e0J: int, alphaJ: tuple[int, ...], p: int) -> QuasiPolynomialHK:
     """Length of R(I)/(J, It)^[q] for parameter I: q^2 e0(J) + q alpha_J(e)."""
     check_invariants(1, 1, e0J)
-    check_period(alphaJ)
+    check_period(len(alphaJ))
     check_prime(p)
     return QuasiPolynomialHK(tuple(Poly([0, a, e0J]) for a in alphaJ), prime=p)
 

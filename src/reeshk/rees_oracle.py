@@ -8,21 +8,27 @@ takes a whole sweep of s or e at once: one chain of powers I^n serves
 every q of the sweep, so colength(I^n) is taken once per n, not once
 per n and q.  It works in a `Ring`, whose ideals are canonical values,
 so that `==` is ideal equality.  The polynomial ring keeps a
-`MonomialIdeal`, its sorted minimal generators.  The hypersurface ring
-k[X, Y]/(X^a - Y^a) keeps the staircase heights of the initial ideal,
-a tuple of length a, so a step of the sum costs O(a) and not O(q).
+`MonomialIdeal`, its sorted minimal generators.  When I is invariant
+under every permutation of the variables, as (x_1^a, ..., x_d^a) is,
+so is every ideal of the sum, and the symmetric ring keeps one sorted
+generator per orbit, up to d! times fewer, and counts a colength by
+the least coordinate of a standard monomial and its multiplicity, not
+by a staircase walk.  The hypersurface ring k[X, Y]/(X^a - Y^a) keeps
+the staircase heights of the initial ideal, a tuple of length a, so a
+step of the sum costs O(a) and not O(q).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import prod
+from itertools import count, permutations
+from math import comb, prod
+from operator import add
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
-from .hk_formulas import NEGATIVE_E, QuasiPolynomialHK, check_invariants, check_prime
-from .monomial_algebra import MonomialIdeal, minimalize
+from .hk_formulas import NEGATIVE_E, QuasiPolynomialHK, check_invariants, check_period, check_prime
+from .monomial_algebra import MonomialIdeal, Vector, _minimal_vectors, minimalize
 from .polynomials import Poly, interpolate
 
 # the Rees quotients of ReesInstanceDim1, spelled as on the command line
@@ -139,6 +145,71 @@ def _plane_ring(a: int) -> Ring:
     )
 
 
+def _orbits(reps: tuple[Vector, ...]) -> set[Vector]:
+    """Every permutation of every representative: the generators of the S_d-invariant ideal."""
+    return {v for g in reps for v in permutations(g)}
+
+
+def _symmetric_ring(d: int) -> Ring:
+    """k[x_1, ..., x_d] on S_d-invariant ideals, kept as one ascending generator per orbit.
+
+    A sorted u lies in the ideal iff some representative is <= u
+    componentwise, so the minimal representatives, sorted by
+    `_minimal_vectors`, are a canonical value.  A product sorts g + pi(h)
+    over the representatives g of one side and every permutation of the
+    other side's.  The colength of an m-primary ideal in m variables
+    cuts [0, top) at the exponents, where top = min(max g) bounds the
+    least coordinate of a standard u and membership changes only at an
+    exponent.  It counts the standard u by the cell [lo, hi) of their
+    least coordinate and the number k of coordinates in that cell,
+    which take C(m, k) (hi - lo)^k values.  For k < m the other
+    coordinates, less hi, are a standard point of a tail ideal in m - k
+    variables: the tails g[k:] of the g with g[k-1] <= lo, shifted down
+    by hi.  So the work follows the generators, not the size of the
+    exponents.  Tail colengths are memoised for the life of the ring;
+    in two variables the orbits are expanded and walked by
+    `MonomialIdeal`.
+    """
+    memo: dict[tuple[Vector, ...], int] = {}
+
+    def product(j: tuple[Vector, ...], k: tuple[Vector, ...]) -> tuple[Vector, ...]:
+        if len(j) < len(k):
+            j, k = k, j
+        return _minimal_vectors((*sorted(map(add, g, h)),) for h in _orbits(k) for g in j)
+
+    def colength(reps: tuple[Vector, ...]) -> int:
+        m = len(reps[0])
+        if m == 1:
+            return reps[0][0]
+        if m == 2:
+            return MonomialIdeal(_minimal_vectors(_orbits(reps))).colength()
+        top = min(g[-1] for g in reps)
+        cuts = sorted({0, top, *(e for g in reps for e in g if e < top)})
+        cells = list(zip(cuts, cuts[1:]))
+        total = sum((hi - lo) ** m for lo, hi in cells)  # every u_i in one cell
+        for k in range(1, m):
+            # the tails g[k:] of the g with g[k-1] <= lo join at lo = g[k-1]
+            joining: dict[int, list[Vector]] = {}
+            for g in reps:
+                joining.setdefault(g[k - 1], []).append(g[k:])
+            active: tuple[Vector, ...] = ()
+            for lo, hi in cells:
+                if lo in joining:
+                    active = _minimal_vectors((*active, *joining[lo]))
+                tail = _minimal_vectors((*(max(e - hi, 0) for e in t),) for t in active)
+                if tail not in memo:
+                    memo[tail] = colength(tail)
+                total += comb(m, k) * (hi - lo) ** k * memo[tail]
+        return total
+
+    return Ring(
+        ((0,) * d,),
+        lambda reps, q: tuple((*(q * e for e in g),) for g in reps),
+        product,
+        colength,
+    )
+
+
 def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dict[int, int]:
     """Length of R(I)/(I, It)^[q] for every q in caps, summed over the graded pieces in a ring R.
 
@@ -196,11 +267,18 @@ def rees_colength_monomial(inst: ReesInstanceMonomial, ss: Sequence[int]) -> dic
     """{s: length of R(I)/(I, It)^[s]} by summing graded pieces in the polynomial ring.
 
     The tail cap is (d-1)*s: I^[s] I^t must equal I^(s+t) by t = (d-1)*s + 1.
+    An I whose generators a transposition and a d-cycle permute among
+    themselves is invariant under every permutation of the variables, and
+    the sum runs in the symmetric ring on its orbit representatives.
     """
     _check_sweep(ss, "s")
-    return _graded_lengths(
-        _polynomial_ring(inst.d), inst.ideal(), {s: (inst.d - 1) * s for s in ss}
-    )
+    d, ideal = inst.d, inst.ideal()
+    caps = {s: (d - 1) * s for s in ss}
+    gens = set(ideal.gens)
+    if gens == {(g[1], g[0], *g[2:]) for g in gens} == {(*g[1:], g[0]) for g in gens}:
+        reps = _minimal_vectors((*sorted(g),) for g in gens)
+        return _graded_lengths(_symmetric_ring(d), reps, caps)
+    return _graded_lengths(_polynomial_ring(d), ideal, caps)
 
 
 def rees_colength_dim1(inst: ReesInstanceDim1, es: Sequence[int]) -> dict[int, int]:
@@ -266,8 +344,11 @@ def fit_quasi_polynomial(
     threshold (valid_from_e) is the smallest e from which every sample
     matches; samples older than the threshold are allowed to disagree.
     """
-    if degree < 0 or period < 1 or holdout < 0:
-        raise ValueError("degree, period and holdout must be sensible")
+    if degree < 0:
+        raise ValueError(f"the degree must be nonnegative, got {degree}")
+    check_period(period)
+    if holdout < 0:
+        raise ValueError(f"the holdout must be nonnegative, got {holdout}")
     check_prime(p)
     if min(values, default=0) < 0:
         raise ValueError(NEGATIVE_E)

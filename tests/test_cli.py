@@ -411,6 +411,18 @@ EXIT_CODE_MATRIX = {
          "--period", "1", "--force"],
         1, "does not match",
     ),
+    # the fit's own parameters name themselves and their values
+    **{
+        f"fit_{flag}": (
+            ["fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "2..7",
+             f"--{flag}", value],
+            2, f"{message}, got {value}\n",
+        )
+        for flag, value, message in [
+            ("period", "0", "a periodic value needs a period of at least 1"),
+            ("holdout", "-1", "the holdout must be nonnegative"),
+        ]
+    },
 }
 # the caps on q a (rees-of-m only) and on the characteristic p, decided from the inputs
 EXIT_CODE_MATRIX |= {

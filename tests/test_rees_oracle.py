@@ -17,8 +17,10 @@ from reeshk.rees_oracle import (
     ReesInstanceMonomial,
     StabilizationNotReached,
     _graded_lengths,
+    _orbits,
     _plane_ring,
     _polynomial_ring,
+    _symmetric_ring,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
@@ -26,7 +28,7 @@ from reeshk.rees_oracle import (
     rees_colength_monomial,
 )
 
-from reference import graded_length_by_window, power
+from reference import colength_by_inclusion_exclusion, graded_length_by_window, power
 
 # the maximal ideal (X, Y) of k[X, Y], kept as its generators
 PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
@@ -69,6 +71,29 @@ class TestMonomialOracle:
                     assert rees_colength_monomial(inst, [s])[s] == cm_sop_hk(
                         d, inst.e0, s
                     ), (exps, s)
+
+    @pytest.mark.parametrize("d, top", [(5, 5), (6, 3)])
+    def test_formula_oracle_equivalence_past_four_variables(self, d, top):
+        inst = ReesInstanceMonomial((1,) * d)
+        assert rees_colength_monomial(inst, range(1, top + 1)) == {
+            s: cm_sop_hk(d, 1, s) for s in range(1, top + 1)
+        }
+
+    @pytest.mark.parametrize("exps, symmetric", [
+        ((1, 1), True), ((1, 1, 1), True), ((3, 3, 3, 3), True),
+        ((2, 1, 1, 1), False), ((1, 2, 3), False), ((2, 2, 3), False),
+    ])
+    def test_ring_follows_the_symmetry_of_the_ideal(self, exps, symmetric, monkeypatch):
+        built = []
+        for name in ("_symmetric_ring", "_polynomial_ring"):
+            make = getattr(rees_oracle, name)
+            monkeypatch.setattr(
+                rees_oracle, name, lambda d, make=make, name=name: built.append(name) or make(d)
+            )
+        inst = ReesInstanceMonomial(exps)
+        expected = {s: cm_sop_hk(inst.d, inst.e0, s) for s in (1, 2)}
+        assert rees_colength_monomial(inst, [1, 2]) == expected
+        assert built == ["_symmetric_ring" if symmetric else "_polynomial_ring"]
 
     def test_tail_vanishes_at_detection_point(self):
         # the truncation point T has a zero summand, and so does T+1
@@ -159,6 +184,8 @@ class TestGradedLength:
     # (ring, ideal, {q: first tail index t with I^[q] I^t = I^(q+t)})
     CASES = {
         "monomial": (_polynomial_ring(4), ReesInstanceMonomial((2, 1, 1, 1)).ideal(), {3: 6, 2: 3}),
+        # (x_1, ..., x_4) on its one orbit representative: m^[q] m^t = m^(q+t) from t = 3 (q - 1)
+        "symmetric": (_symmetric_ring(4), ((0, 0, 0, 1),), {3: 6, 2: 3}),
         "hypersurface": (_plane_ring(7), (1, 0, 0, 0, 0, 0, 0), {8: 5, 4: 3}),
     }
 
@@ -192,6 +219,57 @@ class TestGradedLength:
                     PLANE_MAXIMAL, p**e, lambda ideal: quotient_colength(a, ideal), 2 * a + 2
                 )
                 assert rees_colength_dim1(inst, [e])[e] == expected, (p, e)
+
+
+@st.composite
+def symmetric_ideals(draw, d):
+    """An m-primary S_d-invariant ideal, symmetrised from a pure power and a few tuples.
+
+    Returns its orbit representatives, taken as the sorted minimal
+    generators, and the ideal itself.
+    """
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3))
+    gens.append((draw(st.integers(1, 4)),) + (0,) * (d - 1))
+    ideal = minimalize({v for g in gens for v in itertools.permutations(g)})
+    return tuple(sorted({tuple(sorted(g)) for g in ideal.gens})), ideal
+
+
+@st.composite
+def symmetric_pairs(draw):
+    d = draw(st.integers(2, 5))
+    return d, draw(symmetric_ideals(d)), draw(symmetric_ideals(d))
+
+
+class TestSymmetricRing:
+    """The orbit-representative ring against the polynomial ring on the expanded ideals."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_pairs(), st.integers(1, 40))
+    def test_matches_polynomial_ring(self, case, q):
+        d, (j, big_j), (k, big_k) = case
+        ring, poly = _symmetric_ring(d), _polynomial_ring(d)
+
+        def representatives(ideal):
+            return tuple(sorted({tuple(sorted(g)) for g in ideal.gens}))
+
+        assert minimalize(_orbits(j)) == big_j
+        product = representatives(poly.product(big_j, big_k))
+        assert ring.product(j, k) == ring.product(k, j) == product
+        assert ring.frobenius(j, q) == representatives(poly.frobenius(big_j, q))
+        assert ring.colength(ring.frobenius(j, q)) == poly.colength(poly.frobenius(big_j, q))
+        assert ring.colength(j) == poly.colength(big_j)
+        assert ring.colength(ring.product(j, k)) == poly.colength(poly.product(big_j, big_k))
+        if len(big_j.gens) <= 12:
+            assert ring.colength(j) == colength_by_inclusion_exclusion(big_j)
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_unit(self, d):
+        ring, maximal = _symmetric_ring(d), ((0,) * (d - 1) + (1,),)
+        assert minimalize(_orbits(ring.unit)) == MonomialIdeal.unit(d)
+        assert ring.product(ring.unit, maximal) == ring.product(maximal, ring.unit) == maximal
+        assert ring.frobenius(ring.unit, 3) == ring.unit
+        assert ring.colength(ring.unit) == 0
+        assert ring.colength(maximal) == 1
 
 
 @st.composite
@@ -236,7 +314,8 @@ class TestSweep:
         assert rees_colength_dim1(inst, [6, 2, 4]) == {6: 20224, 2: 64, 4: 1216}
 
     def test_colength_of_each_power_taken_once(self, monkeypatch):
-        # one chain of powers serves every s: colength(I^n) is not recounted per s
+        # one chain of powers serves every s: colength(I^n) is not recounted per s;
+        # (1, 1, 2) is not symmetric, so every colength is a walk of a MonomialIdeal
         colength, calls = MonomialIdeal.colength, []
 
         def counting(self, *args, **kwargs):
@@ -244,10 +323,42 @@ class TestSweep:
             return colength(self, *args, **kwargs)
 
         monkeypatch.setattr(MonomialIdeal, "colength", counting)
-        inst = ReesInstanceMonomial((1, 1, 1))
+        inst = ReesInstanceMonomial((1, 1, 2))
         sweep = rees_colength_monomial(inst, range(1, 10))
+        assert sweep == {s: cm_sop_hk(3, 2, s) for s in range(1, 10)}
+        assert len(calls) <= 100  # one call per s made 190; the sweep makes 98
+
+    def test_symmetric_colength_of_each_power_taken_once(self, monkeypatch):
+        # the same count on the orbit ring, where MonomialIdeal only sees the
+        # two-variable tails of the recursion
+        make, calls = rees_oracle._symmetric_ring, []
+
+        def counting(d):
+            ring = make(d)
+            return ring._replace(colength=lambda reps: calls.append(reps) or ring.colength(reps))
+
+        monkeypatch.setattr(rees_oracle, "_symmetric_ring", counting)
+        sweep = rees_colength_monomial(ReesInstanceMonomial((1, 1, 1)), range(1, 10))
         assert sweep == {s: cm_sop_hk(3, 1, s) for s in range(1, 10)}
         assert len(calls) <= 100  # one call per s made 190
+
+    def test_symmetric_work_does_not_grow_with_the_exponents(self, monkeypatch):
+        # the orbit colength counts by the cells between exponents, not by each
+        # value below them, so (300, 300, 300) takes the steps of (1, 1, 1)
+        minimal_vectors, calls = rees_oracle._minimal_vectors, []
+
+        def counting(vectors):
+            calls.append(None)
+            return minimal_vectors(vectors)
+
+        monkeypatch.setattr(rees_oracle, "_minimal_vectors", counting)
+        steps = {}
+        for a in (1, 300):
+            calls.clear()
+            sweep = rees_colength_monomial(ReesInstanceMonomial((a, a, a)), range(1, 10))
+            assert sweep == {s: cm_sop_hk(3, a**3, s) for s in range(1, 10)}
+            steps[a] = len(calls)
+        assert steps[300] == steps[1]
 
     @pytest.mark.parametrize("oracle, inst, name", [
         (rees_colength_monomial, ReesInstanceMonomial((1, 1)), "s"),
@@ -371,10 +482,14 @@ class TestFitQuasiPolynomial:
             fit_quasi_polynomial({-1: 5, 0: 5, 1: 5}, 2, 0, 1, holdout=1)
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            fit_quasi_polynomial(self.fermat_x_samples(8), 2, degree=-1, period=2)
-        with pytest.raises(ValueError):
-            fit_quasi_polynomial(self.fermat_x_samples(8), 2, degree=2, period=0)
+        samples = self.fermat_x_samples(8)
+        with pytest.raises(ValueError, match="^the degree must be nonnegative, got -1$"):
+            fit_quasi_polynomial(samples, 2, degree=-1, period=2)
+        period = "^a periodic value needs a period of at least 1, got 0$"
+        with pytest.raises(ValueError, match=period):
+            fit_quasi_polynomial(samples, 2, degree=2, period=0)
+        with pytest.raises(ValueError, match="^the holdout must be nonnegative, got -1$"):
+            fit_quasi_polynomial(samples, 2, degree=2, period=2, holdout=-1)
 
 
 @st.composite
