@@ -48,6 +48,7 @@ from .rees_oracle import (
 )
 
 MONOMIAL_CAP = 10**5
+# rees-of-x: the 3-variable count and the alpha table, on a and on q
 Q_CAP = 2**12
 # a rees-of-m sweep costs about 1-3 us per unit of q a per e; up to q a = 2^18, about 1 s
 QA_CAP = 2**18
@@ -216,46 +217,42 @@ def _monomial_setup(
             if s < 1:
                 break
             walk += binomial(d * (s - 1) + 1 + d, d)
-            if walk > MONOMIAL_CAP:
-                span = s if s == top else f"{s}..{top}"
-                raise ResourceCapExceeded(
-                    f"s = {span} in {d} variables walks {walk} monomials, over the cap "
-                    f"{MONOMIAL_CAP}; rerun with --force"
-                )
+            span = s if s == top else f"{s}..{top}"
+            text = f"s = {span} in {d} variables: a walk of {walk} monomials"
+            _cap(text, walk, MONOMIAL_CAP, force)
     return inst, ss
 
 
 def _cap_rows(ss: range, force: bool) -> None:
     """Refuse a range of s past the row cap unless forced; its width comes from its ends."""
     rows = ss.stop - ss.start
-    if not force and rows > ROW_CAP:
-        raise ResourceCapExceeded(
-            f"{rows} values of s exceed the cap of {ROW_CAP} rows; rerun with --force"
-        )
+    _cap(f"a range of {rows} values of s", rows, ROW_CAP, force)
 
 
 def _dim1_setup(
     a: int, p: int, variant: str, e_text: str, force: bool
 ) -> tuple[ReesInstanceDim1, range]:
-    """The dimension-1 instance and its e range; a, q and q a are capped unless forced."""
+    """The dimension-1 instance and its e range; rees-of-m caps q a, rees-of-x a and q."""
     es = parse_range(e_text)
     if es[0] < 1:
         # refused before the formula side runs; the range ascends, so nothing is listed
         raise ValueError("e must be positive")
-    if p <= Q_CAP:  # a larger p meets the q cap before its slow primality test
+    cap = QA_CAP if variant == "rees-of-m" else Q_CAP
+    if p <= cap:  # a larger p meets the cap before its slow primality test
         check_prime(p)
     e = es[-1]
-    _cap(f"a = {a}", a, Q_CAP, force)
     # p >= 2, so p^e is past the cap once e reaches its bit length; a larger e is refused unformed
-    q = p**e if e < Q_CAP.bit_length() else Q_CAP + 1
-    _cap(f"q = {p}^{e}", q, Q_CAP, force)
+    q = p**e if e < cap.bit_length() else cap + 1
     if variant == "rees-of-m":
         _cap(f"q a = {p}^{e}*{a}", q * a, QA_CAP, force)
+    else:
+        _cap(f"a = {a}", a, Q_CAP, force)
+        _cap(f"q = {p}^{e}", q, Q_CAP, force)
     return ReesInstanceDim1(a, p, variant), es
 
 
 def _cap(text: str, value: int, cap: int, force: bool) -> int:
-    """value, refused past cap unless forced; text names it in the refusal."""
+    """value, refused past cap unless forced; text names it.  Every cap refuses here."""
     if value > cap and not force:
         raise ResourceCapExceeded(f"{text} exceeds the cap {cap}; rerun with --force")
     return value

@@ -30,8 +30,6 @@ from typing import Optional
 
 from .polynomials import Poly
 
-NEGATIVE_E = "e must be nonnegative, so that q = p^e is an integer"
-
 
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
@@ -50,6 +48,11 @@ def check_invariants(d: int, least: int, e0: int = 1, s: int = 1) -> None:
         raise ValueError("e0 must be positive")
     if s < 1:
         raise ValueError("s must be positive")
+
+
+def check_e(e: int) -> None:
+    if e < 0:
+        raise ValueError("e must be nonnegative, so that q = p^e is an integer")
 
 
 def check_period(period: int) -> None:
@@ -130,8 +133,7 @@ class QuasiPolynomialHK:
 
     def value_at(self, e: int) -> int:
         """Evaluate at q = p^e."""
-        if e < 0:
-            raise ValueError(NEGATIVE_E)
+        check_e(e)
         value = self.poly_for(e)(self.prime**e)
         if value.denominator != 1:
             raise ArithmeticError(f"non-integral length {value} at e={e}")

@@ -10,16 +10,15 @@ powers, and the Groebner entry points that take it, read its tuples
 without checking them again.
 Minimal generators come from bitset divisibility masks, or in two
 variables from a running minimum of the second exponent over the
-sorted tuples; colength from a staircase walk over the box of the
-pure-power generators whose slices see growing prefixes of the sorted
-generators.
+sorted tuples; colength from a staircase walk whose slices see growing
+prefixes of the sorted generators and which stops at the pure power of
+the first variable.
 """
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
-from math import prod
 from operator import add, and_
 from typing import Iterable, Optional, Sequence
 
@@ -139,10 +138,9 @@ class MonomialIdeal:
 
     def colength(self) -> int:
         """Number of standard monomials, i.e. lattice points below the staircase."""
-        box = self.primary_box()
-        if box is None:
+        if self.primary_box() is None:
             raise InfiniteColength(f"no pure power of every variable in {self}")
-        return _count_standard(self.gens, box)
+        return _count_standard(self.gens)
 
     def __str__(self) -> str:
         return format_ideal(self)
@@ -153,40 +151,36 @@ def minimalize(gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     return MonomialIdeal(_minimal_vectors(_validated(gens)))
 
 
-def _count_standard(gens: Sequence[Vector], box: Vector) -> int:
-    """Count points u with 0 <= u_i < box_i not componentwise above any generator.
+def _count_standard(gens: Sequence[Vector]) -> int:
+    """Count the points u >= 0 not componentwise above any of the generators.
 
-    gens must be lexicographically sorted, as MonomialIdeal.gens are.  The
-    slice at u_1 = t is the staircase of the tails of the generators with
-    first exponent at most t, a growing prefix of gens; it is counted by
-    a recursive call only when the prefix has grown, and the walk stops
-    at the first tail that is the zero vector, past which every slice is
-    inside the ideal.  In two variables a slice is a column whose height
-    is the running minimum of the second exponents.
+    gens must be lexicographically sorted, as MonomialIdeal.gens are, and
+    m-primary, minimal or not.  So they open at first exponent 0 and reach
+    the pure power of x_1 before any larger first exponent.  The slice at
+    u_1 = t is the staircase of the tails of the generators with first
+    exponent at most t, a growing prefix of gens; it is counted by a
+    recursive call only when the prefix has grown, and the walk stops at
+    the first tail that is the zero vector, past which every slice is
+    inside the ideal.  In one variable a slice is a point and counts 1.  In
+    two variables a slice is a column whose height is the running minimum
+    of the second exponents.
     """
-    first = box[0]
-    if len(box) == 2:
-        lo, height, total = 0, box[1], 0
+    if len(gens[0]) == 2:
+        lo, height, total = 0, gens[0][1], 0
         for a, b in gens:
-            if a >= first:
-                break
-            if b < height:
+            if b <= height:
                 total += (a - lo) * height
                 lo, height = a, b
                 if not b:
                     return total
-        return total + (first - lo) * height
-    rest = box[1:]
     active: list[Vector] = []
-    lo, count, total = 0, prod(rest), 0
+    lo, count, total = 0, 1, 0
     grown = False
     for g in gens:
         a = g[0]
-        if a >= first:
-            break
         if a > lo:
             if grown:
-                count, grown = _count_standard(active, rest), False
+                count, grown = _count_standard(active), False
             total += (a - lo) * count
             lo = a
         tail = g[1:]
@@ -194,9 +188,6 @@ def _count_standard(gens: Sequence[Vector], box: Vector) -> int:
             return total
         insort(active, tail)
         grown = True
-    if grown:
-        count = _count_standard(active, rest)
-    return total + (first - lo) * count
 
 
 def parse_ideal(text: str) -> MonomialIdeal:

@@ -27,7 +27,7 @@ from operator import add
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
-from .hk_formulas import NEGATIVE_E, QuasiPolynomialHK, check_invariants, check_period, check_prime
+from .hk_formulas import QuasiPolynomialHK, check_e, check_invariants, check_period, check_prime
 from .monomial_algebra import MonomialIdeal, Vector, _minimal_vectors, minimalize
 from .polynomials import Poly, interpolate
 
@@ -305,8 +305,7 @@ def alpha_table(a: int, p: int, n_max: int, e_range: Sequence[int]) -> dict[int,
         raise ValueError("n_max must be nonnegative")
     if not e_range:
         raise ValueError("e_range must be nonempty")
-    if min(e_range) < 0:
-        raise ValueError(NEGATIVE_E)
+    check_e(min(e_range))
     check_prime(p)
     ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)
     frobs = {e: ring.frobenius(maximal, p**e) for e in e_range}
@@ -350,8 +349,7 @@ def fit_quasi_polynomial(
     if holdout < 0:
         raise ValueError(f"the holdout must be nonnegative, got {holdout}")
     check_prime(p)
-    if min(values, default=0) < 0:
-        raise ValueError(NEGATIVE_E)
+    check_e(min(values, default=0))
     es = sorted(values)
     polys: list[Poly] = []
     for c in range(period):

@@ -320,26 +320,27 @@ EXIT_CODE_MATRIX = {
         ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "13"],
         3, "q = 2^13 exceeds the cap 4096",
     ),
-    # refused before p**e is formed: no huge q printed, no int-to-text limit hit
+    # refused before p**e is formed: no huge q printed, no int-to-text limit hit;
+    # a rees-of-m sweep meets the q a cap
     "q_cap_huge_e": (
         ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "1..1000000"],
-        3, "q = 2^1000000 exceeds the cap 4096; rerun with --force",
+        3, "q a = 2^1000000*5 exceeds the cap 262144; rerun with --force",
     ),
-    # the dim-1 oracles allocate and walk lists of length a
+    # the rees-of-x count and the alpha table are capped on a
     "a_cap": (
-        ["oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-m", "--e", "1"],
+        ["oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-x", "--e", "1"],
         3, "a = 5000 exceeds the cap 4096; rerun with --force",
     ),
     # refused from the range's last element, before its e values are listed
     "q_cap_huge_range": (
         ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m",
          "--e", "1..1000000000000"],
-        3, "q = 2^1000000000000 exceeds the cap 4096; rerun with --force",
+        3, "q a = 2^1000000000000*5 exceeds the cap 262144; rerun with --force",
     ),
     # C(301, 3) monomials of degree at most 298 = 3 (100 - 1) + 1
     "monomial_cap": (
         ["oracle", "monomial", "--exponents", "1,1,1", "--s", "1..100"],
-        3, "s = 100 in 3 variables walks 4499950 monomials, over the cap 100000; "
+        3, "s = 100 in 3 variables: a walk of 4499950 monomials exceeds the cap 100000; "
            "rerun with --force",
     ),
     # C(31, 5): one s past the d = 5 frontier
@@ -436,14 +437,24 @@ EXIT_CODE_MATRIX |= {
     ),
     # a p up to the q cap is tested for primality first: invalid input, not a cap
     "non_prime_p_past_q_cap": (
-        ["oracle", "dim1", "--a", "5", "--p", "4", "--variant", "rees-of-m", "--e", "7"],
+        ["oracle", "dim1", "--a", "5", "--p", "4", "--variant", "rees-of-x", "--e", "7"],
         2, "error: p = 4 is not prime\n",
     ),
-    # the q cap comes before the primality test of a huge p
+    # the q cap, and the q a cap, come before the primality test of a huge p
     "q_cap_huge_p": (
-        ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-m",
+        ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-x",
          "--e", "1"],
         3, "q = 100000000000031^1 exceeds the cap 4096; rerun with --force",
+    ),
+    "qa_cap_huge_p": (
+        ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-m",
+         "--e", "1"],
+        3, "q a = 100000000000031^1*5 exceeds the cap 262144; rerun with --force",
+    ),
+    # on rees-of-m a p up to the q a cap is tested first, though q a is past that cap
+    "non_prime_p_past_qa_cap": (
+        ["oracle", "dim1", "--a", "5", "--p", "4097", "--variant", "rees-of-m", "--e", "3"],
+        2, "error: p = 4097 is not prime\n",
     ),
     **{
         f"p_cap_{name}": (
@@ -576,10 +587,20 @@ class TestExitCodes:
 
     def test_a_cap_force_override(self, capsys):
         code, _, _ = run(
-            capsys, "oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-m",
+            capsys, "oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-x",
             "--e", "1", "--force",
         )
         assert code == 0
+
+    def test_rees_of_m_is_capped_on_q_a_alone(self, capsys):
+        # a = 5000 is past the q cap, but q a = 10000 is within the q a cap: the
+        # sweep takes a few hundredths of a second, so it is not refused
+        code, out, err = run(
+            capsys, "oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-m",
+            "--e", "1", "--format", "csv",
+        )
+        assert code == 0 and err == ""
+        assert [row["e"] for row in csv_rows(out)] == ["1"]
 
     def test_qa_cap(self, capsys, monkeypatch):
         # refused from the inputs alone, before the oracle walks anything
@@ -608,10 +629,12 @@ class TestExitCodes:
         "argv",
         [
             ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6", "--p", "100000000000031"],
+            ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-x",
+             "--e", "1"],
             ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-m",
              "--e", "1"],
         ],
-        ids=["p_cap", "q_cap"],
+        ids=["p_cap", "q_cap", "qa_cap"],
     )
     def test_huge_p_is_refused_before_its_primality_test(self, capsys, monkeypatch, argv):
         def tested(p):
@@ -647,7 +670,10 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "rees_colength_monomial", walked)
         code, out, err = run(capsys, "compare", "cm-sop", "--exponents", "1,1", "--s", "1..223")
         assert code == 3 and out == ""
-        assert "s = 222..223 in 2 variables walks 198471 monomials, over the cap 100000" in err
+        assert (
+            "s = 222..223 in 2 variables: a walk of 198471 monomials exceeds the cap 100000"
+            in err
+        )
 
     def test_huge_ranges_are_not_listed(self, capsys):
         # neither range is listed: the first is refused at its largest s, the
@@ -670,7 +696,8 @@ class TestExitCodes:
         for s in ("1", "2"):
             assert run(capsys, *argv, "--s", s)[0] == 0
         code, _, err = run(capsys, *argv, "--s", "1..2")
-        assert code == 3 and "s = 1..2 in 3 variables walks 39 monomials, over the cap 35" in err
+        assert code == 3
+        assert "s = 1..2 in 3 variables: a walk of 39 monomials exceeds the cap 35" in err
 
     def test_monomial_cap_force_override(self, capsys, monkeypatch):
         # inputs past the real cap are slow by design, so the cap is lowered:
@@ -678,7 +705,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "MONOMIAL_CAP", 10)
         argv = ["oracle", "monomial", "--exponents", "1,1,1", "--s", "2", "--format", "csv"]
         code, _, err = run(capsys, *argv)
-        assert code == 3 and "35 monomials, over the cap 10" in err
+        assert code == 3 and "a walk of 35 monomials exceeds the cap 10; rerun with --force" in err
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0 and csv_rows(out)[0]["oracle"] == "23"
 
@@ -709,7 +736,9 @@ class TestExitCodes:
         # since example xy-zn refuses s = 1 as invalid input first
         code, out, err = run(capsys, *self.ROW_COMMANDS[command], "--s", "2..1000000000001")
         assert code == 3 and out == ""
-        assert "1000000000000 values of s exceed the cap of 10000 rows; rerun with --force" in err
+        assert err.endswith(
+            "a range of 1000000000000 values of s exceeds the cap 10000; rerun with --force\n"
+        )
         # wider than a C ssize_t, which len() of the range could not report
         assert run(capsys, *self.ROW_COMMANDS[command], "--s", f"2..{10**30}")[0] == 3
 
@@ -718,7 +747,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "ROW_CAP", 6)
         argv = [*self.ROW_COMMANDS[command], "--s", "3..9", "--format", "csv"]
         code, out, err = run(capsys, *argv)
-        assert code == 3 and out == "" and "7 values of s exceed the cap of 6 rows" in err
+        assert code == 3 and out == "" and "a range of 7 values of s exceeds the cap 6" in err
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0 and len(csv_rows(out)) >= 7
 

@@ -295,11 +295,11 @@ def walked_colength(ideal):
     """
     count_standard = monomial_algebra._count_standard
 
-    def checked(gens, box):
+    def checked(gens):
         assert list(gens) == sorted(gens)
-        if len(box) < ideal.ambient_dim:
+        if len(gens[0]) < ideal.ambient_dim:
             assert all(any(g) for g in gens)
-        return count_standard(gens, box)
+        return count_standard(gens)
 
     with mock.patch.object(monomial_algebra, "_count_standard", checked):
         return ideal.colength()

@@ -6,7 +6,7 @@ outside its own definition.  A re-export in `__init__.py` is not a use.
 A use is any `ast.Name` or `ast.Attribute` of that name, so a method
 counts as used when any attribute of its name is read.
 
-Two placement rules ride along: only `cli.py` refuses inputs as too
+Two placement rules ride along: only `cli._cap` refuses inputs as too
 costly, and each input rule that several functions share is raised
 from one function.
 """
@@ -84,13 +84,14 @@ def test_allowlist_names_only_unused_definitions():
 
 
 def test_caps_are_decided_at_the_command_line():
-    # the library takes no cap knob: only cli.py refuses inputs as too costly
-    raised = {
-        module for module, tree in _modules().items() for node in ast.walk(tree)
+    # the library takes no cap knob: only cli.py refuses inputs as too costly,
+    # and every cap refuses through the one raise in cli._cap
+    made = {
+        where for where, node in _scoped_nodes()
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "ResourceCapExceeded"
     }
-    assert raised == {"cli.py"}
+    assert made == {"cli.py:_cap"}
 
 
 # each shared input rule, by a pattern of its one message
@@ -101,41 +102,61 @@ RULES = {
     "s >= 1": r"^s must be positive",
     "a >= 2": r"^hypersurface exponent must be at least 2",
     "alpha has a period": r"period (of|must be) at least 1",
+    "e >= 0": r"^e must be nonnegative",
 }
 # monomial_algebra imports nothing from hk_formulas, and the bracket power keeps its own check
 OWN_CHECKS = {"monomial_algebra.py:MonomialIdeal.frobenius"}
 
 
-def _message(call):
-    """The text of a raised exception's first argument, with "{}" for each formatted value."""
+def _constants(modules):
+    """name -> text of every module-level name bound to a string literal in src/."""
+    return {
+        target.id: node.value.value
+        for tree in modules.values() for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
+def _message(call, constants):
+    """The text of a raised exception's first argument, with "{}" for each formatted value.
+
+    A module-level string constant stands for its text.
+    """
     arg = call.args[0] if isinstance(call, ast.Call) and call.args else None
     if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
         return arg.value
+    if isinstance(arg, ast.Name):
+        return constants.get(arg.id, "")
     if isinstance(arg, ast.JoinedStr):
         return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
     return ""
 
 
-def _raise_sites():
-    """(module:qualified function, message) for every raise inside a function in src/."""
-    sites = []
+def _scoped_nodes():
+    """(module:qualified function, node) for every node in src/; no function at module level."""
+    found = []
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, module, scope + [child.name])
-            else:
-                if isinstance(child, ast.Raise) and scope:
-                    sites.append((f"{module}:{'.'.join(scope)}", _message(child.exc)))
-                visit(child, module, scope)
+                continue
+            found.append((f"{module}:{'.'.join(scope)}", child))
+            visit(child, module, scope)
 
     for module, tree in _modules().items():
         visit(tree, module, [])
-    return sites
+    return found
 
 
 def test_each_input_rule_has_one_raise_site():
-    sites = _raise_sites()
+    constants = _constants(_modules())
+    sites = [
+        (where, _message(node.exc, constants))
+        for where, node in _scoped_nodes() if isinstance(node, ast.Raise)
+    ]
     raisers = {
         rule: {where for where, message in sites if re.search(pattern, message)} - OWN_CHECKS
         for rule, pattern in RULES.items()

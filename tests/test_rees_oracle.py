@@ -309,6 +309,27 @@ class TestSweep:
         assert list(sweep) == es
         assert sweep == {e: rees_colength_dim1(inst, [e])[e] for e in es}
 
+    # ring, ideal and tail cap per q: the caps that rees_colength_monomial
+    # and rees_colength_dim1 give their sweeps
+    RINGS = {
+        "polynomial": (
+            _polynomial_ring(3), ReesInstanceMonomial((1, 2, 3)).ideal(), lambda q: 2 * q
+        ),
+        "symmetric": (_symmetric_ring(4), ((0, 0, 0, 2),), lambda q: 3 * q),
+        "plane": (_plane_ring(5), (1, 0, 0, 0, 0), lambda q: 10),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
+    def test_ring_sweep_matches_single_values(self, name, qs):
+        # each ring straight through _graded_lengths, not through an oracle
+        ring, ideal, cap = self.RINGS[name]
+        caps = {q: cap(q) for q in qs}
+        sweep = _graded_lengths(ring, ideal, caps)
+        assert list(sweep) == qs
+        assert sweep == {q: _graded_lengths(ring, ideal, {q: caps[q]})[q] for q in qs}
+
     def test_rees_of_x_sweep(self):
         inst = ReesInstanceDim1(5, 2, "rees-of-x")
         assert rees_colength_dim1(inst, [6, 2, 4]) == {6: 20224, 2: 64, 4: 1216}
