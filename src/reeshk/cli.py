@@ -28,7 +28,7 @@ from .hk_formulas import (
     sop_dim1_hk,
     stanley_reisner_ehk,
 )
-from .binomial_groebner import initial_ideal
+from .binomial_groebner import check_exponent, initial_ideal
 from .monomial_algebra import (
     InfiniteColength,
     format_ideal,
@@ -233,6 +233,7 @@ def _dim1_setup(
     a: int, p: int, variant: str, e_text: str, force: bool
 ) -> tuple[ReesInstanceDim1, range]:
     """The dimension-1 instance and its e range; rees-of-m caps q a, rees-of-x a and q."""
+    check_exponent(a)  # invalid input exits 2 even where a cap would refuse it
     es = parse_range(e_text)
     if es[0] < 1:
         # refused before the formula side runs; the range ascends, so nothing is listed
@@ -550,7 +551,12 @@ EXIT_CODES = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The `hk` parser: every group, and the leaf of the command that argv[:2] names.
+
+    Any other argv, or none, gets every leaf.  All five groups stay, so the
+    root usage line in an "unrecognized arguments" error lists them all.
+    """
     parser = argparse.ArgumentParser(
         prog="hk",
         description="Exact Hilbert-Kunz functions of Rees algebra ideals.",
@@ -568,7 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         for group, text in GROUPS.items()
     }
-    for (group, name), (handler, flags) in COMMANDS.items():
+    chosen = tuple(argv or ())[:2]
+    commands = {chosen: COMMANDS[chosen]} if chosen in COMMANDS else COMMANDS
+    for (group, name), (handler, flags) in commands.items():
         # one spelling per flag: no unique prefix stands in for it
         leaf = groups[group].add_parser(name, parents=[common], allow_abbrev=False)
         leaf.set_defaults(handler=handler)
@@ -583,9 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one `hk` command on argv (default sys.argv[1:]) and return its exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,4 +1,5 @@
 """End-to-end CLI: golden values, formats, exit codes."""
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from reeshk import cli, hk_formulas
-from reeshk.cli import RunReport, main, parse_range, render_csv, render_json
+from reeshk.cli import (
+    COMMANDS, GROUPS, RunReport, build_parser, main, parse_range, render_csv, render_json,
+)
 from reeshk.hk_formulas import Dim1Input, dim1_hk
 
 
@@ -451,6 +454,14 @@ EXIT_CODE_MATRIX |= {
          "--e", "1"],
         3, "q a = 100000000000031^1*5 exceeds the cap 262144; rerun with --force",
     ),
+    # the exponent a is checked before every cap: a = 1 is invalid input whatever q is
+    **{
+        f"a_1_before_{variant}_cap": (
+            ["oracle", "dim1", "--a", "1", "--p", "2", "--variant", variant, "--e", e],
+            2, "error: hypersurface exponent must be at least 2\n",
+        )
+        for variant, e in [("rees-of-x", "13"), ("rees-of-m", "20")]
+    },
     # on rees-of-m a p up to the q a cap is tested first, though q a is past that cap
     "non_prime_p_past_qa_cap": (
         ["oracle", "dim1", "--a", "5", "--p", "4097", "--variant", "rees-of-m", "--e", "3"],
@@ -770,3 +781,83 @@ class TestExitCodes:
         assert report.verdict == "fail"
         assert json.loads(render_json(report))["verdict"] == "fail"
         assert csv_rows(render_csv(report))[0]["match"] == "false"
+
+
+def _choices(parser):
+    """The subparsers of a parser, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _required(flags):
+    """A value argparse accepts for each required flag of a COMMANDS entry."""
+    tail = []
+    for flag, spec in flags.items():
+        if isinstance(spec, type):
+            tail += [flag, "1"]
+        elif isinstance(spec, dict) and spec.get("required"):
+            tail += [flag, spec.get("choices", ["1"])[0]]
+    return tail
+
+
+def parsed(capsys, parser, argv):
+    """Exit code (None when argv parses), stdout, stderr and namespace of one parse."""
+    try:
+        args, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return (code, *capsys.readouterr(), args)
+
+
+# argument tails after a command's name; all but "-h" and "missing" carry every required flag
+TAILS = {
+    "help": lambda required: ["-h"],
+    "valid": lambda required: required,
+    "missing": lambda required: [],
+    "unknown_flag": lambda required: required + ["--bogus"],
+    "bad_format": lambda required: required + ["--format", "xml"],
+    **{
+        f"non_integer_{flag}": lambda required, flag=flag: required + [f"--{flag}", "x"]
+        for flag in ("a", "d", "e0")
+    },
+    "extra_positional": lambda required: required + ["extra"],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
+    def test_one_leaf_parses_as_the_full_tree(self, capsys, command, tail):
+        argv = [*command, *TAILS[tail](_required(COMMANDS[command][1]))]
+        assert parsed(capsys, build_parser(argv), argv) == parsed(capsys, build_parser(), argv)
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            # the usage line lists every group, or every command of the group named
+            ([], "hk [-h] {formula,oracle,compare,fit,example} ..."),
+            (["-h"], "hk [-h] {formula,oracle,compare,fit,example} ..."),
+            (["bogus"], "hk [-h] {formula,oracle,compare,fit,example} ..."),
+            (["compare"], "hk compare [-h] {cm-sop,dim1} ..."),
+            (["compare", "-h"], "hk compare [-h] {cm-sop,dim1} ..."),
+            (["compare", "bogus"], "hk compare [-h] {cm-sop,dim1} ..."),
+            # argparse versions differ on a "--" before a command's name
+            (["compare", "--", "dim1"], "usage: hk compare"),
+        ],
+        ids=["empty", "help", "bogus", "group", "group_help", "group_bogus", "dashdash"],
+    )
+    def test_argv_naming_no_command_gets_the_full_tree(self, capsys, argv, usage):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == parsed(capsys, build_parser(), argv)[:3]
+        assert code in (0, 2) and usage in out + err
+
+    def test_a_command_builds_every_group_and_one_leaf(self):
+        groups = _choices(build_parser(["compare", "dim1", "--a", "5"]))
+        assert list(groups) == list(GROUPS)
+        leaves = [(group, name) for group, sub in groups.items() for name in _choices(sub)]
+        assert leaves == [("compare", "dim1")]
+
+    def test_no_command_builds_every_leaf(self):
+        groups = _choices(build_parser())
+        leaves = [(group, name) for group, sub in groups.items() for name in _choices(sub)]
+        assert sorted(leaves) == sorted(COMMANDS)
