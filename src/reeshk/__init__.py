@@ -36,11 +36,11 @@ from .rees_oracle import (
     InsufficientSamples,
     OracleError,
     ReesInstanceDim1,
-    ReesInstanceMonomial,
     StabilizationNotReached,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
+    parameter_ideal,
     rees_colength_dim1,
     rees_colength_monomial,
 )

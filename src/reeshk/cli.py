@@ -13,12 +13,14 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional, Sequence
 
 from .hk_formulas import (
     Dim1Input,
     QuasiPolynomialHK,
     binomial,
+    check_positive,
     check_prime,
     cm_sop_hk,
     compare_to_eto_yoshida,
@@ -31,6 +33,7 @@ from .hk_formulas import (
 from .binomial_groebner import check_exponent, initial_ideal
 from .monomial_algebra import (
     InfiniteColength,
+    MonomialIdeal,
     format_ideal,
     parse_ideal,
 )
@@ -38,19 +41,18 @@ from .rees_oracle import (
     InsufficientSamples,
     OracleError,
     ReesInstanceDim1,
-    ReesInstanceMonomial,
     VARIANTS,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
+    parameter_ideal,
     rees_colength_dim1,
     rees_colength_monomial,
 )
 
 MONOMIAL_CAP = 10**5
-# rees-of-x: the 3-variable count and the alpha table, on a and on q
-Q_CAP = 2**12
-# a rees-of-m sweep costs about 1-3 us per unit of q a per e; up to q a = 2^18, about 1 s
+# a rees-of-m sweep costs about 1-3 us per unit of q a per e; up to q a = 2^18, about 1 s;
+# rees-of-x, the 3-variable count and the alpha table, takes at most 0.2 s there
 QA_CAP = 2**18
 # trial division takes 0.07 s on a prime just below 2^40
 P_CAP = 2**40
@@ -197,8 +199,8 @@ def _refuse_beside(args: argparse.Namespace, owner: str, fixes: str, *flags: str
 
 def _monomial_setup(
     exponents: tuple[int, ...], s_text: str, force: bool
-) -> tuple[ReesInstanceMonomial, range]:
-    """The monomial instance and its s range, refused past the cap on its walk unless forced.
+) -> tuple[MonomialIdeal, range]:
+    """The parameter ideal and its s range, refused past the cap on its walk unless forced.
 
     Each s of a sweep builds its own products I^[s] I^n up to n = d (s - 1) + 1,
     the first power with I^[s] I^(n-s) = I^n; their time follows their
@@ -207,20 +209,18 @@ def _monomial_setup(
     applies unchanged to an ideal the oracle sums in its symmetric ring,
     which keeps one generator per orbit and runs such a sweep faster.
     """
-    inst = ReesInstanceMonomial(exponents)
+    ideal = parameter_ideal(exponents)  # invalid input exits 2 before the cap
     ss = parse_range(s_text)
+    check_positive(ss[0], "s")  # the range ascends, so nothing is listed
     if not force:
-        d, top, walk = inst.d, ss[-1], 0
-        # from the largest s down, so a huge range is refused without being
-        # listed; s < 1 walks nothing and the oracle refuses it as invalid input
+        d, top, walk = len(exponents), ss[-1], 0
+        # from the largest s down, so a huge range is refused without being listed
         for s in reversed(ss):
-            if s < 1:
-                break
             walk += binomial(d * (s - 1) + 1 + d, d)
             span = s if s == top else f"{s}..{top}"
             text = f"s = {span} in {d} variables: a walk of {walk} monomials"
             _cap(text, walk, MONOMIAL_CAP, force)
-    return inst, ss
+    return ideal, ss
 
 
 def _cap_rows(ss: range, force: bool) -> None:
@@ -232,23 +232,17 @@ def _cap_rows(ss: range, force: bool) -> None:
 def _dim1_setup(
     a: int, p: int, variant: str, e_text: str, force: bool
 ) -> tuple[ReesInstanceDim1, range]:
-    """The dimension-1 instance and its e range; rees-of-m caps q a, rees-of-x a and q."""
+    """The dimension-1 instance and its e range, refused past the cap on q a unless forced."""
     check_exponent(a)  # invalid input exits 2 even where a cap would refuse it
     es = parse_range(e_text)
-    if es[0] < 1:
-        # refused before the formula side runs; the range ascends, so nothing is listed
-        raise ValueError("e must be positive")
-    cap = QA_CAP if variant == "rees-of-m" else Q_CAP
-    if p <= cap:  # a larger p meets the cap before its slow primality test
+    # refused before the formula side runs; the range ascends, so nothing is listed
+    check_positive(es[0], "e")
+    if p <= QA_CAP:  # a larger p meets the cap before its slow primality test
         check_prime(p)
     e = es[-1]
     # p >= 2, so p^e is past the cap once e reaches its bit length; a larger e is refused unformed
-    q = p**e if e < cap.bit_length() else cap + 1
-    if variant == "rees-of-m":
-        _cap(f"q a = {p}^{e}*{a}", q * a, QA_CAP, force)
-    else:
-        _cap(f"a = {a}", a, Q_CAP, force)
-        _cap(f"q = {p}^{e}", q, Q_CAP, force)
+    q = p**e if e < QA_CAP.bit_length() else QA_CAP + 1
+    _cap(f"q a = {p}^{e}*{a}", q * a, QA_CAP, force)
     return ReesInstanceDim1(a, p, variant), es
 
 
@@ -329,9 +323,10 @@ def cmd_formula_sop_dim1(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_oracle_monomial(args: argparse.Namespace) -> RunReport:
-    inst, ss = _monomial_setup(parse_int_tuple(args.exponents), args.s, args.force)
-    report = _report(args, "exponents", e0=inst.e0)
-    for s, value in rees_colength_monomial(inst, ss).items():
+    exponents = parse_int_tuple(args.exponents)
+    ideal, ss = _monomial_setup(exponents, args.s, args.force)
+    report = _report(args, "exponents", e0=prod(exponents))
+    for s, value in rees_colength_monomial(ideal, ss).items():
         report.add({"s": s}, oracle=value)
     return report
 
@@ -354,10 +349,12 @@ def cmd_oracle_groebner(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_compare_cm_sop(args: argparse.Namespace) -> RunReport:
-    inst, ss = _monomial_setup(parse_int_tuple(args.exponents), args.s, args.force)
-    report = _report(args, "exponents", d=inst.d, e0=inst.e0)
-    for s, value in rees_colength_monomial(inst, ss).items():
-        report.add({"s": s}, formula=cm_sop_hk(inst.d, inst.e0, s), oracle=value)
+    exponents = parse_int_tuple(args.exponents)
+    ideal, ss = _monomial_setup(exponents, args.s, args.force)
+    d, e0 = len(exponents), prod(exponents)
+    report = _report(args, "exponents", d=d, e0=e0)
+    for s, value in rees_colength_monomial(ideal, ss).items():
+        report.add({"s": s}, formula=cm_sop_hk(d, e0, s), oracle=value)
     return report
 
 
@@ -403,9 +400,10 @@ def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
 def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
     if args.exponents:
         _refuse_beside(args, "--exponents", "d and e0", "d", "e0")
-        inst, ss = _monomial_setup(parse_int_tuple(args.exponents), args.s, args.force)
-        d, e0 = inst.d, inst.e0
-        values = rees_colength_monomial(inst, ss)
+        exponents = parse_int_tuple(args.exponents)
+        ideal, ss = _monomial_setup(exponents, args.s, args.force)
+        d, e0 = len(exponents), prod(exponents)
+        values = rees_colength_monomial(ideal, ss)
         source = "oracle"
     else:
         if args.d is None or args.e0 is None:
@@ -470,12 +468,13 @@ def cmd_example_three_vars(args: argparse.Namespace) -> RunReport:
     exps = parse_int_tuple(args.n)
     if len(exps) != 3:
         raise ValueError("--n takes three exponents n1,n2,n3")
-    inst, ss = _monomial_setup(exps, args.s, args.force)
-    report = _report(args, "n", e0=inst.e0)
+    ideal, ss = _monomial_setup(exps, args.s, args.force)
+    e0 = prod(exps)
+    report = _report(args, "n", e0=e0)
     # known value at s = 2: 23 n1 n2 n3
-    report.add({"check": "golden", "s": 2}, formula=cm_sop_hk(3, inst.e0, 2), oracle=23 * inst.e0)
-    for s, value in rees_colength_monomial(inst, ss).items():
-        report.add({"check": "oracle", "s": s}, formula=cm_sop_hk(3, inst.e0, s), oracle=value)
+    report.add({"check": "golden", "s": 2}, formula=cm_sop_hk(3, e0, 2), oracle=23 * e0)
+    for s, value in rees_colength_monomial(ideal, ss).items():
+        report.add({"check": "oracle", "s": s}, formula=cm_sop_hk(3, e0, s), oracle=value)
     return report
 
 

@@ -44,10 +44,13 @@ def check_invariants(d: int, least: int, e0: int = 1, s: int = 1) -> None:
     """Refuse a dimension d below `least`, and a multiplicity e0 or an s below 1."""
     if d < least:
         raise ValueError(f"d must be at least {least}")
-    if e0 < 1:
-        raise ValueError("e0 must be positive")
-    if s < 1:
-        raise ValueError("s must be positive")
+    check_positive(e0, "e0")
+    check_positive(s, "s")
+
+
+def check_positive(value: int, name: str) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
 
 
 def check_e(e: int) -> None:

@@ -1,6 +1,8 @@
 """Brute-force length oracles for Rees algebra quotients, plus exact fitting.
 
 The oracles never consult the closed forms they are meant to check.
+The monomial oracle takes the m-primary ideal it measures, such as the
+`parameter_ideal` (x_1^a_1, ..., x_d^a_d) of the d >= 2 theorem.
 One routine, `_graded_lengths`, sums lengths over the graded
 decomposition of the Rees algebra and detects where the sum stops by
 an explicit ideal-equality test rather than taking it from theory.  It
@@ -22,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, permutations
-from math import comb, prod
+from math import comb
 from operator import add
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
-from .hk_formulas import QuasiPolynomialHK, check_e, check_invariants, check_period, check_prime
+from .hk_formulas import QuasiPolynomialHK, check_e, check_invariants, check_period
+from .hk_formulas import check_positive, check_prime
 from .monomial_algebra import MonomialIdeal, Vector, _minimal_vectors, minimalize
 from .polynomials import Poly, interpolate
 
@@ -51,33 +54,12 @@ class StabilizationNotReached(OracleError):
     """The graded tail did not stabilize within the probed window."""
 
 
-@dataclass(frozen=True)
-class ReesInstanceMonomial:
-    """Parameter ideal (x1^a1, ..., xd^ad) in a polynomial ring of dimension d."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_invariants(len(self.exponents), 2)
-        if any(a < 1 for a in self.exponents):
-            raise ValueError("exponents must be positive")
-
-    @property
-    def d(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def e0(self) -> int:
-        return prod(self.exponents)
-
-    def ideal(self) -> MonomialIdeal:
-        d = self.d
-        gens = []
-        for i, a in enumerate(self.exponents):
-            e = [0] * d
-            e[i] = a
-            gens.append(e)
-        return minimalize(gens)
+def parameter_ideal(exponents: Sequence[int]) -> MonomialIdeal:
+    """The parameter ideal (x_1^a_1, ..., x_d^a_d) of k[x_1, ..., x_d], for d >= 2."""
+    d = len(exponents)
+    check_invariants(d, 2)
+    check_positive(min(exponents), "exponents")
+    return minimalize([(0,) * i + (a,) + (0,) * (d - 1 - i) for i, a in enumerate(exponents)])
 
 
 @dataclass(frozen=True)
@@ -258,24 +240,25 @@ def _check_sweep(values: Sequence[int], name: str) -> None:
     """Refuse an empty sweep and a value below 1."""
     if not values:
         raise ValueError(f"the sweep of {name} is empty")
-    # stops at the first bad value, so an ascending range is not listed
-    if any(v < 1 for v in values):
-        raise ValueError(f"{name} must be positive")
+    check_positive(min(values), name)
 
 
-def rees_colength_monomial(inst: ReesInstanceMonomial, ss: Sequence[int]) -> dict[int, int]:
-    """{s: length of R(I)/(I, It)^[s]} by summing graded pieces in the polynomial ring.
+def rees_colength_monomial(ideal: MonomialIdeal, ss: Sequence[int]) -> dict[int, int]:
+    """{s: length of R(I)/(I, It)^[s]} by summing graded pieces in k[x_1, ..., x_d].
 
-    The tail cap is (d-1)*s: I^[s] I^t must equal I^(s+t) by t = (d-1)*s + 1.
-    An I whose generators a transposition and a d-cycle permute among
+    I is an m-primary ideal, and d is its number of variables.  The tail
+    cap is (d-1)*s: for a parameter ideal I^[s] I^t equals I^(s+t) by
+    t = (d-1)*s + 1, and another I whose tail runs longer raises.  An I
+    whose generators a transposition and a d-cycle permute among
     themselves is invariant under every permutation of the variables, and
     the sum runs in the symmetric ring on its orbit representatives.
     """
     _check_sweep(ss, "s")
-    d, ideal = inst.d, inst.ideal()
+    d = ideal.ambient_dim
     caps = {s: (d - 1) * s for s in ss}
     gens = set(ideal.gens)
-    if gens == {(g[1], g[0], *g[2:]) for g in gens} == {(*g[1:], g[0]) for g in gens}:
+    # g[1::-1] is (g[1], g[0]), or g itself in one variable
+    if gens == {(*g[1::-1], *g[2:]) for g in gens} == {(*g[1:], g[0]) for g in gens}:
         reps = _minimal_vectors((*sorted(g),) for g in gens)
         return _graded_lengths(_symmetric_ring(d), reps, caps)
     return _graded_lengths(_polynomial_ring(d), ideal, caps)

@@ -8,6 +8,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 from reeshk.hk_formulas import (
     binomial,
@@ -22,10 +23,10 @@ from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
     InconsistentSamples,
     ReesInstanceDim1,
-    ReesInstanceMonomial,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
+    parameter_ideal,
     rees_colength_dim1,
     rees_colength_monomial,
 )
@@ -57,12 +58,12 @@ def test_criterion_1_three_variable_example():
     started = time.monotonic()
     failures = []
     for exps in [(1, 1, 1), (1, 2, 1), (2, 2, 3)]:
-        inst = ReesInstanceMonomial(exps)
-        formula = cm_sop_hk(3, inst.e0, 2)
-        oracle = rees_colength_monomial(inst, [2])[2]
-        if formula != 23 * inst.e0:
+        e0 = prod(exps)
+        formula = cm_sop_hk(3, e0, 2)
+        oracle = rees_colength_monomial(parameter_ideal(exps), [2])[2]
+        if formula != 23 * e0:
             failures.append((exps, "formula", formula))
-        if oracle != 23 * inst.e0:
+        if oracle != 23 * e0:
             failures.append((exps, "oracle", oracle))
     report(1, "three-variable example at s=2", failures, started, 10.0)
 
@@ -76,7 +77,7 @@ def test_criterion_2_three_variable_polynomial():
         value = cm_sop_hk(3, 1, s)
         if value != poly(s) or value != expected[s]:
             failures.append((s, value))
-    oracle = rees_colength_monomial(ReesInstanceMonomial((1, 1, 1)), [3])[3]
+    oracle = rees_colength_monomial(parameter_ideal((1, 1, 1)), [3])[3]
     if oracle != 123:
         failures.append(("oracle s=3", oracle))
     report(2, "13/8 s^4 - 1/4 s^3 - 1/8 s^2 - 1/4 s", failures, started, 60.0)
@@ -90,9 +91,9 @@ def test_criterion_3_dimension_two_closed_form():
         value = cm_sop_hk(2, 1, s)
         if 3 * value != 4 * s**3 - s or value != want:
             failures.append((s, value))
-    inst = ReesInstanceMonomial((1, 1))
+    ideal = parameter_ideal((1, 1))
     for s in range(2, 6):
-        oracle = rees_colength_monomial(inst, [s])[s]
+        oracle = rees_colength_monomial(ideal, [s])[s]
         if oracle != cm_sop_hk(2, 1, s):
             failures.append(("oracle", s, oracle))
     report(3, "(4/3) s^3 - s/3 with oracle", failures, started, 10.0)
@@ -160,14 +161,13 @@ def test_criterion_6_property_suite():
     # F(s, n) against the two-colength oracle
     for d in (2, 3):
         for exps in itertools.product((1, 2), repeat=d):
-            inst = ReesInstanceMonomial(exps)
-            ideal = inst.ideal()
+            ideal = parameter_ideal(exps)
             for s in range(1, 5):
                 frob = ideal.frobenius(s)
                 base = frob.colength()
                 for n in range(1, d * s + 1):
                     oracle = frob.product(power(ideal, n)).colength() - base
-                    if hilbert_F(d, inst.e0, s, n) != oracle:
+                    if hilbert_F(d, prod(exps), s, n) != oracle:
                         failures.append(("F", exps, s, n))
     # boundary window of the refined split
     for d in range(2, 7):
@@ -202,8 +202,8 @@ def test_criterion_7_multiplicity_checks():
             failures.append(("formula-sweep", d, e0, estimate))
         if compare_to_eto_yoshida(estimate, d, e0) != "equal":
             failures.append(("bound", d, e0))
-    inst = ReesInstanceMonomial((1, 1))
-    sweep = {s: rees_colength_monomial(inst, [s])[s] for s in range(2, 8)}
+    ideal = parameter_ideal((1, 1))
+    sweep = {s: rees_colength_monomial(ideal, [s])[s] for s in range(2, 8)}
     estimate = estimate_ehk(sweep, 2)
     if estimate != Fraction(4, 3):
         failures.append(("oracle-sweep", estimate))

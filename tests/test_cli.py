@@ -319,20 +319,20 @@ class TestFormats:
 
 # (argv, exit code, a fragment of stderr): one case per exception class
 EXIT_CODE_MATRIX = {
+    # both variants are capped on q a alone
     "q_cap": (
-        ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "13"],
-        3, "q = 2^13 exceeds the cap 4096",
+        ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "16"],
+        3, "q a = 2^16*5 exceeds the cap 262144; rerun with --force",
     ),
-    # refused before p**e is formed: no huge q printed, no int-to-text limit hit;
-    # a rees-of-m sweep meets the q a cap
+    # refused before p**e is formed: no huge q printed, no int-to-text limit hit
     "q_cap_huge_e": (
         ["oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "1..1000000"],
         3, "q a = 2^1000000*5 exceeds the cap 262144; rerun with --force",
     ),
-    # the rees-of-x count and the alpha table are capped on a
+    # the rees-of-x count and the alpha table meet the q a cap through a as well
     "a_cap": (
-        ["oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-x", "--e", "1"],
-        3, "a = 5000 exceeds the cap 4096; rerun with --force",
+        ["oracle", "dim1", "--a", "200000", "--p", "2", "--variant", "rees-of-x", "--e", "1"],
+        3, "q a = 2^1*200000 exceeds the cap 262144; rerun with --force",
     ),
     # refused from the range's last element, before its e values are listed
     "q_cap_huge_range": (
@@ -384,6 +384,11 @@ EXIT_CODE_MATRIX = {
             ("example_fermat5", ["example", "fermat5", "--e=-1..3"]),
         ]
     },
+    # an s below 1 is invalid input before the walk cap sums the range from its top
+    "negative_s_before_monomial_cap": (
+        ["oracle", "monomial", "--exponents", "1,1", "--s=-5..1000"],
+        2, "error: s must be positive\n",
+    ),
     # a parse error names the text and the form it expected
     "empty_alpha": (
         ["formula", "sop-dim1", "--e0", "5", "--alpha="],
@@ -428,7 +433,7 @@ EXIT_CODE_MATRIX = {
         ]
     },
 }
-# the caps on q a (rees-of-m only) and on the characteristic p, decided from the inputs
+# the caps on q a and on the characteristic p, decided from the inputs
 EXIT_CODE_MATRIX |= {
     "qa_cap_oracle": (
         ["oracle", "dim1", "--a", "128", "--p", "2", "--variant", "rees-of-m", "--e", "1..12"],
@@ -438,16 +443,16 @@ EXIT_CODE_MATRIX |= {
         ["fit", "dim1", "--a", "4096", "--p", "2", "--variant", "rees-of-m", "--e", "1..12"],
         3, "q a = 2^12*4096 exceeds the cap 262144; rerun with --force",
     ),
-    # a p up to the q cap is tested for primality first: invalid input, not a cap
+    # a small p is tested for primality first: invalid input, not a cap
     "non_prime_p_past_q_cap": (
         ["oracle", "dim1", "--a", "5", "--p", "4", "--variant", "rees-of-x", "--e", "7"],
         2, "error: p = 4 is not prime\n",
     ),
-    # the q cap, and the q a cap, come before the primality test of a huge p
+    # the q a cap comes before the primality test of a huge p, on either variant
     "q_cap_huge_p": (
         ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-x",
          "--e", "1"],
-        3, "q = 100000000000031^1 exceeds the cap 4096; rerun with --force",
+        3, "q a = 100000000000031^1*5 exceeds the cap 262144; rerun with --force",
     ),
     "qa_cap_huge_p": (
         ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-m",
@@ -536,7 +541,7 @@ class TestExitCodes:
         )}
         proc = subprocess.run(
             [sys.executable, "-m", "reeshk.cli", "oracle", "dim1", "--a", "5", "--p", "2",
-             "--variant", "rees-of-x", "--e", "13"],
+             "--variant", "rees-of-x", "--e", "16"],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 3
@@ -583,7 +588,7 @@ class TestExitCodes:
     def test_q_cap(self, capsys):
         code, _, err = run(
             capsys, "oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x",
-            "--e", "13",
+            "--e", "16",
         )
         assert code == 3
         assert "--force" in err
@@ -591,20 +596,34 @@ class TestExitCodes:
     def test_q_cap_force_override(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x",
-            "--e", "13", "--force", "--format", "csv",
+            "--e", "16", "--force", "--format", "csv",
         )
         assert code == 0
-        assert csv_rows(out)[0]["oracle"] == str(5 * 8192**2 - 6 * 8192)
+        assert csv_rows(out)[0]["oracle"] == str(5 * 65536**2 - 4 * 65536)
 
     def test_a_cap_force_override(self, capsys):
         code, _, _ = run(
-            capsys, "oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-x",
+            capsys, "oracle", "dim1", "--a", "200000", "--p", "2", "--variant", "rees-of-x",
             "--e", "1", "--force",
         )
         assert code == 0
 
+    @pytest.mark.parametrize("a, e, value", [
+        # q a = 2^13*5, a large q within the cap; r = q mod 5 = 2 gives 5 q^2 - r (5 - r) q
+        ("5", "13", 5 * 8192**2 - 6 * 8192),
+        # q a = 2*5000, a large a within the cap; a > q, so this is q len(k[X,Y]/(X^q, Y^q))
+        ("5000", "1", 2 * 2**2),
+    ])
+    def test_rees_of_x_within_the_q_a_cap_runs(self, capsys, a, e, value):
+        code, out, err = run(
+            capsys, "oracle", "dim1", "--a", a, "--p", "2", "--variant", "rees-of-x",
+            "--e", e, "--format", "csv",
+        )
+        assert code == 0 and err == ""
+        assert csv_rows(out)[0]["oracle"] == str(value)
+
     def test_rees_of_m_is_capped_on_q_a_alone(self, capsys):
-        # a = 5000 is past the q cap, but q a = 10000 is within the q a cap: the
+        # a = 5000 is large, but q a = 10000 is within the q a cap: the
         # sweep takes a few hundredths of a second, so it is not refused
         code, out, err = run(
             capsys, "oracle", "dim1", "--a", "5000", "--p", "2", "--variant", "rees-of-m",
@@ -627,14 +646,14 @@ class TestExitCodes:
         assert "q a = 2^12*4096 exceeds the cap 262144" in err
 
     def test_qa_cap_force_override(self, capsys, monkeypatch):
-        # q a = 4 * 13 = 52; rees-of-x builds no chain of powers, so it is not capped
+        # q a = 4 * 13 = 52: both variants are refused, and --force runs them
         monkeypatch.setattr(cli, "QA_CAP", 51)
         argv = ["oracle", "dim1", "--a", "13", "--p", "2", "--e", "1..2", "--format", "csv"]
-        code, out, err = run(capsys, *argv, "--variant", "rees-of-m")
-        assert code == 3 and out == "" and "q a = 2^2*13 exceeds the cap 51" in err
-        code, out, _ = run(capsys, *argv, "--variant", "rees-of-m", "--force")
-        assert code == 0 and len(csv_rows(out)) == 2
-        assert run(capsys, *argv, "--variant", "rees-of-x")[0] == 0
+        for variant in ("rees-of-m", "rees-of-x"):
+            code, out, err = run(capsys, *argv, "--variant", variant)
+            assert code == 3 and out == "" and "q a = 2^2*13 exceeds the cap 51" in err
+            code, out, _ = run(capsys, *argv, "--variant", variant, "--force")
+            assert code == 0 and len(csv_rows(out)) == 2
 
     @pytest.mark.parametrize(
         "argv",

@@ -12,6 +12,7 @@ inclusion-exclusion; the graded-sum monomial oracle with the closed
 form cm_sop_hk on all three of its branches, and with itself at unit
 exponents scaled by e0; and parse_ideal with format_ideal.
 """
+from math import prod
 from operator import add
 from unittest import mock
 
@@ -36,7 +37,7 @@ from reeshk.monomial_algebra import (
     minimalize,
     parse_ideal,
 )
-from reeshk.rees_oracle import ReesInstanceMonomial, _plane_ring, rees_colength_monomial
+from reeshk.rees_oracle import _plane_ring, parameter_ideal, rees_colength_monomial
 
 from reference import (
     basis_initial_ideal,
@@ -349,8 +350,9 @@ class TestMonomialOracle:
             "s=d": st.just(d),
             "s>d": st.integers(d + 1, 6),
         }[branch])
-        inst = ReesInstanceMonomial(data.draw(st.tuples(*[st.integers(1, 4)] * d)))
-        assert rees_colength_monomial(inst, [s])[s] == cm_sop_hk(d, inst.e0, s)
+        exponents = data.draw(st.tuples(*[st.integers(1, 4)] * d))
+        value = rees_colength_monomial(parameter_ideal(exponents), [s])[s]
+        assert value == cm_sop_hk(d, prod(exponents), s)
 
 
 @st.composite
@@ -376,7 +378,6 @@ class TestMonomialOracleRank:
     @example(((3, 1), 6))
     def test_length_scales_by_e0(self, case):
         exponents, s = case
-        inst = ReesInstanceMonomial(exponents)
-        unit = ReesInstanceMonomial((1,) * inst.d)
-        expected = inst.e0 * rees_colength_monomial(unit, [s])[s]
-        assert rees_colength_monomial(inst, [s])[s] == expected
+        unit = parameter_ideal((1,) * len(exponents))
+        expected = prod(exponents) * rees_colength_monomial(unit, [s])[s]
+        assert rees_colength_monomial(parameter_ideal(exponents), [s])[s] == expected

@@ -18,7 +18,7 @@ from reeshk.hk_formulas import (
     stanley_reisner_ehk,
 )
 from reeshk.polynomials import Poly
-from reeshk.rees_oracle import ReesInstanceMonomial, rees_colength_monomial
+from reeshk.rees_oracle import parameter_ideal, rees_colength_monomial
 
 from reference import cm_sop_hk_polynomial, dim1_case_one_constant
 
@@ -272,16 +272,16 @@ class TestCmSop:
 
     def test_branch_continuity_against_oracle(self):
         for d in (2, 3):
-            inst = ReesInstanceMonomial((1,) * d)
+            ideal = parameter_ideal((1,) * d)
             for s in range(1, 6):
-                assert cm_sop_hk(d, 1, s) == rees_colength_monomial(inst, [s])[s], (d, s)
+                assert cm_sop_hk(d, 1, s) == rees_colength_monomial(ideal, [s])[s], (d, s)
 
     def test_deep_quotient_branches_against_oracle(self):
         # exercises k1 >= 2 in both small-s displays
         for d, smax in ((4, 3), (5, 2)):
-            inst = ReesInstanceMonomial((1,) * d)
+            ideal = parameter_ideal((1,) * d)
             for s in range(1, smax + 1):
-                assert cm_sop_hk(d, 1, s) == rees_colength_monomial(inst, [s])[s], (d, s)
+                assert cm_sop_hk(d, 1, s) == rees_colength_monomial(ideal, [s])[s], (d, s)
 
 
 class TestMultiplicities:

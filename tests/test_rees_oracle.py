@@ -1,5 +1,6 @@
 """Oracles, formula-oracle equivalence, alpha tables and exact fitting."""
 import itertools
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from reeshk.rees_oracle import (
     InconsistentSamples,
     InsufficientSamples,
     ReesInstanceDim1,
-    ReesInstanceMonomial,
     StabilizationNotReached,
     _graded_lengths,
     _orbits,
@@ -24,6 +24,7 @@ from reeshk.rees_oracle import (
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
+    parameter_ideal,
     rees_colength_dim1,
     rees_colength_monomial,
 )
@@ -36,11 +37,12 @@ PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
 
 class TestInstances:
     def test_monomial_validation(self):
-        with pytest.raises(ValueError):
-            ReesInstanceMonomial((1,))
-        with pytest.raises(ValueError):
-            ReesInstanceMonomial((1, 0))
-        assert ReesInstanceMonomial((2, 2, 3)).e0 == 12
+        # the messages of the parameter ideal's two rules, as the CLI prints them
+        with pytest.raises(ValueError, match="^d must be at least 2$"):
+            parameter_ideal((1,))
+        with pytest.raises(ValueError, match="^exponents must be positive$"):
+            parameter_ideal((1, 0))
+        assert parameter_ideal((2, 2, 3)).gens == ((0, 0, 3), (0, 2, 0), (2, 0, 0))
 
     def test_dim1_validation(self):
         with pytest.raises(ValueError):
@@ -54,28 +56,28 @@ class TestInstances:
 
 class TestMonomialOracle:
     def test_graded_pieces_example(self):
-        assert rees_colength_monomial(ReesInstanceMonomial((1, 1)), [2])[2] == 10
+        assert rees_colength_monomial(parameter_ideal((1, 1)), [2])[2] == 10
 
     def test_three_variables(self):
-        assert rees_colength_monomial(ReesInstanceMonomial((1, 1, 1)), [2])[2] == 23
+        assert rees_colength_monomial(parameter_ideal((1, 1, 1)), [2])[2] == 23
 
     def test_s_one_is_colength_of_ideal(self):
-        assert rees_colength_monomial(ReesInstanceMonomial((1, 1)), [1])[1] == 1
-        assert rees_colength_monomial(ReesInstanceMonomial((2, 3)), [1])[1] == 6
+        assert rees_colength_monomial(parameter_ideal((1, 1)), [1])[1] == 1
+        assert rees_colength_monomial(parameter_ideal((2, 3)), [1])[1] == 6
 
     def test_formula_oracle_equivalence(self):
         for d in (2, 3):
             for exps in itertools.product((1, 2, 3), repeat=d):
-                inst = ReesInstanceMonomial(exps)
+                ideal = parameter_ideal(exps)
                 for s in range(1, 5):
-                    assert rees_colength_monomial(inst, [s])[s] == cm_sop_hk(
-                        d, inst.e0, s
+                    assert rees_colength_monomial(ideal, [s])[s] == cm_sop_hk(
+                        d, prod(exps), s
                     ), (exps, s)
 
     @pytest.mark.parametrize("d, top", [(5, 5), (6, 3)])
     def test_formula_oracle_equivalence_past_four_variables(self, d, top):
-        inst = ReesInstanceMonomial((1,) * d)
-        assert rees_colength_monomial(inst, range(1, top + 1)) == {
+        ideal = parameter_ideal((1,) * d)
+        assert rees_colength_monomial(ideal, range(1, top + 1)) == {
             s: cm_sop_hk(d, 1, s) for s in range(1, top + 1)
         }
 
@@ -90,19 +92,17 @@ class TestMonomialOracle:
             monkeypatch.setattr(
                 rees_oracle, name, lambda d, make=make, name=name: built.append(name) or make(d)
             )
-        inst = ReesInstanceMonomial(exps)
-        expected = {s: cm_sop_hk(inst.d, inst.e0, s) for s in (1, 2)}
-        assert rees_colength_monomial(inst, [1, 2]) == expected
+        expected = {s: cm_sop_hk(len(exps), prod(exps), s) for s in (1, 2)}
+        assert rees_colength_monomial(parameter_ideal(exps), [1, 2]) == expected
         assert built == ["_symmetric_ring" if symmetric else "_polynomial_ring"]
 
     def test_tail_vanishes_at_detection_point(self):
         # the truncation point T has a zero summand, and so does T+1
         for exps, s in [((1, 1), 2), ((1, 2), 3), ((1, 1, 1), 2)]:
-            inst = ReesInstanceMonomial(exps)
-            ideal = inst.ideal()
+            ideal = parameter_ideal(exps)
             frob = ideal.frobenius(s)
             T = None
-            for n in range(s, inst.d * s + 1):
+            for n in range(s, len(exps) * s + 1):
                 if frob.product(power(ideal, n - s)) == power(ideal, n):
                     T = n
                     break
@@ -183,7 +183,7 @@ class TestGradedLength:
 
     # (ring, ideal, {q: first tail index t with I^[q] I^t = I^(q+t)})
     CASES = {
-        "monomial": (_polynomial_ring(4), ReesInstanceMonomial((2, 1, 1, 1)).ideal(), {3: 6, 2: 3}),
+        "monomial": (_polynomial_ring(4), parameter_ideal((2, 1, 1, 1)), {3: 6, 2: 3}),
         # (x_1, ..., x_4) on its one orbit representative: m^[q] m^t = m^(q+t) from t = 3 (q - 1)
         "symmetric": (_symmetric_ring(4), ((0, 0, 0, 1),), {3: 6, 2: 3}),
         "hypersurface": (_plane_ring(7), (1, 0, 0, 0, 0, 0, 0), {8: 5, 4: 3}),
@@ -203,11 +203,28 @@ class TestGradedLength:
 
     @pytest.mark.parametrize("exps", [(1, 1), (2, 3), (1, 1, 1), (1, 2, 2)])
     def test_monomial_matches_fixed_window(self, exps):
-        inst = ReesInstanceMonomial(exps)
+        ideal = parameter_ideal(exps)
         for s in range(1, 5):
-            window = (inst.d - 1) * s + 2  # tail pieces t = 0 .. cap + 1
-            expected = graded_length_by_window(inst.ideal(), s, MonomialIdeal.colength, window)
-            assert rees_colength_monomial(inst, [s])[s] == expected, s
+            window = (len(exps) - 1) * s + 2  # tail pieces t = 0 .. cap + 1
+            expected = graded_length_by_window(ideal, s, MonomialIdeal.colength, window)
+            assert rees_colength_monomial(ideal, [s])[s] == expected, s
+
+    @pytest.mark.parametrize("gens", [
+        [(1, 0), (0, 1)],  # (x, y)
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],  # (x, y, z)
+        [(2, 0), (1, 1), (0, 2)],  # (x^2, xy, y^2), symmetric, on the orbit ring
+        [(2, 0), (1, 1), (0, 3)],  # (x^2, xy, y^3), not symmetric, on the walk
+        [(2,)],  # (x^2) in one variable: the length is 2 s^2
+    ])
+    def test_m_primary_ideal_matches_fixed_window(self, gens):
+        # the oracle takes any m-primary ideal; the window runs past its tail cap
+        ideal = minimalize(gens)
+        ss = range(1, 6)
+        window = {s: ideal.ambient_dim * s + 2 for s in ss}
+        expected = {
+            s: graded_length_by_window(ideal, s, MonomialIdeal.colength, window[s]) for s in ss
+        }
+        assert rees_colength_monomial(ideal, ss) == expected
 
     @pytest.mark.parametrize("a", range(2, 9))
     def test_rees_of_m_matches_fixed_window(self, a):
@@ -288,10 +305,10 @@ class TestSweep:
     @given(monomial_sweeps())
     def test_monomial_sweep_matches_single_values(self, case):
         exponents, ss = case
-        inst = ReesInstanceMonomial(exponents)
-        sweep = rees_colength_monomial(inst, ss)
+        ideal = parameter_ideal(exponents)
+        sweep = rees_colength_monomial(ideal, ss)
         assert list(sweep) == ss
-        assert sweep == {s: rees_colength_monomial(inst, [s])[s] for s in ss}
+        assert sweep == {s: rees_colength_monomial(ideal, [s])[s] for s in ss}
 
     @settings(max_examples=40)
     @given(
@@ -312,9 +329,7 @@ class TestSweep:
     # ring, ideal and tail cap per q: the caps that rees_colength_monomial
     # and rees_colength_dim1 give their sweeps
     RINGS = {
-        "polynomial": (
-            _polynomial_ring(3), ReesInstanceMonomial((1, 2, 3)).ideal(), lambda q: 2 * q
-        ),
+        "polynomial": (_polynomial_ring(3), parameter_ideal((1, 2, 3)), lambda q: 2 * q),
         "symmetric": (_symmetric_ring(4), ((0, 0, 0, 2),), lambda q: 3 * q),
         "plane": (_plane_ring(5), (1, 0, 0, 0, 0), lambda q: 10),
     }
@@ -344,8 +359,7 @@ class TestSweep:
             return colength(self, *args, **kwargs)
 
         monkeypatch.setattr(MonomialIdeal, "colength", counting)
-        inst = ReesInstanceMonomial((1, 1, 2))
-        sweep = rees_colength_monomial(inst, range(1, 10))
+        sweep = rees_colength_monomial(parameter_ideal((1, 1, 2)), range(1, 10))
         assert sweep == {s: cm_sop_hk(3, 2, s) for s in range(1, 10)}
         assert len(calls) <= 100  # one call per s made 190; the sweep makes 98
 
@@ -359,7 +373,7 @@ class TestSweep:
             return ring._replace(colength=lambda reps: calls.append(reps) or ring.colength(reps))
 
         monkeypatch.setattr(rees_oracle, "_symmetric_ring", counting)
-        sweep = rees_colength_monomial(ReesInstanceMonomial((1, 1, 1)), range(1, 10))
+        sweep = rees_colength_monomial(parameter_ideal((1, 1, 1)), range(1, 10))
         assert sweep == {s: cm_sop_hk(3, 1, s) for s in range(1, 10)}
         assert len(calls) <= 100  # one call per s made 190
 
@@ -376,13 +390,13 @@ class TestSweep:
         steps = {}
         for a in (1, 300):
             calls.clear()
-            sweep = rees_colength_monomial(ReesInstanceMonomial((a, a, a)), range(1, 10))
+            sweep = rees_colength_monomial(parameter_ideal((a, a, a)), range(1, 10))
             assert sweep == {s: cm_sop_hk(3, a**3, s) for s in range(1, 10)}
             steps[a] = len(calls)
         assert steps[300] == steps[1]
 
     @pytest.mark.parametrize("oracle, inst, name", [
-        (rees_colength_monomial, ReesInstanceMonomial((1, 1)), "s"),
+        (rees_colength_monomial, parameter_ideal((1, 1)), "s"),
         (rees_colength_dim1, ReesInstanceDim1(5, 2, "rees-of-m"), "e"),
         (rees_colength_dim1, ReesInstanceDim1(5, 2, "rees-of-x"), "e"),
     ])
@@ -578,8 +592,8 @@ class TestEstimateEhk:
     def test_oracle_sweep(self):
         from fractions import Fraction
 
-        inst = ReesInstanceMonomial((1, 1))
-        values = {s: rees_colength_monomial(inst, [s])[s] for s in range(2, 8)}
+        ideal = parameter_ideal((1, 1))
+        values = {s: rees_colength_monomial(ideal, [s])[s] for s in range(2, 8)}
         assert estimate_ehk(values, 2) == Fraction(4, 3)
 
     def test_ignores_values_below_d(self):
