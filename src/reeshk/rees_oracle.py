@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
 from .hk_formulas import QuasiPolynomialHK, check_e, check_invariants, check_period
 from .hk_formulas import check_positive, check_prime
-from .monomial_algebra import MonomialIdeal, Vector, _minimal_vectors, minimalize
+from .monomial_algebra import InfiniteColength, MonomialIdeal, Vector, _minimal_vectors, minimalize
 from .polynomials import Poly, interpolate
 
 # the Rees quotients of ReesInstanceDim1, spelled as on the command line
@@ -149,7 +149,7 @@ def _symmetric_ring(d: int) -> Ring:
     variables: the tails g[k:] of the g with g[k-1] <= lo, shifted down
     by hi.  So the work follows the generators, not the size of the
     exponents.  Tail colengths are memoised for the life of the ring;
-    in two variables the orbits are expanded and walked by
+    in one or two variables the orbits are expanded and walked by
     `MonomialIdeal`.
     """
     memo: dict[tuple[Vector, ...], int] = {}
@@ -161,9 +161,7 @@ def _symmetric_ring(d: int) -> Ring:
 
     def colength(reps: tuple[Vector, ...]) -> int:
         m = len(reps[0])
-        if m == 1:
-            return reps[0][0]
-        if m == 2:
+        if m <= 2:
             return MonomialIdeal(_minimal_vectors(_orbits(reps))).colength()
         top = min(g[-1] for g in reps)
         cuts = sorted({0, top, *(e for g in reps for e in g if e < top)})
@@ -237,23 +235,25 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
 
 
 def _check_sweep(values: Sequence[int], name: str) -> None:
-    """Refuse an empty sweep and a value below 1."""
+    """Refuse an empty sweep and a value below 1; stops at the first, so a range is not listed."""
     if not values:
         raise ValueError(f"the sweep of {name} is empty")
-    check_positive(min(values), name)
+    check_positive(next((v for v in values if v < 1), 1), name)
 
 
 def rees_colength_monomial(ideal: MonomialIdeal, ss: Sequence[int]) -> dict[int, int]:
     """{s: length of R(I)/(I, It)^[s]} by summing graded pieces in k[x_1, ..., x_d].
 
-    I is an m-primary ideal, and d is its number of variables.  The tail
-    cap is (d-1)*s: for a parameter ideal I^[s] I^t equals I^(s+t) by
-    t = (d-1)*s + 1, and another I whose tail runs longer raises.  An I
-    whose generators a transposition and a d-cycle permute among
-    themselves is invariant under every permutation of the variables, and
-    the sum runs in the symmetric ring on its orbit representatives.
+    I is m-primary, else InfiniteColength is raised; d is its number of
+    variables.  The tail cap is (d-1)*s: for a parameter ideal I^[s] I^t
+    equals I^(s+t) by t = (d-1)*s + 1, and another I whose tail runs
+    longer raises.  An I invariant under a transposition and a d-cycle of
+    the variables is invariant under every permutation of them, and the
+    sum runs in the symmetric ring on its orbit representatives.
     """
     _check_sweep(ss, "s")
+    if ideal.primary_box() is None:
+        raise InfiniteColength(f"no pure power of every variable in {ideal}")
     d = ideal.ambient_dim
     caps = {s: (d - 1) * s for s in ss}
     gens = set(ideal.gens)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reeshk import binomial_groebner, monomial_algebra, rees_oracle
 from reeshk.binomial_groebner import plane_heights, quotient_colength
 from reeshk.hk_formulas import cm_sop_hk, sop_dim1_hk
-from reeshk.monomial_algebra import MonomialIdeal, minimalize
+from reeshk.monomial_algebra import InfiniteColength, MonomialIdeal, minimalize
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
     InconsistentSamples,
@@ -226,6 +226,16 @@ class TestGradedLength:
         }
         assert rees_colength_monomial(ideal, ss) == expected
 
+    @pytest.mark.parametrize("gens", [
+        [(1, 1, 1)],  # (xyz), symmetric: the orbit ring has no tail to count
+        [(1, 1, 0), (1, 0, 1), (0, 1, 1)],  # (xy, yz, xz), symmetric
+        [(2, 0, 0), (0, 2, 0)],  # (x^2, y^2) in three variables, on the walk
+    ])
+    def test_ideal_that_is_not_m_primary_is_refused(self, gens):
+        # both paths refuse it before the sum, with the colength's message
+        with pytest.raises(InfiniteColength, match="^no pure power of every variable in "):
+            rees_colength_monomial(minimalize(gens), [1, 2])
+
     @pytest.mark.parametrize("a", range(2, 9))
     def test_rees_of_m_matches_fixed_window(self, a):
         # the reference multiplies unreduced powers of m; q <= 128 for p = 2, 3, 5
@@ -405,6 +415,9 @@ class TestSweep:
             oracle(inst, [])
         with pytest.raises(ValueError, match=f"^{name} must be positive$"):
             oracle(inst, [3, 0, 2])
+        # the check stops at the first bad value, so a long range is not listed
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            oracle(inst, range(-1, 10**12))
 
 
 class TestAlphaTable:
