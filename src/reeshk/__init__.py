@@ -35,7 +35,6 @@ from .rees_oracle import (
     InconsistentSamples,
     InsufficientSamples,
     OracleError,
-    ReesInstanceDim1,
     StabilizationNotReached,
     alpha_table,
     estimate_ehk,

@@ -40,7 +40,6 @@ from .monomial_algebra import (
 from .rees_oracle import (
     InsufficientSamples,
     OracleError,
-    ReesInstanceDim1,
     VARIANTS,
     alpha_table,
     estimate_ehk,
@@ -229,21 +228,19 @@ def _cap_rows(ss: range, force: bool) -> None:
     _cap(f"a range of {rows} values of s", rows, ROW_CAP, force)
 
 
-def _dim1_setup(
-    a: int, p: int, variant: str, e_text: str, force: bool
-) -> tuple[ReesInstanceDim1, range]:
-    """The dimension-1 instance and its e range, refused past the cap on q a unless forced."""
+def _dim1_setup(a: int, p: int, e_text: str, force: bool) -> dict[int, int]:
+    """{e: p^e} over the e range, refused past the cap on q a unless forced; p is checked here."""
     check_exponent(a)  # invalid input exits 2 even where a cap would refuse it
     es = parse_range(e_text)
     # refused before the formula side runs; the range ascends, so nothing is listed
     check_positive(es[0], "e")
-    if p <= QA_CAP:  # a larger p meets the cap before its slow primality test
+    if p <= QA_CAP or force:  # a larger p meets the cap before its slow primality test
         check_prime(p)
     e = es[-1]
     # p >= 2, so p^e is past the cap once e reaches its bit length; a larger e is refused unformed
     q = p**e if e < QA_CAP.bit_length() else QA_CAP + 1
     _cap(f"q a = {p}^{e}*{a}", q * a, QA_CAP, force)
-    return ReesInstanceDim1(a, p, variant), es
+    return {e: p**e for e in es}
 
 
 def _cap(text: str, value: int, cap: int, force: bool) -> int:
@@ -332,10 +329,11 @@ def cmd_oracle_monomial(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_oracle_dim1(args: argparse.Namespace) -> RunReport:
-    inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
+    qs = _dim1_setup(args.a, args.p, args.e, args.force)
     report = _report(args, "a", "p", "variant")
-    for e, value in rees_colength_dim1(inst, es).items():
-        report.add({"e": e, "q": args.p**e}, oracle=value)
+    lengths = rees_colength_dim1(args.a, args.variant, [*qs.values()])
+    for e, q in qs.items():
+        report.add({"e": e, "q": q}, oracle=lengths[q])
     return report
 
 
@@ -359,29 +357,31 @@ def cmd_compare_cm_sop(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
-    inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
+    qs = _dim1_setup(args.a, args.p, args.e, args.force)
     report = _report(args, "a", "p", "variant")
-    if inst.variant == "rees-of-x":
-        # formula side: q^2 e0(m) + q alpha(e), alpha taken from the
+    if args.variant == "rees-of-x":
+        # formula side: q^2 e0(m) + q alpha(q), alpha taken from the
         # plane quotient lengths, independent of the 3-variable count
-        table = alpha_table(args.a, args.p, 0, es)
-        formula = {e: args.a * args.p ** (2 * e) + table[0][e] * args.p**e for e in es}
+        alpha = alpha_table(args.a, 0, [*qs.values()])[0]
+        formula = {e: args.a * q * q + alpha[q] * q for e, q in qs.items()}
     elif (args.a, args.p) == (FERMAT5.e0, FERMAT5.p):
         qp = cordim1_hk(FERMAT5)
-        formula = {e: qp.value_at(e) for e in es}
+        formula = {e: qp.value_at(e) for e in qs}
     else:
         raise ValueError(
             "compare dim1 --variant rees-of-m needs the known invariant set; "
             "only --a 5 --p 2 is supported"
         )
-    for e, value in rees_colength_dim1(inst, es).items():
-        report.add({"e": e, "q": args.p**e}, formula=formula[e], oracle=value)
+    lengths = rees_colength_dim1(args.a, args.variant, [*qs.values()])
+    for e, q in qs.items():
+        report.add({"e": e, "q": q}, formula=formula[e], oracle=lengths[q])
     return report
 
 
 def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
-    inst, es = _dim1_setup(args.a, args.p, args.variant, args.e, args.force)
-    values = rees_colength_dim1(inst, es)
+    qs = _dim1_setup(args.a, args.p, args.e, args.force)
+    lengths = rees_colength_dim1(args.a, args.variant, [*qs.values()])
+    values = {e: lengths[q] for e, q in qs.items()}
     # the paper's quasi-polynomials in q have degree 2, leading term e0 q^2
     degree = 2
     qp = fit_quasi_polynomial(values, args.p, degree, args.period, holdout=args.holdout)
@@ -389,10 +389,9 @@ def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
         args, "a", "p", "variant", degree=degree, period=args.period, valid_from_e=qp.valid_from_e
     )
     _residue_rows(report, qp)
-    for e in es:
+    for e, q in qs.items():
         # the fit's exact value: below valid_from_e it may be a non-integral
         # Fraction, which prints as num/den and does not match
-        q = args.p**e
         report.add({"e": e, "q": q}, formula=qp.poly_for(e)(q), oracle=values[e])
     return report
 
@@ -426,40 +425,38 @@ def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
 
 def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
     a, p = FERMAT5.e0, FERMAT5.p
-    inst_m, es = _dim1_setup(a, p, "rees-of-m", args.e, args.force)
-    inst_x = ReesInstanceDim1(a, p, "rees-of-x")
+    qs = _dim1_setup(a, p, args.e, args.force)
+    sweep = [*qs.values()]
     report = _report(args, ring="k[[X,Y]]/(X^5-Y^5)", p=p)
     # alpha table vs the known periodic values
-    table = alpha_table(a, p, len(FERMAT5.alpha) - 1, es)
+    table = alpha_table(a, len(FERMAT5.alpha) - 1, sweep)
     for n, seq in enumerate(FERMAT5.alpha):
-        for e in es:
+        for e, q in qs.items():
             report.add(
                 {"check": "alpha", "n": n, "e": e},
                 formula=seq[e % len(seq)],
-                oracle=table[n][e],
+                oracle=table[n][q],
             )
     # (m, mt) in R(m) and (m, It) in R(I): each quasi-polynomial against
     # its known residue polynomials, then the oracle lengths against it
-    qp_m = cordim1_hk(FERMAT5)
-    qp_x = sop_dim1_hk(FERMAT5.e0, FERMAT5.alpha[0], p)
-    legs = (
-        ("rees-of-m", inst_m, qp_m, ("5*q^2", "5*q^2 - 10")),
-        ("rees-of-x", inst_x, qp_x, ("5*q^2 - 4*q", "5*q^2 - 6*q")),
-    )
-    for check, _, qp, golden in legs:
+    legs = {
+        "rees-of-m": (cordim1_hk(FERMAT5), ("5*q^2", "5*q^2 - 10")),
+        "rees-of-x": (sop_dim1_hk(a, FERMAT5.alpha[0], p), ("5*q^2 - 4*q", "5*q^2 - 6*q")),
+    }
+    for variant, (qp, golden) in legs.items():
         for residue, poly in enumerate(qp.format()):
             report.add(
-                {"check": f"{check}-poly", "residue": residue},
+                {"check": f"{variant}-poly", "residue": residue},
                 formula=poly,
                 oracle=golden[residue],
             )
-    lengths = {check: rees_colength_dim1(inst, es) for check, inst, _, _ in legs}
-    for e in es:
-        for check, _, qp, _ in legs:
+    lengths = {variant: rees_colength_dim1(a, variant, sweep) for variant in legs}
+    for e, q in qs.items():
+        for variant, (qp, _) in legs.items():
             report.add(
-                {"check": check, "e": e, "q": p**e},
+                {"check": variant, "e": e, "q": q},
                 formula=qp.value_at(e),
-                oracle=lengths[check][e],
+                oracle=lengths[variant][q],
             )
     return report
 

@@ -6,7 +6,7 @@ The monomial oracle takes the m-primary ideal it measures, such as the
 One routine, `_graded_lengths`, sums lengths over the graded
 decomposition of the Rees algebra and detects where the sum stops by
 an explicit ideal-equality test rather than taking it from theory.  It
-takes a whole sweep of s or e at once: one chain of powers I^n serves
+takes a whole sweep of s or q at once: one chain of powers I^n serves
 every q of the sweep, so colength(I^n) is taken once per n, not once
 per n and q.  It works in a `Ring`, whose ideals are canonical values,
 so that `==` is ideal equality.  The polynomial ring keeps a
@@ -21,7 +21,6 @@ step of the sum costs O(a) and not O(q).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, permutations
 from math import comb
@@ -34,7 +33,7 @@ from .hk_formulas import check_positive, check_prime
 from .monomial_algebra import InfiniteColength, MonomialIdeal, Vector, _minimal_vectors, minimalize
 from .polynomials import Poly, interpolate
 
-# the Rees quotients of ReesInstanceDim1, spelled as on the command line
+# the Rees quotients of rees_colength_dim1, spelled as on the command line
 VARIANTS = ("rees-of-x", "rees-of-m")
 
 
@@ -60,27 +59,6 @@ def parameter_ideal(exponents: Sequence[int]) -> MonomialIdeal:
     check_invariants(d, 2)
     check_positive(min(exponents), "exponents")
     return minimalize([(0,) * i + (a,) + (0,) * (d - 1 - i) for i, a in enumerate(exponents)])
-
-
-@dataclass(frozen=True)
-class ReesInstanceDim1:
-    """Hypersurface k[[X, Y]]/(X^a - Y^a) with a choice of Rees quotient.
-
-    variant 'rees-of-x' measures (m, It)^[q] in R(I) for I = (x),
-    realized as the 3-variable quotient by (X^a - Y^a, X^q, Y^q, Z^q);
-    variant 'rees-of-m' measures (m, mt)^[q] in R(m) via the graded
-    decomposition.
-    """
-
-    a: int
-    p: int
-    variant: str
-
-    def __post_init__(self) -> None:
-        check_exponent(self.a)
-        check_prime(self.p)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
 
 
 class Ring(NamedTuple):
@@ -264,20 +242,29 @@ def rees_colength_monomial(ideal: MonomialIdeal, ss: Sequence[int]) -> dict[int,
     return _graded_lengths(_polynomial_ring(d), ideal, caps)
 
 
-def rees_colength_dim1(inst: ReesInstanceDim1, es: Sequence[int]) -> dict[int, int]:
-    """{e: exact length of the chosen Rees quotient at q = p^e}."""
-    _check_sweep(es, "e")
-    qs = {e: inst.p**e for e in es}
-    if inst.variant == "rees-of-x":
-        cubes = {e: minimalize([(q, 0, 0), (0, q, 0), (0, 0, q)]) for e, q in qs.items()}
-        return {e: quotient_colength(inst.a, cube) for e, cube in cubes.items()}
-    maximal = (1,) + (0,) * (inst.a - 1)  # the heights of (X, Y)
-    lengths = _graded_lengths(_plane_ring(inst.a), maximal, dict.fromkeys(qs.values(), 2 * inst.a))
-    return {e: lengths[q] for e, q in qs.items()}
+def rees_colength_dim1(a: int, variant: str, qs: Sequence[int]) -> dict[int, int]:
+    """{q: exact length of a Rees quotient of R = k[[X, Y]]/(X^a - Y^a) at q}.
+
+    Variant 'rees-of-x' measures (m, It)^[q] in R(I) for I = (x),
+    realized as the 3-variable quotient by (X^a - Y^a, X^q, Y^q, Z^q).
+    That quotient is the tensor product R/m^[q] (x)_k k[Z]/(Z^q), so its
+    length is q len(R/m^[q]).  Variant 'rees-of-m' measures (m, mt)^[q]
+    in R(m) via the graded decomposition.  No count reads a
+    characteristic, so every q >= 1 is measured; q = p^e is the
+    caller's choice.
+    """
+    check_exponent(a)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    _check_sweep(qs, "q")
+    if variant == "rees-of-x":
+        return {q: quotient_colength(a, parameter_ideal((q, q, q))) for q in qs}
+    maximal = (1,) + (0,) * (a - 1)  # the heights of (X, Y)
+    return _graded_lengths(_plane_ring(a), maximal, dict.fromkeys(qs, 2 * a))
 
 
-def alpha_table(a: int, p: int, n_max: int, e_range: Sequence[int]) -> dict[int, dict[int, int]]:
-    """Periodic corrections alpha(m^n, e) = len(m^n / m^[q] m^n) - a*q.
+def alpha_table(a: int, n_max: int, qs: Sequence[int]) -> dict[int, dict[int, int]]:
+    """Periodic corrections {n: {q: alpha(m^n, q)}}, alpha = len(m^n / m^[q] m^n) - a*q.
 
     Computed entirely from hypersurface quotient lengths, with m^n and
     m^[q] kept as their staircase heights; the multiplicity of the
@@ -286,18 +273,15 @@ def alpha_table(a: int, p: int, n_max: int, e_range: Sequence[int]) -> dict[int,
     check_exponent(a)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if not e_range:
-        raise ValueError("e_range must be nonempty")
-    check_e(min(e_range))
-    check_prime(p)
+    _check_sweep(qs, "q")
     ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)
-    frobs = {e: ring.frobenius(maximal, p**e) for e in e_range}
+    frobs = {q: ring.frobenius(maximal, q) for q in qs}
     table: dict[int, dict[int, int]] = {}
     power = ring.unit  # m^n
     for n in range(n_max + 1):
         base = ring.colength(power)
         table[n] = {
-            e: ring.colength(ring.product(f, power)) - base - a * p**e for e, f in frobs.items()
+            q: ring.colength(ring.product(f, power)) - base - a * q for q, f in frobs.items()
         }
         power = ring.product(power, maximal)
     return table

@@ -22,7 +22,6 @@ from reeshk.monomial_algebra import minimalize
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
     InconsistentSamples,
-    ReesInstanceDim1,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
@@ -102,11 +101,10 @@ def test_criterion_3_dimension_two_closed_form():
 def test_criterion_4_fermat_parameter_rees():
     started = time.monotonic()
     failures = []
-    inst = ReesInstanceDim1(5, 2, "rees-of-x")
     for e in range(2, 7):
         q = 2**e
         want = 5 * q * q - (4 * q if e % 2 == 0 else 6 * q)
-        value = rees_colength_dim1(inst, [e])[e]
+        value = rees_colength_dim1(5, "rees-of-x", [q])[q]
         if value != want:
             failures.append((e, value, want))
     report(4, "rees-of-x: 5q^2-4q even, 5q^2-6q odd", failures, started, 30.0)
@@ -115,20 +113,19 @@ def test_criterion_4_fermat_parameter_rees():
 def test_criterion_5_fermat_maximal_rees():
     started = time.monotonic()
     failures = []
-    inst = ReesInstanceDim1(5, 2, "rees-of-m")
     for e in range(3, 7):
         q = 2**e
         want = 5 * q * q if e % 2 == 0 else 5 * q * q - 10
-        value = rees_colength_dim1(inst, [e])[e]
+        value = rees_colength_dim1(5, "rees-of-m", [q])[q]
         if value != want:
             failures.append((e, value, want))
-    table = alpha_table(5, 2, 3, range(2, 8))
+    table = alpha_table(5, 3, [2**e for e in range(2, 8)])
     golden = {0: (-4, -6), 1: (-3, -5), 2: (-2, -3), 3: (-1, -1)}
     for n, (even, odd) in golden.items():
         for e in range(2, 8):
             want = even if e % 2 == 0 else odd
-            if table[n][e] != want:
-                failures.append(("alpha", n, e, table[n][e], want))
+            if table[n][2**e] != want:
+                failures.append(("alpha", n, e, table[n][2**e], want))
     report(5, "rees-of-m: 5q^2 even, 5q^2-10 odd, alpha table", failures, started, 300.0)
 
 
@@ -217,16 +214,16 @@ def test_criterion_8_quasi_polynomial_fitting():
     failures = []
     # parameter-ideal Rees samples, e = 2..9 (odd class needs four points
     # for a quadratic fit with one held-out validator)
-    inst_x = ReesInstanceDim1(5, 2, "rees-of-x")
-    values_x = {e: rees_colength_dim1(inst_x, [e])[e] for e in range(2, 10)}
+    lengths_x = rees_colength_dim1(5, "rees-of-x", [2**e for e in range(2, 10)])
+    values_x = {e: lengths_x[2**e] for e in range(2, 10)}
     qp_x = fit_quasi_polynomial(values_x, 2, 2, 2, holdout=1)
     if qp_x.polys[0] != Poly([0, -4, 5]) or qp_x.polys[1] != Poly([0, -6, 5]):
         failures.append(("rees-of-x fit", qp_x.format()))
     if qp_x.valid_from_e != 2:
         failures.append(("rees-of-x threshold", qp_x.valid_from_e))
     # maximal-ideal Rees samples, e = 2..7
-    inst_m = ReesInstanceDim1(5, 2, "rees-of-m")
-    values_m = {e: rees_colength_dim1(inst_m, [e])[e] for e in range(2, 8)}
+    lengths_m = rees_colength_dim1(5, "rees-of-m", [2**e for e in range(2, 8)])
+    values_m = {e: lengths_m[2**e] for e in range(2, 8)}
     qp_m = fit_quasi_polynomial(values_m, 2, 2, 2, holdout=0)
     if qp_m.polys[0] != Poly([0, 0, 5]) or qp_m.polys[1] != Poly([-10, 0, 5]):
         failures.append(("rees-of-m fit", qp_m.format()))

@@ -448,6 +448,16 @@ EXIT_CODE_MATRIX |= {
         ["oracle", "dim1", "--a", "5", "--p", "4", "--variant", "rees-of-x", "--e", "7"],
         2, "error: p = 4 is not prime\n",
     ),
+    # --force lifts the q a cap, not the primality test: the oracle reads no p, so the CLI
+    # is where a composite p is refused
+    **{
+        f"non_prime_p_forced_{group}": (
+            [group, "dim1", "--a", "2", "--p", "262146", "--variant", "rees-of-x", "--e", "1",
+             "--force"],
+            2, "error: p = 262146 is not prime\n",
+        )
+        for group in ("oracle", "compare", "fit")
+    },
     # the q a cap comes before the primality test of a huge p, on either variant
     "q_cap_huge_p": (
         ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-x",

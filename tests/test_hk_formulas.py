@@ -220,8 +220,8 @@ class TestSopDim1:
         from reeshk.monomial_algebra import minimalize
         from reeshk.rees_oracle import alpha_table
 
-        table = alpha_table(a, p, 0, range(1, 10))
-        assert table[0] == {e: alpha[e % len(alpha)] for e in range(1, 10)}
+        table = alpha_table(a, 0, [p**e for e in range(1, 10)])
+        assert table[0] == {p**e: alpha[e % len(alpha)] for e in range(1, 10)}
         qp = sop_dim1_hk(a, alpha, p)
         for e in range(2, 6):
             q = p**e
@@ -302,10 +302,10 @@ class TestMultiplicities:
 
     def test_leading_coefficient_fit_matches_dim1_predictor(self):
         # leading coefficient of the rees-of-x samples equals e0(m) = a
-        from reeshk.rees_oracle import ReesInstanceDim1, fit_quasi_polynomial, rees_colength_dim1
+        from reeshk.rees_oracle import fit_quasi_polynomial, rees_colength_dim1
 
-        inst = ReesInstanceDim1(5, 2, "rees-of-x")
-        values = {e: rees_colength_dim1(inst, [e])[e] for e in range(2, 8)}
+        lengths = rees_colength_dim1(5, "rees-of-x", [2**e for e in range(2, 8)])
+        values = {e: lengths[2**e] for e in range(2, 8)}
         qp = fit_quasi_polynomial(values, 2, 2, 2, holdout=0)
         for poly in qp.polys:
             assert poly.coefficient(2) == 5

@@ -14,7 +14,6 @@ from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
     InconsistentSamples,
     InsufficientSamples,
-    ReesInstanceDim1,
     StabilizationNotReached,
     _graded_lengths,
     _orbits,
@@ -33,6 +32,8 @@ from reference import colength_by_inclusion_exclusion, graded_length_by_window, 
 
 # the maximal ideal (X, Y) of k[X, Y], kept as its generators
 PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
+# (p, the exponents e of q = p^e) that the plane references run, q <= 128
+PRIME_POWERS = ((2, range(1, 8)), (3, range(1, 5)), (5, range(1, 4)))
 
 
 class TestInstances:
@@ -45,13 +46,12 @@ class TestInstances:
         assert parameter_ideal((2, 2, 3)).gens == ((0, 0, 3), (0, 2, 0), (2, 0, 0))
 
     def test_dim1_validation(self):
-        with pytest.raises(ValueError):
-            ReesInstanceDim1(1, 2, "rees-of-x")
-        with pytest.raises(ValueError):
-            ReesInstanceDim1(5, 4, "rees-of-x")  # p not prime
+        # no characteristic: the CLI checks p, and the oracle measures at any q
+        with pytest.raises(ValueError, match="^hypersurface exponent must be at least 2$"):
+            rees_colength_dim1(1, "rees-of-x", [2])
         for variant in ("rees-of-t", "rees_of_x", "rees_of_m"):  # one spelling per variant
             with pytest.raises(ValueError, match="unknown variant"):
-                ReesInstanceDim1(5, 2, variant)
+                rees_colength_dim1(5, variant, [2])
 
 
 class TestMonomialOracle:
@@ -114,30 +114,42 @@ class TestMonomialOracle:
 
 class TestDim1Oracle:
     def test_rees_of_x_values(self):
-        inst = ReesInstanceDim1(5, 2, "rees-of-x")
-        assert rees_colength_dim1(inst, [3])[3] == 272
-        values = [rees_colength_dim1(inst, [e])[e] for e in range(2, 7)]
+        assert rees_colength_dim1(5, "rees-of-x", [8])[8] == 272
+        values = [rees_colength_dim1(5, "rees-of-x", [2**e])[2**e] for e in range(2, 7)]
         assert values == [64, 272, 1216, 4928, 20224]
 
     def test_rees_of_m_values(self):
-        inst = ReesInstanceDim1(5, 2, "rees-of-m")
-        assert rees_colength_dim1(inst, [4])[4] == 1280
-        assert rees_colength_dim1(inst, [3])[3] == 310
+        assert rees_colength_dim1(5, "rees-of-m", [16])[16] == 1280
+        assert rees_colength_dim1(5, "rees-of-m", [8])[8] == 310
+
+    @pytest.mark.parametrize("variant, values", [
+        ("rees-of-m", {1: 1, 6: 180, 16: 1280}),
+        ("rees-of-x", {1: 1, 6: 156, 16: 1216}),
+    ])
+    def test_any_q_is_measured(self, variant, values):
+        # q = 1 is the ideal itself, of length 1; q = 6 is no prime power
+        assert rees_colength_dim1(5, variant, [1, 6, 16]) == values
+
+    @pytest.mark.parametrize("a", range(2, 9))
+    def test_rees_of_x_is_q_times_the_plane_length(self, a):
+        # the quotient is R/m^[q] (x) k[Z]/(Z^q), so its length is q len(R/m^[q])
+        qs = range(1, 5 * a + 1)
+        assert rees_colength_dim1(a, "rees-of-x", qs) == {
+            q: q * quotient_colength(a, parameter_ideal((q, q))) for q in qs
+        }
 
     def test_rees_of_x_matches_predictor(self):
-        inst = ReesInstanceDim1(5, 2, "rees-of-x")
         qp = sop_dim1_hk(5, (-4, -6), 2)
         for e in range(2, 7):
-            assert rees_colength_dim1(inst, [e])[e] == qp.value_at(e)
+            assert rees_colength_dim1(5, "rees-of-x", [2**e])[2**e] == qp.value_at(e)
 
     def test_rees_of_m_matches_quasi_polynomial(self):
         from reeshk.cli import FERMAT5
         from reeshk.hk_formulas import cordim1_hk
 
-        inst = ReesInstanceDim1(5, 2, "rees-of-m")
         qp = cordim1_hk(FERMAT5)
-        for e in range(3, 11):
-            assert rees_colength_dim1(inst, [e])[e] == qp.value_at(e)
+        lengths = rees_colength_dim1(5, "rees-of-m", [2**e for e in range(3, 11)])
+        assert lengths == {2**e: qp.value_at(e) for e in range(3, 11)}
 
     def test_unit_ideal_has_colength_zero(self):
         # the hypersurface ring needs no unit-ideal guard
@@ -158,8 +170,8 @@ class TestDim1Oracle:
 
         monkeypatch.setattr(monomial_algebra, "_validated", counting)
         monkeypatch.setattr(binomial_groebner, "_validated", counting, raising=False)
-        assert rees_colength_dim1(ReesInstanceDim1(5, 2, "rees-of-m"), [4])[4] == 1280
-        assert alpha_table(5, 2, 3, [2, 3])[0] == {2: -4, 3: -6}
+        assert rees_colength_dim1(5, "rees-of-m", [16])[16] == 1280
+        assert alpha_table(5, 3, [4, 8])[0] == {4: -4, 8: -6}
         assert calls == []
 
     @pytest.mark.parametrize("a", [3, 5])
@@ -173,7 +185,7 @@ class TestDim1Oracle:
             return plane_heights(exponent, pairs)
 
         monkeypatch.setattr(rees_oracle, "plane_heights", spy)
-        rees_colength_dim1(ReesInstanceDim1(a, 2, "rees-of-m"), [8])[8]
+        rees_colength_dim1(a, "rees-of-m", [256])
         assert len(measured) >= 2 * 256
         assert max(measured) <= 2 * a
 
@@ -238,14 +250,14 @@ class TestGradedLength:
 
     @pytest.mark.parametrize("a", range(2, 9))
     def test_rees_of_m_matches_fixed_window(self, a):
-        # the reference multiplies unreduced powers of m; q <= 128 for p = 2, 3, 5
-        for p, e_max in ((2, 7), (3, 4), (5, 3)):
-            inst = ReesInstanceDim1(a, p, "rees-of-m")
-            for e in range(1, e_max + 1):
-                expected = graded_length_by_window(
-                    PLANE_MAXIMAL, p**e, lambda ideal: quotient_colength(a, ideal), 2 * a + 2
-                )
-                assert rees_colength_dim1(inst, [e])[e] == expected, (p, e)
+        # the reference multiplies unreduced powers of m; every q <= 4 a, and
+        # the powers of p = 2, 3, 5 up to 128
+        qs = sorted({*range(1, 4 * a + 1), *(p**e for p, top in PRIME_POWERS for e in top)})
+        for q in qs:
+            expected = graded_length_by_window(
+                PLANE_MAXIMAL, q, lambda ideal: quotient_colength(a, ideal), 2 * a + 2
+            )
+            assert rees_colength_dim1(a, "rees-of-m", [q])[q] == expected, q
 
 
 @st.composite
@@ -321,20 +333,11 @@ class TestSweep:
         assert sweep == {s: rees_colength_monomial(ideal, [s])[s] for s in ss}
 
     @settings(max_examples=40)
-    @given(
-        st.integers(2, 8),
-        st.sampled_from([2, 3]).flatmap(
-            lambda p: st.tuples(
-                st.just(p), st.lists(st.integers(1, {2: 7, 3: 4}[p]), min_size=1, unique=True)
-            )
-        ),
-    )
-    def test_rees_of_m_sweep_matches_single_values(self, a, case):
-        p, es = case
-        inst = ReesInstanceDim1(a, p, "rees-of-m")
-        sweep = rees_colength_dim1(inst, es)
-        assert list(sweep) == es
-        assert sweep == {e: rees_colength_dim1(inst, [e])[e] for e in es}
+    @given(st.integers(2, 8), st.lists(st.integers(1, 128), min_size=1, max_size=8, unique=True))
+    def test_rees_of_m_sweep_matches_single_values(self, a, qs):
+        sweep = rees_colength_dim1(a, "rees-of-m", qs)
+        assert list(sweep) == qs
+        assert sweep == {q: rees_colength_dim1(a, "rees-of-m", [q])[q] for q in qs}
 
     # ring, ideal and tail cap per q: the caps that rees_colength_monomial
     # and rees_colength_dim1 give their sweeps
@@ -356,8 +359,7 @@ class TestSweep:
         assert sweep == {q: _graded_lengths(ring, ideal, {q: caps[q]})[q] for q in qs}
 
     def test_rees_of_x_sweep(self):
-        inst = ReesInstanceDim1(5, 2, "rees-of-x")
-        assert rees_colength_dim1(inst, [6, 2, 4]) == {6: 20224, 2: 64, 4: 1216}
+        assert rees_colength_dim1(5, "rees-of-x", [64, 4, 16]) == {64: 20224, 4: 64, 16: 1216}
 
     def test_colength_of_each_power_taken_once(self, monkeypatch):
         # one chain of powers serves every s: colength(I^n) is not recounted per s;
@@ -406,75 +408,76 @@ class TestSweep:
         assert steps[300] == steps[1]
 
     @pytest.mark.parametrize("oracle, inst, name", [
-        (rees_colength_monomial, parameter_ideal((1, 1)), "s"),
-        (rees_colength_dim1, ReesInstanceDim1(5, 2, "rees-of-m"), "e"),
-        (rees_colength_dim1, ReesInstanceDim1(5, 2, "rees-of-x"), "e"),
+        (rees_colength_monomial, (parameter_ideal((1, 1)),), "s"),
+        (rees_colength_dim1, (5, "rees-of-m"), "q"),
+        (rees_colength_dim1, (5, "rees-of-x"), "q"),
+        (alpha_table, (5, 1), "q"),
     ])
     def test_sweep_checked_at_the_boundary(self, oracle, inst, name):
         with pytest.raises(ValueError, match=f"^the sweep of {name} is empty$"):
-            oracle(inst, [])
+            oracle(*inst, [])
         with pytest.raises(ValueError, match=f"^{name} must be positive$"):
-            oracle(inst, [3, 0, 2])
+            oracle(*inst, [3, 0, 2])
         # the check stops at the first bad value, so a long range is not listed
         with pytest.raises(ValueError, match=f"^{name} must be positive$"):
-            oracle(inst, range(-1, 10**12))
+            oracle(*inst, range(-1, 10**12))
 
 
 class TestAlphaTable:
     def test_known_values(self):
-        table = alpha_table(5, 2, 3, range(2, 9))
-        assert table[0][2] == -4 and table[0][3] == -6
-        assert table[1][3] == -5 and table[1][4] == -3
-        assert table[2][2] == -2 and table[2][5] == -3
+        table = alpha_table(5, 3, [2**e for e in range(2, 9)])
+        assert table[0][4] == -4 and table[0][8] == -6
+        assert table[1][8] == -5 and table[1][16] == -3
+        assert table[2][4] == -2 and table[2][32] == -3
         assert set(table[3].values()) == {-1}
 
     def test_period_two_from_e_two(self):
-        table = alpha_table(5, 2, 3, range(2, 9))
+        table = alpha_table(5, 3, [2**e for e in range(2, 9)])
         for n in range(4):
             for e in range(2, 7):
-                assert table[n][e] == table[n][e + 2]
+                assert table[n][2**e] == table[n][2 ** (e + 2)]
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("a", range(2, 9))
     def test_rows_match_unreduced_powers(self, a, p):
-        # every row against m^[q] m^n and m^n built as plain products, q <= 81
-        e_range = range(1, {2: 7, 3: 5}[p])
-        table = alpha_table(a, p, 2 * a, e_range)
+        # every row against m^[q] m^n and m^n built as plain products: every
+        # q <= 4 a, and the powers of p up to 64 or 81
+        qs = sorted({*range(1, 4 * a + 1), *(p**e for e in range(1, {2: 7, 3: 5}[p]))})
+        table = alpha_table(a, 2 * a, qs)
         for n, row in table.items():
             base = quotient_colength(a, power(PLANE_MAXIMAL, n))
-            for e in e_range:
-                frob = PLANE_MAXIMAL.frobenius(p**e)
+            for q in qs:
+                frob = PLANE_MAXIMAL.frobenius(q)
                 piece = quotient_colength(a, frob.product(power(PLANE_MAXIMAL, n)))
-                assert row[e] == piece - base - a * p**e, (n, e)
+                assert row[q] == piece - base - a * q, (n, q)
 
     @pytest.mark.parametrize("a", [0, 1])
     def test_exponent_below_two_refused(self, a):
         with pytest.raises(ValueError, match="^hypersurface exponent must be at least 2$"):
-            alpha_table(a, 2, 1, range(2, 4))
+            alpha_table(a, 1, [4, 8])
 
     def test_negative_e_refused_on_the_formula_side(self):
-        # both sides of compare dim1 refuse it, not only the oracle
-        message = r"^e must be nonnegative, so that q = p\^e is an integer$"
-        with pytest.raises(ValueError, match=message):
-            alpha_table(5, 2, 0, [-1])
+        # both sides of compare dim1 refuse a q below 1, and the formula an e below 0
+        with pytest.raises(ValueError, match="^q must be positive$"):
+            alpha_table(5, 0, [0])
         qp = sop_dim1_hk(5, (-4, -6), 2)
         assert qp.value_at(0) == 1  # 5 q^2 - 4 q at q = 1
+        assert alpha_table(5, 0, [1]) == {0: {1: -4}}  # len(R / m^[1]) - 5 = 1 - 5
+        message = r"^e must be nonnegative, so that q = p\^e is an integer$"
         with pytest.raises(ValueError, match=message):
             qp.value_at(-1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            alpha_table(5, 2, -1, range(2, 4))
-        with pytest.raises(ValueError):
-            alpha_table(5, 2, 1, [])
-        with pytest.raises(ValueError):
-            alpha_table(5, 6, 1, range(2, 4))
+        with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+            alpha_table(5, -1, [4, 8])
+        with pytest.raises(ValueError, match="^the sweep of q is empty$"):
+            alpha_table(5, 1, [])
 
 
 class TestFitQuasiPolynomial:
     def fermat_x_samples(self, hi):
-        inst = ReesInstanceDim1(5, 2, "rees-of-x")
-        return {e: rees_colength_dim1(inst, [e])[e] for e in range(2, hi + 1)}
+        lengths = rees_colength_dim1(5, "rees-of-x", [2**e for e in range(2, hi + 1)])
+        return {e: lengths[2**e] for e in range(2, hi + 1)}
 
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
@@ -504,8 +507,7 @@ class TestFitQuasiPolynomial:
             fit_quasi_polynomial({e: e for e in range(1, 7)}, 2, degree=0, period=1, holdout=1)
 
     def test_corrupted_sample_rejected(self):
-        inst = ReesInstanceDim1(5, 2, "rees-of-x")
-        values = {e: rees_colength_dim1(inst, [e])[e] for e in range(2, 10)}
+        values = self.fermat_x_samples(9)
         values[9] += 1
         with pytest.raises(InconsistentSamples):
             fit_quasi_polynomial(values, 2, degree=2, period=2, holdout=1)
