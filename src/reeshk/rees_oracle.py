@@ -11,13 +11,13 @@ every q of the sweep, so colength(I^n) is taken once per n, not once
 per n and q.  It works in a `Ring`, whose ideals are canonical values,
 so that `==` is ideal equality.  The polynomial ring keeps a
 `MonomialIdeal`, its sorted minimal generators.  When I is invariant
-under every permutation of the variables, as (x_1^a, ..., x_d^a) is,
-so is every ideal of the sum, and the symmetric ring keeps one sorted
-generator per orbit, up to d! times fewer, and counts a colength by
-the least coordinate of a standard monomial and its multiplicity, not
-by a staircase walk.  The hypersurface ring k[X, Y]/(X^a - Y^a) keeps
-the staircase heights of the initial ideal, a tuple of length a, so a
-step of the sum costs O(a) and not O(q).
+under the permutations of a block of b variables, as (x_1^2, x_2, x_3,
+x_4) is for x_2, x_3, x_4, so is every ideal of the sum: the orbit ring
+keeps one generator per orbit, up to b! times fewer, and counts the
+block's colengths by the least coordinate of a standard monomial and
+its multiplicity, not by a staircase walk.  The hypersurface ring
+k[X, Y]/(X^a - Y^a) keeps the staircase heights of the initial ideal,
+a tuple of length a, so a step of the sum costs O(a) and not O(q).
 """
 from __future__ import annotations
 
@@ -30,7 +30,8 @@ from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
 from .hk_formulas import QuasiPolynomialHK, check_e, check_invariants, check_period
 from .hk_formulas import check_positive, check_prime
-from .monomial_algebra import InfiniteColength, MonomialIdeal, Vector, _minimal_vectors, minimalize
+from .monomial_algebra import InfiniteColength, MonomialIdeal, Vector, _count_standard
+from .monomial_algebra import _minimal_vectors, minimalize
 from .polynomials import Poly, interpolate
 
 # the Rees quotients of rees_colength_dim1, spelled as on the command line
@@ -105,40 +106,48 @@ def _plane_ring(a: int) -> Ring:
     )
 
 
-def _orbits(reps: tuple[Vector, ...]) -> set[Vector]:
-    """Every permutation of every representative: the generators of the S_d-invariant ideal."""
-    return {v for g in reps for v in permutations(g)}
+def _orbits(reps: tuple[Vector, ...], free: int = 0) -> set[Vector]:
+    """Every permutation of the exponents after the first `free` of every representative."""
+    return {(*g[:free], *p) for g in reps for p in permutations(g[free:])}
 
 
-def _symmetric_ring(d: int) -> Ring:
-    """k[x_1, ..., x_d] on S_d-invariant ideals, kept as one ascending generator per orbit.
+def _orbit_ring(d: int, free: int) -> Ring:
+    """Ideals fixed by permuting the last d - free of d variables, one generator per orbit.
 
-    A sorted u lies in the ideal iff some representative is <= u
-    componentwise, so the minimal representatives, sorted by
-    `_minimal_vectors`, are a canonical value.  A product sorts g + pi(h)
-    over the representatives g of one side and every permutation of the
-    other side's.  The colength of an m-primary ideal in m variables
-    cuts [0, top) at the exponents, where top = min(max g) bounds the
-    least coordinate of a standard u and membership changes only at an
-    exponent.  It counts the standard u by the cell [lo, hi) of their
-    least coordinate and the number k of coordinates in that cell,
-    which take C(m, k) (hi - lo)^k values.  For k < m the other
-    coordinates, less hi, are a standard point of a tail ideal in m - k
-    variables: the tails g[k:] of the g with g[k-1] <= lo, shifted down
-    by hi.  So the work follows the generators, not the size of the
-    exponents.  Tail colengths are memoised for the life of the ring;
-    in one or two variables the orbits are expanded and walked by
-    `MonomialIdeal`.
+    A representative keeps its first `free` exponents and sorts the rest,
+    the block.  A u with sorted block lies in the ideal iff some
+    representative is <= u, so the minimal representatives, sorted, are
+    a canonical value.  A product sorts the block of g + pi(h) over the
+    representatives g of one side and the block permutations of the
+    other's.  The colength walks the free variables by `_count_standard`
+    and counts each slice, an ideal of the block in m variables, by
+    cells: [0, top) is cut at the exponents, where top = min(max g)
+    bounds the least coordinate of a standard u and membership changes
+    only at an exponent.  The standard u are counted by the cell
+    [lo, hi) of their least coordinate and the number k of coordinates
+    in it, which take C(m, k) (hi - lo)^k values.  For k < m the other
+    coordinates, less hi, are a standard point of the tails g[k:] of the
+    g with g[k-1] <= lo, shifted down by hi.  So the work follows the
+    generators, not the size of the exponents.  A one-variable tail
+    counts its least exponent, a longer one is memoised for the life of
+    the ring, and two variables are expanded and walked by `MonomialIdeal`.
     """
     memo: dict[tuple[Vector, ...], int] = {}
 
     def product(j: tuple[Vector, ...], k: tuple[Vector, ...]) -> tuple[Vector, ...]:
         if len(j) < len(k):
             j, k = k, j
-        return _minimal_vectors((*sorted(map(add, g, h)),) for h in _orbits(k) for g in j)
+        if not free:  # the fast case: the whole vector is the block
+            return _minimal_vectors([(*sorted(map(add, g, h)),) for h in _orbits(k) for g in j])
+        hs, gs = ([(v[:free], v[free:]) for v in vs] for vs in (_orbits(k, free), j))
+        return _minimal_vectors(
+            [(*map(add, gf, hf), *sorted(map(add, gb, hb))) for hf, hb in hs for gf, gb in gs]
+        )
 
-    def colength(reps: tuple[Vector, ...]) -> int:
+    def count(reps: Sequence[Vector]) -> int:
         m = len(reps[0])
+        if m > d - free:
+            return _count_standard(reps, count)
         if m <= 2:
             return MonomialIdeal(_minimal_vectors(_orbits(reps))).colength()
         top = min(g[-1] for g in reps)
@@ -154,17 +163,20 @@ def _symmetric_ring(d: int) -> Ring:
             for lo, hi in cells:
                 if lo in joining:
                     active = _minimal_vectors((*active, *joining[lo]))
-                tail = _minimal_vectors((*(max(e - hi, 0) for e in t),) for t in active)
-                if tail not in memo:
-                    memo[tail] = colength(tail)
-                total += comb(m, k) * (hi - lo) ** k * memo[tail]
+                if k < m - 1:
+                    tail = _minimal_vectors((*(max(e - hi, 0) for e in t),) for t in active)
+                    if tail not in memo:
+                        memo[tail] = count(tail)
+                # a one-variable tail counts its least exponent, less hi
+                size = memo[tail] if k < m - 1 else max(active[0][0] - hi, 0)
+                total += comb(m, k) * (hi - lo) ** k * size
         return total
 
     return Ring(
         ((0,) * d,),
         lambda reps, q: tuple((*(q * e for e in g),) for g in reps),
         product,
-        colength,
+        count,
     )
 
 
@@ -179,7 +191,9 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
     colength(I^n) is taken at most once per n, and only when some q
     needs it.  Each q keeps its I^[q], the colengths of I^[q] I^n for
     n < q (which its tail reuses for t < q), its own I^t and a running
-    total.
+    total.  At t < q the product I^[q] I^t is formed only when its kept
+    colength equals colength(I^(q+t)): ideals of unequal colength are
+    unequal, and on a tie the equality is tested as at t >= q.
     """
     power = ring.unit  # I^n
     # per open q: I^[q], its head, I^t and the total; the head is sized once,
@@ -187,13 +201,15 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
     open_qs = {q: (ring.frobenius(ideal, q), [0] * q, power, 0) for q in caps}
     lengths = dict.fromkeys(caps, 0)  # in the order of caps
     for n in count():
-        base = None  # colength(I^n), taken at most once
+        # colength(I^n), taken at most once: up front when a head or a tail t < q needs it
+        base = ring.colength(power) if any(n < 2 * q for q in open_qs) else None
         for q, (frob, head, shifted, total) in list(open_qs.items()):
             t = n - q
             if t < 0:
                 length = head[n] = ring.colength(ring.product(frob, power))
             else:
-                piece = ring.product(frob, shifted)
+                # ideals of unequal colength differ, so such a t < q needs no product
+                piece = None if t < q and head[t] != base else ring.product(frob, shifted)
                 if piece == power:
                     lengths[q] = total
                     del open_qs[q]
@@ -225,9 +241,11 @@ def rees_colength_monomial(ideal: MonomialIdeal, ss: Sequence[int]) -> dict[int,
     I is m-primary, else InfiniteColength is raised; d is its number of
     variables.  The tail cap is (d-1)*s: for a parameter ideal I^[s] I^t
     equals I^(s+t) by t = (d-1)*s + 1, and another I whose tail runs
-    longer raises.  An I invariant under a transposition and a d-cycle of
-    the variables is invariant under every permutation of them, and the
-    sum runs in the symmetric ring on its orbit representatives.
+    longer raises.  Variables whose swap fixes I fall into classes, and
+    I is invariant under every permutation of the largest.  When that
+    class holds 3 or more variables, or all d, the sum runs in the orbit
+    ring on its representatives, with the class as the block; a block
+    of 2 among more variables runs slower than the walk.
     """
     _check_sweep(ss, "s")
     if ideal.primary_box() is None:
@@ -235,11 +253,18 @@ def rees_colength_monomial(ideal: MonomialIdeal, ss: Sequence[int]) -> dict[int,
     d = ideal.ambient_dim
     caps = {s: (d - 1) * s for s in ss}
     gens = set(ideal.gens)
-    # g[1::-1] is (g[1], g[0]), or g itself in one variable
-    if gens == {(*g[1::-1], *g[2:]) for g in gens} == {(*g[1:], g[0]) for g in gens}:
-        reps = _minimal_vectors((*sorted(g),) for g in gens)
-        return _graded_lengths(_symmetric_ring(d), reps, caps)
-    return _graded_lengths(_polynomial_ring(d), ideal, caps)
+
+    def swapped(i: int, j: int) -> set[Vector]:
+        return {(*(g[{i: j, j: i}.get(k, k)] for k in range(d)),) for g in gens}
+
+    # the classes of variables whose swap fixes I; the largest is the block
+    block = max(([j for j in range(d) if swapped(i, j) == gens] for i in range(d)), key=len)
+    if len(block) < min(3, d):
+        return _graded_lengths(_polynomial_ring(d), ideal, caps)
+    # the block goes last; permuting the variables keeps every length
+    rest = [i for i in range(d) if i not in block]
+    reps = _minimal_vectors((*(g[i] for i in rest), *sorted(g[i] for i in block)) for g in gens)
+    return _graded_lengths(_orbit_ring(d, len(rest)), reps, caps)
 
 
 def rees_colength_dim1(a: int, variant: str, qs: Sequence[int]) -> dict[int, int]:

@@ -512,6 +512,17 @@ EXIT_CODE_MATRIX |= {
     )
     for flag, value in [("d", "3"), ("e0", "7")]
 }
+# the generator cap counts the text's tuples; a bad --a is invalid input before it
+EXIT_CODE_MATRIX |= {
+    "gens_cap": (
+        ["oracle", "groebner", "--a", "5", "--gens", "1,0;" * 10000 + "0,1"],
+        3, "10001 generators exceeds the cap 10000; rerun with --force",
+    ),
+    "groebner_a_before_gens_cap": (
+        ["oracle", "groebner", "--a", "1", "--gens", "1,0;" * 10000 + "0,1"],
+        2, "error: hypersurface exponent must be at least 2\n",
+    ),
+}
 # the preset fixes every invariant, p included, so any instance flag is refused
 EXIT_CODE_MATRIX |= {
     f"preset_with_{flag}_{value}": (
@@ -691,6 +702,19 @@ class TestExitCodes:
         assert code == 3 and out == "" and "p = 3 exceeds the cap 2; rerun with --force" in err
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0 and csv_rows(out)[0]["formula"] == "5*q^2 - 4*q"
+
+    def test_gens_cap_force_override(self, capsys, monkeypatch):
+        # refused before parse_ideal minimalises the generators, and run with --force
+        monkeypatch.setattr(cli, "GENS_CAP", 2)
+        parse = cli.parse_ideal
+        monkeypatch.setattr(cli, "parse_ideal", lambda text: pytest.fail("parsed"))
+        argv = ["oracle", "groebner", "--a", "5", "--gens", "8,0,0;0,8,0;0,0,8", "--format", "csv"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "3 generators exceeds the cap 2; rerun with --force" in err
+        monkeypatch.setattr(cli, "parse_ideal", parse)
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and csv_rows(out)[1]["oracle"] == "272"
 
     def test_monomial_cap(self, capsys, monkeypatch):
         # refused from the inputs alone, before the oracle walks anything

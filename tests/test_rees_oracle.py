@@ -3,7 +3,7 @@ import itertools
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reeshk import binomial_groebner, monomial_algebra, rees_oracle
@@ -16,10 +16,10 @@ from reeshk.rees_oracle import (
     InsufficientSamples,
     StabilizationNotReached,
     _graded_lengths,
+    _orbit_ring,
     _orbits,
     _plane_ring,
     _polynomial_ring,
-    _symmetric_ring,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
@@ -81,20 +81,23 @@ class TestMonomialOracle:
             s: cm_sop_hk(d, 1, s) for s in range(1, top + 1)
         }
 
+    # a block of 3 or more equal exponents, or of all d, runs on orbits, the other
+    # variables free: (2, 1, 1, 1) and (1, 2, 1, 1) with one free, (1, 1) with none
     @pytest.mark.parametrize("exps, symmetric", [
         ((1, 1), True), ((1, 1, 1), True), ((3, 3, 3, 3), True),
-        ((2, 1, 1, 1), False), ((1, 2, 3), False), ((2, 2, 3), False),
+        ((2, 1, 1, 1), True), ((1, 2, 3), False), ((2, 2, 3), False), ((1, 2, 1, 1), True),
     ])
     def test_ring_follows_the_symmetry_of_the_ideal(self, exps, symmetric, monkeypatch):
         built = []
-        for name in ("_symmetric_ring", "_polynomial_ring"):
-            make = getattr(rees_oracle, name)
-            monkeypatch.setattr(
-                rees_oracle, name, lambda d, make=make, name=name: built.append(name) or make(d)
-            )
+        orbit, polynomial = rees_oracle._orbit_ring, rees_oracle._polynomial_ring
+        monkeypatch.setattr(rees_oracle, "_orbit_ring", lambda d, f: built.append(f) or orbit(d, f))
+        monkeypatch.setattr(
+            rees_oracle, "_polynomial_ring", lambda d: built.append(None) or polynomial(d)
+        )
         expected = {s: cm_sop_hk(len(exps), prod(exps), s) for s in (1, 2)}
         assert rees_colength_monomial(parameter_ideal(exps), [1, 2]) == expected
-        assert built == ["_symmetric_ring" if symmetric else "_polynomial_ring"]
+        free = len(exps) - max(map(exps.count, exps))  # outside the largest equal block
+        assert built == [free if symmetric else None]
 
     def test_tail_vanishes_at_detection_point(self):
         # the truncation point T has a zero summand, and so does T+1
@@ -197,7 +200,9 @@ class TestGradedLength:
     CASES = {
         "monomial": (_polynomial_ring(4), parameter_ideal((2, 1, 1, 1)), {3: 6, 2: 3}),
         # (x_1, ..., x_4) on its one orbit representative: m^[q] m^t = m^(q+t) from t = 3 (q - 1)
-        "symmetric": (_symmetric_ring(4), ((0, 0, 0, 1),), {3: 6, 2: 3}),
+        "symmetric": (_orbit_ring(4, 0), ((0, 0, 0, 1),), {3: 6, 2: 3}),
+        # (x_1^2, x_2, x_3, x_4) with x_2, x_3, x_4 as the block: the ideal of "monomial"
+        "partial": (_orbit_ring(4, 1), ((0, 0, 0, 1), (2, 0, 0, 0)), {3: 6, 2: 3}),
         "hypersurface": (_plane_ring(7), (1, 0, 0, 0, 0, 0, 0), {8: 5, 4: 3}),
     }
 
@@ -212,6 +217,56 @@ class TestGradedLength:
             with pytest.raises(StabilizationNotReached, match=f"t <= {t - 2} at q={q}$"):
                 _graded_lengths(ring, ideal, {q: t - 2, **roomy})
             assert _graded_lengths(ring, ideal, {q: t - 1, **roomy}) == full
+
+    # (ring, ideal, caps, the length at each q, a bound on the products); without the
+    # skip the sums took 647, 138 and 2559 products, with it 457, 111 and 2385
+    SKIPS = {
+        "orbit": (
+            _orbit_ring(2, 0), ((0, 1),), {q: q for q in range(2, 21)},
+            lambda q: cm_sop_hk(2, 1, q), 460,
+        ),
+        "walk": (
+            _polynomial_ring(3), parameter_ideal((1, 2, 3)), {q: 2 * q for q in range(1, 8)},
+            lambda q: cm_sop_hk(3, 6, q), 115,
+        ),
+        # for q >= 2, L(q) = 5 q^2 + 20 - 5 r (5 - r) with r = q mod 5, as measured
+        "plane": (
+            _plane_ring(5), (1, 0, 0, 0, 0), dict.fromkeys(range(1, 65), 10),
+            lambda q: 1 if q == 1 else 5 * q * q + 20 - 5 * (q % 5) * (5 - q % 5), 2400,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SKIPS))
+    def test_unequal_colengths_need_no_product(self, case):
+        # below t = q the head's colength decides: I^[q] I^t is formed only on a tie
+        ring, ideal, caps, length, bound = self.SKIPS[case]
+        calls = []
+        counting = ring._replace(product=lambda j, k: calls.append(1) or ring.product(j, k))
+        assert _graded_lengths(counting, ideal, caps) == {q: length(q) for q in caps}
+        assert len(calls) <= bound
+
+    @pytest.mark.parametrize("ring, ideal, big", [
+        (_orbit_ring(2, 0), ((0, 1),), parameter_ideal((1, 1))),  # (x, y) on orbits
+        (_polynomial_ring(2), parameter_ideal((2, 3)), parameter_ideal((2, 3))),
+    ])
+    def test_truncation_below_q_is_found_on_a_tie(self, ring, ideal, big):
+        # in two variables I^[q] I^t = I^(q+t) from t = q - 1, where the head's
+        # colength ties and the product is taken: cap q - 2 holds, q - 3 raises
+        for q in range(2, 7):
+            with pytest.raises(StabilizationNotReached):
+                _graded_lengths(ring, ideal, {q: q - 3})
+            window = graded_length_by_window(big, q, MonomialIdeal.colength, q + 1)
+            assert _graded_lengths(ring, ideal, {q: q - 2}) == {q: window}
+
+    def test_plane_truncation_below_q_is_found_on_a_tie(self):
+        # m^[q] m^t = m^(q+t) at t = 3 < 4 and t = 5 < 8 for a = 7
+        ring, ideal, first = self.CASES["hypersurface"]
+        for q, t in first.items():
+            assert t < q
+            window = graded_length_by_window(
+                PLANE_MAXIMAL, q, lambda big: quotient_colength(7, big), t + 1
+            )
+            assert _graded_lengths(ring, ideal, {q: t - 1}) == {q: window}
 
     @pytest.mark.parametrize("exps", [(1, 1), (2, 3), (1, 1, 1), (1, 2, 2)])
     def test_monomial_matches_fixed_window(self, exps):
@@ -260,23 +315,65 @@ class TestGradedLength:
             assert rees_colength_dim1(a, "rees-of-m", [q])[q] == expected, q
 
 
-@st.composite
-def symmetric_ideals(draw, d):
-    """An m-primary S_d-invariant ideal, symmetrised from a pure power and a few tuples.
+def representatives(ideal, free):
+    """The first `free` exponents and the sorted rest of each generator: the orbit ring's value."""
+    return tuple(sorted({(*g[:free], *sorted(g[free:])) for g in ideal.gens}))
 
-    Returns its orbit representatives, taken as the sorted minimal
-    generators, and the ideal itself.
+
+def outcome(run):
+    """What run() returns, or the type of the oracle refusal it raises."""
+    try:
+        return run()
+    except (InfiniteColength, StabilizationNotReached) as exc:
+        return type(exc)
+
+
+@st.composite
+def symmetric_ideals(draw, d, free):
+    """An m-primary ideal invariant under permuting its last d - free variables.
+
+    Symmetrised over that block from a few tuples and a pure power of
+    each free variable and of one block variable.  Returns its orbit
+    ring value and the ideal itself.
     """
     gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3))
-    gens.append((draw(st.integers(1, 4)),) + (0,) * (d - 1))
-    ideal = minimalize({v for g in gens for v in itertools.permutations(g)})
-    return tuple(sorted({tuple(sorted(g)) for g in ideal.gens})), ideal
+    for i in range(free + 1):
+        gens.append((0,) * i + (draw(st.integers(1, 4)),) + (0,) * (d - 1 - i))
+    ideal = minimalize(_orbits(gens, free))
+    return representatives(ideal, free), ideal
 
 
 @st.composite
 def symmetric_pairs(draw):
     d = draw(st.integers(2, 5))
-    return d, draw(symmetric_ideals(d)), draw(symmetric_ideals(d))
+    free = draw(st.integers(0, d - 2))  # a block of 2 or more variables
+    return d, free, draw(symmetric_ideals(d, free)), draw(symmetric_ideals(d, free))
+
+
+@st.composite
+def block_ideals(draw):
+    """An ideal in d <= 5 variables invariant under permuting a block of 2..d of them.
+
+    Symmetrised over the block from a few tuples and pure powers, so it
+    need not be a parameter ideal; one time in four the pure powers of
+    one variable's orbit are left out, so it need not be m-primary.
+    Returns d, the block and the ideal.
+    """
+    d = draw(st.integers(2, 5))
+    block = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=d, unique=True))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=1, max_size=3))
+    missing = draw(st.integers(0, 4 * d - 1))  # below d: that variable's orbit has no pure power
+    lost = block if missing in block else [missing]
+    gens += [(0,) * i + (draw(st.integers(1, 3)),) + (0,) * (d - 1 - i)
+             for i in range(d) if i not in lost]
+    symmetrised = set()
+    for g in gens:
+        for values in itertools.permutations([g[i] for i in block]):
+            v = list(g)
+            for i, e in zip(block, values):
+                v[i] = e
+            symmetrised.add(tuple(v))
+    return d, block, minimalize(symmetrised)
 
 
 class TestSymmetricRing:
@@ -285,16 +382,12 @@ class TestSymmetricRing:
     @settings(max_examples=150, deadline=None)
     @given(symmetric_pairs(), st.integers(1, 40))
     def test_matches_polynomial_ring(self, case, q):
-        d, (j, big_j), (k, big_k) = case
-        ring, poly = _symmetric_ring(d), _polynomial_ring(d)
-
-        def representatives(ideal):
-            return tuple(sorted({tuple(sorted(g)) for g in ideal.gens}))
-
-        assert minimalize(_orbits(j)) == big_j
-        product = representatives(poly.product(big_j, big_k))
+        d, free, (j, big_j), (k, big_k) = case
+        ring, poly = _orbit_ring(d, free), _polynomial_ring(d)
+        assert minimalize(_orbits(j, free)) == big_j
+        product = representatives(poly.product(big_j, big_k), free)
         assert ring.product(j, k) == ring.product(k, j) == product
-        assert ring.frobenius(j, q) == representatives(poly.frobenius(big_j, q))
+        assert ring.frobenius(j, q) == representatives(poly.frobenius(big_j, q), free)
         assert ring.colength(ring.frobenius(j, q)) == poly.colength(poly.frobenius(big_j, q))
         assert ring.colength(j) == poly.colength(big_j)
         assert ring.colength(ring.product(j, k)) == poly.colength(poly.product(big_j, big_k))
@@ -303,12 +396,38 @@ class TestSymmetricRing:
 
     @pytest.mark.parametrize("d", range(2, 6))
     def test_unit(self, d):
-        ring, maximal = _symmetric_ring(d), ((0,) * (d - 1) + (1,),)
-        assert minimalize(_orbits(ring.unit)) == MonomialIdeal.unit(d)
-        assert ring.product(ring.unit, maximal) == ring.product(maximal, ring.unit) == maximal
-        assert ring.frobenius(ring.unit, 3) == ring.unit
-        assert ring.colength(ring.unit) == 0
-        assert ring.colength(maximal) == 1
+        for free in range(d - 1):
+            ring = _orbit_ring(d, free)
+            maximal = representatives(parameter_ideal((1,) * d), free)
+            assert minimalize(_orbits(ring.unit, free)) == MonomialIdeal.unit(d)
+            assert ring.product(ring.unit, maximal) == ring.product(maximal, ring.unit) == maximal
+            assert ring.frobenius(ring.unit, 3) == ring.unit
+            assert ring.colength(ring.unit) == 0
+            assert ring.colength(maximal) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_ideals())
+    # invariant under swapping y and z; its tail at s = 3 runs past t = (d - 1) s
+    @example((3, [1, 2], minimalize([(0, 0, 4), (0, 4, 0), (1, 0, 3), (1, 3, 0), (4, 0, 0)])))
+    def test_oracle_matches_walk_and_window(self, case):
+        # the oracle, on the ring it picks, and the orbit ring on the drawn block moved
+        # last, against the walk and the fixed window; refusals must match too
+        d, block, ideal = case
+        ss = range(1, 4 if d <= 3 else 3)
+        caps = {s: (d - 1) * s for s in ss}
+        walk = outcome(lambda: _graded_lengths(_polynomial_ring(d), ideal, caps))
+        assert outcome(lambda: rees_colength_monomial(ideal, ss)) == walk
+        if walk is InfiniteColength:
+            return
+        order = [*(i for i in range(d) if i not in block), *block]
+        moved = minimalize([[g[i] for i in order] for g in ideal.gens])
+        free = d - len(block)
+        ring = _orbit_ring(d, free)
+        assert outcome(lambda: _graded_lengths(ring, representatives(moved, free), caps)) == walk
+        if walk is not StabilizationNotReached:
+            window = {s: graded_length_by_window(ideal, s, MonomialIdeal.colength, caps[s] + 2)
+                      for s in ss}
+            assert walk == window
 
 
 @st.composite
@@ -343,7 +462,8 @@ class TestSweep:
     # and rees_colength_dim1 give their sweeps
     RINGS = {
         "polynomial": (_polynomial_ring(3), parameter_ideal((1, 2, 3)), lambda q: 2 * q),
-        "symmetric": (_symmetric_ring(4), ((0, 0, 0, 2),), lambda q: 3 * q),
+        "symmetric": (_orbit_ring(4, 0), ((0, 0, 0, 2),), lambda q: 3 * q),
+        "partial": (_orbit_ring(4, 1), ((0, 0, 0, 2), (1, 0, 0, 0)), lambda q: 3 * q),
         "plane": (_plane_ring(5), (1, 0, 0, 0, 0), lambda q: 10),
     }
 
@@ -378,13 +498,13 @@ class TestSweep:
     def test_symmetric_colength_of_each_power_taken_once(self, monkeypatch):
         # the same count on the orbit ring, where MonomialIdeal only sees the
         # two-variable tails of the recursion
-        make, calls = rees_oracle._symmetric_ring, []
+        make, calls = rees_oracle._orbit_ring, []
 
-        def counting(d):
-            ring = make(d)
+        def counting(d, free):
+            ring = make(d, free)
             return ring._replace(colength=lambda reps: calls.append(reps) or ring.colength(reps))
 
-        monkeypatch.setattr(rees_oracle, "_symmetric_ring", counting)
+        monkeypatch.setattr(rees_oracle, "_orbit_ring", counting)
         sweep = rees_colength_monomial(parameter_ideal((1, 1, 1)), range(1, 10))
         assert sweep == {s: cm_sop_hk(3, 1, s) for s in range(1, 10)}
         assert len(calls) <= 100  # one call per s made 190
