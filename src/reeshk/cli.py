@@ -53,8 +53,6 @@ MONOMIAL_CAP = 10**5
 # a rees-of-m sweep costs about 1-3 us per unit of q a per e; up to q a = 2^18, about 1 s;
 # rees-of-x, the 3-variable count and the alpha table, takes at most 0.2 s there
 QA_CAP = 2**18
-# trial division takes 0.07 s on a prime just below 2^40
-P_CAP = 2**40
 # `oracle groebner --gens`: an n-bit mask per generator; 10^4 random ones: 0.06 s, 41 MiB peak
 GENS_CAP = 10**4
 # rows of a command that builds one row per s from a closed form;
@@ -75,8 +73,8 @@ FERMAT5 = Dim1Input(
     rho=None,
     lengths=(0, 1, 3, 6),
     alpha=((-4, -6), (-3, -5), (-2, -3), (-1, -1)),
-    p=2,
 )
+FERMAT5_P = 2  # the characteristic at which FERMAT5's alpha table was read
 
 
 @dataclass
@@ -286,7 +284,7 @@ def cmd_formula_stanley_reisner(args: argparse.Namespace) -> RunReport:
 def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
     if args.preset is not None:
         _refuse_beside(
-            args, "--preset", "the instance", "e0", "e1", "r", "rho", "lengths", "alpha", "p"
+            args, "--preset", "the instance", "e0", "e1", "r", "rho", "lengths", "alpha"
         )
         inp = FERMAT5
         report = _report(args, "preset")
@@ -307,7 +305,6 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
             rho=args.rho,
             lengths=parse_int_tuple(args.lengths) if args.lengths else (),
             alpha=alpha,
-            p=_cap(f"p = {args.p}", 2 if args.p is None else args.p, P_CAP, args.force),
         )
         report = _report(args, "e0", "e1", "r")
     qp = dim1_hk(inp) if inp.rho is not None else cordim1_hk(inp)
@@ -316,8 +313,7 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_formula_sop_dim1(args: argparse.Namespace) -> RunReport:
-    p = _cap(f"p = {args.p}", args.p, P_CAP, args.force)
-    qp = sop_dim1_hk(args.e0, parse_int_tuple(args.alpha), p)
+    qp = sop_dim1_hk(args.e0, parse_int_tuple(args.alpha))
     return _residue_rows(_report(args, "e0", period=qp.period), qp)
 
 
@@ -369,9 +365,9 @@ def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
         # plane quotient lengths, independent of the 3-variable count
         alpha = alpha_table(args.a, 0, [*qs.values()])[0]
         formula = {e: args.a * q * q + alpha[q] * q for e, q in qs.items()}
-    elif (args.a, args.p) == (FERMAT5.e0, FERMAT5.p):
+    elif (args.a, args.p) == (FERMAT5.e0, FERMAT5_P):
         qp = cordim1_hk(FERMAT5)
-        formula = {e: qp.value_at(e) for e in qs}
+        formula = {e: qp.poly_for(e)(q) for e, q in qs.items()}
     else:
         raise ValueError(
             "compare dim1 --variant rees-of-m needs the known invariant set; "
@@ -429,7 +425,7 @@ def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
-    a, p = FERMAT5.e0, FERMAT5.p
+    a, p = FERMAT5.e0, FERMAT5_P
     qs = _dim1_setup(a, p, args.e, args.force)
     sweep = [*qs.values()]
     report = _report(args, ring="k[[X,Y]]/(X^5-Y^5)", p=p)
@@ -446,7 +442,7 @@ def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
     # its known residue polynomials, then the oracle lengths against it
     legs = {
         "rees-of-m": (cordim1_hk(FERMAT5), ("5*q^2", "5*q^2 - 10")),
-        "rees-of-x": (sop_dim1_hk(a, FERMAT5.alpha[0], p), ("5*q^2 - 4*q", "5*q^2 - 6*q")),
+        "rees-of-x": (sop_dim1_hk(a, FERMAT5.alpha[0]), ("5*q^2 - 4*q", "5*q^2 - 6*q")),
     }
     for variant, (qp, golden) in legs.items():
         for residue, poly in enumerate(qp.format()):
@@ -460,7 +456,7 @@ def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
         for variant, (qp, _) in legs.items():
             report.add(
                 {"check": variant, "e": e, "q": q},
-                formula=qp.value_at(e),
+                formula=qp.poly_for(e)(q),
                 oracle=lengths[variant][q],
             )
     return report
@@ -518,12 +514,10 @@ COMMANDS = {
         "--rho": INT,
         "--lengths": {"help": "lengths of R/I^n from n = 0, e.g. 0,1,3,6"},
         "--alpha": {"help": "one periodic tuple per n, e.g. --alpha=-4,-6;-3,-5"},
-        "--p": {"type": int, "help": "the characteristic, default 2; not with --preset"},
     }),
     ("formula", "sop-dim1"): (cmd_formula_sop_dim1, {
         "--e0": int,
         "--alpha": {"required": True, "help": "periodic values, e.g. --alpha=-4,-6"},
-        "--p": 2,
     }),
     ("oracle", "monomial"): (cmd_oracle_monomial, {"--exponents": str, "--s": str}),
     ("oracle", "dim1"): (cmd_oracle_dim1, DIM1),

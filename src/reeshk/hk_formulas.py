@@ -113,12 +113,13 @@ def c_of_d(d: int) -> Fraction:
 class QuasiPolynomialHK:
     """One exact polynomial in q per residue class of e modulo the period.
 
-    ``valid_from_e`` is metadata: agreement with actual lengths is only
-    asserted for e at or above that threshold (when known).
+    It knows no characteristic: the caller maps e to q = p^e and evaluates
+    ``poly_for(e)`` there.  ``valid_from_e`` is metadata: agreement with
+    actual lengths is only asserted for e at or above that threshold (when
+    known).
     """
 
     polys: tuple[Poly, ...]
-    prime: int
     valid_from_e: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -132,15 +133,8 @@ class QuasiPolynomialHK:
         return len(self.polys)
 
     def poly_for(self, e: int) -> Poly:
-        return self.polys[e % self.period]
-
-    def value_at(self, e: int) -> int:
-        """Evaluate at q = p^e."""
         check_e(e)
-        value = self.poly_for(e)(self.prime**e)
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integral length {value} at e={e}")
-        return int(value)
+        return self.polys[e % self.period]
 
     def format(self) -> list[str]:
         return [p.format() for p in self.polys]
@@ -161,13 +155,11 @@ class Dim1Input:
     rho: Optional[int]
     lengths: tuple[int, ...]
     alpha: tuple[tuple[int, ...], ...]
-    p: int
 
     def __post_init__(self) -> None:
-        check_invariants(1, 1, self.e0)
+        check_positive(self.e0, "e0")
         if self.r < 0:
             raise ValueError("reduction number must be nonnegative")
-        check_prime(self.p)
         if len(self.alpha) != self.r:
             raise ValueError(f"need exactly r={self.r} alpha sequences, got {len(self.alpha)}")
         for seq in self.alpha:
@@ -204,7 +196,7 @@ def dim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
     for residue in range(math.lcm(*map(len, inp.alpha))):
         const = base + 2 * sum(seq[residue % len(seq)] for seq in inp.alpha)
         polys.append(Poly([const, 0, e0]))
-    return QuasiPolynomialHK(tuple(polys), prime=inp.p)
+    return QuasiPolynomialHK(tuple(polys))
 
 
 def cordim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
@@ -214,12 +206,11 @@ def cordim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
     return dim1_hk(replace(inp, rho=inp.r - 1))
 
 
-def sop_dim1_hk(e0J: int, alphaJ: tuple[int, ...], p: int) -> QuasiPolynomialHK:
+def sop_dim1_hk(e0J: int, alphaJ: tuple[int, ...]) -> QuasiPolynomialHK:
     """Length of R(I)/(J, It)^[q] for parameter I: q^2 e0(J) + q alpha_J(e)."""
-    check_invariants(1, 1, e0J)
+    check_positive(e0J, "e0")
     check_period(len(alphaJ))
-    check_prime(p)
-    return QuasiPolynomialHK(tuple(Poly([0, a, e0J]) for a in alphaJ), prime=p)
+    return QuasiPolynomialHK(tuple(Poly([0, a, e0J]) for a in alphaJ))
 
 
 def cm_sop_hk(d: int, e0: int, s: int) -> int:

@@ -361,7 +361,7 @@ def fit_quasi_polynomial(
         if polys[e % period](p**e) != values[e]:
             threshold = e + 1
             break
-    return QuasiPolynomialHK(tuple(polys), prime=p, valid_from_e=threshold)
+    return QuasiPolynomialHK(tuple(polys), valid_from_e=threshold)
 
 
 def estimate_ehk(values: Mapping[int, int], d: int) -> Fraction:

@@ -81,7 +81,7 @@ class TestFormula:
             "--lengths", "0,1", "--alpha=0,-1", "--format", "json",
         )
         assert code == 0
-        inp = Dim1Input(e0=1, e1=-1, r=1, rho=1, lengths=(0, 1), alpha=((0, -1),), p=2)
+        inp = Dim1Input(e0=1, e1=-1, r=1, rho=1, lengths=(0, 1), alpha=((0, -1),))
         doc = json.loads(out)
         assert [r["formula"] for r in doc["rows"]] == dim1_hk(inp).format()
         assert doc["instance"]["period"] == "2"
@@ -433,7 +433,7 @@ EXIT_CODE_MATRIX = {
         ]
     },
 }
-# the caps on q a and on the characteristic p, decided from the inputs
+# the cap on q a and the primality of the characteristic p, decided from the inputs
 EXIT_CODE_MATRIX |= {
     "qa_cap_oracle": (
         ["oracle", "dim1", "--a", "128", "--p", "2", "--variant", "rees-of-m", "--e", "1..12"],
@@ -482,27 +482,6 @@ EXIT_CODE_MATRIX |= {
         ["oracle", "dim1", "--a", "5", "--p", "4097", "--variant", "rees-of-m", "--e", "3"],
         2, "error: p = 4097 is not prime\n",
     ),
-    **{
-        f"p_cap_{name}": (
-            argv + ["--p", "100000000000031"],
-            3, "p = 100000000000031 exceeds the cap 1099511627776; rerun with --force",
-        )
-        for name, argv in [
-            ("formula_dim1", ["formula", "dim1", "--e0", "5", "--e1", "10", "--r", "4",
-                              "--lengths", "0,1,3,6", "--alpha=-4,-6;-3,-5;-2,-3;-1,-1"]),
-            ("formula_sop_dim1", ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6"]),
-        ]
-    },
-}
-# p is the characteristic, so a non-prime --p is refused on both dim1 formula paths
-EXIT_CODE_MATRIX |= {
-    f"{name}_p_{p}": (argv + ["--p", p], 2, f"p = {p} is not prime")
-    for name, argv in [
-        ("formula_dim1", ["formula", "dim1", "--e0", "5", "--e1", "10", "--r", "4",
-                          "--lengths", "0,1,3,6", "--alpha=-4,-6;-3,-5;-2,-3;-1,-1"]),
-        ("formula_sop_dim1", ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6"]),
-    ]
-    for p in ("4", "1")
 }
 # the exponents fix d and e0, so fit ehk refuses either flag beside them, naming it
 EXIT_CODE_MATRIX |= {
@@ -523,13 +502,24 @@ EXIT_CODE_MATRIX |= {
         2, "error: hypersurface exponent must be at least 2\n",
     ),
 }
-# the preset fixes every invariant, p included, so any instance flag is refused
+# the preset fixes every invariant, so any instance flag is refused
 EXIT_CODE_MATRIX |= {
     f"preset_with_{flag}_{value}": (
         ["formula", "dim1", "--preset", "fermat5", f"--{flag}={value}"], 2, f"--{flag}",
     )
     for flag, value in [("e0", 5), ("e1", 10), ("r", 4), ("rho", 1), ("lengths", "0,1,3,6"),
-                        ("alpha", "-4,-6"), ("p", 3), ("p", 2)]
+                        ("alpha", "-4,-6")]
+}
+# a closed form knows no characteristic: a formula command has no --p, whatever its value
+NO_P_MATRIX = {
+    f"{name}_p_{p}": [*argv, "--p", p]
+    for name, argv in [
+        ("formula_dim1", ["formula", "dim1", "--e0", "5", "--e1", "10", "--r", "4",
+                          "--lengths", "0,1,3,6", "--alpha=-4,-6;-3,-5;-2,-3;-1,-1"]),
+        ("formula_sop_dim1", ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6"]),
+        ("preset_with", ["formula", "dim1", "--preset", "fermat5"]),
+    ]
+    for p in ("2", "3", "4", "1")
 }
 
 
@@ -541,6 +531,13 @@ class TestExitCodes:
         assert code == expected
         assert out == ""
         assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize("case", sorted(NO_P_MATRIX))
+    def test_formula_commands_take_no_p(self, capsys, case):
+        argv = NO_P_MATRIX[case]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: --p {argv[-1]}" in err
 
     @pytest.mark.parametrize(
         "error", [RuntimeError("boom"), KeyError("boom")], ids=["RuntimeError", "KeyError"]
@@ -679,13 +676,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6", "--p", "100000000000031"],
             ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-x",
              "--e", "1"],
             ["oracle", "dim1", "--a", "5", "--p", "100000000000031", "--variant", "rees-of-m",
              "--e", "1"],
         ],
-        ids=["p_cap", "q_cap", "qa_cap"],
+        ids=["q_cap", "qa_cap"],
     )
     def test_huge_p_is_refused_before_its_primality_test(self, capsys, monkeypatch, argv):
         def tested(p):
@@ -694,14 +690,6 @@ class TestExitCodes:
         monkeypatch.setattr(hk_formulas, "_is_prime", tested)
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.endswith("rerun with --force\n")
-
-    def test_p_cap_force_override(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "P_CAP", 2)
-        argv = ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6", "--p", "3", "--format", "csv"]
-        code, out, err = run(capsys, *argv)
-        assert code == 3 and out == "" and "p = 3 exceeds the cap 2; rerun with --force" in err
-        code, out, _ = run(capsys, *argv, "--force")
-        assert code == 0 and csv_rows(out)[0]["formula"] == "5*q^2 - 4*q"
 
     def test_gens_cap_force_override(self, capsys, monkeypatch):
         # refused before parse_ideal minimalises the generators, and run with --force

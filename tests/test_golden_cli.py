@@ -33,6 +33,12 @@ COMMANDS = {
     ],
     # at s = 3 the graded tail runs past t = s - 1, beyond the pieces the head counted
     "oracle_monomial_d4": ["oracle", "monomial", "--exponents", "2,1,1,1", "--s", "1..3"],
+    "formula_sop_dim1": ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6"],
+    # r < rho + 1: the postulation number is past r - 1, the general branch of dim1_hk
+    "formula_dim1_rho_past_r": [
+        "formula", "dim1", "--e0", "1", "--e1", "-1", "--r", "1", "--rho", "1",
+        "--lengths", "0,1", "--alpha=0,-1",
+    ],
 }
 
 # golden file extension -> --format

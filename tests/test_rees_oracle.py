@@ -142,9 +142,9 @@ class TestDim1Oracle:
         }
 
     def test_rees_of_x_matches_predictor(self):
-        qp = sop_dim1_hk(5, (-4, -6), 2)
+        qp = sop_dim1_hk(5, (-4, -6))
         for e in range(2, 7):
-            assert rees_colength_dim1(5, "rees-of-x", [2**e])[2**e] == qp.value_at(e)
+            assert rees_colength_dim1(5, "rees-of-x", [2**e])[2**e] == qp.poly_for(e)(2**e)
 
     def test_rees_of_m_matches_quasi_polynomial(self):
         from reeshk.cli import FERMAT5
@@ -152,7 +152,7 @@ class TestDim1Oracle:
 
         qp = cordim1_hk(FERMAT5)
         lengths = rees_colength_dim1(5, "rees-of-m", [2**e for e in range(3, 11)])
-        assert lengths == {2**e: qp.value_at(e) for e in range(3, 11)}
+        assert lengths == {2**e: qp.poly_for(e)(2**e) for e in range(3, 11)}
 
     def test_unit_ideal_has_colength_zero(self):
         # the hypersurface ring needs no unit-ideal guard
@@ -580,12 +580,12 @@ class TestAlphaTable:
         # both sides of compare dim1 refuse a q below 1, and the formula an e below 0
         with pytest.raises(ValueError, match="^q must be positive$"):
             alpha_table(5, 0, [0])
-        qp = sop_dim1_hk(5, (-4, -6), 2)
-        assert qp.value_at(0) == 1  # 5 q^2 - 4 q at q = 1
+        qp = sop_dim1_hk(5, (-4, -6))
+        assert qp.poly_for(0)(1) == 1  # 5 q^2 - 4 q at q = 1
         assert alpha_table(5, 0, [1]) == {0: {1: -4}}  # len(R / m^[1]) - 5 = 1 - 5
         message = r"^e must be nonnegative, so that q = p\^e is an integer$"
         with pytest.raises(ValueError, match=message):
-            qp.value_at(-1)
+            qp.poly_for(-1)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
