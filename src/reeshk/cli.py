@@ -20,6 +20,7 @@ from .hk_formulas import (
     Dim1Input,
     QuasiPolynomialHK,
     binomial,
+    check_invariants,
     check_positive,
     check_prime,
     cm_sop_hk,
@@ -55,8 +56,8 @@ MONOMIAL_CAP = 10**5
 QA_CAP = 2**18
 # `oracle groebner --gens`: an n-bit mask per generator; 10^4 random ones: 0.06 s, 41 MiB peak
 GENS_CAP = 10**4
-# rows of a command that builds one row per s from a closed form;
-# 10^4 rows of `fit ehk --d 3 --e0 1` take about 0.3 s
+# rows of `formula cm-sop`, one per s from the closed form;
+# 10^4 rows of `formula cm-sop --d 3 --e0 1` take about 0.09 s in-process
 ROW_CAP = 10**4
 
 
@@ -189,13 +190,6 @@ def _report(args: argparse.Namespace, *echo: str, **fields: object) -> RunReport
     return RunReport({args.command: args.which, **instance}, args.command)
 
 
-def _refuse_beside(args: argparse.Namespace, owner: str, fixes: str, *flags: str) -> None:
-    """Refuse each of `flags` given beside the flag `owner`, which fixes their values."""
-    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
-    if given:
-        raise ValueError(f"{owner} fixes {fixes}; drop {', '.join(given)}")
-
-
 def _monomial_setup(
     exponents: tuple[int, ...], s_text: str, force: bool
 ) -> tuple[MonomialIdeal, range]:
@@ -220,12 +214,6 @@ def _monomial_setup(
             text = f"s = {span} in {d} variables: a walk of {walk} monomials"
             _cap(text, walk, MONOMIAL_CAP, force)
     return ideal, ss
-
-
-def _cap_rows(ss: range, force: bool) -> None:
-    """Refuse a range of s past the row cap unless forced; its width comes from its ends."""
-    rows = ss.stop - ss.start
-    _cap(f"a range of {rows} values of s", rows, ROW_CAP, force)
 
 
 def _dim1_setup(a: int, p: int, e_text: str, force: bool) -> dict[int, int]:
@@ -259,7 +247,10 @@ def _residue_rows(report: RunReport, qp: QuasiPolynomialHK) -> RunReport:
 
 def cmd_formula_cm_sop(args: argparse.Namespace) -> RunReport:
     ss = parse_range(args.s)
-    _cap_rows(ss, args.force)
+    # invalid input exits 2 before the cap; the range ascends, so nothing is listed
+    check_invariants(args.d, 2, args.e0, ss[0])
+    rows = ss.stop - ss.start  # the width from the range's ends, never its length
+    _cap(f"a range of {rows} values of s", rows, ROW_CAP, args.force)
     report = _report(args, "d", "e0")
     for s in ss:
         report.add({"s": s}, formula=cm_sop_hk(args.d, args.e0, s))
@@ -283,9 +274,10 @@ def cmd_formula_stanley_reisner(args: argparse.Namespace) -> RunReport:
 
 def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
     if args.preset is not None:
-        _refuse_beside(
-            args, "--preset", "the instance", "e0", "e1", "r", "rho", "lengths", "alpha"
-        )
+        flags = ("e0", "e1", "r", "rho", "lengths", "alpha")
+        given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"--preset fixes the instance; drop {', '.join(given)}")
         inp = FERMAT5
         report = _report(args, "preset")
     else:
@@ -398,28 +390,17 @@ def cmd_fit_dim1(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_fit_ehk(args: argparse.Namespace) -> RunReport:
-    if args.exponents:
-        _refuse_beside(args, "--exponents", "d and e0", "d", "e0")
-        exponents = parse_int_tuple(args.exponents)
-        ideal, ss = _monomial_setup(exponents, args.s, args.force)
-        d, e0 = len(exponents), prod(exponents)
-        values = rees_colength_monomial(ideal, ss)
-        source = "oracle"
-    else:
-        if args.d is None or args.e0 is None:
-            raise ValueError("fit ehk needs --exponents or both --d and --e0")
-        d, e0 = args.d, args.e0
-        ss = parse_range(args.s)
-        _cap_rows(ss, args.force)
-        values = {s: cm_sop_hk(d, e0, s) for s in ss}
-        source = "formula"
+    exponents = parse_int_tuple(args.exponents)
+    ideal, ss = _monomial_setup(exponents, args.s, args.force)
+    d, e0 = len(exponents), prod(exponents)
+    values = rees_colength_monomial(ideal, ss)
     estimate = estimate_ehk(values, d)
     verdict = compare_to_eto_yoshida(estimate, d, e0)
     report = _report(
-        args, source=source, d=d, e0=e0, estimate=estimate, **{"eto-yoshida": verdict}
+        args, source="oracle", d=d, e0=e0, estimate=estimate, **{"eto-yoshida": verdict}
     )
-    for s in ss:
-        report.add({"s": s}, **{source: values[s]})
+    for s, value in values.items():
+        report.add({"s": s}, oracle=value)
     report.add({"s": "limit"}, formula=ehk_cm_sop(d, e0), oracle=estimate)
     return report
 
@@ -476,18 +457,6 @@ def cmd_example_three_vars(args: argparse.Namespace) -> RunReport:
     return report
 
 
-def cmd_example_xy_zn(args: argparse.Namespace) -> RunReport:
-    ss = parse_range(args.s)
-    if ss[0] < 2:  # parse_range is ascending: the smallest s, with no listing
-        raise ValueError("the closed form holds for s >= 2")
-    _cap_rows(ss, args.force)
-    report = _report(args, "e0")
-    for s in ss:
-        # e0 (4 s^3 - s) / 3; one of 2s - 1, 2s, 2s + 1 is divisible by 3
-        golden = args.e0 * s * (2 * s - 1) * (2 * s + 1) // 3
-        report.add({"s": s}, formula=cm_sop_hk(2, args.e0, s), oracle=golden)
-    return report
-
 # A flag maps to int or str for a required flag of that type, to its
 # default for an optional one, or to the keyword arguments of add_argument.
 INT = {"type": int}
@@ -528,10 +497,9 @@ COMMANDS = {
     ("compare", "cm-sop"): (cmd_compare_cm_sop, {"--exponents": str, "--s": str}),
     ("compare", "dim1"): (cmd_compare_dim1, DIM1),
     ("fit", "dim1"): (cmd_fit_dim1, {**DIM1, "--period": 2, "--holdout": 1}),
-    ("fit", "ehk"): (cmd_fit_ehk, {"--exponents": {}, "--d": INT, "--e0": INT, "--s": str}),
+    ("fit", "ehk"): (cmd_fit_ehk, {"--exponents": str, "--s": str}),
     ("example", "fermat5"): (cmd_example_fermat5, {"--e": "2..5"}),
     ("example", "three-vars"): (cmd_example_three_vars, {"--n": "1,1,1", "--s": "2"}),
-    ("example", "xy-zn"): (cmd_example_xy_zn, {"--e0": 2, "--s": "2..5"}),
 }
 
 # Exit code of each error; the first class the error is an instance of wins,

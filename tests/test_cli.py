@@ -243,16 +243,6 @@ class TestFit:
         assert rows["1"]["formula"] == "157161/1024" and rows["1"]["match"] is False
         assert all(rows[str(e)]["match"] for e in range(6, 10))
 
-    def test_ehk_formula_source(self, capsys):
-        code, out, _ = run(
-            capsys, "fit", "ehk", "--d", "4", "--e0", "1", "--s", "4..11",
-            "--format", "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["instance"]["estimate"] == "61/30"
-        assert doc["instance"]["eto-yoshida"] == "equal"
-
     def test_ehk_oracle_source(self, capsys):
         code, out, _ = run(
             capsys, "fit", "ehk", "--exponents", "1,1", "--s", "2..7",
@@ -276,23 +266,6 @@ class TestExamples:
         rows = csv_rows(out)
         assert rows[0]["formula"] == "276"
         assert all(r["match"] == "true" for r in rows)
-
-    def test_xy_zn(self, capsys):
-        code, out, _ = run(
-            capsys, "example", "xy-zn", "--e0", "2", "--s", "2..5", "--format", "csv"
-        )
-        assert code == 0
-        assert [r["formula"] for r in csv_rows(out)] == ["20", "70", "168", "330"]
-
-    def test_xy_zn_small_s_rejected(self, capsys):
-        code, _, _ = run(capsys, "example", "xy-zn", "--e0", "2", "--s", "1..3")
-        assert code == 2
-
-    def test_xy_zn_huge_bad_range_is_not_listed(self, capsys):
-        # refused at the range's first s, before the row cap looks at its width
-        code, out, err = run(capsys, "example", "xy-zn", "--e0", "2", "--s=-1000000000000..1")
-        assert code == 2 and out == ""
-        assert "s >= 2" in err
 
 
 class TestFormats:
@@ -389,6 +362,19 @@ EXIT_CODE_MATRIX = {
         ["oracle", "monomial", "--exponents", "1,1", "--s=-5..1000"],
         2, "error: s must be positive\n",
     ),
+    # formula cm-sop checks d, e0 and the range's first s before the row cap
+    "cm_sop_d_before_row_cap": (
+        ["formula", "cm-sop", "--d", "1", "--e0", "1", "--s", "1..20000"],
+        2, "error: d must be at least 2\n",
+    ),
+    "cm_sop_e0_before_row_cap": (
+        ["formula", "cm-sop", "--d", "3", "--e0", "0", "--s", "1..20000"],
+        2, "error: e0 must be positive\n",
+    ),
+    "cm_sop_s_before_row_cap": (
+        ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s=-5..20000"],
+        2, "error: s must be positive\n",
+    ),
     # a parse error names the text and the form it expected
     "empty_alpha": (
         ["formula", "sop-dim1", "--e0", "5", "--alpha="],
@@ -483,14 +469,6 @@ EXIT_CODE_MATRIX |= {
         2, "error: p = 4097 is not prime\n",
     ),
 }
-# the exponents fix d and e0, so fit ehk refuses either flag beside them, naming it
-EXIT_CODE_MATRIX |= {
-    f"fit_ehk_exponents_with_{flag}": (
-        ["fit", "ehk", "--exponents", "1,1", f"--{flag}", value, "--s", "2..9"],
-        2, f"--exponents fixes d and e0; drop --{flag}\n",
-    )
-    for flag, value in [("d", "3"), ("e0", "7")]
-}
 # the generator cap counts the text's tuples; a bad --a is invalid input before it
 EXIT_CODE_MATRIX |= {
     "gens_cap": (
@@ -582,13 +560,33 @@ class TestExitCodes:
             # the paper's quasi-polynomials have degree 2
             ["fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "2..7",
              "--degree", "1"],
+            # the exponents fix d and e0
+            ["fit", "ehk", "--exponents", "1,1", "--s", "2..9", "--d", "3"],
+            ["fit", "ehk", "--exponents", "1,1", "--s", "2..9", "--e0", "7"],
         ],
-        ids=["groebner_u", "groebner_vars", "fit_dim1_degree"],
+        ids=["groebner_u", "groebner_vars", "fit_dim1_degree", "fit_ehk_d", "fit_ehk_e0"],
     )
     def test_fixed_values_take_no_flag(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            # fit ehk fits oracle lengths only, so its exponents are required
+            (["fit", "ehk", "--d", "3", "--e0", "1", "--s", "3..9"],
+             "the following arguments are required: --exponents"),
+            # its one closed form against another is a test, not a command
+            (["example", "xy-zn", "--e0", "2", "--s", "2..5"],
+             "argument which: invalid choice: 'xy-zn'"),
+        ],
+        ids=["fit_ehk_d_e0", "example_xy_zn"],
+    )
+    def test_closed_form_sources_are_not_commands(self, capsys, argv, fragment):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: ") and fragment in err
 
     def test_flag_prefix_is_not_a_flag(self, capsys):
         # one spelling per flag: --form is not taken for --format
@@ -776,16 +774,12 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.endswith("rerun with --force\n")
 
-    ROW_COMMANDS = {
-        "formula_cm_sop": ["formula", "cm-sop", "--d", "3", "--e0", "1"],
-        "fit_ehk": ["fit", "ehk", "--d", "3", "--e0", "1"],
-        "example_xy_zn": ["example", "xy-zn", "--e0", "2"],
-    }
+    # the one command whose rows come from a closed form alone
+    ROW_COMMANDS = {"formula_cm_sop": ["formula", "cm-sop", "--d", "3", "--e0", "1"]}
 
     @pytest.mark.parametrize("command", sorted(ROW_COMMANDS))
     def test_row_cap(self, capsys, command):
-        # refused from the range's ends, before any row is built; from s = 2,
-        # since example xy-zn refuses s = 1 as invalid input first
+        # refused from the range's ends, before any row is built
         code, out, err = run(capsys, *self.ROW_COMMANDS[command], "--s", "2..1000000000001")
         assert code == 3 and out == ""
         assert err.endswith(
@@ -902,3 +896,45 @@ class TestParser:
         groups = _choices(build_parser())
         leaves = [(group, name) for group, sub in groups.items() for name in _choices(sub)]
         assert sorted(leaves) == sorted(COMMANDS)
+
+
+# one small argv per command, run after its group and name
+SAMPLES = {
+    ("formula", "cm-sop"): ["--d", "3", "--e0", "1", "--s", "2..5"],
+    ("formula", "ehk"): ["--d", "2", "--e0", "3"],
+    ("formula", "stanley-reisner"): ["--d", "3", "--facets", "8"],
+    ("formula", "dim1"): ["--preset", "fermat5"],
+    ("formula", "sop-dim1"): ["--e0", "5", "--alpha=-4,-6"],
+    ("oracle", "monomial"): ["--exponents", "1,1", "--s", "1..3"],
+    ("oracle", "dim1"): ["--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "2..4"],
+    ("oracle", "groebner"): ["--a", "5", "--gens", "8,0,0;0,8,0;0,0,8"],
+    ("compare", "cm-sop"): ["--exponents", "1,2", "--s", "1..4"],
+    ("compare", "dim1"): ["--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "2..4"],
+    ("fit", "dim1"): ["--a", "5", "--p", "2", "--variant", "rees-of-m", "--e", "2..7",
+                      "--holdout", "0"],
+    ("fit", "ehk"): ["--exponents", "1,1", "--s", "2..9"],
+    ("example", "fermat5"): ["--e", "2..4"],
+    ("example", "three-vars"): ["--n", "2,2,3"],
+}
+# every oracle the commands reach, as cli names it
+ORACLES = ("rees_colength_monomial", "rees_colength_dim1", "alpha_table", "initial_ideal")
+
+
+class TestEveryPassHasAnOracle:
+    def test_every_command_has_a_sample(self):
+        assert sorted(SAMPLES) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
+    def test_no_pass_without_an_oracle(self, capsys, monkeypatch, command):
+        argv = [*command, *SAMPLES[command], "--format", "json"]
+        # the sample runs, so a sample that exits 2 cannot meet the guard below
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["verdict"] in ("pass", "unchecked")
+
+        def unavailable(*args):
+            raise RuntimeError("the oracle ran")
+
+        for name in ORACLES:
+            monkeypatch.setattr(cli, name, unavailable)
+        code, out, _ = run(capsys, *argv)
+        assert not (code == 0 and json.loads(out)["verdict"] == "pass")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reeshk import binomial_groebner, monomial_algebra, rees_oracle
 from reeshk.binomial_groebner import plane_heights, quotient_colength
-from reeshk.hk_formulas import cm_sop_hk, sop_dim1_hk
+from reeshk.hk_formulas import cm_sop_hk, compare_to_eto_yoshida, sop_dim1_hk
 from reeshk.monomial_algebra import InfiniteColength, MonomialIdeal, minimalize
 from reeshk.polynomials import Poly
 from reeshk.rees_oracle import (
@@ -723,6 +723,14 @@ class TestEstimateEhk:
     def test_formula_sweep_scaled(self):
         values = {s: cm_sop_hk(2, 3, s) for s in range(2, 8)}
         assert estimate_ehk(values, 2) == 4
+
+    def test_formula_sweep_d4(self):
+        from fractions import Fraction
+
+        values = {s: cm_sop_hk(4, 1, s) for s in range(4, 12)}
+        estimate = estimate_ehk(values, 4)
+        assert estimate == Fraction(61, 30)
+        assert compare_to_eto_yoshida(estimate, 4, 1) == "equal"
 
     def test_oracle_sweep(self):
         from fractions import Fraction
