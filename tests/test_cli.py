@@ -38,6 +38,15 @@ class TestFormula:
         assert [r["s"] for r in rows] == ["2", "3", "4", "5"]
         assert [r["formula"] for r in rows] == ["23", "123", "397", "980"]
 
+    def test_cm_sop_d2_csv(self, capsys):
+        # e0 (4s^3 - s) / 3 at e0 = 2, the d = 2 closed form through the CLI
+        code, out, _ = run(
+            capsys, "formula", "cm-sop", "--d", "2", "--e0", "2", "--s", "2..5",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert [r["formula"] for r in csv_rows(out)] == ["20", "70", "168", "330"]
+
     def test_ehk(self, capsys):
         code, out, _ = run(capsys, "formula", "ehk", "--d", "2", "--e0", "3")
         assert code == 0
