@@ -198,9 +198,9 @@ def _monomial_setup(
     Each s of a sweep builds its own products I^[s] I^n up to n = d (s - 1) + 1,
     the first power with I^[s] I^(n-s) = I^n; their time follows their
     generators, the C(n + d, d) monomials of degree at most n.  The cap
-    bounds the sum over the sweep.  It is sized for the staircase walk and
-    applies unchanged to the orbit ring, with or without free variables,
-    which keeps one generator per orbit of its block and runs faster.
+    bounds the sum over the sweep.  It is sized for the walk on the
+    unreduced ideal and stays so, though the oracle divides the exponents
+    out and runs (x_1, ..., x_d) on the orbit ring, which is faster.
     """
     ideal = parameter_ideal(exponents)  # invalid input exits 2 before the cap
     ss = parse_range(s_text)

@@ -2,7 +2,9 @@
 
 The oracles never consult the closed forms they are meant to check.
 The monomial oracle takes the m-primary ideal it measures, such as the
-`parameter_ideal` (x_1^a_1, ..., x_d^a_d) of the d >= 2 theorem.
+`parameter_ideal` (x_1^a_1, ..., x_d^a_d) of the d >= 2 theorem, and
+sums on I', each variable's exponent gcd c_i divided out, times prod(c),
+the rank of k[x] over k[x_1^c_1, ..., x_d^c_d].
 One routine, `_graded_lengths`, sums lengths over the graded
 decomposition of the Rees algebra and detects where the sum stops by
 an explicit ideal-equality test rather than taking it from theory.  It
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, permutations
-from math import comb
-from operator import add
+from math import comb, gcd, prod
+from operator import add, floordiv
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
@@ -241,15 +243,23 @@ def rees_colength_monomial(ideal: MonomialIdeal, ss: Sequence[int]) -> dict[int,
     I is m-primary, else InfiniteColength is raised; d is its number of
     variables.  The tail cap is (d-1)*s: for a parameter ideal I^[s] I^t
     equals I^(s+t) by t = (d-1)*s + 1, and another I whose tail runs
-    longer raises.  Variables whose swap fixes I fall into classes, and
-    I is invariant under every permutation of the largest.  When that
-    class holds 3 or more variables, or all d, the sum runs in the orbit
-    ring on its representatives, with the class as the block; a block
-    of 2 among more variables runs slower than the walk.
+    longer raises.  I extends I', each variable's exponent gcd c_i divided
+    out, along y_i -> x_i^c_i, over which k[x] is free of rank prod(c);
+    products, bracket powers and equality commute with it, so the sum runs
+    on I' and each length is prod(c) times that of I': (x_1^a_1, ...,
+    x_d^a_d) runs as (x_1, ..., x_d).  Variables whose swap fixes I' fall
+    into classes, and I' is invariant under every permutation of the
+    largest.  When that class holds 3 or more variables, or all d, the sum
+    runs in the orbit ring on its representatives, with the class as the
+    block; a block of 2 among more variables runs slower than the walk.
     """
     _check_sweep(ss, "s")
     if ideal.primary_box() is None:
         raise InfiniteColength(f"no pure power of every variable in {ideal}")
+    cs = [gcd(*column) for column in zip(*ideal.gens)]
+    if prod(cs) > 1:  # dividing a column keeps divisibility and order: I' is minimal, sorted
+        reduced = MonomialIdeal(tuple((*map(floordiv, g, cs),) for g in ideal.gens))
+        return {s: prod(cs) * v for s, v in rees_colength_monomial(reduced, ss).items()}
     d = ideal.ambient_dim
     caps = {s: (d - 1) * s for s in ss}
     gens = set(ideal.gens)
@@ -257,7 +267,7 @@ def rees_colength_monomial(ideal: MonomialIdeal, ss: Sequence[int]) -> dict[int,
     def swapped(i: int, j: int) -> set[Vector]:
         return {(*(g[{i: j, j: i}.get(k, k)] for k in range(d)),) for g in gens}
 
-    # the classes of variables whose swap fixes I; the largest is the block
+    # the classes of variables whose swap fixes I'; the largest is the block
     block = max(([j for j in range(d) if swapped(i, j) == gens] for i in range(d)), key=len)
     if len(block) < min(3, d):
         return _graded_lengths(_polynomial_ring(d), ideal, caps)

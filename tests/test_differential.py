@@ -10,8 +10,11 @@ minimalisation with a pairwise scan; the primary box with one built
 from each generator's support; the staircase walk with
 inclusion-exclusion; the graded-sum monomial oracle with the closed
 form cm_sop_hk on all three of its branches, and with itself at unit
-exponents scaled by e0; and parse_ideal with format_ideal.
+exponents scaled by e0; its base change, each variable's exponent gcd
+divided out, with the graded sum on the unreduced ideal; and
+parse_ideal with format_ideal.
 """
+from itertools import permutations
 from math import prod
 from operator import add
 from unittest import mock
@@ -37,7 +40,14 @@ from reeshk.monomial_algebra import (
     minimalize,
     parse_ideal,
 )
-from reeshk.rees_oracle import _plane_ring, parameter_ideal, rees_colength_monomial
+from reeshk.rees_oracle import (
+    StabilizationNotReached,
+    _graded_lengths,
+    _plane_ring,
+    _polynomial_ring,
+    parameter_ideal,
+    rees_colength_monomial,
+)
 
 from reference import (
     basis_initial_ideal,
@@ -368,8 +378,9 @@ class TestMonomialOracleRank:
 
     Substituting x_i^(a_i) for x_i maps the quotient for (x_1, ..., x_d)
     onto the one for (x_1^(a_1), ..., x_d^(a_d)) e0 times over, so the
-    length multiplies by e0 = prod(a).  The oracle sums its graded
-    pieces without knowing this.
+    length multiplies by e0 = prod(a).  The oracle applies this base
+    change itself, so TestMonomialBaseChange checks it against the sum
+    on the unreduced ideal.
     """
 
     @settings(max_examples=40)
@@ -381,3 +392,67 @@ class TestMonomialOracleRank:
         unit = parameter_ideal((1,) * len(exponents))
         expected = prod(exponents) * rees_colength_monomial(unit, [s])[s]
         assert rees_colength_monomial(parameter_ideal(exponents), [s])[s] == expected
+
+
+@st.composite
+def scaled_monomial_ideals(draw):
+    """(generators, top): a small ideal in 2 or 3 variables, column i scaled by c_i in 1..3.
+
+    Before scaling: a pure power of every variable, 2 to 6 in two
+    variables and 2 to 3 in three, 1 in 8 times without the first
+    variable's (so not m-primary); 3 in 4 times, 1 to 3 mixed monomials
+    under those powers, so not a parameter ideal; and, half the time, every
+    permutation of the variables applied to them, which makes the ideal
+    symmetric.  s runs 1..top, top <= 4 in two variables and 3 in three.
+    """
+    d = draw(st.integers(2, 3))
+    tops = draw(st.tuples(*[st.integers(2, 6 if d == 2 else 3)] * d))
+    gens = [tuple(t if j == i else 0 for j in range(d)) for i, t in enumerate(tops)]
+    if draw(st.integers(0, 7)) == 0:
+        gens = gens[1:]
+    if draw(st.integers(0, 3)):
+        under = st.tuples(*[st.integers(0, t - 1) for t in tops])
+        gens += draw(st.lists(under.filter(lambda g: g.count(0) < d - 1), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        gens = [(*p,) for g in gens for p in permutations(g)]
+    cs = draw(st.tuples(*[st.integers(1, 3)] * d))
+    scaled = [tuple(e * c for e, c in zip(g, cs)) for g in gens]
+    return scaled, draw(st.integers(1, 4 if d == 2 else 3))
+
+
+def lengths_or_refusal(run):
+    """run(), or the class of the refusal it raised."""
+    try:
+        return run()
+    except (InfiniteColength, StabilizationNotReached) as exc:
+        return type(exc)
+
+
+class TestMonomialBaseChange:
+    """The oracle divides each variable's exponent gcd c_i out of I and scales by prod(c).
+
+    The reference is the graded sum on I itself in the polynomial ring,
+    with the oracle's tail cap (d - 1) s; values and refusals must agree.
+    """
+
+    @settings(max_examples=150)
+    @given(scaled_monomial_ideals())
+    @example(([(4, 0), (2, 1), (0, 2)], 4))
+    @example(([(2, 0, 0), (0, 4, 0), (0, 0, 6), (0, 2, 3)], 3))
+    @example(([(0, 2), (2, 2)], 2))
+    @example(([(0, 7), (8, 2), (10, 0)], 4))  # both refuse at s = 4, past t = 4
+    def test_matches_the_unreduced_sum(self, case):
+        gens, top = case
+        ideal = minimalize(gens)
+        d, ss = ideal.ambient_dim, range(1, top + 1)
+        caps = {s: (d - 1) * s for s in ss}
+        expected = lengths_or_refusal(lambda: _graded_lengths(_polynomial_ring(d), ideal, caps))
+        assert lengths_or_refusal(lambda: rees_colength_monomial(ideal, ss)) == expected
+
+    def test_worked_values(self):
+        # (x^4, x^2 y, y^2) is (x^2, xy, y^2) with x -> x^2, over which k[x, y] has rank 2
+        ss = range(1, 21)
+        scaled = rees_colength_monomial(minimalize([(4, 0), (2, 1), (0, 2)]), ss)
+        base = rees_colength_monomial(minimalize([(2, 0), (1, 1), (0, 2)]), ss)
+        assert scaled == {s: 2 * length for s, length in base.items()}
+        assert (scaled[20], base[20]) == (68920, 34460)

@@ -1,6 +1,6 @@
 """Oracles, formula-oracle equivalence, alpha tables and exact fitting."""
 import itertools
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +29,13 @@ from reeshk.rees_oracle import (
 )
 
 from reference import colength_by_inclusion_exclusion, graded_length_by_window, power
+
+
+def divided(ideal):
+    """I' of the base change y_i -> x_i^c_i: each column of I divided by its gcd c_i."""
+    cs = [gcd(*column) for column in zip(*ideal.gens)]
+    return minimalize([[e // c for e, c in zip(g, cs)] for g in ideal.gens])
+
 
 # the maximal ideal (X, Y) of k[X, Y], kept as its generators
 PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
@@ -81,23 +88,62 @@ class TestMonomialOracle:
             s: cm_sop_hk(d, 1, s) for s in range(1, top + 1)
         }
 
-    # a block of 3 or more equal exponents, or of all d, runs on orbits, the other
-    # variables free: (2, 1, 1, 1) and (1, 2, 1, 1) with one free, (1, 1) with none
+    @staticmethod
+    def record_rings(monkeypatch):
+        """Record each ring the oracle builds (None for the walk) and the ideal it sums."""
+        built, summed = [], []
+        orbit, polynomial = rees_oracle._orbit_ring, rees_oracle._polynomial_ring
+        graded = rees_oracle._graded_lengths
+
+        def recorded(ring, ideal, caps):
+            summed.append(getattr(ideal, "gens", ideal))
+            return graded(ring, ideal, caps)
+
+        for name, wrapper in [
+            ("_orbit_ring", lambda d, f: built.append(f) or orbit(d, f)),
+            ("_polynomial_ring", lambda d: built.append(None) or polynomial(d)),
+            ("_graded_lengths", recorded),
+        ]:
+            monkeypatch.setattr(rees_oracle, name, wrapper)
+        return built, summed
+
+    # the ring follows the symmetry of I', each column of I divided by its gcd: a
+    # parameter ideal, symmetric or not, runs as the all-ones ideal, whose one orbit
+    # representative is (0, ..., 0, 1); `symmetric` says whether I itself has a
+    # block of 3 or more equal exponents, or of all d
     @pytest.mark.parametrize("exps, symmetric", [
         ((1, 1), True), ((1, 1, 1), True), ((3, 3, 3, 3), True),
         ((2, 1, 1, 1), True), ((1, 2, 3), False), ((2, 2, 3), False), ((1, 2, 1, 1), True),
     ])
     def test_ring_follows_the_symmetry_of_the_ideal(self, exps, symmetric, monkeypatch):
-        built = []
-        orbit, polynomial = rees_oracle._orbit_ring, rees_oracle._polynomial_ring
-        monkeypatch.setattr(rees_oracle, "_orbit_ring", lambda d, f: built.append(f) or orbit(d, f))
-        monkeypatch.setattr(
-            rees_oracle, "_polynomial_ring", lambda d: built.append(None) or polynomial(d)
-        )
-        expected = {s: cm_sop_hk(len(exps), prod(exps), s) for s in (1, 2)}
+        d = len(exps)
+        assert symmetric == (max(map(exps.count, exps)) >= min(3, d))
+        reduced = tuple(map(max, zip(*divided(parameter_ideal(exps)).gens)))  # its exponents
+        built, summed = self.record_rings(monkeypatch)
+        expected = {s: cm_sop_hk(d, prod(exps), s) for s in (1, 2)}
         assert rees_colength_monomial(parameter_ideal(exps), [1, 2]) == expected
-        free = len(exps) - max(map(exps.count, exps))  # outside the largest equal block
-        assert built == [free if symmetric else None]
+        assert reduced == (1,) * d
+        assert built == [d - max(map(reduced.count, reduced))]  # outside the largest block
+        assert summed == [((0,) * (d - 1) + (1,),)]
+
+    # ideals that are not parameter ideals: the first two have every gcd 1 and keep
+    # their ring; (x^4, x^2 y, y^2) runs as (x^2, xy, y^2), whose x and y swap
+    @pytest.mark.parametrize("gens, free, summed", [
+        # (x^2, xy, y^2, z): a block of 2 among 3 stays on the walk
+        ([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1)], None,
+         ((0, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0))),
+        # (x, y^2, z^2, w^2, yzw): the block y, z, w with x free
+        ([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (0, 1, 1, 1)], 1,
+         ((0, 0, 0, 2), (0, 1, 1, 1), (1, 0, 0, 0))),
+        ([(4, 0), (2, 1), (0, 2)], 0, ((0, 2), (1, 1))),
+    ], ids=["walk", "orbits-one-free", "reduced"])
+    def test_ring_follows_the_symmetry_of_the_reduced_ideal(self, gens, free, summed, monkeypatch):
+        ideal = minimalize(gens)
+        d = ideal.ambient_dim
+        expected = _graded_lengths(_polynomial_ring(d), ideal, {1: d - 1, 2: 2 * (d - 1)})
+        recorded = self.record_rings(monkeypatch)
+        assert rees_colength_monomial(ideal, [1, 2]) == expected
+        assert recorded == ([free], [summed])
 
     def test_tail_vanishes_at_detection_point(self):
         # the truncation point T has a zero summand, and so does T+1
