@@ -1,6 +1,6 @@
 """Oracles, formula-oracle equivalence, alpha tables and exact fitting."""
 import itertools
-from math import gcd, prod
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,13 +29,6 @@ from reeshk.rees_oracle import (
 )
 
 from reference import colength_by_inclusion_exclusion, graded_length_by_window, power
-
-
-def divided(ideal):
-    """I' of the base change y_i -> x_i^c_i: each column of I divided by its gcd c_i."""
-    cs = [gcd(*column) for column in zip(*ideal.gens)]
-    return minimalize([[e // c for e, c in zip(g, cs)] for g in ideal.gens])
-
 
 # the maximal ideal (X, Y) of k[X, Y], kept as its generators
 PLANE_MAXIMAL = minimalize([(1, 0), (0, 1)])
@@ -107,23 +100,20 @@ class TestMonomialOracle:
             monkeypatch.setattr(rees_oracle, name, wrapper)
         return built, summed
 
-    # the ring follows the symmetry of I', each column of I divided by its gcd: a
-    # parameter ideal, symmetric or not, runs as the all-ones ideal, whose one orbit
-    # representative is (0, ..., 0, 1); `symmetric` says whether I itself has a
-    # block of 3 or more equal exponents, or of all d
-    @pytest.mark.parametrize("exps, symmetric", [
-        ((1, 1), True), ((1, 1, 1), True), ((3, 3, 3, 3), True),
-        ((2, 1, 1, 1), True), ((1, 2, 3), False), ((2, 2, 3), False), ((1, 2, 1, 1), True),
+    # every parameter ideal runs as the all-ones ideal, symmetric or not: on
+    # _orbit_ring(d, 0) with the one representative (0, ..., 0, 1)
+    @pytest.mark.parametrize("exps", [
+        (1, 1), (1, 1, 1), (3, 3, 3, 3), (2, 1, 1, 1), (1, 2, 3), (2, 2, 3), (1, 2, 1, 1),
+    ], ids=[
+        "exps0-True", "exps1-True", "exps2-True", "exps3-True", "exps4-False", "exps5-False",
+        "exps6-True",
     ])
-    def test_ring_follows_the_symmetry_of_the_ideal(self, exps, symmetric, monkeypatch):
+    def test_ring_follows_the_symmetry_of_the_ideal(self, exps, monkeypatch):
         d = len(exps)
-        assert symmetric == (max(map(exps.count, exps)) >= min(3, d))
-        reduced = tuple(map(max, zip(*divided(parameter_ideal(exps)).gens)))  # its exponents
         built, summed = self.record_rings(monkeypatch)
         expected = {s: cm_sop_hk(d, prod(exps), s) for s in (1, 2)}
         assert rees_colength_monomial(parameter_ideal(exps), [1, 2]) == expected
-        assert reduced == (1,) * d
-        assert built == [d - max(map(reduced.count, reduced))]  # outside the largest block
+        assert built == [0]
         assert summed == [((0,) * (d - 1) + (1,),)]
 
     # ideals that are not parameter ideals: the first two have every gcd 1 and keep
@@ -529,7 +519,8 @@ class TestSweep:
 
     def test_colength_of_each_power_taken_once(self, monkeypatch):
         # one chain of powers serves every s: colength(I^n) is not recounted per s;
-        # (1, 1, 2) is not symmetric, so every colength is a walk of a MonomialIdeal
+        # on the walk every colength is a MonomialIdeal's.  Straight through
+        # _graded_lengths, as the oracle would divide (1, 1, 2) down to (1, 1, 1)
         colength, calls = MonomialIdeal.colength, []
 
         def counting(self, *args, **kwargs):
@@ -537,8 +528,9 @@ class TestSweep:
             return colength(self, *args, **kwargs)
 
         monkeypatch.setattr(MonomialIdeal, "colength", counting)
-        sweep = rees_colength_monomial(parameter_ideal((1, 1, 2)), range(1, 10))
-        assert sweep == {s: cm_sop_hk(3, 2, s) for s in range(1, 10)}
+        caps = {s: 2 * s for s in range(1, 10)}
+        sweep = _graded_lengths(_polynomial_ring(3), parameter_ideal((1, 1, 2)), caps)
+        assert sweep == {s: cm_sop_hk(3, 2, s) for s in caps}
         assert len(calls) <= 100  # one call per s made 190; the sweep makes 98
 
     def test_symmetric_colength_of_each_power_taken_once(self, monkeypatch):
@@ -557,7 +549,8 @@ class TestSweep:
 
     def test_symmetric_work_does_not_grow_with_the_exponents(self, monkeypatch):
         # the orbit colength counts by the cells between exponents, not by each
-        # value below them, so (300, 300, 300) takes the steps of (1, 1, 1)
+        # value below them, so (300, 300, 300) takes the steps of (1, 1, 1).  Straight
+        # through _graded_lengths, as the oracle would divide 300 out first
         minimal_vectors, calls = rees_oracle._minimal_vectors, []
 
         def counting(vectors):
@@ -565,11 +558,11 @@ class TestSweep:
             return minimal_vectors(vectors)
 
         monkeypatch.setattr(rees_oracle, "_minimal_vectors", counting)
-        steps = {}
+        steps, caps = {}, {s: 2 * s for s in range(1, 10)}
         for a in (1, 300):
             calls.clear()
-            sweep = rees_colength_monomial(parameter_ideal((a, a, a)), range(1, 10))
-            assert sweep == {s: cm_sop_hk(3, a**3, s) for s in range(1, 10)}
+            sweep = _graded_lengths(_orbit_ring(3, 0), ((0, 0, a),), caps)
+            assert sweep == {s: cm_sop_hk(3, a**3, s) for s in caps}
             steps[a] = len(calls)
         assert steps[300] == steps[1]
 
