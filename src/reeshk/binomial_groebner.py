@@ -45,9 +45,8 @@ vanish identically and are skipped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .monomial_algebra import (
     MonomialIdeal,
@@ -58,8 +57,7 @@ from .monomial_algebra import (
 )
 
 
-@dataclass(frozen=True)
-class GroebnerBasisBM:
+class GroebnerBasisBM(NamedTuple):
     """Completed basis: the binomial X_0^a - X_1^a plus a minimal set of monomials."""
 
     a: int

@@ -8,11 +8,9 @@ stdout).  Numbers are emitted as exact decimal strings; rationals as 'num/den'.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from math import prod
 from typing import Optional, Sequence
 
@@ -78,7 +76,6 @@ FERMAT5 = Dim1Input(
 FERMAT5_P = 2  # the characteristic at which FERMAT5's alpha table was read
 
 
-@dataclass
 class RunReport:
     """What a command found.
 
@@ -87,9 +84,10 @@ class RunReport:
     unless both are there).
     """
 
-    instance: dict[str, str]
-    mode: str
-    rows: list[dict[str, object]] = field(default_factory=list)
+    def __init__(self, instance: dict[str, str], mode: str) -> None:
+        self.instance = instance
+        self.mode = mode
+        self.rows: list[dict[str, object]] = []
 
     @property
     def verdict(self) -> str:
@@ -141,6 +139,8 @@ def render_table(report: RunReport) -> str:
 
 
 def render_csv(report: RunReport) -> str:
+    import csv  # here, not at the top: only --format csv needs it
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(_grid(report))
     return out.getvalue()

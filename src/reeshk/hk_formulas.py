@@ -24,9 +24,8 @@ All outputs are exact; multiplicities are rationals, lengths integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .polynomials import Poly
 
@@ -109,8 +108,14 @@ def c_of_d(d: int) -> Fraction:
     return Fraction(d, 2) + Fraction(d, math.factorial(d + 1))
 
 
-@dataclass(frozen=True)
-class QuasiPolynomialHK:
+# a NamedTuple body may not define __new__, so the subclass below checks the
+# fields; its empty __slots__ leaves no __dict__, so no attribute can be set
+class _QuasiPolynomialFields(NamedTuple):
+    polys: tuple[Poly, ...]
+    valid_from_e: Optional[int]
+
+
+class QuasiPolynomialHK(_QuasiPolynomialFields):
     """One exact polynomial in q per residue class of e modulo the period.
 
     It knows no characteristic: the caller maps e to q = p^e and evaluates
@@ -119,14 +124,16 @@ class QuasiPolynomialHK:
     known).
     """
 
-    polys: tuple[Poly, ...]
-    valid_from_e: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_period(len(self.polys))
-        degrees = {p.degree for p in self.polys}
+    def __new__(
+        cls, polys: tuple[Poly, ...], valid_from_e: Optional[int] = None
+    ) -> "QuasiPolynomialHK":
+        check_period(len(polys))
+        degrees = {p.degree for p in polys}
         if len(degrees) != 1:
             raise ValueError(f"residue-class polynomials have mixed degrees {degrees}")
+        return super().__new__(cls, polys, valid_from_e)
 
     @property
     def period(self) -> int:
@@ -140,15 +147,7 @@ class QuasiPolynomialHK:
         return [p.format() for p in self.polys]
 
 
-@dataclass(frozen=True)
-class Dim1Input:
-    """Invariants of an m-primary ideal of a 1-dimensional local ring.
-
-    lengths[n] is the length of R/I^n for n = 0 .. max(r-1, rho);
-    alpha[n] holds one period of the correction for I^n, n = 0 .. r-1.  rho may
-    be omitted (None) when delegating to the Cohen-Macaulay case.
-    """
-
+class _Dim1Fields(NamedTuple):
     e0: int
     e1: int
     r: int
@@ -156,22 +155,37 @@ class Dim1Input:
     lengths: tuple[int, ...]
     alpha: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        check_positive(self.e0, "e0")
-        if self.r < 0:
+
+class Dim1Input(_Dim1Fields):
+    """Invariants of an m-primary ideal of a 1-dimensional local ring.
+
+    lengths[n] is the length of R/I^n for n = 0 .. max(r-1, rho);
+    alpha[n] holds one period of the correction for I^n, n = 0 .. r-1.  rho may
+    be omitted (None) when delegating to the Cohen-Macaulay case.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, e0: int, e1: int, r: int, rho: Optional[int], lengths: tuple[int, ...],
+        alpha: tuple[tuple[int, ...], ...],
+    ) -> "Dim1Input":
+        check_positive(e0, "e0")
+        if r < 0:
             raise ValueError("reduction number must be nonnegative")
-        if len(self.alpha) != self.r:
-            raise ValueError(f"need exactly r={self.r} alpha sequences, got {len(self.alpha)}")
-        for seq in self.alpha:
+        if len(alpha) != r:
+            raise ValueError(f"need exactly r={r} alpha sequences, got {len(alpha)}")
+        for seq in alpha:
             check_period(len(seq))
-        needed = max(self.r - 1, self.rho if self.rho is not None else -1) + 1
-        if len(self.lengths) < needed:
-            raise ValueError(f"need lengths for n = 0..{needed - 1}, got {len(self.lengths)}")
-        if self.lengths:
-            if self.lengths[0] != 0:
+        needed = max(r - 1, rho if rho is not None else -1) + 1
+        if len(lengths) < needed:
+            raise ValueError(f"need lengths for n = 0..{needed - 1}, got {len(lengths)}")
+        if lengths:
+            if lengths[0] != 0:
                 raise ValueError("lengths[0] is the length of R/R and must be 0")
-            if any(a > b for a, b in zip(self.lengths, self.lengths[1:])):
+            if any(a > b for a, b in zip(lengths, lengths[1:])):
                 raise ValueError("lengths must be nondecreasing")
+        return super().__new__(cls, e0, e1, r, rho, lengths, alpha)
 
 
 def dim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
@@ -203,7 +217,8 @@ def cordim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
     """Cohen-Macaulay ring: the postulation number is r - 1, always case one."""
     if inp.rho is not None:
         raise ValueError("rho must be omitted; it is forced to r - 1 here")
-    return dim1_hk(replace(inp, rho=inp.r - 1))
+    e0, e1, r, _, lengths, alpha = inp
+    return dim1_hk(Dim1Input(e0, e1, r, r - 1, lengths, alpha))
 
 
 def sop_dim1_hk(e0J: int, alphaJ: tuple[int, ...]) -> QuasiPolynomialHK:

@@ -17,10 +17,9 @@ the first variable.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import chain
 from operator import add, and_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple[int, ...]
 
@@ -83,16 +82,22 @@ def _minimal_vectors(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
     return tuple(v for v, mask, bit in zip(vs, divisors, bits) if mask == bit)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Nonzero monomial ideal, stored as its minimal generators."""
-
+# a NamedTuple body may not define __new__, so the subclass below checks the
+# fields; its empty __slots__ leaves no __dict__, so no attribute can be set
+class _MonomialIdealFields(NamedTuple):
     gens: tuple[Vector, ...]
 
-    def __post_init__(self) -> None:
+
+class MonomialIdeal(_MonomialIdealFields):
+    """Nonzero monomial ideal, stored as its minimal generators."""
+
+    __slots__ = ()
+
+    def __new__(cls, gens: tuple[Vector, ...]) -> "MonomialIdeal":
         # refuses an empty generator set, mixed lengths and length 0
-        if len(set(map(len, self.gens))) != 1 or not self.gens[0]:
+        if len(set(map(len, gens))) != 1 or not gens[0]:
             raise ValueError(_SHAPE)
+        return super().__new__(cls, gens)
 
     @classmethod
     def unit(cls, ambient_dim: int) -> "MonomialIdeal":

@@ -5,25 +5,29 @@ anywhere in this package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Poly:
+# a NamedTuple body may not define __new__, so the subclass below checks the
+# fields; its empty __slots__ leaves no __dict__, so no attribute can be set
+class _PolyFields(NamedTuple):
+    coeffs: tuple[Fraction, ...]
+
+
+class Poly(_PolyFields):
     """Immutable polynomial, coefficients stored lowest degree first."""
 
-    # given as any iterable of scalars; kept as Fractions without trailing zeros
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cs = [Fraction(c) for c in self.coeffs]
+    def __new__(cls, coeffs: Iterable[Scalar] = ()) -> "Poly":
+        # given as any iterable of scalars; kept as Fractions without trailing zeros
+        cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        return super().__new__(cls, tuple(cs))
 
     @property
     def degree(self) -> int:

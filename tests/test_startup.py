@@ -1,0 +1,44 @@
+"""Importing the CLI loads only what the `hk` commands run.
+
+Every `hk` command is a fresh process, so each module that
+`import reeshk.cli` pulls in costs every command.  `dataclasses` brings
+`inspect`, `ast`, `dis` and `tokenize` with it, and `csv` serves
+`--format csv` alone, which imports it when it renders.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+NOT_AT_STARTUP = ["dataclasses", "inspect", "csv"]
+
+
+def _loaded(code: str) -> set[str]:
+    """The names in sys.modules after a fresh interpreter runs code, with src/ on the path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def startup():
+    """The modules that importing reeshk.cli and building its parser adds to a bare interpreter."""
+    return _loaded("import reeshk.cli\nreeshk.cli.build_parser()") - _loaded("pass")
+
+
+def test_startup_loads_the_cli(startup):
+    assert "reeshk.cli" in startup
+
+
+@pytest.mark.parametrize("module", NOT_AT_STARTUP)
+def test_startup_does_not_load(startup, module):
+    assert module not in startup
