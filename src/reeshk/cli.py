@@ -11,7 +11,7 @@ import argparse
 import io
 import json
 import sys
-from math import prod
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .hk_formulas import (
@@ -54,8 +54,9 @@ MONOMIAL_CAP = 10**5
 QA_CAP = 2**18
 # `oracle groebner --gens`: an n-bit mask per generator; 10^4 random ones: 0.06 s, 41 MiB peak
 GENS_CAP = 10**4
-# rows of `formula cm-sop`, one per s from the closed form;
-# 10^4 rows of `formula cm-sop --d 3 --e0 1` take about 0.09 s in-process
+# rows of a closed form: `formula cm-sop`, one per s, and `formula dim1`, one per
+# residue class; 10^4 rows of `formula cm-sop --d 3 --e0 1` take about 0.09 s
+# in-process, and a dim1 class 13-18 us and 0.8-1.5 KiB, by output format
 ROW_CAP = 10**4
 
 
@@ -299,6 +300,9 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
             alpha=alpha,
         )
         report = _report(args, "e0", "e1", "r")
+    # one row per residue class; Dim1Input has refused invalid input before the cap
+    period = lcm(*map(len, inp.alpha))
+    _cap(f"the lcm {period} of the alpha periods", period, ROW_CAP, args.force)
     qp = dim1_hk(inp) if inp.rho is not None else cordim1_hk(inp)
     report.instance["period"] = str(qp.period)
     return _residue_rows(report, qp)

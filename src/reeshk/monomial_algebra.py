@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import insort
 from itertools import chain
 from operator import add, and_
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Vector = tuple[int, ...]
 
@@ -156,7 +156,7 @@ def minimalize(gens: Iterable[Sequence[int]]) -> MonomialIdeal:
     return MonomialIdeal(_minimal_vectors(_validated(gens)))
 
 
-def _count_standard(gens: Sequence[Vector], count_slice: Optional[Callable] = None) -> int:
+def _count_standard(gens: Sequence[Vector]) -> int:
     """Count the points u >= 0 not componentwise above any of the generators.
 
     gens must be lexicographically sorted, as MonomialIdeal.gens are, and
@@ -164,11 +164,11 @@ def _count_standard(gens: Sequence[Vector], count_slice: Optional[Callable] = No
     the pure power of x_1 before any larger first exponent.  The slice at
     u_1 = t is the staircase of the tails of the generators with first
     exponent at most t, a growing prefix of gens; it is counted by a
-    recursive call, or by count_slice if given, only when the prefix has
-    grown, and the walk stops at the first tail that is the zero vector,
-    past which every slice is inside the ideal.  In one variable a slice
-    is a point and counts 1.  In two variables a slice is a column whose
-    height is the running minimum of the second exponents.
+    recursive call only when the prefix has grown, and the walk stops at
+    the first tail that is the zero vector, past which every slice is
+    inside the ideal.  In one variable a slice is a point and counts 1.
+    In two variables a slice is a column whose height is the running
+    minimum of the second exponents.
     """
     if len(gens[0]) == 2:
         lo, height, total = 0, gens[0][1], 0
@@ -185,7 +185,7 @@ def _count_standard(gens: Sequence[Vector], count_slice: Optional[Callable] = No
         a = g[0]
         if a > lo:
             if grown:
-                count, grown = (count_slice or _count_standard)(active), False
+                count, grown = _count_standard(active), False
             total += (a - lo) * count
             lo = a
         tail = g[1:]

@@ -13,13 +13,13 @@ every q of the sweep, so colength(I^n) is taken once per n, not once
 per n and q.  It works in a `Ring`, whose ideals are canonical values,
 so that `==` is ideal equality.  The polynomial ring keeps a
 `MonomialIdeal`, its sorted minimal generators.  When I is invariant
-under the permutations of a block of b variables, as (x_1^2, x_2, x_3,
-x_4) is for x_2, x_3, x_4, so is every ideal of the sum: the orbit ring
-keeps one generator per orbit, up to b! times fewer, and counts the
-block's colengths by the least coordinate of a standard monomial and
-its multiplicity, not by a staircase walk.  The hypersurface ring
-k[X, Y]/(X^a - Y^a) keeps the staircase heights of the initial ideal,
-a tuple of length a, so a step of the sum costs O(a) and not O(q).
+under every permutation of the variables, as (x_1, ..., x_d) is, so is
+every ideal of the sum: the orbit ring keeps one generator per orbit,
+up to d! times fewer, and counts colengths by the least coordinate of
+a standard monomial and its multiplicity, not by a staircase walk.
+The hypersurface ring k[X, Y]/(X^a - Y^a) keeps the staircase heights
+of the initial ideal, a tuple of length a, so a step of the sum costs
+O(a) and not O(q).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
 from .hk_formulas import QuasiPolynomialHK, check_e, check_invariants, check_period
 from .hk_formulas import check_positive, check_prime
-from .monomial_algebra import InfiniteColength, MonomialIdeal, Vector, _count_standard
+from .monomial_algebra import InfiniteColength, MonomialIdeal, Vector
 from .monomial_algebra import _minimal_vectors, minimalize
 from .polynomials import Poly, interpolate
 
@@ -108,21 +108,19 @@ def _plane_ring(a: int) -> Ring:
     )
 
 
-def _orbits(reps: tuple[Vector, ...], free: int = 0) -> set[Vector]:
-    """Every permutation of the exponents after the first `free` of every representative."""
-    return {(*g[:free], *p) for g in reps for p in permutations(g[free:])}
+def _orbits(reps: tuple[Vector, ...]) -> set[Vector]:
+    """Every permutation of the exponents of every representative."""
+    return {p for g in reps for p in permutations(g)}
 
 
-def _orbit_ring(d: int, free: int) -> Ring:
-    """Ideals fixed by permuting the last d - free of d variables, one generator per orbit.
+def _orbit_ring(d: int) -> Ring:
+    """Ideals fixed by every permutation of the d variables, one generator per orbit.
 
-    A representative keeps its first `free` exponents and sorts the rest,
-    the block.  A u with sorted block lies in the ideal iff some
-    representative is <= u, so the minimal representatives, sorted, are
-    a canonical value.  A product sorts the block of g + pi(h) over the
-    representatives g of one side and the block permutations of the
-    other's.  The colength walks the free variables by `_count_standard`
-    and counts each slice, an ideal of the block in m variables, by
+    A representative sorts its exponents.  A u with sorted exponents lies
+    in the ideal iff some representative is <= u, so the minimal
+    representatives, sorted, are a canonical value.  A product sorts
+    g + pi(h) over the representatives g of one side and the permutations
+    of the other's.  The colength counts an ideal in m variables by
     cells: [0, top) is cut at the exponents, where top = min(max g)
     bounds the least coordinate of a standard u and membership changes
     only at an exponent.  The standard u are counted by the cell
@@ -139,17 +137,10 @@ def _orbit_ring(d: int, free: int) -> Ring:
     def product(j: tuple[Vector, ...], k: tuple[Vector, ...]) -> tuple[Vector, ...]:
         if len(j) < len(k):
             j, k = k, j
-        if not free:  # the fast case: the whole vector is the block
-            return _minimal_vectors([(*sorted(map(add, g, h)),) for h in _orbits(k) for g in j])
-        hs, gs = ([(v[:free], v[free:]) for v in vs] for vs in (_orbits(k, free), j))
-        return _minimal_vectors(
-            [(*map(add, gf, hf), *sorted(map(add, gb, hb))) for hf, hb in hs for gf, gb in gs]
-        )
+        return _minimal_vectors([(*sorted(map(add, g, h)),) for h in _orbits(k) for g in j])
 
     def count(reps: Sequence[Vector]) -> int:
         m = len(reps[0])
-        if m > d - free:
-            return _count_standard(reps, count)
         if m <= 2:
             return MonomialIdeal(_minimal_vectors(_orbits(reps))).colength()
         top = min(g[-1] for g in reps)
@@ -247,11 +238,11 @@ def rees_colength_monomial(ideal: MonomialIdeal, ss: Sequence[int]) -> dict[int,
     out, along y_i -> x_i^c_i, over which k[x] is free of rank prod(c);
     products, bracket powers and equality commute with it, so the sum runs
     on I' and each length is prod(c) times that of I': (x_1^a_1, ...,
-    x_d^a_d) runs as (x_1, ..., x_d).  Variables whose swap fixes I' fall
-    into classes, and I' is invariant under every permutation of the
-    largest.  When that class holds 3 or more variables, or all d, the sum
-    runs in the orbit ring on its representatives, with the class as the
-    block; a block of 2 among more variables runs slower than the walk.
+    x_d^a_d) runs as (x_1, ..., x_d).  When the swap of x_1 and x_2 and
+    the cycle x_1 -> x_2 -> ... -> x_d -> x_1 both fix I', every
+    permutation of the variables does, since the two generate them all,
+    and the sum runs in the orbit ring on its sorted representatives;
+    any other I' runs on the walk.
     """
     _check_sweep(ss, "s")
     if ideal.primary_box() is None:
@@ -263,18 +254,11 @@ def rees_colength_monomial(ideal: MonomialIdeal, ss: Sequence[int]) -> dict[int,
     d = ideal.ambient_dim
     caps = {s: (d - 1) * s for s in ss}
     gens = set(ideal.gens)
-
-    def swapped(i: int, j: int) -> set[Vector]:
-        return {(*(g[{i: j, j: i}.get(k, k)] for k in range(d)),) for g in gens}
-
-    # the classes of variables whose swap fixes I'; the largest is the block
-    block = max(([j for j in range(d) if swapped(i, j) == gens] for i in range(d)), key=len)
-    if len(block) < min(3, d):
-        return _graded_lengths(_polynomial_ring(d), ideal, caps)
-    # the block goes last; permuting the variables keeps every length
-    rest = [i for i in range(d) if i not in block]
-    reps = _minimal_vectors((*(g[i] for i in rest), *sorted(g[i] for i in block)) for g in gens)
-    return _graded_lengths(_orbit_ring(d, len(rest)), reps, caps)
+    # g[1::-1] swaps the first two exponents; in one variable it is g itself
+    if {(*g[1::-1], *g[2:]) for g in gens} == gens == {(*g[1:], g[0]) for g in gens}:
+        reps = _minimal_vectors((*sorted(g),) for g in gens)
+        return _graded_lengths(_orbit_ring(d), reps, caps)
+    return _graded_lengths(_polynomial_ring(d), ideal, caps)
 
 
 def rees_colength_dim1(a: int, variant: str, qs: Sequence[int]) -> dict[int, int]:

@@ -384,6 +384,18 @@ EXIT_CODE_MATRIX = {
         ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s=-5..20000"],
         2, "error: s must be positive\n",
     ),
+    # formula dim1 has one row per residue class, lcm(7, 11, 13, 17) = 17017 of them,
+    # refused before any is built; invalid lengths exit 2 before the cap
+    "dim1_period_cap": (
+        ["formula", "dim1", "--e0", "5", "--e1", "10", "--r", "4", "--lengths", "0,1,3,6",
+         "--alpha=" + ";".join(",".join("0" * n) for n in (7, 11, 13, 17))],
+        3, "the lcm 17017 of the alpha periods exceeds the cap 10000; rerun with --force",
+    ),
+    "dim1_lengths_before_period_cap": (
+        ["formula", "dim1", "--e0", "5", "--e1", "10", "--r", "4", "--lengths", "1,1,3,6",
+         "--alpha=" + ";".join(",".join("0" * n) for n in (7, 11, 13, 17))],
+        2, "error: lengths[0] is the length of R/R and must be 0\n",
+    ),
     # a parse error names the text and the form it expected
     "empty_alpha": (
         ["formula", "sop-dim1", "--e0", "5", "--alpha="],

@@ -1,6 +1,7 @@
 """Oracles, formula-oracle equivalence, alpha tables and exact fitting."""
 import itertools
-from math import prod
+from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -83,7 +84,7 @@ class TestMonomialOracle:
 
     @staticmethod
     def record_rings(monkeypatch):
-        """Record each ring the oracle builds (None for the walk) and the ideal it sums."""
+        """Record each ring the oracle builds, "orbit" or "walk", and the ideal it sums."""
         built, summed = [], []
         orbit, polynomial = rees_oracle._orbit_ring, rees_oracle._polynomial_ring
         graded = rees_oracle._graded_lengths
@@ -93,15 +94,15 @@ class TestMonomialOracle:
             return graded(ring, ideal, caps)
 
         for name, wrapper in [
-            ("_orbit_ring", lambda d, f: built.append(f) or orbit(d, f)),
-            ("_polynomial_ring", lambda d: built.append(None) or polynomial(d)),
+            ("_orbit_ring", lambda d: built.append("orbit") or orbit(d)),
+            ("_polynomial_ring", lambda d: built.append("walk") or polynomial(d)),
             ("_graded_lengths", recorded),
         ]:
             monkeypatch.setattr(rees_oracle, name, wrapper)
         return built, summed
 
     # every parameter ideal runs as the all-ones ideal, symmetric or not: on
-    # _orbit_ring(d, 0) with the one representative (0, ..., 0, 1)
+    # _orbit_ring(d) with the one representative (0, ..., 0, 1)
     @pytest.mark.parametrize("exps", [
         (1, 1), (1, 1, 1), (3, 3, 3, 3), (2, 1, 1, 1), (1, 2, 3), (2, 2, 3), (1, 2, 1, 1),
     ], ids=[
@@ -113,27 +114,31 @@ class TestMonomialOracle:
         built, summed = self.record_rings(monkeypatch)
         expected = {s: cm_sop_hk(d, prod(exps), s) for s in (1, 2)}
         assert rees_colength_monomial(parameter_ideal(exps), [1, 2]) == expected
-        assert built == [0]
+        assert built == ["orbit"]
         assert summed == [((0,) * (d - 1) + (1,),)]
 
     # ideals that are not parameter ideals: the first two have every gcd 1 and keep
-    # their ring; (x^4, x^2 y, y^2) runs as (x^2, xy, y^2), whose x and y swap
-    @pytest.mark.parametrize("gens, free, summed", [
-        # (x^2, xy, y^2, z): a block of 2 among 3 stays on the walk
-        ([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1)], None,
+    # their ring; (x^4, x^2 y, y^2) runs as (x^2, xy, y^2), whose x and y swap.  The
+    # lengths come from the fixed window, as the walk is the oracle's own path
+    @pytest.mark.parametrize("gens, ring, summed", [
+        # (x^2, xy, y^2, z): fixed by swapping x and y alone, so on the walk
+        ([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1)], "walk",
          ((0, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0))),
-        # (x, y^2, z^2, w^2, yzw): the block y, z, w with x free
-        ([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (0, 1, 1, 1)], 1,
-         ((0, 0, 0, 2), (0, 1, 1, 1), (1, 0, 0, 0))),
-        ([(4, 0), (2, 1), (0, 2)], 0, ((0, 2), (1, 1))),
+        # (x, y^2, z^2, w^2, yzw): fixed by permuting y, z, w with x apart, so on the walk
+        ([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (0, 1, 1, 1)], "walk",
+         ((0, 0, 0, 2), (0, 0, 2, 0), (0, 1, 1, 1), (0, 2, 0, 0), (1, 0, 0, 0))),
+        ([(4, 0), (2, 1), (0, 2)], "orbit", ((0, 2), (1, 1))),
     ], ids=["walk", "orbits-one-free", "reduced"])
-    def test_ring_follows_the_symmetry_of_the_reduced_ideal(self, gens, free, summed, monkeypatch):
+    def test_ring_follows_the_symmetry_of_the_reduced_ideal(self, gens, ring, summed, monkeypatch):
         ideal = minimalize(gens)
         d = ideal.ambient_dim
-        expected = _graded_lengths(_polynomial_ring(d), ideal, {1: d - 1, 2: 2 * (d - 1)})
+        expected = {
+            s: graded_length_by_window(ideal, s, MonomialIdeal.colength, (d - 1) * s + 2)
+            for s in (1, 2)
+        }
         recorded = self.record_rings(monkeypatch)
         assert rees_colength_monomial(ideal, [1, 2]) == expected
-        assert recorded == ([free], [summed])
+        assert recorded == ([ring], [summed])
 
     def test_tail_vanishes_at_detection_point(self):
         # the truncation point T has a zero summand, and so does T+1
@@ -236,9 +241,7 @@ class TestGradedLength:
     CASES = {
         "monomial": (_polynomial_ring(4), parameter_ideal((2, 1, 1, 1)), {3: 6, 2: 3}),
         # (x_1, ..., x_4) on its one orbit representative: m^[q] m^t = m^(q+t) from t = 3 (q - 1)
-        "symmetric": (_orbit_ring(4, 0), ((0, 0, 0, 1),), {3: 6, 2: 3}),
-        # (x_1^2, x_2, x_3, x_4) with x_2, x_3, x_4 as the block: the ideal of "monomial"
-        "partial": (_orbit_ring(4, 1), ((0, 0, 0, 1), (2, 0, 0, 0)), {3: 6, 2: 3}),
+        "symmetric": (_orbit_ring(4), ((0, 0, 0, 1),), {3: 6, 2: 3}),
         "hypersurface": (_plane_ring(7), (1, 0, 0, 0, 0, 0, 0), {8: 5, 4: 3}),
     }
 
@@ -258,7 +261,7 @@ class TestGradedLength:
     # skip the sums took 647, 138 and 2559 products, with it 457, 111 and 2385
     SKIPS = {
         "orbit": (
-            _orbit_ring(2, 0), ((0, 1),), {q: q for q in range(2, 21)},
+            _orbit_ring(2), ((0, 1),), {q: q for q in range(2, 21)},
             lambda q: cm_sop_hk(2, 1, q), 460,
         ),
         "walk": (
@@ -282,7 +285,7 @@ class TestGradedLength:
         assert len(calls) <= bound
 
     @pytest.mark.parametrize("ring, ideal, big", [
-        (_orbit_ring(2, 0), ((0, 1),), parameter_ideal((1, 1))),  # (x, y) on orbits
+        (_orbit_ring(2), ((0, 1),), parameter_ideal((1, 1))),  # (x, y) on orbits
         (_polynomial_ring(2), parameter_ideal((2, 3)), parameter_ideal((2, 3))),
     ])
     def test_truncation_below_q_is_found_on_a_tie(self, ring, ideal, big):
@@ -351,9 +354,9 @@ class TestGradedLength:
             assert rees_colength_dim1(a, "rees-of-m", [q])[q] == expected, q
 
 
-def representatives(ideal, free):
-    """The first `free` exponents and the sorted rest of each generator: the orbit ring's value."""
-    return tuple(sorted({(*g[:free], *sorted(g[free:])) for g in ideal.gens}))
+def representatives(ideal):
+    """The sorted exponents of each generator: the orbit ring's value."""
+    return tuple(sorted({(*sorted(g),) for g in ideal.gens}))
 
 
 def outcome(run):
@@ -365,25 +368,22 @@ def outcome(run):
 
 
 @st.composite
-def symmetric_ideals(draw, d, free):
-    """An m-primary ideal invariant under permuting its last d - free variables.
+def symmetric_ideals(draw, d):
+    """An m-primary ideal invariant under every permutation of its d variables.
 
-    Symmetrised over that block from a few tuples and a pure power of
-    each free variable and of one block variable.  Returns its orbit
-    ring value and the ideal itself.
+    Symmetrised from a few tuples and a pure power of x_1.  Returns its
+    orbit ring value and the ideal itself.
     """
     gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3))
-    for i in range(free + 1):
-        gens.append((0,) * i + (draw(st.integers(1, 4)),) + (0,) * (d - 1 - i))
-    ideal = minimalize(_orbits(gens, free))
-    return representatives(ideal, free), ideal
+    gens.append((draw(st.integers(1, 4)),) + (0,) * (d - 1))
+    ideal = minimalize(_orbits(gens))
+    return representatives(ideal), ideal
 
 
 @st.composite
 def symmetric_pairs(draw):
     d = draw(st.integers(2, 5))
-    free = draw(st.integers(0, d - 2))  # a block of 2 or more variables
-    return d, free, draw(symmetric_ideals(d, free)), draw(symmetric_ideals(d, free))
+    return d, draw(symmetric_ideals(d)), draw(symmetric_ideals(d))
 
 
 @st.composite
@@ -393,7 +393,7 @@ def block_ideals(draw):
     Symmetrised over the block from a few tuples and pure powers, so it
     need not be a parameter ideal; one time in four the pure powers of
     one variable's orbit are left out, so it need not be m-primary.
-    Returns d, the block and the ideal.
+    Returns d and the ideal.
     """
     d = draw(st.integers(2, 5))
     block = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=d, unique=True))
@@ -409,21 +409,68 @@ def block_ideals(draw):
             for i, e in zip(block, values):
                 v[i] = e
             symmetrised.add(tuple(v))
-    return d, block, minimalize(symmetrised)
+    return d, minimalize(symmetrised)
+
+
+@st.composite
+def permuted_ideals(draw):
+    """An m-primary ideal in d = 1..5 variables, closed under some drawn permutations.
+
+    They are none, the swap of x_1 and x_2, the cycle of all d variables,
+    both, or one other permutation, so the ideal may be fixed by every
+    permutation, by the swap or the cycle alone, or by none but the identity.
+    """
+    d = draw(st.integers(1, 5))
+    swap, cycle = (*range(1, -1, -1), *range(2, d))[-d:], (*range(1, d), 0)
+    perms = draw(st.sampled_from([(), (swap,), (cycle,), (swap, cycle)])
+                 | st.permutations(range(d)).map(lambda p: (tuple(p),)))
+    # mixed monomials below every pure power, so that they stay minimal and dividing
+    # the exponent gcds out rarely leaves (x_1, ..., x_d)
+    mixed = st.tuples(*[st.integers(0, 2)] * d).filter(lambda t: d - t.count(0) >= min(d, 2))
+    gens = set(draw(st.lists(mixed, min_size=1, max_size=3)))
+    gens |= {(0,) * i + (draw(st.integers(3, 5)),) + (0,) * (d - 1 - i) for i in range(d)}
+    while more := {(*(g[i] for i in p),) for g in gens for p in perms} - gens:
+        gens |= more
+    return minimalize(gens)
 
 
 class TestSymmetricRing:
     """The orbit-representative ring against the polynomial ring on the expanded ideals."""
 
+    @settings(max_examples=300, deadline=None)
+    @given(permuted_ideals())
+    # fixed by the cycle of x, y, z alone
+    @example(minimalize([(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 2, 0), (0, 1, 2), (2, 0, 1)]))
+    # fixed by swapping x and y alone, once z's exponent gcd 3 is divided out
+    @example(minimalize([(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 3)]))
+    def test_orbit_ring_exactly_when_every_permutation_fixes_the_reduced_ideal(self, ideal):
+        # brute force over every permutation of I', each exponent gcd divided out;
+        # the unit ideal's gcds are 0, and it is its own I'
+        cs = [gcd(*column) or 1 for column in zip(*ideal.gens)]
+        reduced = minimalize([[e // c for e, c in zip(g, cs)] for g in ideal.gens])
+        symmetric = minimalize(_orbits(representatives(reduced))) == reduced
+        built, summed = [], []
+
+        def graded(ring, ideal, caps):
+            summed.append(ideal)
+            return dict.fromkeys(caps, 0)
+
+        with mock.patch.object(rees_oracle, "_orbit_ring", lambda d: built.append("orbit")), \
+                mock.patch.object(rees_oracle, "_polynomial_ring", lambda d: built.append("walk")), \
+                mock.patch.object(rees_oracle, "_graded_lengths", graded):
+            rees_colength_monomial(ideal, [1])
+        assert built == ["orbit" if symmetric else "walk"]
+        assert summed == [representatives(reduced) if symmetric else reduced]
+
     @settings(max_examples=150, deadline=None)
     @given(symmetric_pairs(), st.integers(1, 40))
     def test_matches_polynomial_ring(self, case, q):
-        d, free, (j, big_j), (k, big_k) = case
-        ring, poly = _orbit_ring(d, free), _polynomial_ring(d)
-        assert minimalize(_orbits(j, free)) == big_j
-        product = representatives(poly.product(big_j, big_k), free)
+        d, (j, big_j), (k, big_k) = case
+        ring, poly = _orbit_ring(d), _polynomial_ring(d)
+        assert minimalize(_orbits(j)) == big_j
+        product = representatives(poly.product(big_j, big_k))
         assert ring.product(j, k) == ring.product(k, j) == product
-        assert ring.frobenius(j, q) == representatives(poly.frobenius(big_j, q), free)
+        assert ring.frobenius(j, q) == representatives(poly.frobenius(big_j, q))
         assert ring.colength(ring.frobenius(j, q)) == poly.colength(poly.frobenius(big_j, q))
         assert ring.colength(j) == poly.colength(big_j)
         assert ring.colength(ring.product(j, k)) == poly.colength(poly.product(big_j, big_k))
@@ -432,35 +479,27 @@ class TestSymmetricRing:
 
     @pytest.mark.parametrize("d", range(2, 6))
     def test_unit(self, d):
-        for free in range(d - 1):
-            ring = _orbit_ring(d, free)
-            maximal = representatives(parameter_ideal((1,) * d), free)
-            assert minimalize(_orbits(ring.unit, free)) == MonomialIdeal.unit(d)
-            assert ring.product(ring.unit, maximal) == ring.product(maximal, ring.unit) == maximal
-            assert ring.frobenius(ring.unit, 3) == ring.unit
-            assert ring.colength(ring.unit) == 0
-            assert ring.colength(maximal) == 1
+        ring = _orbit_ring(d)
+        maximal = representatives(parameter_ideal((1,) * d))
+        assert minimalize(_orbits(ring.unit)) == MonomialIdeal.unit(d)
+        assert ring.product(ring.unit, maximal) == ring.product(maximal, ring.unit) == maximal
+        assert ring.frobenius(ring.unit, 3) == ring.unit
+        assert ring.colength(ring.unit) == 0
+        assert ring.colength(maximal) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(block_ideals())
     # invariant under swapping y and z; its tail at s = 3 runs past t = (d - 1) s
-    @example((3, [1, 2], minimalize([(0, 0, 4), (0, 4, 0), (1, 0, 3), (1, 3, 0), (4, 0, 0)])))
+    @example((3, minimalize([(0, 0, 4), (0, 4, 0), (1, 0, 3), (1, 3, 0), (4, 0, 0)])))
     def test_oracle_matches_walk_and_window(self, case):
-        # the oracle, on the ring it picks, and the orbit ring on the drawn block moved
-        # last, against the walk and the fixed window; refusals must match too
-        d, block, ideal = case
+        # the oracle, on the ring it picks, against the walk and the fixed window;
+        # refusals must match too
+        d, ideal = case
         ss = range(1, 4 if d <= 3 else 3)
         caps = {s: (d - 1) * s for s in ss}
         walk = outcome(lambda: _graded_lengths(_polynomial_ring(d), ideal, caps))
         assert outcome(lambda: rees_colength_monomial(ideal, ss)) == walk
-        if walk is InfiniteColength:
-            return
-        order = [*(i for i in range(d) if i not in block), *block]
-        moved = minimalize([[g[i] for i in order] for g in ideal.gens])
-        free = d - len(block)
-        ring = _orbit_ring(d, free)
-        assert outcome(lambda: _graded_lengths(ring, representatives(moved, free), caps)) == walk
-        if walk is not StabilizationNotReached:
+        if walk not in (InfiniteColength, StabilizationNotReached):
             window = {s: graded_length_by_window(ideal, s, MonomialIdeal.colength, caps[s] + 2)
                       for s in ss}
             assert walk == window
@@ -498,8 +537,7 @@ class TestSweep:
     # and rees_colength_dim1 give their sweeps
     RINGS = {
         "polynomial": (_polynomial_ring(3), parameter_ideal((1, 2, 3)), lambda q: 2 * q),
-        "symmetric": (_orbit_ring(4, 0), ((0, 0, 0, 2),), lambda q: 3 * q),
-        "partial": (_orbit_ring(4, 1), ((0, 0, 0, 2), (1, 0, 0, 0)), lambda q: 3 * q),
+        "symmetric": (_orbit_ring(4), ((0, 0, 0, 2),), lambda q: 3 * q),
         "plane": (_plane_ring(5), (1, 0, 0, 0, 0), lambda q: 10),
     }
 
@@ -538,8 +576,8 @@ class TestSweep:
         # two-variable tails of the recursion
         make, calls = rees_oracle._orbit_ring, []
 
-        def counting(d, free):
-            ring = make(d, free)
+        def counting(d):
+            ring = make(d)
             return ring._replace(colength=lambda reps: calls.append(reps) or ring.colength(reps))
 
         monkeypatch.setattr(rees_oracle, "_orbit_ring", counting)
@@ -561,7 +599,7 @@ class TestSweep:
         steps, caps = {}, {s: 2 * s for s in range(1, 10)}
         for a in (1, 300):
             calls.clear()
-            sweep = _graded_lengths(_orbit_ring(3, 0), ((0, 0, a),), caps)
+            sweep = _graded_lengths(_orbit_ring(3), ((0, 0, a),), caps)
             assert sweep == {s: cm_sop_hk(3, a**3, s) for s in caps}
             steps[a] = len(calls)
         assert steps[300] == steps[1]
