@@ -49,8 +49,10 @@ from .rees_oracle import (
 )
 
 MONOMIAL_CAP = 10**5
-# a rees-of-m sweep costs about 1-3 us per unit of q a per e; up to q a = 2^18, about 1 s;
-# rees-of-x, the 3-variable count and the alpha table, takes at most 0.2 s there
+# rees-of-m sums a q below its window 2a - 1 at about 1-3 us per unit of q a, and steps a
+# later q up its class mod a from the sum at its base; up to q a = 2^18 a sweep takes
+# 3-20 ms for a <= 64 and at most about 0.8 s (a = 362, q = 719, in the window); rees-of-x,
+# the 3-variable count and the alpha table, takes at most 0.2 s there
 QA_CAP = 2**18
 # `oracle groebner --gens`: an n-bit mask per generator; 10^4 random ones: 0.06 s, 41 MiB peak
 GENS_CAP = 10**4
@@ -58,6 +60,10 @@ GENS_CAP = 10**4
 # residue class; 10^4 rows of `formula cm-sop --d 3 --e0 1` take about 0.09 s
 # in-process, and a dim1 class 13-18 us and 0.8-1.5 KiB, by output format
 ROW_CAP = 10**4
+# `formula cm-sop` weighs a row at d as max(1, d^2 (d + 200) // CM_SOP_SCALE) rows of
+# 9.6 us, the in-process cost of a row at d = 3 over s = 1..10^4; at s = 10^4, rows at
+# d = 33, 100, 400 and 1000 took 0.15 ms, 1.3 ms, 40 ms and 0.52 s, within 25% of that
+CM_SOP_SCALE = 22_000
 
 
 class ResourceCapExceeded(Exception):
@@ -251,7 +257,9 @@ def cmd_formula_cm_sop(args: argparse.Namespace) -> RunReport:
     # invalid input exits 2 before the cap; the range ascends, so nothing is listed
     check_invariants(args.d, 2, args.e0, ss[0])
     rows = ss.stop - ss.start  # the width from the range's ends, never its length
-    _cap(f"a range of {rows} values of s", rows, ROW_CAP, args.force)
+    weight = max(1, args.d**2 * (args.d + 200) // CM_SOP_SCALE)  # a row's cost in d
+    each = f" at {weight} rows' cost each (d = {args.d})" if weight > 1 else ""
+    _cap(f"a range of {rows} values of s{each}", rows * weight, ROW_CAP, args.force)
     report = _report(args, "d", "e0")
     for s in ss:
         report.add({"s": s}, formula=cm_sop_hk(args.d, args.e0, s))

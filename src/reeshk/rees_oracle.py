@@ -19,7 +19,14 @@ up to d! times fewer, and counts colengths by the least coordinate of
 a standard monomial and its multiplicity, not by a staircase walk.
 The hypersurface ring k[X, Y]/(X^a - Y^a) keeps the staircase heights
 of the initial ideal, a tuple of length a, so a step of the sum costs
-O(a) and not O(q).
+O(a) and not O(q).  Three facts of that ring R let the rees-of-m oracle
+sum only one window of q and step every later q up its class mod a:
+
+- m^[q] = Y^a m^[q-a] for q >= a, since X^q = X^(q-a) Y^a in R;
+- m^(n+1) = Y m^n for n >= r, the reduction number, found by a tested
+  equality (r = a - 1);
+- Y is a non-zero-divisor with len(R/YR) = a, so colength(Y J) =
+  colength(J) + a: Y J is J with every height one higher.
 """
 from __future__ import annotations
 
@@ -106,6 +113,26 @@ def _plane_ring(a: int) -> Ring:
         product,
         sum,
     )
+
+
+def _lift(h: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Y^k J of the plane ring, J given by its heights h: every height rises by k."""
+    return tuple(y + k for y in h)
+
+
+def _reduction_number(ring: Ring, ideal: tuple[int, ...], cap: int) -> tuple[int, tuple] | None:
+    """(r, I^r) for the least r <= cap with I^(r+1) = Y I^r in the plane ring, else None.
+
+    The equality is tested, not assumed.  From r on I^(n+1) = Y I^n at
+    every n: I^(n+2) = I Y I^n = Y I^(n+1).
+    """
+    power = ring.unit  # I^r
+    for r in range(cap + 1):
+        later = ring.product(power, ideal)
+        if later == _lift(power, 1):
+            return r, power
+        power = later
+    return None
 
 
 def _orbits(reps: tuple[Vector, ...]) -> set[Vector]:
@@ -268,9 +295,18 @@ def rees_colength_dim1(a: int, variant: str, qs: Sequence[int]) -> dict[int, int
     realized as the 3-variable quotient by (X^a - Y^a, X^q, Y^q, Z^q).
     That quotient is the tensor product R/m^[q] (x)_k k[Z]/(Z^q), so its
     length is q len(R/m^[q]).  Variant 'rees-of-m' measures (m, mt)^[q]
-    in R(m) via the graded decomposition.  No count reads a
-    characteristic, so every q >= 1 is measured; q = p^e is the
-    caller's choice.
+    in R(m) via the graded decomposition, which `_graded_lengths` sums
+    at each q below the window r + a, r the least n with m^(n+1) = Y m^n,
+    and at the base q0 = r + (q - r) mod a of each later q's class.  By
+    m^[q] = Y^a m^[q-a] (tested once per class), m^n = Y^(n-r) m^r for
+    n >= r and colength(Y J) = colength(J) + a, the head at q is that at
+    q - a, each term plus a^2, then a more terms of c(q - a) + a^2, and
+    the tail repeats that at q - a, stop index included.  So L(q) =
+    L(q - a) + q a^2 + a c(q - a), with c(p) = colength(m^[p] m^r) -
+    colength(m^r) taken once at the base and c(p + a) = c(p) + a^2.  r
+    is sought up to max(q) - a; none up to the tail cap 2a raises.  No
+    count reads a characteristic, so every q >= 1 is measured; q = p^e
+    is the caller's choice.
     """
     check_exponent(a)
     if variant not in VARIANTS:
@@ -278,8 +314,34 @@ def rees_colength_dim1(a: int, variant: str, qs: Sequence[int]) -> dict[int, int
     _check_sweep(qs, "q")
     if variant == "rees-of-x":
         return {q: quotient_colength(a, parameter_ideal((q, q, q))) for q in qs}
-    maximal = (1,) + (0,) * (a - 1)  # the heights of (X, Y)
-    return _graded_lengths(_plane_ring(a), maximal, dict.fromkeys(qs, 2 * a))
+    ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)  # the heights of (X, Y)
+    reach = max(qs) - a  # q lies past the window q < r + a iff r <= q - a
+    found = _reduction_number(ring, maximal, min(reach, 2 * a))
+    if found is None:
+        if reach > 2 * a:
+            raise StabilizationNotReached(f"m^(n+1) != Y m^n for all n <= {2 * a}")
+        return _graded_lengths(ring, maximal, dict.fromkeys(qs, 2 * a))
+    r, top = found
+    # a q of the window is summed, a later q stepped up from the base of its class mod a
+    bases = {q: q if q < r + a else r + (q - r) % a for q in qs}
+    lengths = _graded_lengths(ring, maximal, dict.fromkeys(bases.values(), 2 * a))
+    steps: dict[int, tuple[int, int, int]] = {}  # per base: the last q stepped to, L(q), c(q)
+    for q in sorted(q for q, base in bases.items() if q != base):
+        base = bases[q]
+        if base not in steps:
+            frob = ring.frobenius(maximal, base)
+            if ring.frobenius(maximal, base + a) != _lift(frob, a):
+                raise RuntimeError(f"m^[{base + a}] != Y^{a} m^[{base}] modulo X^{a} - Y^{a}")
+            c = ring.colength(ring.product(frob, top)) - ring.colength(top)
+            steps[base] = (base, lengths[base], c)
+        p, length, c = steps[base]
+        while p < q:  # L(p + a) = L(p) + (p + a) a^2 + a c(p), and c(p + a) = c(p) + a^2
+            p += a
+            length += p * a * a + a * c
+            c += a * a
+        steps[base] = (p, length, c)
+        lengths[q] = length
+    return {q: lengths[q] for q in qs}
 
 
 def alpha_table(a: int, n_max: int, qs: Sequence[int]) -> dict[int, dict[int, int]]:

@@ -384,6 +384,21 @@ EXIT_CODE_MATRIX = {
         ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s=-5..20000"],
         2, "error: s must be positive\n",
     ),
+    # a row weighs d^2 (d + 200) // 22000 rows: one row at d = 1000 is past the cap,
+    # and so are 100 rows at d = 100, each weighing 136
+    "cm_sop_row_cost_cap": (
+        ["formula", "cm-sop", "--d", "1000", "--e0", "1", "--s", "3"],
+        3, "error: a range of 1 values of s at 54545 rows' cost each (d = 1000) exceeds the cap "
+           "10000; rerun with --force\n",
+    ),
+    "cm_sop_weighted_rows": (
+        ["formula", "cm-sop", "--d", "100", "--e0", "1", "--s", "1..100"],
+        3, "a range of 100 values of s at 136 rows' cost each (d = 100) exceeds the cap 10000",
+    ),
+    "cm_sop_e0_before_row_cost_cap": (
+        ["formula", "cm-sop", "--d", "1000", "--e0", "0", "--s", "3"],
+        2, "error: e0 must be positive\n",
+    ),
     # formula dim1 has one row per residue class, lcm(7, 11, 13, 17) = 17017 of them,
     # refused before any is built; invalid lengths exit 2 before the cap
     "dim1_period_cap": (

@@ -31,6 +31,11 @@ COMMANDS = {
     "oracle_dim1_p3": [
         "oracle", "dim1", "--a", "3", "--p", "3", "--variant", "rees-of-m", "--e", "1..3",
     ],
+    # q = 32..4096 lie past the window q < 2a - 1 = 25, in eight distinct classes mod 13,
+    # so they are stepped up their class, not summed; captured from the per-q sum
+    "oracle_dim1_a13": [
+        "oracle", "dim1", "--a", "13", "--p", "2", "--variant", "rees-of-m", "--e", "1..12",
+    ],
     # at s = 3 the graded tail runs past t = s - 1, beyond the pieces the head counted
     "oracle_monomial_d4": ["oracle", "monomial", "--exponents", "2,1,1,1", "--s", "1..3"],
     "formula_sop_dim1": ["formula", "sop-dim1", "--e0", "5", "--alpha=-4,-6"],

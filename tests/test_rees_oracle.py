@@ -1,4 +1,5 @@
 """Oracles, formula-oracle equivalence, alpha tables and exact fitting."""
+import functools
 import itertools
 from math import gcd, prod
 from unittest import mock
@@ -21,6 +22,7 @@ from reeshk.rees_oracle import (
     _orbits,
     _plane_ring,
     _polynomial_ring,
+    _reduction_number,
     alpha_table,
     estimate_ehk,
     fit_quasi_polynomial,
@@ -221,7 +223,8 @@ class TestDim1Oracle:
     @pytest.mark.parametrize("a", [3, 5])
     def test_measured_ideals_stay_small(self, a, monkeypatch):
         # every product multiplies at most a staircase corners by the two of
-        # m or m^[q]: m^n itself has n + 1 generators, up to 257 at q = 256
+        # m or m^[q]: m^n itself has n + 1 generators, up to 257 at q = 256.
+        # The oracle steps q = 256 up its class; the graded sum still sums it
         measured = []
 
         def spy(exponent, pairs):
@@ -230,8 +233,130 @@ class TestDim1Oracle:
 
         monkeypatch.setattr(rees_oracle, "plane_heights", spy)
         rees_colength_dim1(a, "rees-of-m", [256])
+        assert measured and max(measured) <= 2 * a
+        measured.clear()
+        _graded_lengths(_plane_ring(a), (1,) + (0,) * (a - 1), {256: 2 * a})
         assert len(measured) >= 2 * 256
         assert max(measured) <= 2 * a
+
+    @pytest.mark.parametrize("a", [2, 5, 13])
+    def test_products_do_not_grow_with_q_past_the_window(self, a, monkeypatch):
+        # past the window q < r + a = 2a - 1, q and q + 10a share a base and
+        # differ only in steps of the recurrence, which take no product
+        products = []
+
+        def counting_ring(exponent):
+            ring = _plane_ring(exponent)
+
+            def product(h, k):
+                products.append(None)
+                return ring.product(h, k)
+
+            return ring._replace(product=product)
+
+        monkeypatch.setattr(rees_oracle, "_plane_ring", counting_ring)
+        for q in range(2 * a - 1, 3 * a - 1):
+            counts = []
+            for later in (q, q + 10 * a):
+                products.clear()
+                rees_colength_dim1(a, "rees-of-m", [later])
+                counts.append(len(products))
+            assert counts[0] == counts[1], q
+
+    def test_bracket_power_identity_is_tested_on_each_chain(self, monkeypatch):
+        # a ring whose m^[q] breaks m^[q] = Y^a m^[q - a] past the window is refused
+        def broken_ring(exponent):
+            ring = _plane_ring(exponent)
+
+            def frobenius(h, q):
+                power = ring.frobenius(h, q)
+                return power if q < 2 * exponent - 1 else (*power[:-1], power[-1] + 1)
+
+            return ring._replace(frobenius=frobenius)
+
+        monkeypatch.setattr(rees_oracle, "_plane_ring", broken_ring)
+        assert rees_colength_dim1(5, "rees-of-m", [8]) == {8: 310}  # q = 8 < 9 is summed
+        with pytest.raises(RuntimeError, match=r"^m\^\[11\] != Y\^5 m\^\[6\] "):
+            rees_colength_dim1(5, "rees-of-m", [16])
+
+
+@st.composite
+def plane_ideals(draw):
+    """(a, J) for a = 2..12 and a random ideal J of k[X, Y]/(X^a - Y^a), as its heights."""
+    a = draw(st.integers(2, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3 * a), st.integers(0, 3 * a)), min_size=1,
+                          max_size=6))
+    return a, plane_heights(a, pairs)
+
+
+@functools.cache
+def plane_graded_lengths(a):
+    """{q: the graded sum at q} for q <= 8a, the reference of the rees-of-m oracle."""
+    caps = dict.fromkeys(range(1, 8 * a + 1), 2 * a)
+    return _graded_lengths(_plane_ring(a), (1,) + (0,) * (a - 1), caps)
+
+
+class TestPlaneShift:
+    """The facts of k[X, Y]/(X^a - Y^a) that let rees-of-m step q up its class mod a."""
+
+    @settings(max_examples=200)
+    @given(plane_ideals(), st.integers(0, 5), st.integers(0, 11))
+    def test_bracket_power_is_y_to_the_a_times_the_one_below(self, case, k, offset):
+        # m^[q] = Y^a m^[q - a] for q >= a, seen through the product with any J
+        a, j = case
+        q = a + k * a + offset % a
+        ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)
+        below = ring.product(ring.frobenius(maximal, q - a), j)
+        assert ring.product(ring.frobenius(maximal, q), j) == tuple(h + a for h in below)
+
+    @settings(max_examples=200)
+    @given(plane_ideals())
+    def test_y_is_a_non_zero_divisor_of_colength_a(self, case):
+        a, j = case
+        ring, y = _plane_ring(a), plane_heights(a, [(0, 1)])
+        assert ring.product(y, j) == tuple(h + 1 for h in j)
+        assert ring.colength(ring.product(y, j)) == ring.colength(j) + a
+
+    @pytest.mark.parametrize("a", range(2, 13))
+    def test_reduction_number_of_m_is_a_minus_one(self, a):
+        ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)
+        powers = [ring.unit]
+        for _ in range(a):
+            powers.append(ring.product(powers[-1], maximal))
+        assert _reduction_number(ring, maximal, 2 * a) == (a - 1, powers[a - 1])
+        # tested, not assumed: m^(n+1) != Y m^n below a - 1, so a cap there finds none
+        assert all(powers[n + 1] != tuple(h + 1 for h in powers[n]) for n in range(a - 1))
+        assert _reduction_number(ring, maximal, a - 2) is None
+
+    def test_no_reduction_number_within_the_cap_is_refused(self, monkeypatch):
+        # r is sought up to min(max q - a, 2a): a q past the window with none found
+        # raises, and a sweep whose every q may lie in the window is summed
+        monkeypatch.setattr(rees_oracle, "_reduction_number", lambda ring, ideal, cap: None)
+        refusal = r"^m\^\(n\+1\) != Y m\^n for all n <= 10$"
+        with pytest.raises(StabilizationNotReached, match=refusal):
+            rees_colength_dim1(5, "rees-of-m", [4, 16])
+        assert rees_colength_dim1(5, "rees-of-m", [15, 4]) == {
+            q: plane_graded_lengths(5)[q] for q in (15, 4)
+        }
+
+    def test_reduction_number_is_sought_only_as_far_as_the_sweep_needs(self, monkeypatch):
+        # up to max q - a, where no product is taken when every q < a, and at most 2a
+        caps = []
+
+        def spy(ring, ideal, cap):
+            caps.append(cap)
+            return _reduction_number(ring, ideal, cap)
+
+        monkeypatch.setattr(rees_oracle, "_reduction_number", spy)
+        assert rees_colength_dim1(4096, "rees-of-m", [1, 2, 4]) == {1: 1, 2: 10, 4: 84}
+        assert rees_colength_dim1(13, "rees-of-m", [20]) == {20: plane_graded_lengths(13)[20]}
+        rees_colength_dim1(13, "rees-of-m", [1300])
+        assert caps == [4 - 4096, 20 - 13, 2 * 13]
+
+    @pytest.mark.parametrize("a", range(2, 13))
+    def test_oracle_matches_graded_sum_up_to_8a(self, a):
+        qs = range(1, 8 * a + 1)
+        assert rees_colength_dim1(a, "rees-of-m", qs) == plane_graded_lengths(a)
 
 
 class TestGradedLength:
