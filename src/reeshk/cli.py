@@ -260,9 +260,20 @@ def cmd_formula_cm_sop(args: argparse.Namespace) -> RunReport:
     weight = max(1, args.d**2 * (args.d + 200) // CM_SOP_SCALE)  # a row's cost in d
     each = f" at {weight} rows' cost each (d = {args.d})" if weight > 1 else ""
     _cap(f"a range of {rows} values of s{each}", rows * weight, ROW_CAP, args.force)
+    # digits of e0 d s^(d+1), which bounds the value; log10(2) < 0.30103
+    digits = (args.e0 * args.d * ss[-1] ** (args.d + 1)).bit_length() * 30103 // 100000 + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, as before 3.10.7
+    _cap(f"a value of up to {digits} digits", digits, limit or digits, args.force)
     report = _report(args, "d", "e0")
-    for s in ss:
-        report.add({"s": s}, formula=cm_sop_hk(args.d, args.e0, s))
+    lift = 0 < limit < digits  # forced past the limit, the value prints in full
+    try:
+        if lift:
+            sys.set_int_max_str_digits(0)
+        for s in ss:
+            report.add({"s": s}, formula=cm_sop_hk(args.d, args.e0, s))
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
     return report
 
 

@@ -6,8 +6,9 @@ The monomial oracle takes the m-primary ideal it measures, such as the
 sums on I', each variable's exponent gcd c_i divided out, times prod(c),
 the rank of k[x] over k[x_1^c_1, ..., x_d^c_d].
 One routine, `_graded_lengths`, sums lengths over the graded
-decomposition of the Rees algebra and detects where the sum stops by
-an explicit ideal-equality test rather than taking it from theory.  It
+decomposition of the Rees algebra and detects where the sum stops,
+never taking it from theory: from t = q by an explicit ideal-equality
+test, below t = q by a colength tie, as I^[q] I^t lies in I^(q+t).  It
 takes a whole sweep of s or q at once: one chain of powers I^n serves
 every q of the sweep, so colength(I^n) is taken once per n, not once
 per n and q.  It works in a `Ring`, whose ideals are canonical values,
@@ -30,6 +31,7 @@ sum only one window of q and step every later q up its class mod a:
 """
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from itertools import count, permutations
 from math import comb, gcd, prod
@@ -156,8 +158,10 @@ def _orbit_ring(d: int) -> Ring:
     coordinates, less hi, are a standard point of the tails g[k:] of the
     g with g[k-1] <= lo, shifted down by hi.  So the work follows the
     generators, not the size of the exponents.  A one-variable tail
-    counts its least exponent, a longer one is memoised for the life of
-    the ring, and two variables are expanded and walked by `MonomialIdeal`.
+    counts its least exponent, and a longer one is memoised for the life
+    of the ring: a two-variable tail is its sorted minimal pairs from the
+    last a <= hi on, shifted, which needs no minimalising, and two
+    variables are expanded and walked by `MonomialIdeal`.
     """
     memo: dict[tuple[Vector, ...], int] = {}
 
@@ -181,14 +185,18 @@ def _orbit_ring(d: int) -> Ring:
                 joining.setdefault(g[k - 1], []).append(g[k:])
             active: tuple[Vector, ...] = ()
             for lo, hi in cells:
-                if lo in joining:
-                    active = _minimal_vectors((*active, *joining[lo]))
-                if k < m - 1:
-                    tail = _minimal_vectors((*(max(e - hi, 0) for e in t),) for t in active)
-                    if tail not in memo:
-                        memo[tail] = count(tail)
-                # a one-variable tail counts its least exponent, less hi
-                size = memo[tail] if k < m - 1 else max(active[0][0] - hi, 0)
+                if lo in joining:  # one variable keeps its least exponent
+                    joined = (*active, *joining[lo])
+                    active = (min(joined),) if k == m - 1 else _minimal_vectors(joined)
+                if k == m - 1:  # one variable: its least exponent less hi
+                    size = max(active[0][0] - hi, 0)
+                else:
+                    if k == m - 2:  # minimal pairs: a rises, b falls; minimal from the last a <= hi
+                        rest = active[max(bisect(active, (hi + 1,)) - 1, 0) :]
+                        tail = tuple((max(a - hi, 0), max(b - hi, 0)) for a, b in rest)
+                    else:
+                        tail = _minimal_vectors((*(max(e - hi, 0) for e in t),) for t in active)
+                    size = memo[tail] if tail in memo else memo.setdefault(tail, count(tail))
                 total += comb(m, k) * (hi - lo) ** k * size
         return total
 
@@ -205,20 +213,17 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
 
     For each q, sums colength(I^[q] I^n) - colength(I^n) for n < q, then
     colength(I^[q] I^t) - colength(I^(q+t)) for t = 0, 1, ... until
-    I^[q] I^t == I^(q+t).  The equality is tested, not assumed; a piece
-    past t = caps[q] that still differs raises.  One chain of powers
-    I^n, advanced by one product per step, serves every q, so
-    colength(I^n) is taken at most once per n, and only when some q
-    needs it.  Each q keeps its I^[q], the colengths of I^[q] I^n for
-    n < q (which its tail reuses for t < q), its own I^t and a running
-    total.  At t < q the product I^[q] I^t is formed only when its kept
-    colength equals colength(I^(q+t)): ideals of unequal colength are
-    unequal, and on a tie the equality is tested as at t >= q.
+    I^[q] I^t == I^(q+t), detected, not assumed: from t = q by the product,
+    below t = q by a colength tie, as I^[q] I^t lies in I^(q+t).  A piece
+    past t = caps[q] that still differs raises.  One chain of powers I^n
+    serves every q, taking colength(I^n) at most once per n.  Each q keeps
+    I^[q], the colengths of I^[q] I^n for n < q, which its tail reuses for
+    t < q, a total and, from n = q, its own I^t: I^q set aside from the chain.
     """
     power = ring.unit  # I^n
-    # per open q: I^[q], its head, I^t and the total; the head is sized once,
+    # per open q: I^[q], its head, I^t (I^q from n = q) and the total; the head is sized once,
     # since growing it between colength walks fragmented the heap and raised peak RSS
-    open_qs = {q: (ring.frobenius(ideal, q), [0] * q, power, 0) for q in caps}
+    open_qs = {q: (ring.frobenius(ideal, q), [0] * q, None, 0) for q in caps}
     lengths = dict.fromkeys(caps, 0)  # in the order of caps
     for n in count():
         # colength(I^n), taken at most once: up front when a head or a tail t < q needs it
@@ -228,9 +233,8 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
             if t < 0:
                 length = head[n] = ring.colength(ring.product(frob, power))
             else:
-                # ideals of unequal colength differ, so such a t < q needs no product
-                piece = None if t < q and head[t] != base else ring.product(frob, shifted)
-                if piece == power:
+                piece = None if t < q else ring.product(frob, shifted)
+                if head[t] == base if t < q else piece == power:
                     lengths[q] = total
                     del open_qs[q]
                     continue
@@ -239,10 +243,10 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
                         f"I^[q] I^t != I^(q+t) for all t <= {caps[q]} at q={q}"
                     )
                 length = head[t] if t < q else ring.colength(piece)
-                shifted = ring.product(shifted, ideal)
+                shifted = shifted if t < q else ring.product(shifted, ideal)
             if base is None:
                 base = ring.colength(power)
-            open_qs[q] = (frob, head, shifted, total + length - base)
+            open_qs[q] = (frob, head, power if t == 0 else shifted, total + length - base)
         if not open_qs:
             return lengths
         power = ring.product(power, ideal)

@@ -833,6 +833,47 @@ class TestExitCodes:
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0 and len(csv_rows(out)) >= 7
 
+    def test_digit_bound_is_above_the_value(self):
+        # the digit cap reads the digits of e0 d s^(d+1), so the value stays below it
+        assert all(
+            hk_formulas.cm_sop_hk(d, 1, s) < d * s ** (d + 1)
+            for d in range(2, 25) for s in range(1, 25)
+        )
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_value_past_the_digit_limit_exits_three(self, capsys, monkeypatch):
+        # e0 d s^(d+1) bounds the value: 4872 digits at d = 540 and s = 10^9, past the
+        # interpreter's limit, so it is refused before any row rather than failing to
+        # print as invalid input; 3790 at s = 10^7, under it; forced, it prints in full
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            argv = ["formula", "cm-sop", "--d", "540", "--e0", "1", "--format", "json", "--s"]
+            code, out, _ = run(capsys, *argv, "10000000")
+            assert code == 0 and json.loads(out)["rows"][0]["formula"]
+            monkeypatch.setattr(cli, "cm_sop_hk", lambda *a: pytest.fail("a row was built"))
+            code, out, err = run(capsys, *argv, "1000000000")
+            assert code == 3 and out == ""
+            assert err == (
+                "error: a value of up to 4872 digits exceeds the cap 4300; rerun with --force\n"
+            )
+            # a row that raises leaves the limit as it was
+            monkeypatch.setattr(cli, "cm_sop_hk", lambda *a: 1 // 0)
+            assert run(capsys, *argv, "1000000000", "--force")[0] == 4
+            assert sys.get_int_max_str_digits() == 4300
+            monkeypatch.undo()
+            code, out, err = run(capsys, *argv, "1000000000", "--force")
+            assert code == 0 and err == ""
+            assert sys.get_int_max_str_digits() == 4300  # restored after the rows
+            sys.set_int_max_str_digits(0)
+            value = hk_formulas.cm_sop_hk(540, 1, 10**9)
+            assert json.loads(out)["rows"][0]["formula"] == str(value)
+            assert len(str(value)) in range(4301, 4873)
+            # with no limit nothing is refused
+            assert run(capsys, *argv, "1000000000")[1] == out
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_parse_range_lists_nothing(self):
         assert parse_range("2..5") == range(2, 6)
         assert parse_range("3") == range(3, 4)

@@ -478,6 +478,77 @@ class TestGradedLength:
             )
             assert rees_colength_dim1(a, "rees-of-m", [q])[q] == expected, q
 
+    # (ring, ideal, the q of the sweep); (x^2, xy, y^2) and (x^2, y^3, z^2, xyz) are
+    # not parameter ideals
+    STOPS = {
+        "orbit": (_orbit_ring(3), ((0, 0, 1),), range(1, 7)),
+        "orbit-non-parameter": (_orbit_ring(2), ((0, 2), (1, 1)), range(1, 7)),
+        "walk": (
+            _polynomial_ring(3), minimalize([(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)]),
+            range(1, 5),
+        ),
+        "plane": (_plane_ring(5), (1, 0, 0, 0, 0), range(1, 16)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STOPS))
+    def test_every_detected_stop_is_the_equality(self, case):
+        # the sum stops below t = q on a colength tie, with no product; here the
+        # explicit product I^[q] I^t is formed at the first tie and must equal I^(q+t)
+        ring, ideal, qs = self.STOPS[case]
+        powers = [ring.unit]  # I^n
+
+        def power_of(n):
+            while len(powers) <= n:
+                powers.append(ring.product(powers[-1], ideal))
+            return powers[n]
+
+        for q in qs:
+            frob = ring.frobenius(ideal, q)
+            length = sum(ring.colength(ring.product(frob, power_of(n)))
+                         - ring.colength(power_of(n)) for n in range(q))
+            t = 0
+            while (ring.colength(piece := ring.product(frob, power_of(t)))
+                   != ring.colength(power_of(q + t))):
+                length += ring.colength(piece) - ring.colength(power_of(q + t))
+                t += 1
+            assert piece == power_of(q + t), (q, t)
+            # the sum stops at that t: under the cap t - 1 it holds, under t - 2 it raises
+            assert _graded_lengths(ring, ideal, {q: max(t - 1, 0)}) == {q: length}
+            if t >= 2:
+                with pytest.raises(StabilizationNotReached):
+                    _graded_lengths(ring, ideal, {q: t - 2})
+
+    # (exponents, the sweep of s, the orbit ring's products); the graded sum formed 179
+    # and 457 while it still formed I^[q] I^t on a colength tie below t = q
+    @pytest.mark.parametrize("exps, ss, products", [
+        ((1, 1, 1), range(1, 10), 134),
+        ((1, 1), range(2, 21), 248),
+    ])
+    def test_orbit_products_are_pinned(self, exps, ss, products):
+        d = len(exps)
+        ring, calls = _orbit_ring(d), []
+        counting = ring._replace(product=lambda j, k: calls.append(1) or ring.product(j, k))
+        caps = {s: (d - 1) * s for s in ss}
+        sweep = _graded_lengths(counting, ((0,) * (d - 1) + (1,),), caps)
+        assert sweep == {s: cm_sop_hk(d, 1, s) for s in ss}
+        assert len(calls) == products
+
+    def test_walk_product_pairs_do_not_rise(self, monkeypatch):
+        # generator pairs over every MonomialIdeal product of a sweep on the walk; the
+        # sum formed 68108 while it still formed I^[q] I^t on a tie below t = q
+        product, pairs = MonomialIdeal.product, []
+
+        def counting(self, other):
+            pairs.append(len(self.gens) * len(other.gens))
+            return product(self, other)
+
+        monkeypatch.setattr(MonomialIdeal, "product", counting)
+        ideal = minimalize([(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])
+        assert rees_colength_monomial(ideal, range(1, 10)) == {
+            1: 10, 2: 242, 3: 1267, 4: 4069, 5: 9984, 6: 20822, 7: 38616, 8: 66044, 9: 105889,
+        }
+        assert sum(pairs) <= 64808
+
 
 def representatives(ideal):
     """The sorted exponents of each generator: the orbit ring's value."""
@@ -628,6 +699,34 @@ class TestSymmetricRing:
             window = {s: graded_length_by_window(ideal, s, MonomialIdeal.colength, caps[s] + 2)
                       for s in ss}
             assert walk == window
+
+
+@st.composite
+def wide_symmetric_ideals(draw):
+    """An m-primary ideal in d = 1..5 variables fixed by every permutation, and its orbit value.
+
+    Its exponents reach 6 (4 for d > 3), so the tails take several cells.
+    """
+    d = draw(st.integers(1, 5))
+    top = 6 if d <= 3 else 4
+    gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * d), max_size=4))
+    gens.append((draw(st.integers(1, top)),) + (0,) * (d - 1))
+    ideal = minimalize(_orbits(gens))
+    return d, representatives(ideal), ideal
+
+
+class TestOrbitColength:
+    """The orbit colength against the walk.
+
+    Its one-variable tails keep their least exponent, and its two-variable tails key the
+    memo with no minimalising.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_symmetric_ideals())
+    def test_orbit_colength_matches_the_walk(self, case):
+        d, reps, ideal = case
+        assert _orbit_ring(d).colength(reps) == ideal.colength()
 
 
 @st.composite
