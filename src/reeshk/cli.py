@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from math import lcm, prod
 from typing import Optional, Sequence
@@ -154,6 +153,8 @@ def render_csv(report: RunReport) -> str:
 
 
 def render_json(report: RunReport) -> str:
+    import json  # here, not at the top: only --format json needs it
+
     doc = {
         "instance": report.instance,
         "mode": report.mode,
@@ -538,34 +539,32 @@ EXIT_CODES = {
 
 
 def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The `hk` parser: every group, and the leaf of the command that argv[:2] names.
-
-    Any other argv, or none, gets every leaf.  All five groups stay, so the
-    root usage line in an "unrecognized arguments" error lists them all.
-    """
+    """The `hk` parser: the root, group and leaf of the command argv[:2] names, else all."""
     parser = argparse.ArgumentParser(
         prog="hk",
         description="Exact Hilbert-Kunz functions of Rees algebra ideals.",
         allow_abbrev=False,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=sorted(RENDERERS), default="table", help="output format"
-    )
-    common.add_argument("--force", action="store_true", help="bypass resource caps")
-    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = tuple(argv or ())[:2]
+    named = chosen in COMMANDS
+    # a named command's root still lists all five groups, as the full tree's usage line does
+    metavar = "{" + ",".join(GROUPS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     groups = {
-        group: sub.add_parser(group, help=text, allow_abbrev=False).add_subparsers(
+        group: sub.add_parser(group, help=GROUPS[group], allow_abbrev=False).add_subparsers(
             dest="which", required=True
         )
-        for group, text in GROUPS.items()
+        for group in (chosen[:1] if named else GROUPS)
     }
-    chosen = tuple(argv or ())[:2]
-    commands = {chosen: COMMANDS[chosen]} if chosen in COMMANDS else COMMANDS
+    commands = {chosen: COMMANDS[chosen]} if named else COMMANDS
     for (group, name), (handler, flags) in commands.items():
         # one spelling per flag: no unique prefix stands in for it
-        leaf = groups[group].add_parser(name, parents=[common], allow_abbrev=False)
+        leaf = groups[group].add_parser(name, allow_abbrev=False)
         leaf.set_defaults(handler=handler)
+        leaf.add_argument(
+            "--format", choices=sorted(RENDERERS), default="table", help="output format"
+        )
+        leaf.add_argument("--force", action="store_true", help="bypass resource caps")
         for flag, spec in flags.items():
             if isinstance(spec, dict):
                 leaf.add_argument(flag, **spec)

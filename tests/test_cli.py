@@ -963,11 +963,34 @@ class TestParser:
         assert (code, out, err) == parsed(capsys, build_parser(), argv)[:3]
         assert code in (0, 2) and usage in out + err
 
-    def test_a_command_builds_every_group_and_one_leaf(self):
-        groups = _choices(build_parser(["compare", "dim1", "--a", "5"]))
-        assert list(groups) == list(GROUPS)
+    @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
+    def test_a_command_builds_its_group_and_leaf_only(self, command):
+        groups = _choices(build_parser([*command, *_required(COMMANDS[command][1])]))
+        assert list(groups) == [command[0]]
         leaves = [(group, name) for group, sub in groups.items() for name in _choices(sub)]
-        assert leaves == [("compare", "dim1")]
+        assert leaves == [command]
+
+    @pytest.mark.parametrize(
+        "command", [*sorted(COMMANDS), None], ids=lambda c: "-".join(c) if c else "full_tree"
+    )
+    def test_parsers_built(self, monkeypatch, command):
+        # a named command builds the root, its group and its leaf; no argv, all 20
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser(list(command) if command else None)
+        assert len(built) == (3 if command else 20)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
+    def test_unknown_flag_prints_the_root_usage(self, capsys, command):
+        code, out, err = run(capsys, *command, *_required(COMMANDS[command][1]), "--bogus")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: hk [-h] {formula,oracle,compare,fit,example} ...\n")
 
     def test_no_command_builds_every_leaf(self):
         groups = _choices(build_parser())

@@ -2,8 +2,9 @@
 
 Every `hk` command is a fresh process, so each module that
 `import reeshk.cli` pulls in costs every command.  `dataclasses` brings
-`inspect`, `ast`, `dis` and `tokenize` with it, and `csv` serves
-`--format csv` alone, which imports it when it renders.
+`inspect`, `ast`, `dis` and `tokenize` with it, and `csv` and `json`
+serve `--format csv` and `--format json` alone, which import them when
+they render.
 """
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-NOT_AT_STARTUP = ["dataclasses", "inspect", "csv"]
+NOT_AT_STARTUP = ["dataclasses", "inspect", "csv", "json"]
 
 
 def _loaded(code: str) -> set[str]:
