@@ -28,14 +28,20 @@ sum only one window of q and step every later q up its class mod a:
   equality (r = a - 1);
 - Y is a non-zero-divisor with len(R/YR) = a, so colength(Y J) =
   colength(J) + a: Y J is J with every height one higher.
+
+A fourth fact holds in every local ring: len(R/mJ) = len(R/J) +
+dim_k J/mJ, the colength of J plus its number of minimal generators
+(Nakayama).  So when I = m, each product I^n I, I^[q] I^n and I^[q] I^t
+of the graded sum steps from the last one, and only I and each I^[q]
+are counted.
 """
 from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from itertools import count, permutations
-from math import comb, gcd, prod
-from operator import add, floordiv
+from itertools import count, groupby, permutations
+from math import comb, factorial, gcd, prod
+from operator import add, eq, floordiv
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
@@ -80,6 +86,7 @@ class Ring(NamedTuple):
     frobenius: Callable[[Hashable, int], Hashable]  # I, q -> I^[q]
     product: Callable[[Hashable, Hashable], Hashable]
     colength: Callable[[Hashable], int]
+    generators: Callable[[Hashable], int] | None = None  # mu(J), its minimal generators
 
 
 def _polynomial_ring(d: int) -> Ring:
@@ -161,9 +168,20 @@ def _orbit_ring(d: int) -> Ring:
     counts its least exponent, and a longer one is memoised for the life
     of the ring: a two-variable tail is its sorted minimal pairs from the
     last a <= hi on, shifted, which needs no minimalising, and two
-    variables are expanded and walked by `MonomialIdeal`.
+    variables are expanded and walked by `MonomialIdeal`.  No permutation
+    of one minimal representative divides a permutation of another, as
+    sorting keeps <=, so the ideal's number of minimal generators is the
+    sum of its orbit sizes d!/prod(m_e!), m_e the multiplicity of each
+    exponent, memoised by which neighbouring exponents are equal.
     """
     memo: dict[tuple[Vector, ...], int] = {}
+    sizes: dict[tuple[bool, ...], int] = {}
+
+    def orbit_size(g: Vector) -> int:
+        key = (*map(eq, g, g[1:]),)
+        if key not in sizes:
+            sizes[key] = factorial(d) // prod(factorial(len([*run])) for _, run in groupby(g))
+        return sizes[key]
 
     def product(j: tuple[Vector, ...], k: tuple[Vector, ...]) -> tuple[Vector, ...]:
         if len(j) < len(k):
@@ -205,6 +223,7 @@ def _orbit_ring(d: int) -> Ring:
         lambda reps, q: tuple((*(q * e for e in g),) for g in reps),
         product,
         count,
+        lambda reps: sum(map(orbit_size, reps)),
     )
 
 
@@ -219,19 +238,26 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
     serves every q, taking colength(I^n) at most once per n.  Each q keeps
     I^[q], the colengths of I^[q] I^n for n < q, which its tail reuses for
     t < q, a total and, from n = q, its own I^t: I^q set aside from the chain.
+    When the ring counts generators and I is m, the one ideal of colength
+    1, colength(J m) = colength(J) + generators(J): the chain steps
+    colength(I^n), and each q the colength of its next piece I^[q] I^k, k
+    = n in the head and t from t = q, each the last one times m.  Then
+    only I and each I^[q] are counted.
     """
-    power = ring.unit  # I^n
-    # per open q: I^[q], its head, I^t (I^q from n = q) and the total; the head is sized once,
-    # since growing it between colength walks fragmented the heap and raised peak RSS
-    open_qs = {q: (ring.frobenius(ideal, q), [0] * q, None, 0) for q in caps}
+    step = ring.generators is not None and ring.colength(ideal) == 1
+    power, base = ring.unit, 0  # I^n and, when stepping, colength(I^n)
+    # per open q: I^[q], its head, I^t (I^q from n = q), the total and, when stepping, the
+    # colength of its next piece; the head is sized once, since growing it between colength
+    # walks fragmented the heap and raised peak RSS
+    open_qs = {q: (ring.frobenius(ideal, q), [0] * q, None, 0, None) for q in caps}
     lengths = dict.fromkeys(caps, 0)  # in the order of caps
     for n in count():
-        # colength(I^n), taken at most once: up front when a head or a tail t < q needs it
-        base = ring.colength(power) if any(n < 2 * q for q in open_qs) else None
-        for q, (frob, head, shifted, total) in list(open_qs.items()):
+        if not step:  # colength(I^n), at most once: up front when a head or a tail t < q needs it
+            base = ring.colength(power) if any(n < 2 * q for q in open_qs) else None
+        for q, (frob, head, shifted, total, ahead) in list(open_qs.items()):
             t = n - q
             if t < 0:
-                length = head[n] = ring.colength(ring.product(frob, power))
+                piece = ring.product(frob, power)
             else:
                 piece = None if t < q else ring.product(frob, shifted)
                 if head[t] == base if t < q else piece == power:
@@ -242,13 +268,21 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
                     raise StabilizationNotReached(
                         f"I^[q] I^t != I^(q+t) for all t <= {caps[q]} at q={q}"
                     )
-                length = head[t] if t < q else ring.colength(piece)
                 shifted = shifted if t < q else ring.product(shifted, ideal)
+            if piece is None:
+                length = head[t]
+            else:
+                length = ring.colength(piece) if ahead is None else ahead
+                ahead = length + ring.generators(piece) if step else None
+                if t < 0:
+                    head[n] = length
             if base is None:
                 base = ring.colength(power)
-            open_qs[q] = (frob, head, power if t == 0 else shifted, total + length - base)
+            open_qs[q] = (frob, head, power if t == 0 else shifted, total + length - base, ahead)
         if not open_qs:
             return lengths
+        if step:
+            base += ring.generators(power)
         power = ring.product(power, ideal)
 
 

@@ -11,8 +11,10 @@ from each generator's support; the staircase walk with
 inclusion-exclusion; the graded-sum monomial oracle with the closed
 form cm_sop_hk on all three of its branches, and with itself at unit
 exponents scaled by e0; its base change, each variable's exponent gcd
-divided out, with the graded sum on the unreduced ideal; and
-parse_ideal with format_ideal.
+divided out, with the graded sum on the unreduced ideal; parse_ideal
+with format_ideal; and colength(J m) = colength(J) + mu(J), with the
+orbit ring's generator count against its expanded orbits, and the
+graded sum that steps it with the one that counts every colength.
 """
 from itertools import permutations
 from math import prod
@@ -43,6 +45,8 @@ from reeshk.monomial_algebra import (
 from reeshk.rees_oracle import (
     StabilizationNotReached,
     _graded_lengths,
+    _orbit_ring,
+    _orbits,
     _plane_ring,
     _polynomial_ring,
     parameter_ideal,
@@ -458,3 +462,97 @@ class TestMonomialBaseChange:
         base = rees_colength_monomial(minimalize([(2, 0), (1, 1), (0, 2)]), ss)
         assert scaled == {s: 2 * length for s, length in base.items()}
         assert (scaled[20], base[20]) == (68920, 34460)
+
+
+def maximal_ideal(d):
+    """m = (x_1, ..., x_d) on the orbit ring: its one representative."""
+    return ((0,) * (d - 1) + (1,),)
+
+
+def walk_with_generators(d):
+    """The walk, told that mu(J) is the number of J's minimal generators: it steps when I = m."""
+    return _polynomial_ring(d)._replace(generators=lambda j: len(j.gens))
+
+
+@st.composite
+def symmetric_representatives(draw, top_d):
+    """(d, reps): an m-primary ideal in d = 1..top_d fixed by every permutation, on orbits.
+
+    Exponents up to 3 repeat often, so orbits of every shape occur.
+    """
+    d = draw(st.integers(1, top_d))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=5))
+    gens.append((0,) * (d - 1) + (draw(st.integers(1, 4)),))
+    return d, _minimal_vectors((*sorted(g),) for g in gens)
+
+
+class TestColengthTimesMaximal:
+    """colength(J m) = colength(J) + mu(J) (Nakayama), and the graded sum that steps by it.
+
+    When I = m the sum counts only I and each I^[q], and steps every
+    other colength from the last product; with no generator count it
+    counts each one.  Values and refusals must agree.
+    """
+
+    @settings(max_examples=200)
+    @given(symmetric_representatives(5))
+    @example((5, ((0, 0, 0, 0, 1),)))
+    @example((4, ((0, 0, 2, 2), (0, 1, 1, 1), (0, 0, 0, 3))))
+    def test_orbit_generators_count_the_expanded_orbits(self, case):
+        d, reps = case
+        orbits = _orbits(reps)
+        assert _orbit_ring(d).generators(reps) == len(orbits)
+        assert len(minimalize(orbits).gens) == len(orbits)  # every permuted rep is minimal
+
+    @settings(max_examples=100)
+    @given(symmetric_representatives(4))
+    def test_orbit_ring_identity(self, case):
+        d, reps = case
+        ring = _orbit_ring(d)
+        assert ring.colength(ring.product(reps, maximal_ideal(d))) == (
+            ring.colength(reps) + ring.generators(reps)
+        )
+
+    @settings(max_examples=100)
+    @given(primary_generators())
+    def test_walk_identity(self, case):
+        d, gens = case
+        ring, ideal = walk_with_generators(d), minimalize(gens)
+        maximal = parameter_ideal((1,) * d) if d >= 2 else minimalize([(1,)])
+        assert ring.colength(ring.product(ideal, maximal)) == (
+            ring.colength(ideal) + ring.generators(ideal)
+        )
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from([(_orbit_ring, d) for d in range(1, 6)]
+                        + [(walk_with_generators, d) for d in (2, 3)]),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+        st.integers(0, 3),
+    )
+    # a shortfall of 5 puts the cap at q = 3 below its stop: both sides raise
+    @example((_orbit_ring, 4), [3, 2], 5)
+    @example((walk_with_generators, 3), [3, 1], 5)
+    def test_stepped_sum_matches_the_counted_sum(self, make, qs, short):
+        # each cap is the oracle's (d - 1) q, less `short`; a shortfall past the stop raises
+        build, d = make
+        ring = build(d)
+        ideal = maximal_ideal(d) if build is _orbit_ring else parameter_ideal((1,) * d)
+        caps = {q: max((d - 1) * q - short, 0) for q in qs}
+        counted = lengths_or_refusal(
+            lambda: _graded_lengths(ring._replace(generators=None), ideal, caps)
+        )
+        assert lengths_or_refusal(lambda: _graded_lengths(ring, ideal, caps)) == counted
+        if short == 5:
+            assert counted is StabilizationNotReached
+
+    @pytest.mark.parametrize("d, ss, most", [(3, range(1, 10), 10), (2, range(2, 21), 20)])
+    def test_stepped_sum_counts_only_i_and_each_bracket_power(self, d, ss, most):
+        # counting every product's colength took 98 and 249 counts
+        ring, calls = _orbit_ring(d), []
+        counting = ring._replace(colength=lambda reps: calls.append(1) or ring.colength(reps))
+        caps = {s: (d - 1) * s for s in ss}
+        assert _graded_lengths(counting, maximal_ideal(d), caps) == {
+            s: cm_sop_hk(d, 1, s) for s in ss
+        }
+        assert len(calls) <= most

@@ -811,8 +811,9 @@ class TestSweep:
 
     def test_symmetric_work_does_not_grow_with_the_exponents(self, monkeypatch):
         # the orbit colength counts by the cells between exponents, not by each
-        # value below them, so (300, 300, 300) takes the steps of (1, 1, 1).  Straight
-        # through _graded_lengths, as the oracle would divide 300 out first
+        # value below them, so (300, 300, 300) takes the steps of (2, 2, 2).  Straight
+        # through _graded_lengths, as the oracle would divide the exponent out first;
+        # (1, 1, 1) is m, whose sum steps its colengths and counts fewer
         minimal_vectors, calls = rees_oracle._minimal_vectors, []
 
         def counting(vectors):
@@ -821,12 +822,13 @@ class TestSweep:
 
         monkeypatch.setattr(rees_oracle, "_minimal_vectors", counting)
         steps, caps = {}, {s: 2 * s for s in range(1, 10)}
-        for a in (1, 300):
+        for a in (1, 2, 300):
             calls.clear()
             sweep = _graded_lengths(_orbit_ring(3), ((0, 0, a),), caps)
             assert sweep == {s: cm_sop_hk(3, a**3, s) for s in caps}
             steps[a] = len(calls)
-        assert steps[300] == steps[1]
+        assert steps[300] == steps[2]
+        assert steps[1] <= steps[2]
 
     @pytest.mark.parametrize("oracle, inst, name", [
         (rees_colength_monomial, (parameter_ideal((1, 1)),), "s"),
