@@ -48,8 +48,8 @@ from .rees_oracle import (
 )
 
 MONOMIAL_CAP = 10**5
-# rees-of-m sums a q below its window 2a - 1 at about 1-3 us per unit of q a, and steps a
-# later q up its class mod a from the sum at its base; up to q a = 2^18 a sweep takes
+# rees-of-m sums a q below its window 2a - 1 at about 1-3 us per unit of q a, and reads a
+# later q off its class's closed form, at a cost free of q; up to q a = 2^18 a sweep takes
 # 3-20 ms for a <= 64 and at most about 0.8 s (a = 362, q = 719, in the window); rees-of-x,
 # the 3-variable count and the alpha table, takes at most 0.2 s there
 QA_CAP = 2**18

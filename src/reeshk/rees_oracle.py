@@ -21,7 +21,8 @@ a standard monomial and its multiplicity, not by a staircase walk.
 The hypersurface ring k[X, Y]/(X^a - Y^a) keeps the staircase heights
 of the initial ideal, a tuple of length a, so a step of the sum costs
 O(a) and not O(q).  Three facts of that ring R let the rees-of-m oracle
-sum only one window of q and step every later q up its class mod a:
+sum only one window of q and read every later q off one closed form per
+class mod a:
 
 - m^[q] = Y^a m^[q-a] for q >= a, since X^q = X^(q-a) Y^a in R;
 - m^(n+1) = Y m^n for n >= r, the reduction number, found by a tested
@@ -335,16 +336,19 @@ def rees_colength_dim1(a: int, variant: str, qs: Sequence[int]) -> dict[int, int
     length is q len(R/m^[q]).  Variant 'rees-of-m' measures (m, mt)^[q]
     in R(m) via the graded decomposition, which `_graded_lengths` sums
     at each q below the window r + a, r the least n with m^(n+1) = Y m^n,
-    and at the base q0 = r + (q - r) mod a of each later q's class.  By
+    and at the base p = r + (q - r) mod a of each later q's class.  By
     m^[q] = Y^a m^[q-a] (tested once per class), m^n = Y^(n-r) m^r for
     n >= r and colength(Y J) = colength(J) + a, the head at q is that at
     q - a, each term plus a^2, then a more terms of c(q - a) + a^2, and
     the tail repeats that at q - a, stop index included.  So L(q) =
     L(q - a) + q a^2 + a c(q - a), with c(p) = colength(m^[p] m^r) -
-    colength(m^r) taken once at the base and c(p + a) = c(p) + a^2.  r
-    is sought up to max(q) - a; none up to the tail cap 2a raises.  No
-    count reads a characteristic, so every q >= 1 is measured; q = p^e
-    is the caller's choice.
+    colength(m^r) and c(p + a) = c(p) + a^2.  Over the k = (q - p)/a
+    steps from the base this sums to sum_{i=1..k} ((p + i a) a^2 + a c(p)
+    + (i - 1) a^3) = k a (p a + k a^2 + c(p)), that is L(q) = L(p) +
+    (q - p)(a q + c(p)), with c(p) taken once per class.  r is sought up
+    to max(q) - a; none up to the tail cap 2a raises, and none below it
+    puts every q in the window.  No count reads a characteristic, so
+    every q >= 1 is measured; a prime power q is the caller's choice.
     """
     check_exponent(a)
     if variant not in VARIANTS:
@@ -355,31 +359,19 @@ def rees_colength_dim1(a: int, variant: str, qs: Sequence[int]) -> dict[int, int
     ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)  # the heights of (X, Y)
     reach = max(qs) - a  # q lies past the window q < r + a iff r <= q - a
     found = _reduction_number(ring, maximal, min(reach, 2 * a))
-    if found is None:
-        if reach > 2 * a:
-            raise StabilizationNotReached(f"m^(n+1) != Y m^n for all n <= {2 * a}")
-        return _graded_lengths(ring, maximal, dict.fromkeys(qs, 2 * a))
-    r, top = found
-    # a q of the window is summed, a later q stepped up from the base of its class mod a
+    if found is None and reach > 2 * a:
+        raise StabilizationNotReached(f"m^(n+1) != Y m^n for all n <= {2 * a}")
+    r, top = found or (reach + 1, None)  # none found: every q lies in the window
+    # a q of the window is summed, a later q read off the base p of its class mod a
     bases = {q: q if q < r + a else r + (q - r) % a for q in qs}
     lengths = _graded_lengths(ring, maximal, dict.fromkeys(bases.values(), 2 * a))
-    steps: dict[int, tuple[int, int, int]] = {}  # per base: the last q stepped to, L(q), c(q)
-    for q in sorted(q for q, base in bases.items() if q != base):
-        base = bases[q]
-        if base not in steps:
-            frob = ring.frobenius(maximal, base)
-            if ring.frobenius(maximal, base + a) != _lift(frob, a):
-                raise RuntimeError(f"m^[{base + a}] != Y^{a} m^[{base}] modulo X^{a} - Y^{a}")
-            c = ring.colength(ring.product(frob, top)) - ring.colength(top)
-            steps[base] = (base, lengths[base], c)
-        p, length, c = steps[base]
-        while p < q:  # L(p + a) = L(p) + (p + a) a^2 + a c(p), and c(p + a) = c(p) + a^2
-            p += a
-            length += p * a * a + a * c
-            c += a * a
-        steps[base] = (p, length, c)
-        lengths[q] = length
-    return {q: lengths[q] for q in qs}
+    cs: dict[int, int] = {}  # c(p) per base p of a later q
+    for p in {p for q, p in bases.items() if q != p}:
+        frob = ring.frobenius(maximal, p)
+        if ring.frobenius(maximal, p + a) != _lift(frob, a):
+            raise RuntimeError(f"m^[{p + a}] != Y^{a} m^[{p}] modulo X^{a} - Y^{a}")
+        cs[p] = ring.colength(ring.product(frob, top)) - ring.colength(top)
+    return {q: lengths[p] + (q - p) * (a * q + cs.get(p, 0)) for q, p in bases.items()}
 
 
 def alpha_table(a: int, n_max: int, qs: Sequence[int]) -> dict[int, dict[int, int]]:

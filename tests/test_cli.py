@@ -653,6 +653,16 @@ class TestExitCodes:
         assert code == 0
         assert csv_rows(out)[0]["oracle"] == str(5 * 65536**2 - 4 * 65536)
 
+    def test_rees_of_m_forced_far_past_the_cap(self, capsys):
+        # past its window rees-of-m reads q off its class's closed form, so
+        # q = 2^40 costs no more than q = 2^4; 2^40 = 1 mod 5 reads 5 q^2
+        code, out, err = run(
+            capsys, "oracle", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-m",
+            "--e", "40", "--force", "--format", "json",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["rows"][0]["oracle"] == str(5 * 2**80)
+
     def test_a_cap_force_override(self, capsys):
         code, _, _ = run(
             capsys, "oracle", "dim1", "--a", "200000", "--p", "2", "--variant", "rees-of-x",

@@ -32,7 +32,7 @@ COMMANDS = {
         "oracle", "dim1", "--a", "3", "--p", "3", "--variant", "rees-of-m", "--e", "1..3",
     ],
     # q = 32..4096 lie past the window q < 2a - 1 = 25, in eight distinct classes mod 13,
-    # so they are stepped up their class, not summed; captured from the per-q sum
+    # so they are read off their class's closed form, not summed; captured from the per-q sum
     "oracle_dim1_a13": [
         "oracle", "dim1", "--a", "13", "--p", "2", "--variant", "rees-of-m", "--e", "1..12",
     ],

@@ -224,7 +224,7 @@ class TestDim1Oracle:
     def test_measured_ideals_stay_small(self, a, monkeypatch):
         # every product multiplies at most a staircase corners by the two of
         # m or m^[q]: m^n itself has n + 1 generators, up to 257 at q = 256.
-        # The oracle steps q = 256 up its class; the graded sum still sums it
+        # The oracle reads q = 256 off its class's closed form; the graded sum still sums it
         measured = []
 
         def spy(exponent, pairs):
@@ -241,8 +241,8 @@ class TestDim1Oracle:
 
     @pytest.mark.parametrize("a", [2, 5, 13])
     def test_products_do_not_grow_with_q_past_the_window(self, a, monkeypatch):
-        # past the window q < r + a = 2a - 1, q and q + 10a share a base and
-        # differ only in steps of the recurrence, which take no product
+        # past the window q < r + a = 2a - 1, q, q + 10a and q + 2^60 a share a
+        # base and differ only in the closed form of their class, which takes no product
         products = []
 
         def counting_ring(exponent):
@@ -257,11 +257,11 @@ class TestDim1Oracle:
         monkeypatch.setattr(rees_oracle, "_plane_ring", counting_ring)
         for q in range(2 * a - 1, 3 * a - 1):
             counts = []
-            for later in (q, q + 10 * a):
+            for later in (q, q + 10 * a, q + a * 2**60):
                 products.clear()
                 rees_colength_dim1(a, "rees-of-m", [later])
                 counts.append(len(products))
-            assert counts[0] == counts[1], q
+            assert counts[0] == counts[1] == counts[2], q
 
     def test_bracket_power_identity_is_tested_on_each_chain(self, monkeypatch):
         # a ring whose m^[q] breaks m^[q] = Y^a m^[q - a] past the window is refused
@@ -297,7 +297,7 @@ def plane_graded_lengths(a):
 
 
 class TestPlaneShift:
-    """The facts of k[X, Y]/(X^a - Y^a) that let rees-of-m step q up its class mod a."""
+    """The facts of k[X, Y]/(X^a - Y^a) that let rees-of-m read q off its class mod a."""
 
     @settings(max_examples=200)
     @given(plane_ideals(), st.integers(0, 5), st.integers(0, 11))
@@ -357,6 +357,15 @@ class TestPlaneShift:
     def test_oracle_matches_graded_sum_up_to_8a(self, a):
         qs = range(1, 8 * a + 1)
         assert rees_colength_dim1(a, "rees-of-m", qs) == plane_graded_lengths(a)
+
+    @pytest.mark.parametrize("a", range(2, 21))
+    def test_prime_powers_read_the_observed_class_quadratic(self, a):
+        # observed, not a result of the paper, so it stays here: once q >= a // 2,
+        # L(q) = a q^2 + (a^3 - a)/6 - a rho (a - rho) with rho = q mod a
+        qs = {p**e for p in (2, 3, 5, 7) for e in range(65) if p**e >= a // 2}
+        assert rees_colength_dim1(a, "rees-of-m", sorted(qs)) == {
+            q: a * q * q + (a**3 - a) // 6 - a * (q % a) * (a - q % a) for q in sorted(qs)
+        }
 
 
 class TestGradedLength:
