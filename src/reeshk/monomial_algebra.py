@@ -10,9 +10,10 @@ powers, and the Groebner entry points that take it, read its tuples
 without checking them again.
 Minimal generators come from bitset divisibility masks, or in two
 variables from a running minimum of the second exponent over the
-sorted tuples; colength from a staircase walk whose slices see growing
-prefixes of the sorted generators and which stops at the pure power of
-the first variable.
+sorted tuples, and need neither when all tuples have one degree;
+colength from a staircase walk whose slices see growing prefixes of
+the sorted generators and which stops at the pure power of the first
+variable.
 """
 from __future__ import annotations
 
@@ -55,10 +56,12 @@ def _minimal_vectors(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
     A divisor of a vector precedes it among the distinct sorted vectors,
     which settles the first coordinate.  With two coordinates a vector is
     then minimal iff its second exponent is below the running minimum of
-    those before it.  Otherwise bit j stands for vs[j]; for each later
-    coordinate, below[e] marks the vectors with that exponent at most e.
-    The AND marks the divisors of vs[j], itself included, so vs[j] is
-    minimal iff that is its own bit.
+    those before it.  Two distinct vectors of one total degree never
+    divide each other, so when every vector has the degree of the first,
+    tested first against the last, all are minimal.  Otherwise bit j
+    stands for vs[j]; for each later coordinate, below[e] marks the
+    vectors with that exponent at most e.  The AND marks the divisors of
+    vs[j], itself included, so vs[j] is minimal iff that is its own bit.
     """
     vs = sorted(set(vectors))
     if vs and len(vs[0]) == 2:
@@ -68,6 +71,8 @@ def _minimal_vectors(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
                 kept.append(v)
                 low = v[1]
         return tuple(kept)
+    if vs and sum(vs[0]) == sum(vs[-1]) and len(set(map(sum, vs))) == 1:
+        return tuple(vs)
     bits = [1 << j for j in range(len(vs))]
     divisors = [(bit << 1) - 1 for bit in bits]
     for column in list(zip(*vs))[1:]:

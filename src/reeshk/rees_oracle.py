@@ -157,7 +157,11 @@ def _orbit_ring(d: int) -> Ring:
     in the ideal iff some representative is <= u, so the minimal
     representatives, sorted, are a canonical value.  A product sorts
     g + pi(h) over the representatives g of one side and the permutations
-    of the other's.  The colength counts an ideal in m variables by
+    of the other's.  When the other is one pure power x^c, as m and m^[q]
+    are, g + c e_i sorts alike for every i in a run of equal exponents of
+    g, so the product adds c at the last index of each run only.  At the
+    last index of g the sum stays sorted, at an earlier one if c = 1.
+    The colength counts an ideal in m variables by
     cells: [0, top) is cut at the exponents, where top = min(max g)
     bounds the least coordinate of a standard u and membership changes
     only at an exponent.  The standard u are counted by the cell
@@ -187,7 +191,16 @@ def _orbit_ring(d: int) -> Ring:
     def product(j: tuple[Vector, ...], k: tuple[Vector, ...]) -> tuple[Vector, ...]:
         if len(j) < len(k):
             j, k = k, j
-        return _minimal_vectors([(*sorted(map(add, g, h)),) for h in _orbits(k) for g in j])
+        *rest, c = k[0]
+        if len(k) > 1 or any(rest):
+            return _minimal_vectors([(*sorted(map(add, g, h)),) for h in _orbits(k) for g in j])
+        # k is x^c: c at the last index of each run of g; the sum is sorted at g's last
+        # index, and at an earlier one if c = 1
+        inner = [(*g[:i], e + c, *g[i + 1 :]) for g in j for i, e, f in zip(range(d), g, g[1:])
+                 if e != f]
+        if c > 1:
+            inner = [(*sorted(g),) for g in inner]
+        return _minimal_vectors([(*g[:-1], g[-1] + c) for g in j] + inner)
 
     def count(reps: Sequence[Vector]) -> int:
         m = len(reps[0])

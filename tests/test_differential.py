@@ -5,18 +5,21 @@ ideals_equal, and the staircase heights, products, bracket powers and
 colengths of the plane hypersurface ring, are compared with the
 initial ideal of an independent Buchberger completion;
 MonomialIdeal.product and frobenius with minimalize over the summed or
-scaled exponent tuples; the bitset and two-column running-minimum
-minimalisation with a pairwise scan; the primary box with one built
-from each generator's support; the staircase walk with
+scaled exponent tuples; the bitset, two-column running-minimum and
+one-degree minimalisation with a pairwise scan; the primary box with
+one built from each generator's support; the staircase walk with
 inclusion-exclusion; the graded-sum monomial oracle with the closed
 form cm_sop_hk on all three of its branches, and with itself at unit
 exponents scaled by e0; its base change, each variable's exponent gcd
 divided out, with the graded sum on the unreduced ideal; parse_ideal
 with format_ideal; and colength(J m) = colength(J) + mu(J), with the
 orbit ring's generator count against its expanded orbits, and the
-graded sum that steps it with the one that counts every colength.
+graded sum that steps it with the one that counts every colength; and
+the orbit ring's product by one pure power with the product by all its
+permutations and, expanded, with MonomialIdeal.product.
 """
-from itertools import permutations
+import functools
+from itertools import permutations, product
 from math import prod
 from operator import add
 from unittest import mock
@@ -266,6 +269,17 @@ def long_vector_lists(d):
     return st.lists(st.one_of(plane, above), min_size=65, max_size=130)
 
 
+@functools.cache
+def compositions(n, d):
+    """Every exponent tuple in d variables of total degree n."""
+    return [v for v in product(range(n + 1), repeat=d) if sum(v) == n]
+
+
+def one_degree_vector_lists(d):
+    """Lists of tuples in d variables, all of one total degree n <= 6, repeats allowed."""
+    return st.integers(0, 6).flatmap(lambda n: st.lists(st.sampled_from(compositions(n, d))))
+
+
 class TestMinimalVectors:
     @settings(max_examples=300)
     @given(st.integers(1, 4).flatmap(lambda d: st.lists(st.tuples(*[st.integers(0, 4)] * d))))
@@ -274,6 +288,9 @@ class TestMinimalVectors:
     @example([(0, 0, 0)])
     @example([(2, 1), (0, 0), (2, 1), (1, 3)])
     @example([(1, 2), (2, 1), (1, 2)])
+    @example([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])  # (x^2, y^2, z^2, xyz): two degrees
+    @example([(0, 0, 2), (0, 1, 2), (2, 0, 0)])  # the ends share a degree, a multiple between
+    @example([(0, 1, 1, 2), (0, 0, 1, 1), (1, 1, 0, 0), (2, 1, 1, 0)])
     def test_matches_reference(self, vectors):
         # a small range makes duplicates, the zero vector and ties common
         assert _minimal_vectors(vectors) == minimal_vectors_reference(vectors)
@@ -283,6 +300,15 @@ class TestMinimalVectors:
     def test_masks_past_one_machine_word(self, vectors):
         # more than 64 vectors, so each mask spans several words
         assert _minimal_vectors(vectors) == minimal_vectors_reference(vectors)
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 5).flatmap(one_degree_vector_lists))
+    @example([(0, 0, 2), (0, 1, 1), (1, 1, 0), (0, 1, 1)])
+    @example([(1, 1, 1, 1, 1)])
+    def test_one_degree_keeps_every_vector(self, vectors):
+        # no vector divides another of its degree: the answer is the sorted distinct vectors
+        assert _minimal_vectors(vectors) == minimal_vectors_reference(vectors)
+        assert _minimal_vectors(vectors) == tuple(sorted(set(vectors)))
 
 
 @st.composite
@@ -556,3 +582,40 @@ class TestColengthTimesMaximal:
             s: cm_sop_hk(d, 1, s) for s in ss
         }
         assert len(calls) <= most
+
+
+@st.composite
+def orbit_ideals(draw):
+    """(d, reps): an ideal in d = 1..5 fixed by every permutation, on orbits.
+
+    Exponents up to 3 repeat often, so runs of equal exponents are common.
+    """
+    d = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=6))
+    return d, _minimal_vectors((*sorted(g),) for g in gens)
+
+
+class TestPurePowerProduct:
+    """The orbit ring's product by one pure power x^c, against every permutation of x^c."""
+
+    @settings(max_examples=300)
+    @given(orbit_ideals(), st.integers(0, 4))
+    @example((3, ((0, 0, 2),)), 0)  # c = 0: the product is J itself
+    @example((4, ((0, 0, 2, 2), (0, 1, 1, 1), (0, 0, 0, 3))), 2)
+    @example((5, ((1, 1, 1, 1, 1),)), 3)
+    @example((3, ((0, 1, 1), (0, 0, 2))), 1)
+    def test_matches_the_orbit_product_and_the_walk(self, case, c):
+        d, reps = case
+        power = ((0,) * (d - 1) + (c,),)
+        ring = _orbit_ring(d)
+        moved = ring.product(reps, power)
+        # what the product forms for any other pair: every permutation of x^c
+        assert moved == _minimal_vectors(
+            [(*sorted(map(add, g, h)),) for h in _orbits(power) for g in reps]
+        )
+        assert ring.product(power, reps) == moved
+        if c == 0:
+            assert moved == reps
+        expanded = MonomialIdeal(_minimal_vectors(_orbits(reps)))
+        walked = expanded.product(MonomialIdeal(_minimal_vectors(_orbits(power))))
+        assert tuple(sorted(_orbits(moved))) == walked.gens

@@ -542,6 +542,31 @@ class TestGradedLength:
         assert sweep == {s: cm_sop_hk(d, 1, s) for s in ss}
         assert len(calls) == products
 
+    @pytest.mark.parametrize("exps, ss, products", [
+        ((1, 1, 1), range(1, 10), 134),
+        ((1, 1), range(2, 21), 248),
+    ])
+    def test_orbit_products_multiply_by_a_pure_power(self, exps, ss, products, monkeypatch):
+        # with I = m one side of every product is m or m^[q], one pure power: no product
+        # expands the other side's orbits, and no minimalising reaches the bitset masks,
+        # whose only use of `and_` is their AND
+        expanded, masked, orbits, and_ = [], [], rees_oracle._orbits, monomial_algebra.and_
+        monkeypatch.setattr(rees_oracle, "_orbits", lambda reps: expanded.append(1) or orbits(reps))
+        monkeypatch.setattr(monomial_algebra, "and_", lambda a, b: masked.append(1) or and_(a, b))
+        d = len(exps)
+        ring, general = _orbit_ring(d), []
+
+        def product(j, k):
+            before = len(expanded)
+            result = ring.product(j, k)
+            general.append(len(expanded) - before)
+            return result
+
+        caps = {s: (d - 1) * s for s in ss}
+        sweep = _graded_lengths(ring._replace(product=product), ((0,) * (d - 1) + (1,),), caps)
+        assert sweep == {s: cm_sop_hk(d, 1, s) for s in ss}
+        assert (len(general), sum(general), len(masked)) == (products, 0, 0)
+
     def test_walk_product_pairs_do_not_rise(self, monkeypatch):
         # generator pairs over every MonomialIdeal product of a sweep on the walk; the
         # sum formed 68108 while it still formed I^[q] I^t on a tie below t = q
