@@ -40,9 +40,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from itertools import count, groupby, permutations
+from itertools import chain, compress, count, groupby, permutations, repeat
 from math import comb, factorial, gcd, prod
-from operator import add, eq, floordiv
+from operator import add, eq, floordiv, ne
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
@@ -150,6 +150,18 @@ def _orbits(reps: tuple[Vector, ...]) -> set[Vector]:
     return {p for g in reps for p in permutations(g)}
 
 
+class _OrbitSizes(dict):
+    """Orbit size d!/prod(m_e!) per key of d - 1 flags, which neighbouring exponents are equal.
+
+    A run of k equal neighbours is k + 1 equal exponents.
+    """
+
+    def __missing__(self, key: tuple[bool, ...]) -> int:
+        runs = (len([*run]) + 1 for equal, run in groupby(key) if equal)
+        size = self[key] = factorial(len(key) + 1) // prod(map(factorial, runs))
+        return size
+
+
 def _orbit_ring(d: int) -> Ring:
     """Ideals fixed by every permutation of the d variables, one generator per orbit.
 
@@ -159,8 +171,10 @@ def _orbit_ring(d: int) -> Ring:
     g + pi(h) over the representatives g of one side and the permutations
     of the other's.  When the other is one pure power x^c, as m and m^[q]
     are, g + c e_i sorts alike for every i in a run of equal exponents of
-    g, so the product adds c at the last index of each run only.  At the
-    last index of g the sum stays sorted, at an earlier one if c = 1.
+    g, so the product adds c at the last index of each run only, one
+    column of J at a time: index i < d - 1 ends a run where column i
+    differs from column i + 1.  At the last index of g the sum stays
+    sorted, at an earlier one if c = 1, and is re-sorted if c > 1.
     The colength counts an ideal in m variables by
     cells: [0, top) is cut at the exponents, where top = min(max g)
     bounds the least coordinate of a standard u and membership changes
@@ -177,16 +191,12 @@ def _orbit_ring(d: int) -> Ring:
     of one minimal representative divides a permutation of another, as
     sorting keeps <=, so the ideal's number of minimal generators is the
     sum of its orbit sizes d!/prod(m_e!), m_e the multiplicity of each
-    exponent, memoised by which neighbouring exponents are equal.
+    exponent.  Each representative's key, which neighbouring exponents
+    are equal, is read off the columns, and a table fills in the size
+    of each key the first time it is met.
     """
     memo: dict[tuple[Vector, ...], int] = {}
-    sizes: dict[tuple[bool, ...], int] = {}
-
-    def orbit_size(g: Vector) -> int:
-        key = (*map(eq, g, g[1:]),)
-        if key not in sizes:
-            sizes[key] = factorial(d) // prod(factorial(len([*run])) for _, run in groupby(g))
-        return sizes[key]
+    sizes = _OrbitSizes()
 
     def product(j: tuple[Vector, ...], k: tuple[Vector, ...]) -> tuple[Vector, ...]:
         if len(j) < len(k):
@@ -194,13 +204,23 @@ def _orbit_ring(d: int) -> Ring:
         *rest, c = k[0]
         if len(k) > 1 or any(rest):
             return _minimal_vectors([(*sorted(map(add, g, h)),) for h in _orbits(k) for g in j])
-        # k is x^c: c at the last index of each run of g; the sum is sorted at g's last
-        # index, and at an earlier one if c = 1
-        inner = [(*g[:i], e + c, *g[i + 1 :]) for g in j for i, e, f in zip(range(d), g, g[1:])
-                 if e != f]
+        # k is x^c: c at the last index of each run of g, column by column; index i < d - 1
+        # ends a run where g[i] != g[i + 1], and its sums are sorted if c = 1
+        cols = [*zip(*j)]
+        inner = chain.from_iterable(
+            compress(zip(*cols[:i], map(c.__add__, cols[i]), *cols[i + 1 :]),
+                     map(ne, cols[i], cols[i + 1]))
+            for i in range(d - 1)
+        )
         if c > 1:
-            inner = [(*sorted(g),) for g in inner]
-        return _minimal_vectors([(*g[:-1], g[-1] + c) for g in j] + inner)
+            inner = map(tuple, map(sorted, inner))
+        return _minimal_vectors(chain(zip(*cols[:-1], map(c.__add__, cols[-1])), inner))
+
+    def generators(reps: tuple[Vector, ...]) -> int:
+        if d == 1:  # no neighbours: every orbit is one monomial
+            return len(reps)
+        cols = [*zip(*reps)]
+        return sum(map(sizes.__getitem__, zip(*map(map, repeat(eq), cols, cols[1:]))))
 
     def count(reps: Sequence[Vector]) -> int:
         m = len(reps[0])
@@ -237,7 +257,7 @@ def _orbit_ring(d: int) -> Ring:
         lambda reps, q: tuple((*(q * e for e in g),) for g in reps),
         product,
         count,
-        lambda reps: sum(map(orbit_size, reps)),
+        generators,
     )
 
 

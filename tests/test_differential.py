@@ -13,15 +13,16 @@ form cm_sop_hk on all three of its branches, and with itself at unit
 exponents scaled by e0; its base change, each variable's exponent gcd
 divided out, with the graded sum on the unreduced ideal; parse_ideal
 with format_ideal; and colength(J m) = colength(J) + mu(J), with the
-orbit ring's generator count against its expanded orbits, and the
-graded sum that steps it with the one that counts every colength; and
+orbit ring's generator count against its expanded orbits, on every
+pattern of equal neighbours up to d = 7 too, and the graded sum that
+steps it with the one that counts every colength; and
 the orbit ring's product by one pure power with the product by all its
 permutations and, expanded, with MonomialIdeal.product.
 """
 import functools
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import prod
-from operator import add
+from operator import add, eq
 from unittest import mock
 
 import pytest
@@ -512,6 +513,22 @@ def symmetric_representatives(draw, top_d):
     return d, _minimal_vectors((*sorted(g),) for g in gens)
 
 
+def pattern_representatives(d):
+    """One sorted representative for each of the 2^(d-1) patterns of equal neighbours, d <= 7.
+
+    Every run but the last takes 420 times its index and the last run the
+    rest of the degree 42000; 420 is a multiple of every run length up to
+    7, and one degree makes the set an antichain, a minimal ideal.
+    """
+    reps = []
+    for flags in product((True, False), repeat=d - 1):
+        runs = [*accumulate((not equal for equal in flags), initial=0)]  # run index per exponent
+        last = runs.count(runs[-1])
+        head = [420 * i for i in runs[:-last]]
+        reps.append((*head, *[(42000 - sum(head)) // last] * last))
+    return reps
+
+
 class TestColengthTimesMaximal:
     """colength(J m) = colength(J) + mu(J) (Nakayama), and the graded sum that steps by it.
 
@@ -529,6 +546,16 @@ class TestColengthTimesMaximal:
         orbits = _orbits(reps)
         assert _orbit_ring(d).generators(reps) == len(orbits)
         assert len(minimalize(orbits).gens) == len(orbits)  # every permuted rep is minimal
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_orbit_generators_on_every_pattern_of_equal_neighbours(self, d):
+        ring, reps = _orbit_ring(d), pattern_representatives(d)
+        assert len({(*map(eq, g, g[1:]),) for g in reps}) == 2 ** (d - 1)
+        for g in reps:
+            assert ring.generators((g,)) == len(_orbits((g,)))
+        mixed = _minimal_vectors(reps)  # every pattern in one ideal
+        assert len(mixed) == len(reps)
+        assert ring.generators(mixed) == len(_orbits(mixed))
 
     @settings(max_examples=100)
     @given(symmetric_representatives(4))
@@ -604,6 +631,11 @@ class TestPurePowerProduct:
     @example((4, ((0, 0, 2, 2), (0, 1, 1, 1), (0, 0, 0, 3))), 2)
     @example((5, ((1, 1, 1, 1, 1),)), 3)
     @example((3, ((0, 1, 1), (0, 0, 2))), 1)
+    # past the strategy's d <= 5: runs of every length from 1 to 6 at d = 6 and 7
+    @example((6, ((0, 0, 1, 1, 1, 2), (0, 1, 1, 1, 1, 1))), 1)
+    @example((6, ((0, 0, 1, 1, 1, 2), (0, 1, 1, 1, 1, 1))), 3)
+    @example((7, ((0, 0, 0, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1, 2))), 1)
+    @example((7, ((0, 0, 0, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1, 2))), 3)
     def test_matches_the_orbit_product_and_the_walk(self, case, c):
         d, reps = case
         power = ((0,) * (d - 1) + (c,),)

@@ -77,7 +77,8 @@ class TestMonomialOracle:
                         d, prod(exps), s
                     ), (exps, s)
 
-    @pytest.mark.parametrize("d, top", [(5, 5), (6, 3)])
+    # s = 1..d + 1 reaches every branch of cm_sop_hk: k1 >= 2, s dividing d and s > d
+    @pytest.mark.parametrize("d, top", [(5, 6), (6, 7)])
     def test_formula_oracle_equivalence_past_four_variables(self, d, top):
         ideal = parameter_ideal((1,) * d)
         assert rees_colength_monomial(ideal, range(1, top + 1)) == {
