@@ -538,48 +538,55 @@ EXIT_CODES = {
 }
 
 
-def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The `hk` parser: the root, group and leaf of the command argv[:2] names, else all."""
+def _leaf(leaf: argparse.ArgumentParser, group: str, name: str) -> argparse.ArgumentParser:
+    """leaf, given the handler, defaults and flags of the command group name."""
+    handler, flags = COMMANDS[group, name]
+    leaf.set_defaults(handler=handler, command=group, which=name)
+    leaf.add_argument("--format", choices=sorted(RENDERERS), default="table", help="output format")
+    leaf.add_argument("--force", action="store_true", help="bypass resource caps")
+    for flag, spec in flags.items():
+        if isinstance(spec, dict):
+            leaf.add_argument(flag, **spec)
+        elif isinstance(spec, type):
+            leaf.add_argument(flag, type=spec, required=True)
+        else:
+            leaf.add_argument(flag, type=type(spec), default=spec)
+    return leaf
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full `hk` parser: the root, every group and every leaf."""
     parser = argparse.ArgumentParser(
         prog="hk",
         description="Exact Hilbert-Kunz functions of Rees algebra ideals.",
         allow_abbrev=False,
     )
-    chosen = tuple(argv or ())[:2]
-    named = chosen in COMMANDS
-    # a named command's root still lists all five groups, as the full tree's usage line does
-    metavar = "{" + ",".join(GROUPS) + "}" if named else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    groups = {
-        group: sub.add_parser(group, help=GROUPS[group], allow_abbrev=False).add_subparsers(
-            dest="which", required=True
-        )
-        for group in (chosen[:1] if named else GROUPS)
-    }
-    commands = {chosen: COMMANDS[chosen]} if named else COMMANDS
-    for (group, name), (handler, flags) in commands.items():
+    sub = parser.add_subparsers(dest="command", required=True)
+    groups = {g: sub.add_parser(g, help=text, allow_abbrev=False) for g, text in GROUPS.items()}
+    leaves = {g: p.add_subparsers(dest="which", required=True) for g, p in groups.items()}
+    for group, name in COMMANDS:
         # one spelling per flag: no unique prefix stands in for it
-        leaf = groups[group].add_parser(name, allow_abbrev=False)
-        leaf.set_defaults(handler=handler)
-        leaf.add_argument(
-            "--format", choices=sorted(RENDERERS), default="table", help="output format"
-        )
-        leaf.add_argument("--force", action="store_true", help="bypass resource caps")
-        for flag, spec in flags.items():
-            if isinstance(spec, dict):
-                leaf.add_argument(flag, **spec)
-            elif isinstance(spec, type):
-                leaf.add_argument(flag, type=spec, required=True)
-            else:
-                leaf.add_argument(flag, type=type(spec), default=spec)
+        _leaf(leaves[group].add_parser(name, allow_abbrev=False), group, name)
     return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed by the leaf of the command argv[:2] names alone, else by the full tree."""
+    if tuple(argv[:2]) in COMMANDS:
+        group, name = argv[:2]
+        # the prog the tree gives the leaf; arguments it leaves over go to the tree's root
+        leaf = argparse.ArgumentParser(prog=f"hk {group} {name}", allow_abbrev=False)
+        args, rest = _leaf(leaf, group, name).parse_known_args(argv[2:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one `hk` command on argv (default sys.argv[1:]) and return its exit code."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -87,18 +87,15 @@ class Poly(_PolyFields):
 
 
 def interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> Poly:
-    """Lagrange interpolation through distinct points, exact arithmetic."""
+    """Newton's divided differences through distinct points, exact arithmetic."""
     xs = [Fraction(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct abscissae")
-    total = Poly()
-    for i, (_, y) in enumerate(points):
-        basis = Poly([1])
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Poly([-xj, 1])
-            denom *= xs[i] - xj
-        total = total + basis * (Fraction(y) / denom)
-    return total
+    cs = [Fraction(y) for _, y in points]
+    for k in range(1, len(xs)):  # from the top down, cs[i] becomes f[x_(i-k), ..., x_i]
+        for i in range(len(xs) - 1, k - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - k])
+    acc: list[Fraction] = []  # Horner on the Newton form, innermost first: acc (q - x_i) + c_i
+    for c, x in zip(reversed(cs), reversed(xs)):
+        acc = [a - x * b for a, b in zip([c, *acc], [*acc, 0])]
+    return Poly(acc)

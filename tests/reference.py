@@ -3,8 +3,8 @@
 Nothing here is fast; each function is written to be read, not run at
 scale.  Two kinds live here:
 
-* independent versions of package kernels: inclusion-exclusion
-  colength, the primary box from each generator's support, pairwise
+* independent versions of package kernels: Lagrange interpolation,
+  inclusion-exclusion colength, the primary box from each generator's support, pairwise
   minimalisation, a fixed-window graded sum, the staircase heights
   of a plane initial ideal, and normal forms, membership and the
   S-pair check on a completed Groebner basis, reducing in the
@@ -133,6 +133,24 @@ def contains(ideal, other):
     return all(
         any(all(a <= b for a, b in zip(g, h)) for g in ideal.gens) for h in other.gens
     )
+
+
+def lagrange_interpolate(points):
+    """The polynomial through distinct points, as a sum of Lagrange basis products."""
+    xs = [Fraction(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation points must have distinct abscissae")
+    total = Poly()
+    for i, (_, y) in enumerate(points):
+        basis = Poly([1])
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            basis = basis * Poly([-xj, 1])
+            denom *= xs[i] - xj
+        total = total + basis * (Fraction(y) / denom)
+    return total
 
 
 def minimal_vectors_reference(vectors):

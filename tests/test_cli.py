@@ -1,5 +1,6 @@
 """End-to-end CLI: golden values, formats, exit codes."""
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -922,19 +923,24 @@ def _required(flags):
     return tail
 
 
-def parsed(capsys, parser, argv):
-    """Exit code (None when argv parses), stdout, stderr and namespace of one parse."""
+def parsed(capsys, parse, argv):
+    """Exit code (None when argv parses), stdout, stderr and namespace of parse(argv)."""
     try:
-        args, code = parser.parse_args(argv), None
+        args, code = parse(argv), None
     except SystemExit as exc:
         args, code = None, exc.code
     return (code, *capsys.readouterr(), args)
 
 
-# argument tails after a command's name; all but "-h" and "missing" carry every required flag
+# argument tails after a command's name; all but "help", "missing" and "dashdash_first"
+# carry every required flag as a flag
 TAILS = {
     "help": lambda required: ["-h"],
+    "help_after_required": lambda required: required + ["-h"],
     "valid": lambda required: required,
+    "repeated_format": lambda required: required + ["--format", "json", "--format", "csv"],
+    "dashdash_first": lambda required: ["--", *required],
+    "dashdash_last": lambda required: required + ["--"],
     "missing": lambda required: [],
     "unknown_flag": lambda required: required + ["--bogus"],
     "bad_format": lambda required: required + ["--format", "xml"],
@@ -946,12 +952,26 @@ TAILS = {
 }
 
 
+def _built(monkeypatch):
+    """The ArgumentParsers constructed from here on, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
 class TestParser:
     @pytest.mark.parametrize("tail", sorted(TAILS))
     @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
     def test_one_leaf_parses_as_the_full_tree(self, capsys, command, tail):
         argv = [*command, *TAILS[tail](_required(COMMANDS[command][1]))]
-        assert parsed(capsys, build_parser(argv), argv) == parsed(capsys, build_parser(), argv)
+        tree = build_parser()
+        assert parsed(capsys, cli._parse, argv) == parsed(capsys, tree.parse_args, argv)
 
     @pytest.mark.parametrize(
         "argv, usage",
@@ -970,31 +990,36 @@ class TestParser:
     )
     def test_argv_naming_no_command_gets_the_full_tree(self, capsys, argv, usage):
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == parsed(capsys, build_parser(), argv)[:3]
+        assert (code, out, err) == parsed(capsys, build_parser().parse_args, argv)[:3]
         assert code in (0, 2) and usage in out + err
 
     @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
-    def test_a_command_builds_its_group_and_leaf_only(self, command):
-        groups = _choices(build_parser([*command, *_required(COMMANDS[command][1])]))
-        assert list(groups) == [command[0]]
-        leaves = [(group, name) for group, sub in groups.items() for name in _choices(sub)]
-        assert leaves == [command]
+    def test_the_standalone_leaf_has_the_tree_leafs_help(self, monkeypatch, command):
+        built = _built(monkeypatch)
+        cli._parse([*command, *_required(COMMANDS[command][1])])
+        (leaf,) = built
+        group, name = command
+        assert leaf.prog == f"hk {group} {name}"
+        assert leaf.format_help() == _choices(_choices(build_parser())[group])[name].format_help()
 
     @pytest.mark.parametrize(
-        "command", [*sorted(COMMANDS), None], ids=lambda c: "-".join(c) if c else "full_tree"
+        "command, extra, count",
+        [
+            *(pytest.param(c, [], 1, id="-".join(c)) for c in sorted(COMMANDS)),
+            *(pytest.param(c, ["--bogus"], 21, id="-".join(c) + "-bogus") for c in COMMANDS),
+            pytest.param(None, [], 20, id="full_tree"),
+        ],
     )
-    def test_parsers_built(self, monkeypatch, command):
-        # a named command builds the root, its group and its leaf; no argv, all 20
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        build_parser(list(command) if command else None)
-        assert len(built) == (3 if command else 20)
+    def test_parsers_built(self, monkeypatch, command, extra, count):
+        # a named command that parses builds its leaf alone; leftover arguments
+        # add the full tree of 20 (root, five groups, 14 leaves); no argv builds only that
+        built = _built(monkeypatch)
+        if command is None:
+            build_parser()
+        else:
+            with contextlib.suppress(SystemExit):
+                cli._parse([*command, *_required(COMMANDS[command][1]), *extra])
+        assert len(built) == count
 
     @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
     def test_unknown_flag_prints_the_root_usage(self, capsys, command):

@@ -17,9 +17,11 @@ orbit ring's generator count against its expanded orbits, on every
 pattern of equal neighbours up to d = 7 too, and the graded sum that
 steps it with the one that counts every colength; and
 the orbit ring's product by one pure power with the product by all its
-permutations and, expanded, with MonomialIdeal.product.
+permutations and, expanded, with MonomialIdeal.product; and Newton
+interpolation with Lagrange's.
 """
 import functools
+from fractions import Fraction
 from itertools import accumulate, permutations, product
 from math import prod
 from operator import add, eq
@@ -46,6 +48,7 @@ from reeshk.monomial_algebra import (
     minimalize,
     parse_ideal,
 )
+from reeshk.polynomials import Poly, interpolate
 from reeshk.rees_oracle import (
     StabilizationNotReached,
     _graded_lengths,
@@ -61,6 +64,7 @@ from reference import (
     basis_initial_ideal,
     colength_by_inclusion_exclusion,
     contains_monomial,
+    lagrange_interpolate,
     minimal_vectors_reference,
     power,
     primary_box_reference,
@@ -651,3 +655,36 @@ class TestPurePowerProduct:
         expanded = MonomialIdeal(_minimal_vectors(_orbits(reps)))
         walked = expanded.product(MonomialIdeal(_minimal_vectors(_orbits(power))))
         assert tuple(sorted(_orbits(moved))) == walked.gens
+
+
+scalars = st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=9)
+
+
+@st.composite
+def point_lists(draw):
+    """1 to 6 points with distinct int or Fraction abscissae."""
+    xs = draw(st.lists(scalars, min_size=1, max_size=6, unique=True))
+    return [(x, draw(scalars)) for x in xs]
+
+
+class TestInterpolate:
+    """Newton's divided differences against the Lagrange products of the reference."""
+
+    @given(point_lists())
+    @example([(0, 5)])
+    @example([(Fraction(1, 2), 3), (3, 0), (Fraction(-2, 3), Fraction(7, 4))])
+    @example([(x, x**5) for x in range(-2, 4)])  # degree 5 through 6 points
+    def test_matches_lagrange(self, points):
+        poly = interpolate(points)
+        assert poly == lagrange_interpolate(points)
+        assert all(poly(x) == y for x, y in points)
+        assert poly.degree <= len(points) - 1
+
+    def test_no_points_is_the_zero_polynomial(self):
+        assert interpolate([]) == lagrange_interpolate([]) == Poly()
+
+    @given(point_lists(), st.integers(0, 5))
+    def test_repeated_abscissae_raise(self, points, i):
+        x, y = points[i % len(points)]
+        with pytest.raises(ValueError, match="distinct abscissae"):
+            interpolate([*points, (Fraction(x), y + 1)])
