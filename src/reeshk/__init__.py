@@ -7,6 +7,7 @@ exact integer and rational arithmetic.
 
 from .hk_formulas import (
     Dim1Input,
+    InvalidInput,
     QuasiPolynomialHK,
     binomial,
     c_of_d,

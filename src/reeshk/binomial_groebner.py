@@ -48,6 +48,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .hk_formulas import InvalidInput
 from .monomial_algebra import (
     MonomialIdeal,
     Vector,
@@ -112,14 +113,14 @@ def buchberger(a: int, gens: Iterable[Sequence[int]]) -> GroebnerBasisBM:
 
 def check_exponent(a: int) -> None:
     if a < 2:
-        raise ValueError("hypersurface exponent must be at least 2")
+        raise InvalidInput("hypersurface exponent must be at least 2")
 
 
 def _gens(a: int, ideal: MonomialIdeal) -> tuple[Vector, ...]:
     """The generators of an ideal that X_0^a - X_1^a can be added to."""
     gens = ideal.gens
     if len(gens[0]) < 2:
-        raise ValueError("the relation needs at least two variables")
+        raise InvalidInput("the relation needs at least two variables")
     check_exponent(a)
     return gens
 

@@ -1,9 +1,10 @@
 """Command line front end: evaluate formulas, run oracles, compare and fit.
 
 Exit codes: 0 no mismatch (verdict pass, or unchecked when no row has a
-formula and an oracle), 1 mismatch or golden failure, 2 invalid input, 3
-resource cap exceeded, 4 internal error (traceback on stderr, nothing on
-stdout).  Numbers are emitted as exact decimal strings; rationals as 'num/den'.
+formula and an oracle), 1 mismatch, golden failure or `OracleError`, 2 invalid
+input (`InvalidInput`), 3 resource cap exceeded, 4 internal error: any other
+exception, a `ValueError` included (traceback on stderr, nothing on stdout).
+Numbers are emitted as exact decimal strings; rationals as 'num/den'.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 
 from .hk_formulas import (
     Dim1Input,
+    InvalidInput,
     QuasiPolynomialHK,
     binomial,
     check_invariants,
@@ -29,14 +31,8 @@ from .hk_formulas import (
     stanley_reisner_ehk,
 )
 from .binomial_groebner import check_exponent, initial_ideal
-from .monomial_algebra import (
-    InfiniteColength,
-    MonomialIdeal,
-    format_ideal,
-    parse_ideal,
-)
+from .monomial_algebra import MonomialIdeal, format_ideal, parse_ideal
 from .rees_oracle import (
-    InsufficientSamples,
     OracleError,
     VARIANTS,
     alpha_table,
@@ -173,9 +169,9 @@ def parse_range(text: str) -> range:
     try:
         lo, hi = int(lo_text), int(hi_text if dots else lo_text)
     except ValueError as exc:
-        raise ValueError(f"bad range {text!r}: expected N or LO..HI") from exc
+        raise InvalidInput(f"bad range {text!r}: expected N or LO..HI") from exc
     if hi < lo:
-        raise ValueError(f"empty range {text!r}")
+        raise InvalidInput(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -184,7 +180,7 @@ def parse_int_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad integer list {text!r}: expected integers such as 1,2,3") from exc
+        raise InvalidInput(f"bad integer list {text!r}: expected integers such as 1,2,3") from exc
 
 
 def _report(args: argparse.Namespace, *echo: str, **fields: object) -> RunReport:
@@ -298,14 +294,14 @@ def cmd_formula_dim1(args: argparse.Namespace) -> RunReport:
         flags = ("e0", "e1", "r", "rho", "lengths", "alpha")
         given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
         if given:
-            raise ValueError(f"--preset fixes the instance; drop {', '.join(given)}")
+            raise InvalidInput(f"--preset fixes the instance; drop {', '.join(given)}")
         inp = FERMAT5
         report = _report(args, "preset")
     else:
         required = {"--e0": args.e0, "--e1": args.e1, "--r": args.r}
         missing = [flag for flag, value in required.items() if value is None]
         if missing:
-            raise ValueError(f"need --preset or all of: {', '.join(sorted(missing))}")
+            raise InvalidInput(f"need --preset or all of: {', '.join(sorted(missing))}")
         alpha = (
             tuple(parse_int_tuple(chunk) for chunk in args.alpha.split(";"))
             if args.alpha
@@ -385,7 +381,7 @@ def cmd_compare_dim1(args: argparse.Namespace) -> RunReport:
         qp = cordim1_hk(FERMAT5)
         formula = {e: qp.poly_for(e)(q) for e, q in qs.items()}
     else:
-        raise ValueError(
+        raise InvalidInput(
             "compare dim1 --variant rees-of-m needs the known invariant set; "
             "only --a 5 --p 2 is supported"
         )
@@ -470,7 +466,7 @@ def cmd_example_fermat5(args: argparse.Namespace) -> RunReport:
 def cmd_example_three_vars(args: argparse.Namespace) -> RunReport:
     exps = parse_int_tuple(args.n)
     if len(exps) != 3:
-        raise ValueError("--n takes three exponents n1,n2,n3")
+        raise InvalidInput("--n takes three exponents n1,n2,n3")
     ideal, ss = _monomial_setup(exps, args.s, args.force)
     e0 = prod(exps)
     report = _report(args, "n", e0=e0)
@@ -526,16 +522,9 @@ COMMANDS = {
     ("example", "three-vars"): (cmd_example_three_vars, {"--n": "1,1,1", "--s": "2"}),
 }
 
-# Exit code of each error; the first class the error is an instance of wins,
-# so InsufficientSamples (an OracleError) counts as invalid input.  Any
-# other exception is a bug in the program and exits 4.
-EXIT_CODES = {
-    ResourceCapExceeded: 3,
-    ValueError: 2,
-    InsufficientSamples: 2,
-    InfiniteColength: 2,
-    OracleError: 1,
-}
+# Exit code of each error class, no class a subclass of another; any other
+# exception, a ValueError included, is a bug in the program and exits 4.
+EXIT_CODES = {ResourceCapExceeded: 3, InvalidInput: 2, OracleError: 1}
 
 
 def _leaf(leaf: argparse.ArgumentParser, group: str, name: str) -> argparse.ArgumentParser:

@@ -17,7 +17,8 @@ n = s(d-1)-d+1.  `binomial` vanishes out of range, as these sums need.
 
 A periodic correction alpha is a plain tuple of its values over one
 period, read at index e mod its length.  A rule that several inputs
-share is raised from one `check_*` function.
+share is raised from one `check_*` function, and every rule that refuses
+a value from outside the package raises `InvalidInput`.
 
 All outputs are exact; multiplicities are rationals, lengths integers.
 """
@@ -30,36 +31,40 @@ from typing import NamedTuple, Optional
 from .polynomials import Poly
 
 
+class InvalidInput(ValueError):
+    """A value from outside the package breaks an input rule; `hk` exits 2 on it."""
+
+
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
 
 
 def check_prime(p: int) -> None:
     if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+        raise InvalidInput(f"p = {p} is not prime")
 
 
 def check_invariants(d: int, least: int, e0: int = 1, s: int = 1) -> None:
     """Refuse a dimension d below `least`, and a multiplicity e0 or an s below 1."""
     if d < least:
-        raise ValueError(f"d must be at least {least}")
+        raise InvalidInput(f"d must be at least {least}")
     check_positive(e0, "e0")
     check_positive(s, "s")
 
 
 def check_positive(value: int, name: str) -> None:
     if value < 1:
-        raise ValueError(f"{name} must be positive")
+        raise InvalidInput(f"{name} must be positive")
 
 
 def check_e(e: int) -> None:
     if e < 0:
-        raise ValueError("e must be nonnegative, so that q = p^e is an integer")
+        raise InvalidInput("e must be nonnegative, so that q = p^e is an integer")
 
 
 def check_period(period: int) -> None:
     if period < 1:
-        raise ValueError(f"a periodic value needs a period of at least 1, got {period}")
+        raise InvalidInput(f"a periodic value needs a period of at least 1, got {period}")
 
 
 def binomial(n: int, k: int) -> int:
@@ -172,19 +177,19 @@ class Dim1Input(_Dim1Fields):
     ) -> "Dim1Input":
         check_positive(e0, "e0")
         if r < 0:
-            raise ValueError("reduction number must be nonnegative")
+            raise InvalidInput("reduction number must be nonnegative")
         if len(alpha) != r:
-            raise ValueError(f"need exactly r={r} alpha sequences, got {len(alpha)}")
+            raise InvalidInput(f"need exactly r={r} alpha sequences, got {len(alpha)}")
         for seq in alpha:
             check_period(len(seq))
         needed = max(r - 1, rho if rho is not None else -1) + 1
         if len(lengths) < needed:
-            raise ValueError(f"need lengths for n = 0..{needed - 1}, got {len(lengths)}")
+            raise InvalidInput(f"need lengths for n = 0..{needed - 1}, got {len(lengths)}")
         if lengths:
             if lengths[0] != 0:
-                raise ValueError("lengths[0] is the length of R/R and must be 0")
+                raise InvalidInput("lengths[0] is the length of R/R and must be 0")
             if any(a > b for a, b in zip(lengths, lengths[1:])):
-                raise ValueError("lengths must be nondecreasing")
+                raise InvalidInput("lengths must be nondecreasing")
         return super().__new__(cls, e0, e1, r, rho, lengths, alpha)
 
 
@@ -200,7 +205,7 @@ def dim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
     class additionally picks up 2 * sum_{n<r} alpha_n(e).
     """
     if inp.rho is None:
-        raise ValueError("rho is required; use cordim1_hk to default it")
+        raise InvalidInput("rho is required; use cordim1_hk to default it")
     e0, e1, r = inp.e0, inp.e1, inp.r
     # the paper's case rho + 1 <= r, -e0 C(r,2) + e1 r + sum_{n<r} len(n), is this at rho = r-1
     rho = max(inp.rho, r - 1)
@@ -216,7 +221,7 @@ def dim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
 def cordim1_hk(inp: Dim1Input) -> QuasiPolynomialHK:
     """Cohen-Macaulay ring: the postulation number is r - 1, always case one."""
     if inp.rho is not None:
-        raise ValueError("rho must be omitted; it is forced to r - 1 here")
+        raise InvalidInput("rho must be omitted; it is forced to r - 1 here")
     e0, e1, r, _, lengths, alpha = inp
     return dim1_hk(Dim1Input(e0, e1, r, r - 1, lengths, alpha))
 
@@ -271,5 +276,5 @@ def stanley_reisner_ehk(d: int, facets: int) -> Fraction:
     """Multiplicity of the Rees algebra of the irrelevant maximal ideal: c(d) f_{d-1}."""
     check_invariants(d, 2)
     if facets < 1:
-        raise ValueError("facet count must be positive")
+        raise InvalidInput("facet count must be positive")
     return c_of_d(d) * facets

@@ -22,10 +22,12 @@ from itertools import chain
 from operator import add, and_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .hk_formulas import InvalidInput, check_positive
+
 Vector = tuple[int, ...]
 
 
-class InfiniteColength(Exception):
+class InfiniteColength(InvalidInput):
     """The quotient is not finite dimensional (no pure power of some variable)."""
 
 
@@ -37,11 +39,11 @@ def _validated(gens: Iterable[Sequence[int]]) -> list[Vector]:
     vectors = list(map(tuple, gens))
     # each check is one pass in C over all tuples or all exponents
     if len(set(map(len, vectors))) != 1 or not vectors[0]:
-        raise ValueError(_SHAPE)
+        raise InvalidInput(_SHAPE)
     flat = list(chain.from_iterable(vectors))
     # the type, not isinstance: bool is an int subclass; min only sees ints
     if not set(map(type, flat)) <= {int} or min(flat) < 0:
-        raise ValueError("exponents must be nonnegative integers")
+        raise InvalidInput("exponents must be nonnegative integers")
     return vectors
 
 
@@ -126,8 +128,7 @@ class MonomialIdeal(_MonomialIdealFields):
         Scaling by s >= 1 preserves divisibility and lexicographic order,
         so the scaled generators are again minimal and sorted.
         """
-        if s < 1:
-            raise ValueError("s must be positive")
+        check_positive(s, "s")
         return MonomialIdeal(tuple((*(s * e for e in g),) for g in self.gens))
 
     def primary_box(self) -> Optional[Vector]:
@@ -205,7 +206,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
     try:
         gens = [tuple(int(part) for part in chunk.split(",")) for chunk in text.split(";")]
     except ValueError as exc:
-        raise ValueError(
+        raise InvalidInput(
             f"bad ideal text {text!r}: expected exponent tuples such as 2,0;1,3;0,4"
         ) from exc
     return minimalize(gens)

@@ -47,7 +47,7 @@ from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
 from .hk_formulas import QuasiPolynomialHK, check_e, check_invariants, check_period
-from .hk_formulas import check_positive, check_prime
+from .hk_formulas import InvalidInput, check_positive, check_prime
 from .monomial_algebra import InfiniteColength, MonomialIdeal, Vector
 from .monomial_algebra import _minimal_vectors, minimalize
 from .polynomials import Poly, interpolate
@@ -64,7 +64,7 @@ class InconsistentSamples(OracleError):
     """A sample falls off the fit: a checked sample, or a residue class of another degree."""
 
 
-class InsufficientSamples(OracleError):
+class InsufficientSamples(InvalidInput):
     """Not enough samples per residue class for the requested fit."""
 
 
@@ -269,7 +269,7 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
     I^[q] I^t == I^(q+t), detected, not assumed: from t = q by the product,
     below t = q by a colength tie, as I^[q] I^t lies in I^(q+t).  A piece
     past t = caps[q] that still differs raises.  One chain of powers I^n
-    serves every q, taking colength(I^n) at most once per n.  Each q keeps
+    serves every q, taking colength(I^n) once per n.  Each q keeps
     I^[q], the colengths of I^[q] I^n for n < q, which its tail reuses for
     t < q, a total and, from n = q, its own I^t: I^q set aside from the chain.
     When the ring counts generators and I is m, the one ideal of colength
@@ -286,8 +286,8 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
     open_qs = {q: (ring.frobenius(ideal, q), [0] * q, None, 0, None) for q in caps}
     lengths = dict.fromkeys(caps, 0)  # in the order of caps
     for n in count():
-        if not step:  # colength(I^n), at most once: up front when a head or a tail t < q needs it
-            base = ring.colength(power) if any(n < 2 * q for q in open_qs) else None
+        if not step:
+            base = ring.colength(power)
         for q, (frob, head, shifted, total, ahead) in list(open_qs.items()):
             t = n - q
             if t < 0:
@@ -310,8 +310,6 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
                 ahead = length + ring.generators(piece) if step else None
                 if t < 0:
                     head[n] = length
-            if base is None:
-                base = ring.colength(power)
             open_qs[q] = (frob, head, power if t == 0 else shifted, total + length - base, ahead)
         if not open_qs:
             return lengths
@@ -323,7 +321,7 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
 def _check_sweep(values: Sequence[int], name: str) -> None:
     """Refuse an empty sweep and a value below 1; stops at the first, so a range is not listed."""
     if not values:
-        raise ValueError(f"the sweep of {name} is empty")
+        raise InvalidInput(f"the sweep of {name} is empty")
     check_positive(next((v for v in values if v < 1), 1), name)
 
 
@@ -385,7 +383,7 @@ def rees_colength_dim1(a: int, variant: str, qs: Sequence[int]) -> dict[int, int
     """
     check_exponent(a)
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise InvalidInput(f"unknown variant {variant!r}")
     _check_sweep(qs, "q")
     if variant == "rees-of-x":
         return {q: quotient_colength(a, parameter_ideal((q, q, q))) for q in qs}
@@ -416,7 +414,7 @@ def alpha_table(a: int, n_max: int, qs: Sequence[int]) -> dict[int, dict[int, in
     """
     check_exponent(a)
     if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+        raise InvalidInput("n_max must be nonnegative")
     _check_sweep(qs, "q")
     ring, maximal = _plane_ring(a), (1,) + (0,) * (a - 1)
     frobs = {q: ring.frobenius(maximal, q) for q in qs}
@@ -455,10 +453,10 @@ def fit_quasi_polynomial(
     matches; samples older than the threshold are allowed to disagree.
     """
     if degree < 0:
-        raise ValueError(f"the degree must be nonnegative, got {degree}")
+        raise InvalidInput(f"the degree must be nonnegative, got {degree}")
     check_period(period)
     if holdout < 0:
-        raise ValueError(f"the holdout must be nonnegative, got {holdout}")
+        raise InvalidInput(f"the holdout must be nonnegative, got {holdout}")
     check_prime(p)
     check_e(min(values, default=0))
     es = sorted(values)

@@ -2,15 +2,18 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import reeshk
 from reeshk import cli, hk_formulas
 from reeshk.cli import (
     COMMANDS, GROUPS, RunReport, build_parser, main, parse_range, render_csv, render_json,
@@ -555,7 +558,9 @@ class TestExitCodes:
         assert f"unrecognized arguments: --p {argv[-1]}" in err
 
     @pytest.mark.parametrize(
-        "error", [RuntimeError("boom"), KeyError("boom")], ids=["RuntimeError", "KeyError"]
+        "error",
+        [RuntimeError("boom"), KeyError("boom"), ValueError("boom")],
+        ids=["RuntimeError", "KeyError", "ValueError"],
     )
     def test_internal_error_exits_four(self, capsys, monkeypatch, error):
         def broken(*args):
@@ -566,6 +571,29 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err.startswith("Traceback") and f"{type(error).__name__}: " in err
+
+    def test_each_exception_has_one_exit_code(self):
+        # no key of EXIT_CODES is a subclass of another, so each error the package
+        # defines meets exactly one of them and their order decides nothing
+        modules = [
+            importlib.import_module(f"reeshk.{info.name}")
+            for info in pkgutil.iter_modules(reeshk.__path__)
+        ]
+        codes = {
+            cls.__name__: [code for key, code in cli.EXIT_CODES.items() if issubclass(cls, key)]
+            for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and issubclass(cls, BaseException)
+            and cls.__module__ == module.__name__
+        }
+        assert codes == {
+            "InvalidInput": [2],
+            "InfiniteColength": [2],
+            "InsufficientSamples": [2],
+            "OracleError": [1],
+            "InconsistentSamples": [1],
+            "StabilizationNotReached": [1],
+            "ResourceCapExceeded": [3],
+        }
 
     def test_exit_code_reaches_the_process(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

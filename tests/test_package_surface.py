@@ -6,9 +6,10 @@ outside its own definition.  A re-export in `__init__.py` is not a use.
 A use is any `ast.Name` or `ast.Attribute` of that name, so a method
 counts as used when any attribute of its name is read.
 
-Two placement rules ride along: only `cli._cap` refuses inputs as too
-costly, and each input rule that several functions share is raised
-from one function.
+Three placement rules ride along: only `cli._cap` refuses inputs as too
+costly, each input rule that several functions share is raised from
+one function, and only checks on values the package built itself
+raise a plain `ValueError`; every input rule raises `InvalidInput`.
 """
 import ast
 import re
@@ -109,8 +110,16 @@ RULES = {
     ),
     "e >= 0": (r"^e must be nonnegative", "e must be nonnegative, so that q = p^e is an integer"),
 }
-# monomial_algebra imports nothing from hk_formulas, and the bracket power keeps its own check
-OWN_CHECKS = {"monomial_algebra.py:MonomialIdeal.frobenius"}
+# the only raise ValueError sites: each guards a value the package built itself, so
+# `hk` reports its failure as a bug (exit 4), not as invalid input (exit 2)
+INTERNAL_CHECKS = {
+    "monomial_algebra.py:MonomialIdeal.__new__": "generators the package formed share one shape",
+    "monomial_algebra.py:MonomialIdeal.product": "the package multiplies ideals of one ring",
+    "hk_formulas.py:binomial": "the package's sums take binomials with k >= 0",
+    "hk_formulas.py:QuasiPolynomialHK.__new__": "the package's fits hold one degree per class",
+    # polynomials cannot import hk_formulas, which imports it, so it has no InvalidInput
+    "polynomials.py:interpolate": "the package interpolates at distinct sample points",
+}
 
 
 def _constants(modules):
@@ -173,8 +182,18 @@ def test_each_input_rule_has_one_raise_site():
         rule: {
             where for where, template in sites
             if re.search(pattern, template) or _prints(template, message)
-        } - OWN_CHECKS
+        }
         for rule, (pattern, message) in RULES.items()
     }
     counts = {rule: len(where) for rule, where in raisers.items()}
     assert counts == dict.fromkeys(RULES, 1), raisers
+
+
+def test_only_internal_checks_raise_value_error():
+    raised = set()
+    for where, node in _scoped_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                raised.add(where)
+    assert raised == set(INTERNAL_CHECKS)
