@@ -45,22 +45,9 @@ class Poly(_PolyFields):
             acc = acc * x + c
         return acc
 
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
-
-    def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
+    # as a tuple, a Poly would concatenate under + and repeat under *; set to None,
+    # each raises TypeError instead, and the package does no polynomial arithmetic
+    __add__ = __mul__ = __rmul__ = None
 
     def format(self) -> str:
         """Human-readable form in q, highest degree first, e.g. '5*q^2 - 10'."""

@@ -1,8 +1,9 @@
 """Slow, obviously correct references that the tests check the package against.
 
 Nothing here is fast; each function is written to be read, not run at
-scale.  Two kinds live here:
+scale.  Three kinds live here:
 
+* polynomial sums and products, which the package never forms;
 * independent versions of package kernels: Lagrange interpolation,
   inclusion-exclusion colength, the primary box from each generator's support, pairwise
   minimalisation, a fixed-window graded sum, the staircase heights
@@ -58,18 +59,35 @@ def alternating_binomial_sum_closed_form(d, s):
     return d * s**d * (s - 1) // 2
 
 
+def poly_add(p, q):
+    """The sum of two polynomials, coefficient by coefficient."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly([p.coefficient(k) + q.coefficient(k) for k in range(n)])
+
+
+def poly_mul(p, q):
+    """The product of two polynomials, or p scaled when q is a number."""
+    if isinstance(q, (int, Fraction)):
+        return Poly([c * q for c in p.coeffs])
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
 def binomial_poly_expand(d):
     """C(s+d-1, d+1) as a polynomial in s: (s-1) s (s+1) ... (s+d-1) / (d+1)!."""
     poly = Poly([1])
     for j in range(-1, d):
-        poly = poly * Poly([j, 1])
-    return poly * Fraction(1, factorial(d + 1))
+        poly = poly_mul(poly, Poly([j, 1]))
+    return poly_mul(poly, Fraction(1, factorial(d + 1)))
 
 
 def cm_sop_hk_polynomial(d, e0):
     """The s >= d branch e0 [d s^(d+1)/2 - s^d (d-2)/2 + d C(s+d-1, d+1)] as a polynomial in s."""
     top = Poly([0] * d + [Fraction(2 - d, 2), Fraction(d, 2)])
-    return (top + binomial_poly_expand(d) * d) * e0
+    return poly_mul(poly_add(top, poly_mul(binomial_poly_expand(d), d)), e0)
 
 
 def dim1_case_one_constant(inp):
@@ -147,9 +165,9 @@ def lagrange_interpolate(points):
         for j, xj in enumerate(xs):
             if j == i:
                 continue
-            basis = basis * Poly([-xj, 1])
+            basis = poly_mul(basis, Poly([-xj, 1]))
             denom *= xs[i] - xj
-        total = total + basis * (Fraction(y) / denom)
+        total = poly_add(total, poly_mul(basis, Fraction(y) / denom))
     return total
 
 

@@ -441,6 +441,13 @@ EXIT_CODE_MATRIX = {
         ["formula", "cm-sop", "--d", "3", "--e0", "1", "--s", "3.."],
         2, "bad range '3..': expected N or LO..HI",
     ),
+    "three_vars_two_exponents": (
+        ["example", "three-vars", "--n", "1,2"], 2, "error: --n takes three exponents n1,n2,n3\n",
+    ),
+    "stanley_reisner_no_facets": (
+        ["formula", "stanley-reisner", "--d", "3", "--facets", "0"],
+        2, "error: facet count must be positive\n",
+    ),
     "inconsistent_samples": (
         ["fit", "dim1", "--a", "5", "--p", "2", "--variant", "rees-of-x", "--e", "2..9",
          "--period", "1", "--force"],

@@ -2,7 +2,8 @@
 
 Code that only the tests reach belongs in `tests/reference.py`, so a
 name defined under `src/reeshk` must be used somewhere in `src/`
-outside its own definition.  A re-export in `__init__.py` is not a use.
+outside its own definition.  `__init__.py` imports nothing, so each
+name has one import path, its own module.
 A use is any `ast.Name` or `ast.Attribute` of that name, so a method
 counts as used when any attribute of its name is read.
 
@@ -48,11 +49,9 @@ def _definitions(modules):
 
 
 def _uses(modules):
-    """name -> [(module, line)] for every ast.Name or ast.Attribute outside __init__.py."""
+    """name -> [(module, line)] for every ast.Name or ast.Attribute in src/."""
     uses = {}
     for module, tree in modules.items():
-        if module == "__init__.py":
-            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.setdefault(node.id, []).append((module, node.lineno))
@@ -78,6 +77,11 @@ def _unused():
 
 def test_every_name_has_a_caller_in_the_package():
     assert [name for name in _unused() if name not in ALLOWED] == []
+
+
+def test_package_root_imports_nothing():
+    tree = _modules()["__init__.py"]
+    assert [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
 
 def test_allowlist_names_only_unused_definitions():

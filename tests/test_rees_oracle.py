@@ -964,6 +964,14 @@ class TestFitQuasiPolynomial:
         with pytest.raises(InconsistentSamples):
             fit_quasi_polynomial({e: e for e in range(1, 7)}, 2, degree=0, period=1, holdout=1)
 
+    def test_mixed_degree_classes_rejected(self):
+        # even e fit 4^e = q^2 and odd e fit 2^e = q: one quasi-polynomial has one degree
+        values = {e: 4**e if e % 2 == 0 else 2**e for e in range(6)}
+        with pytest.raises(
+            InconsistentSamples, match="^residue classes fit polynomials of mixed degree$"
+        ):
+            fit_quasi_polynomial(values, 2, degree=2, period=2, holdout=0)
+
     def test_corrupted_sample_rejected(self):
         values = self.fermat_x_samples(9)
         values[9] += 1

@@ -5,6 +5,9 @@ Every `hk` command is a fresh process, so each module that
 `inspect`, `ast`, `dis` and `tokenize` with it, and `csv` and `json`
 serve `--format csv` and `--format json` alone, which import them when
 they render.
+
+The package root imports nothing, so importing one module loads only
+the package modules it imports itself.
 """
 import os
 import subprocess
@@ -43,3 +46,23 @@ def test_startup_loads_the_cli(startup):
 @pytest.mark.parametrize("module", NOT_AT_STARTUP)
 def test_startup_does_not_load(startup, module):
     assert module not in startup
+
+
+# each module -> the package modules that importing it alone loads, itself included
+LIBRARY = {"polynomials", "hk_formulas", "monomial_algebra", "binomial_groebner", "rees_oracle"}
+IMPORTS = {
+    "polynomials": {"polynomials"},
+    "hk_formulas": {"hk_formulas", "polynomials"},
+    "monomial_algebra": {"monomial_algebra", "hk_formulas", "polynomials"},
+    "binomial_groebner": {"binomial_groebner", "monomial_algebra", "hk_formulas", "polynomials"},
+    "rees_oracle": LIBRARY,
+    "cli": LIBRARY | {"cli"},
+}
+
+
+@pytest.mark.parametrize("module", IMPORTS)
+def test_a_module_loads_only_what_it_imports(module):
+    loaded = _loaded(f"import reeshk.{module}")
+    assert {name for name in loaded if name.split(".")[0] == "reeshk"} == {
+        "reeshk", *(f"reeshk.{name}" for name in IMPORTS[module])
+    }

@@ -97,6 +97,22 @@ def test_poly_drops_trailing_zeros_and_keeps_fractions():
     assert Poly([0, 0]) == Poly() and Poly().degree == -1
 
 
+# a Poly is a tuple, whose + concatenates and * repeats; Poly refuses both
+@pytest.mark.parametrize("combine", [
+    lambda: Poly([1, 2]) + Poly([3]),
+    lambda: Poly([1]) * Poly([1]),
+    lambda: Poly([1]) * 2,
+    lambda: 2 * Poly([1]),
+], ids=["add", "mul", "mul-scalar", "rmul-scalar"])
+def test_poly_has_no_arithmetic(combine):
+    with pytest.raises(TypeError):
+        combine()
+
+
+def test_zero_poly_formats_as_zero():
+    assert Poly().format() == "0"
+
+
 def test_cordim1_still_refuses_an_explicit_rho():
     refuses(
         "rho must be omitted; it is forced to r - 1 here",
