@@ -527,19 +527,28 @@ COMMANDS = {
 EXIT_CODES = {ResourceCapExceeded: 3, InvalidInput: 2, OracleError: 1}
 
 
-def _leaf(leaf: argparse.ArgumentParser, group: str, name: str) -> argparse.ArgumentParser:
-    """leaf, given the handler, defaults and flags of the command group name."""
-    handler, flags = COMMANDS[group, name]
-    leaf.set_defaults(handler=handler, command=group, which=name)
-    leaf.add_argument("--format", choices=sorted(RENDERERS), default="table", help="output format")
-    leaf.add_argument("--force", action="store_true", help="bypass resource caps")
+def _options(flags: dict) -> dict[str, dict]:
+    """The add_argument keyword arguments of each flag, --format and --force first."""
+    options = {
+        "--format": {"choices": sorted(RENDERERS), "default": "table", "help": "output format"},
+        "--force": {"action": "store_true", "default": False, "help": "bypass resource caps"},
+    }
     for flag, spec in flags.items():
         if isinstance(spec, dict):
-            leaf.add_argument(flag, **spec)
+            options[flag] = spec
         elif isinstance(spec, type):
-            leaf.add_argument(flag, type=spec, required=True)
+            options[flag] = {"type": spec, "required": True}
         else:
-            leaf.add_argument(flag, type=type(spec), default=spec)
+            options[flag] = {"type": type(spec), "default": spec}
+    return options
+
+
+def _leaf(leaf: argparse.ArgumentParser, group: str, name: str) -> argparse.ArgumentParser:
+    """leaf, given the handler, defaults and _options of the command group name."""
+    handler, flags = COMMANDS[group, name]
+    leaf.set_defaults(handler=handler, command=group, which=name)
+    for flag, options in _options(flags).items():
+        leaf.add_argument(flag, **options)
     return leaf
 
 
@@ -559,16 +568,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(group: str, name: str, tail: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The Namespace the tree parses from tail after group name, with no parser built.
+
+    tail may hold only the command's own flags: --force alone, and every other
+    flag before one value that starts with no "-", of its type and among its
+    choices; the last of a flag wins and every required flag is given.  Any
+    other tail, help and every error included, is None: the tree's to parse.
+    """
+    handler, flags = COMMANDS[group, name]
+    options, values = _options(flags), {}
+    tokens = iter(tail)
+    for flag in tokens:
+        if flag not in options:
+            return None
+        if flag == "--force":
+            values[flag] = True
+            continue
+        spec, text = options[flag], next(tokens, "-")  # a flag at the end has no value
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if text.startswith("-") or value not in spec.get("choices", (value,)):
+            return None
+        values[flag] = value
+    if any(spec.get("required") and flag not in values for flag, spec in options.items()):
+        return None
+    fields = {flag[2:]: values.get(flag, spec.get("default")) for flag, spec in options.items()}
+    return argparse.Namespace(handler=handler, command=group, which=name, **fields)
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """argv parsed by the leaf of the command argv[:2] names alone, else by the full tree."""
-    if tuple(argv[:2]) in COMMANDS:
-        group, name = argv[:2]
-        # the prog the tree gives the leaf; arguments it leaves over go to the tree's root
-        leaf = argparse.ArgumentParser(prog=f"hk {group} {name}", allow_abbrev=False)
-        args, rest = _leaf(leaf, group, name).parse_known_args(argv[2:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    """argv read off the COMMANDS table by _read, else parsed by the full tree."""
+    args = _read(*argv[:2], argv[2:]) if tuple(argv[:2]) in COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

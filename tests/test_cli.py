@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reeshk
 from reeshk import cli, hk_formulas
@@ -958,13 +960,18 @@ def _required(flags):
     return tail
 
 
-def parsed(capsys, parse, argv):
-    """Exit code (None when argv parses), stdout, stderr and namespace of parse(argv)."""
-    try:
-        args, code = parse(argv), None
-    except SystemExit as exc:
-        args, code = None, exc.code
-    return (code, *capsys.readouterr(), args)
+def parsed(parse, argv):
+    """Exit code (None when argv parses), stdout, stderr and namespace of parse(argv).
+
+    Output is redirected, not read from capsys, so a hypothesis test can call it.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = parse(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), args
 
 
 # argument tails after a command's name; all but "help", "missing" and "dashdash_first"
@@ -984,6 +991,15 @@ TAILS = {
         for flag in ("a", "d", "e0")
     },
     "extra_positional": lambda required: required + ["extra"],
+    "equals_form": lambda required: required + ["--format=json"],
+    **{
+        f"negative_{flag}": lambda required, flag=flag: required + [f"--{flag}", "-5"]
+        for flag in ("a", "d", "e0")
+    },
+    "value_is_a_flag": lambda required: required + ["--format", "--force"],
+    "empty_value": lambda required: required + ["--format", ""],
+    "dash_value": lambda required: required + ["--format", "-"],
+    "force_twice": lambda required: required + ["--force", "--force"],
 }
 
 
@@ -1003,10 +1019,10 @@ def _built(monkeypatch):
 class TestParser:
     @pytest.mark.parametrize("tail", sorted(TAILS))
     @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
-    def test_one_leaf_parses_as_the_full_tree(self, capsys, command, tail):
+    def test_one_leaf_parses_as_the_full_tree(self, command, tail):
         argv = [*command, *TAILS[tail](_required(COMMANDS[command][1]))]
         tree = build_parser()
-        assert parsed(capsys, cli._parse, argv) == parsed(capsys, tree.parse_args, argv)
+        assert parsed(cli._parse, argv) == parsed(tree.parse_args, argv)
 
     @pytest.mark.parametrize(
         "argv, usage",
@@ -1025,29 +1041,51 @@ class TestParser:
     )
     def test_argv_naming_no_command_gets_the_full_tree(self, capsys, argv, usage):
         code, out, err = run(capsys, *argv)
-        assert (code, out, err) == parsed(capsys, build_parser().parse_args, argv)[:3]
+        assert (code, out, err) == parsed(build_parser().parse_args, argv)[:3]
         assert code in (0, 2) and usage in out + err
 
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_parse_equals_the_full_tree_on_drawn_tails(self, data):
+        command = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+        options = cli._options(COMMANDS[command][1])
+        flags = [*options, "-h", "--", "--bogus", "--format=csv"]
+        required = _required(COMMANDS[command][1])
+        # (flag, value) items, None standing for no value; a valid value is drawn twice as
+        # often, and a value of "--force" puts a flag where a value goes
+        items = [*zip(required[::2], required[1::2])] if data.draw(st.booleans()) else []
+        for flag in data.draw(st.lists(st.sampled_from(flags), max_size=4)):
+            spec = options.get(flag, {})
+            choice = spec.get("choices", ["json"])[0]
+            valid = None if flag in ("-h", "--force") else choice if "choices" in spec else "1"
+            values = [valid, valid, "-1", "", "x", choice, "xml", "--force", None]
+            items.append((flag, data.draw(st.sampled_from(values))))
+        items = data.draw(st.permutations(items), label="items")
+        # and last, maybe a flag with no value after it
+        last = data.draw(st.lists(st.sampled_from(flags), max_size=1))
+        argv = [*command, *(t for item in items for t in item if t is not None), *last]
+        assert parsed(cli._parse, argv) == parsed(build_parser().parse_args, argv)
+
     @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
-    def test_the_standalone_leaf_has_the_tree_leafs_help(self, monkeypatch, command):
-        built = _built(monkeypatch)
-        cli._parse([*command, *_required(COMMANDS[command][1])])
-        (leaf,) = built
+    def test_help_comes_from_the_tree(self, monkeypatch, command):
+        # -h is never read off the table: the full tree alone is built and prints its leaf's help
         group, name = command
-        assert leaf.prog == f"hk {group} {name}"
-        assert leaf.format_help() == _choices(_choices(build_parser())[group])[name].format_help()
+        leaf = _choices(_choices(build_parser())[group])[name]
+        built = _built(monkeypatch)
+        assert parsed(cli._parse, [*command, "-h"])[:3] == (0, leaf.format_help(), "")
+        assert len(built) == 20 and leaf.format_help().startswith(f"usage: hk {group} {name} [-h]")
 
     @pytest.mark.parametrize(
         "command, extra, count",
         [
-            *(pytest.param(c, [], 1, id="-".join(c)) for c in sorted(COMMANDS)),
-            *(pytest.param(c, ["--bogus"], 21, id="-".join(c) + "-bogus") for c in COMMANDS),
+            *(pytest.param(c, [], 0, id="-".join(c)) for c in sorted(COMMANDS)),
+            *(pytest.param(c, ["--bogus"], 20, id="-".join(c) + "-bogus") for c in COMMANDS),
             pytest.param(None, [], 20, id="full_tree"),
         ],
     )
     def test_parsers_built(self, monkeypatch, command, extra, count):
-        # a named command that parses builds its leaf alone; leftover arguments
-        # add the full tree of 20 (root, five groups, 14 leaves); no argv builds only that
+        # a named command read off the table builds no parser; any other tail
+        # builds the full tree of 20 (root, five groups, 14 leaves) alone, as no argv does
         built = _built(monkeypatch)
         if command is None:
             build_parser()
