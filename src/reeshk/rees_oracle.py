@@ -42,7 +42,7 @@ from bisect import bisect
 from fractions import Fraction
 from itertools import chain, compress, count, groupby, permutations, repeat
 from math import comb, factorial, gcd, prod
-from operator import add, eq, floordiv, ne
+from operator import add, eq, floordiv, ne, sub
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .binomial_groebner import check_exponent, plane_heights, quotient_colength
@@ -174,7 +174,14 @@ def _orbit_ring(d: int) -> Ring:
     g, so the product adds c at the last index of each run only, one
     column of J at a time: index i < d - 1 ends a run where column i
     differs from column i + 1.  At the last index of g the sum stays
-    sorted, at an earlier one if c = 1, and is re-sorted if c > 1.
+    sorted, at an earlier one if c = 1, and is re-sorted if c > 1.  Past
+    the spread of J, max(g[-1] - g[0]), g_i + c exceeds every other
+    exponent, so g + c e_i sorts to g less g_i, then g_i + c: the product
+    is J's minimal raised rows (g less g_i, g_i) with c added to the last
+    column, and its number of generators is the same for every such c,
+    as each key ends with unequal neighbours.  The graded sum multiplies
+    one power m^n by m^[q] for every q > n, so the ring keeps the rows
+    and that number for the last J it raised.
     The colength counts an ideal in m variables by
     cells: [0, top) is cut at the exponents, where top = min(max g)
     bounds the least coordinate of a standard u and membership changes
@@ -197,6 +204,9 @@ def _orbit_ring(d: int) -> Ring:
     """
     memo: dict[tuple[Vector, ...], int] = {}
     sizes = _OrbitSizes()
+    # the last J multiplied by an x^c with c > spread(J): J, spread(J), the columns of its
+    # minimal raised rows, their mu once counted, and the last product formed from them
+    raised: list = [None, 0, (), 0, None]
 
     def product(j: tuple[Vector, ...], k: tuple[Vector, ...]) -> tuple[Vector, ...]:
         if len(j) < len(k):
@@ -205,8 +215,21 @@ def _orbit_ring(d: int) -> Ring:
         if len(k) > 1 or any(rest):
             return _minimal_vectors([(*sorted(map(add, g, h)),) for h in _orbits(k) for g in j])
         # k is x^c: c at the last index of each run of g, column by column; index i < d - 1
-        # ends a run where g[i] != g[i + 1], and its sums are sorted if c = 1
-        cols = [*zip(*j)]
+        # ends a run where g[i] != g[i + 1]
+        cols = None if j is raised[0] else [*zip(*j)]
+        if cols and c > (spread := max(map(sub, cols[-1], cols[0]))):
+            # g + c e_i is g less g_i, then g_i + c: minimalise the rows less c once per J
+            rows = _minimal_vectors(chain(zip(*cols), *(
+                compress(zip(*cols[:i], *cols[i + 1 :], cols[i]), map(ne, cols[i], cols[i + 1]))
+                for i in range(d - 1)
+            )))
+            raised[:4] = j, spread, [*zip(*rows)], 0
+        if j is raised[0] and c > raised[1]:
+            *kept, last = raised[2]
+            raised[4] = tuple(zip(*kept, map(c.__add__, last)))
+            return raised[4]
+        # at or below the spread the sums at an inner index are sorted if c = 1
+        cols = cols or [*zip(*j)]
         inner = chain.from_iterable(
             compress(zip(*cols[:i], map(c.__add__, cols[i]), *cols[i + 1 :]),
                      map(ne, cols[i], cols[i + 1]))
@@ -217,10 +240,15 @@ def _orbit_ring(d: int) -> Ring:
         return _minimal_vectors(chain(zip(*cols[:-1], map(c.__add__, cols[-1])), inner))
 
     def generators(reps: tuple[Vector, ...]) -> int:
+        if reps is raised[4] and raised[3]:  # every product of the raised rows has their mu
+            return raised[3]
         if d == 1:  # no neighbours: every orbit is one monomial
             return len(reps)
         cols = [*zip(*reps)]
-        return sum(map(sizes.__getitem__, zip(*map(map, repeat(eq), cols, cols[1:]))))
+        mu = sum(map(sizes.__getitem__, zip(*map(map, repeat(eq), cols, cols[1:]))))
+        if reps is raised[4]:
+            raised[3] = mu
+        return mu
 
     def count(reps: Sequence[Vector]) -> int:
         m = len(reps[0])
@@ -271,7 +299,11 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
     past t = caps[q] that still differs raises.  One chain of powers I^n
     serves every q, taking colength(I^n) once per n.  Each q keeps
     I^[q], the colengths of I^[q] I^n for n < q, which its tail reuses for
-    t < q, a total and, from n = q, its own I^t: I^q set aside from the chain.
+    t < q, a total and, from n = q, its I^t: I^q set aside from the chain.
+    From t = q its tail advances to I^(t+1), which an open q - 1 already
+    holds as the step starts: it advanced at n - 1, to I^((n-1)-(q-1)+1).
+    So q takes that, and a step forms one tail power per run of
+    consecutive open q, not one per q.
     When the ring counts generators and I is m, the one ideal of colength
     1, colength(J m) = colength(J) + generators(J): the chain steps
     colength(I^n), and each q the colength of its next piece I^[q] I^k, k
@@ -288,7 +320,8 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
     for n in count():
         if not step:
             base = ring.colength(power)
-        for q, (frob, head, shifted, total, ahead) in list(open_qs.items()):
+        before = dict(open_qs)  # each open q as the step starts
+        for q, (frob, head, shifted, total, ahead) in before.items():
             t = n - q
             if t < 0:
                 piece = ring.product(frob, power)
@@ -302,7 +335,8 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
                     raise StabilizationNotReached(
                         f"I^[q] I^t != I^(q+t) for all t <= {caps[q]} at q={q}"
                     )
-                shifted = shifted if t < q else ring.product(shifted, ideal)
+                if t >= q:  # I^(t+1): an open q - 1 holds it from its last step
+                    shifted = before[q - 1][2] if q - 1 in before else ring.product(shifted, ideal)
             if piece is None:
                 length = head[t]
             else:
@@ -311,6 +345,7 @@ def _graded_lengths(ring: Ring, ideal: Hashable, caps: Mapping[int, int]) -> dic
                 if t < 0:
                     head[n] = length
             open_qs[q] = (frob, head, power if t == 0 else shifted, total + length - base, ahead)
+        del before  # its stale powers go before the chain's next product
         if not open_qs:
             return lengths
         if step:

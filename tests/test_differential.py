@@ -17,7 +17,9 @@ orbit ring's generator count against its expanded orbits, on every
 pattern of equal neighbours up to d = 7 too, and the graded sum that
 steps it with the one that counts every colength; and
 the orbit ring's product by one pure power with the product by all its
-permutations and, expanded, with MonomialIdeal.product; and Newton
+permutations and, expanded, with MonomialIdeal.product, and its mu,
+read from the rows kept across two powers in a row, with a fresh
+ring's count; and Newton
 interpolation with Lagrange's.
 """
 import functools
@@ -626,35 +628,64 @@ def orbit_ideals(draw):
     return d, _minimal_vectors((*sorted(g),) for g in gens)
 
 
+def spread(reps):
+    """max(g[-1] - g[0]): past it, x^c raises the exponent it lands on above every other."""
+    return max(g[-1] - g[0] for g in reps)
+
+
+@st.composite
+def pure_power_products(draw):
+    """((d, reps), (c, c')): an orbit ideal and two different c in 0 .. spread + 3."""
+    d, reps = draw(orbit_ideals())
+    cs = st.integers(0, spread(reps) + 3)
+    return (d, reps), tuple(draw(st.lists(cs, min_size=2, max_size=2, unique=True)))
+
+
 class TestPurePowerProduct:
-    """The orbit ring's product by one pure power x^c, against every permutation of x^c."""
+    """The orbit ring's product by one pure power x^c, against every permutation of x^c.
+
+    One ring multiplies J by both c in a row, as the graded sum multiplies
+    one power by each m^[q], so past the spread the second product reads
+    the raised rows and mu kept from the first; then it multiplies the
+    last product, a new J, so the kept rows and mu must give way.
+    """
 
     @settings(max_examples=300)
-    @given(orbit_ideals(), st.integers(0, 4))
-    @example((3, ((0, 0, 2),)), 0)  # c = 0: the product is J itself
-    @example((4, ((0, 0, 2, 2), (0, 1, 1, 1), (0, 0, 0, 3))), 2)
-    @example((5, ((1, 1, 1, 1, 1),)), 3)
-    @example((3, ((0, 1, 1), (0, 0, 2))), 1)
+    @given(pure_power_products())
+    @example(((3, ((0, 0, 2),)), (0, 3)))  # c = 0: the product is J itself
+    @example(((4, ((0, 0, 2, 2), (0, 1, 1, 1), (0, 0, 0, 3))), (2, 4)))
+    @example(((5, ((1, 1, 1, 1, 1),)), (3, 1)))
+    @example(((3, ((0, 1, 1), (0, 0, 2))), (1, 3)))
+    # c = spread takes the sums at or below the spread, whose mu differs: m^2 has 6
+    # generators, m x^2 has 9; and the other way round
+    @example(((3, ((0, 0, 1),)), (1, 2)))
+    @example(((3, ((0, 0, 1),)), (2, 1)))
+    @example(((4, ((0, 0, 2, 2), (0, 1, 1, 1))), (2, 3)))
+    @example(((1, ((2,),)), (1, 3)))  # d = 1: the spread is 0
+    @example(((3, ((0, 1, 1), (0, 0, 3))), (4, 3)))  # J not generated in one degree
     # past the strategy's d <= 5: runs of every length from 1 to 6 at d = 6 and 7
-    @example((6, ((0, 0, 1, 1, 1, 2), (0, 1, 1, 1, 1, 1))), 1)
-    @example((6, ((0, 0, 1, 1, 1, 2), (0, 1, 1, 1, 1, 1))), 3)
-    @example((7, ((0, 0, 0, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1, 2))), 1)
-    @example((7, ((0, 0, 0, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1, 2))), 3)
-    def test_matches_the_orbit_product_and_the_walk(self, case, c):
-        d, reps = case
-        power = ((0,) * (d - 1) + (c,),)
+    @example(((6, ((0, 0, 1, 1, 1, 2), (0, 1, 1, 1, 1, 1))), (1, 3)))
+    @example(((7, ((0, 0, 0, 2, 2, 2, 2), (1, 1, 1, 1, 1, 1, 2))), (3, 1)))
+    def test_matches_the_orbit_product_and_the_walk(self, drawn):
+        (d, reps), cs = drawn
         ring = _orbit_ring(d)
-        moved = ring.product(reps, power)
-        # what the product forms for any other pair: every permutation of x^c
-        assert moved == _minimal_vectors(
-            [(*sorted(map(add, g, h)),) for h in _orbits(power) for g in reps]
-        )
-        assert ring.product(power, reps) == moved
-        if c == 0:
-            assert moved == reps
         expanded = MonomialIdeal(_minimal_vectors(_orbits(reps)))
-        walked = expanded.product(MonomialIdeal(_minimal_vectors(_orbits(power))))
-        assert tuple(sorted(_orbits(moved))) == walked.gens
+        for c in cs:
+            power = ((0,) * (d - 1) + (c,),)
+            moved = ring.product(reps, power)
+            assert ring.generators(moved) == _orbit_ring(d).generators(moved)
+            assert ring.generators(moved) == len(_orbits(moved))
+            # what the product forms for any other pair: every permutation of x^c
+            assert moved == _minimal_vectors(
+                [(*sorted(map(add, g, h)),) for h in _orbits(power) for g in reps]
+            )
+            if c == 0:
+                assert moved == reps
+            walked = expanded.product(MonomialIdeal(_minimal_vectors(_orbits(power))))
+            assert tuple(sorted(_orbits(moved))) == walked.gens
+        assert ring.product(power, reps) == moved
+        later = ring.product(moved, ((0,) * (d - 1) + (spread(moved) + 1,),))
+        assert ring.generators(later) == _orbit_ring(d).generators(later)
 
 
 scalars = st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=9)

@@ -528,10 +528,43 @@ class TestGradedLength:
                 with pytest.raises(StabilizationNotReached):
                     _graded_lengths(ring, ideal, {q: t - 2})
 
+    # (ring, ideal, caps with gaps in the unsorted order of class bases, the expanded
+    # ideal and its colength for the reference).  In the orbit ring at d = 4 the tail
+    # stops at t = 3 (q - 1): q = 5 advances at n = 10..16, taking I^(t+1) from q = 4,
+    # which itself advances up to n = 12, at n = 10..13 and forming its own once q = 4
+    # has closed; q = 7 advances from n = 14 with q = 5, not q = 6, open.  On the walk
+    # at (1, 2, 3) q = 4 closes at n = 10, the step where q = 5 first advances, and the
+    # plane ring's tails stop by t = q, before any power is handed down
+    HANDOFFS = {
+        "orbit": (
+            _orbit_ring(4), ((0, 0, 0, 1),), {q: 3 * q for q in (7, 2, 4, 5)},
+            parameter_ideal((1, 1, 1, 1)), MonomialIdeal.colength,
+        ),
+        "walk": (
+            _polynomial_ring(3), parameter_ideal((1, 2, 3)), {q: 2 * q for q in (7, 2, 4, 5)},
+            parameter_ideal((1, 2, 3)), MonomialIdeal.colength,
+        ),
+        "plane": (
+            _plane_ring(7), (1, 0, 0, 0, 0, 0, 0), dict.fromkeys((7, 2, 4, 5), 14),
+            PLANE_MAXIMAL, lambda big: quotient_colength(7, big),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HANDOFFS))
+    def test_next_tail_power_is_handed_down_from_q_minus_1(self, case):
+        # a q whose tail advances takes I^(t+1) from q - 1's state as the step starts
+        ring, ideal, caps, big, colength = self.HANDOFFS[case]
+        swept = _graded_lengths(ring, ideal, caps)
+        assert [*swept] == [*caps]
+        for q, cap in caps.items():
+            assert swept[q] == _graded_lengths(ring, ideal, {q: cap})[q], q
+            assert swept[q] == graded_length_by_window(big, q, colength, cap + 2), q
+
     # (exponents, the sweep of s, the orbit ring's products); the graded sum formed 179
-    # and 457 while it still formed I^[q] I^t on a colength tie below t = q
+    # and 457 while it still formed I^[q] I^t on a colength tie below t = q, and 134 at
+    # (1, 1, 1) while each q formed its own next tail power
     @pytest.mark.parametrize("exps, ss, products", [
-        ((1, 1, 1), range(1, 10), 134),
+        ((1, 1, 1), range(1, 10), 119),
         ((1, 1), range(2, 21), 248),
     ])
     def test_orbit_products_are_pinned(self, exps, ss, products):
@@ -544,7 +577,7 @@ class TestGradedLength:
         assert len(calls) == products
 
     @pytest.mark.parametrize("exps, ss, products", [
-        ((1, 1, 1), range(1, 10), 134),
+        ((1, 1, 1), range(1, 10), 119),
         ((1, 1), range(2, 21), 248),
     ])
     def test_orbit_products_multiply_by_a_pure_power(self, exps, ss, products, monkeypatch):
@@ -570,7 +603,8 @@ class TestGradedLength:
 
     def test_walk_product_pairs_do_not_rise(self, monkeypatch):
         # generator pairs over every MonomialIdeal product of a sweep on the walk; the
-        # sum formed 68108 while it still formed I^[q] I^t on a tie below t = q
+        # sum formed 68108 while it still formed I^[q] I^t on a tie below t = q, and
+        # 64808 while each q formed its own next tail power
         product, pairs = MonomialIdeal.product, []
 
         def counting(self, other):
@@ -582,7 +616,7 @@ class TestGradedLength:
         assert rees_colength_monomial(ideal, range(1, 10)) == {
             1: 10, 2: 242, 3: 1267, 4: 4069, 5: 9984, 6: 20822, 7: 38616, 8: 66044, 9: 105889,
         }
-        assert sum(pairs) <= 64808
+        assert sum(pairs) <= 55848
 
 
 def representatives(ideal):
